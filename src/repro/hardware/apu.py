@@ -19,13 +19,18 @@ microcontroller.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterable, Iterator
+
 import numpy as np
 
+from repro.faults.errors import SampleRunError
 from repro.hardware import pstates
 from repro.hardware.backend import (
     TRINITY_DESCRIPTOR,
     HardwareBackend,
     Measurement,
+    characteristics_of,
     register_backend,
 )
 from repro.hardware.batch import batch_true_rate_power
@@ -90,18 +95,16 @@ def _template_cache(
     return cache
 
 
-def _characteristics(kernel: object) -> KernelCharacteristics:
-    """Accept either raw characteristics or any object exposing them via
-    a ``characteristics`` attribute (e.g. :class:`repro.workloads.Kernel`)."""
-    if isinstance(kernel, KernelCharacteristics):
-        return kernel
-    chars = getattr(kernel, "characteristics", None)
-    if isinstance(chars, KernelCharacteristics):
-        return chars
-    raise TypeError(
-        f"expected KernelCharacteristics or an object with a "
-        f".characteristics attribute, got {type(kernel).__name__}"
-    )
+def _lognormal(mean: float, sigma: float, z: float) -> float:
+    """A ``Generator.lognormal(mean, sigma)`` draw rebuilt from the
+    standard-normal draw ``z`` it would have consumed.
+
+    numpy computes the lognormal as libm ``exp(mean + sigma * z)``;
+    ``math.exp`` calls the same libm routine, so the result is
+    bit-identical.  ``np.exp`` is *not*: its SIMD implementation differs
+    in the last ulp on some inputs.
+    """
+    return math.exp(mean + sigma * z)
 
 
 class TrinityAPU(HardwareBackend):
@@ -160,17 +163,17 @@ class TrinityAPU(HardwareBackend):
         self._time_cache, self._power_cache, self._counter_cache = _truth_caches(
             self.power_constants
         )
-        # Fused measurement templates: (counter names, ground-truth
-        # vector [t, cpu_w, nbgpu_w, counters...], lognormal mean/sigma
-        # vectors) per (characteristics, config).  Lets :meth:`run`
-        # replace three cache lookups and four RNG calls with one lookup
-        # and one vectorized draw.  Only valid when every noise axis is
+        # Fused measurement templates: (counter names, true time, true
+        # cpu_w, true nbgpu_w, true counter values) per (characteristics,
+        # config).  Lets :meth:`run` and :meth:`observe` replace three
+        # cache lookups and four RNG calls with one lookup and one
+        # standard-normal draw.  Only valid when every noise axis is
         # nonzero (a zero axis skips its draw in the scalar path, so the
         # fused draw would desynchronize the stream) — ``_noise_mode``
         # records which regime applies.
         self._meas_cache: dict[
             tuple[KernelCharacteristics, Configuration],
-            tuple[tuple[str, ...], float, float, float, np.ndarray],
+            tuple[tuple[str, ...], float, float, float, tuple[float, ...]],
         ] = _template_cache(self.power_constants, self.noise)
         rels = (self.noise.time_rel, self.noise.power_rel, self.noise.counter_rel)
         if all(r > 0.0 for r in rels):
@@ -208,7 +211,7 @@ class TrinityAPU(HardwareBackend):
 
     def true_time_s(self, kernel: object, cfg: Configuration) -> float:
         """Deterministic execution time (seconds) of one invocation."""
-        chars = _characteristics(kernel)
+        chars = characteristics_of(kernel)
         if self.boost is None:
             t = self._time_cache.get((chars, cfg))
             if t is None:
@@ -222,7 +225,7 @@ class TrinityAPU(HardwareBackend):
 
     def true_power(self, kernel: object, cfg: Configuration) -> PowerBreakdown:
         """Deterministic per-plane average power."""
-        chars = _characteristics(kernel)
+        chars = characteristics_of(kernel)
         if self.boost is None:
             pb = self._power_cache.get((chars, cfg))
             if pb is None:
@@ -257,7 +260,7 @@ class TrinityAPU(HardwareBackend):
         Falls back to an uncached build when boost is enabled (thermal
         state may make truth impure).
         """
-        chars = _characteristics(kernel)
+        chars = characteristics_of(kernel)
         if self.boost is None:
             tables = _TRUTH_TABLE_CACHES.get(self.power_constants)
             if tables is None:
@@ -344,6 +347,101 @@ class TrinityAPU(HardwareBackend):
         ctx = inj.begin_run(cfg)
         return ctx.apply(self._run_clean(kernel, ctx.config, rng=rng))
 
+    def observe(
+        self,
+        kernel: object,
+        ladder: Iterable[Configuration],
+        *,
+        rng: np.random.Generator | None = None,
+    ) -> Iterator[tuple[Configuration, float, object]]:
+        """Measure ``kernel`` on each configuration of ``ladder`` in turn,
+        yielding ``(config, measured total power, reading)`` per run.
+
+        The frequency limiter's primitive: its walk reads only the total
+        power of each step, so the clean fast-template modes draw the
+        step's full noise row (one ``standard_normal`` call, consuming
+        the stream exactly like :meth:`run`) but compute only the two
+        power factors.  :meth:`measurement` turns a step's ``reading``
+        into the :class:`Measurement` :meth:`run` would have returned.
+        Fault-injected, boosted and scalar-noise machines delegate each
+        step to :meth:`run`, so fault semantics are unchanged; a failed
+        run yields a NaN power and a ``None`` reading.  Stop iterating
+        whenever the walk is done: no step is drawn before it is asked
+        for.
+        """
+        if (
+            self.fault_injector is not None
+            or self.boost is not None
+            or self._noise_mode == "scalar"
+        ):
+            for cfg in ladder:
+                try:
+                    m = self.run(kernel, cfg, rng=rng)
+                except SampleRunError:
+                    yield cfg, math.nan, None
+                else:
+                    yield cfg, m.total_power_w, m
+            return
+        chars = characteristics_of(kernel)
+        cache = self._meas_cache
+        r = rng if rng is not None else self._rng
+        noisy = self._noise_mode == "vector"
+        mp, sp = self._ln_power
+        hits = 0  # template reads are counted once per walk, not per step
+        try:
+            for cfg in ladder:
+                tpl = cache.get((chars, cfg))
+                if tpl is None:
+                    tpl = self._new_template(chars, cfg)
+                else:
+                    hits += 1
+                _, _, cpu_w, nbgpu_w, vals = tpl
+                if noisy:
+                    z = r.standard_normal(3 + len(vals)).tolist()
+                    cpu_factor = _lognormal(mp, sp, z[1])
+                    power = cpu_w * cpu_factor + nbgpu_w * _lognormal(mp, sp, z[2])
+                else:
+                    z = ()
+                    power = cpu_w + nbgpu_w
+                yield cfg, power, (tpl, z)
+        finally:
+            _TPL_HITS.inc(hits)
+
+    def measurement(self, cfg: Configuration, reading: object) -> Measurement:
+        """The full :class:`Measurement` of one :meth:`observe` step on
+        ``cfg`` (``reading`` must not be ``None``)."""
+        if isinstance(reading, Measurement):
+            return reading
+        tpl, z = reading
+        return self._noisy_measurement(tpl, cfg, z)
+
+    def _noisy_measurement(self, tpl: tuple, cfg: Configuration, z) -> Measurement:
+        """Apply one step's standard-normal row ``z`` (time, two power
+        planes, then the counter block; empty in the exact noise mode)
+        to a measurement template."""
+        names, t, cpu_w, nbgpu_w, vals = tpl
+        if not z:
+            return Measurement(
+                config=cfg,
+                time_s=t,
+                cpu_plane_w=cpu_w,
+                nbgpu_plane_w=nbgpu_w,
+                counters=dict(zip(names, vals)),
+            )
+        mt, st = self._ln_time
+        mp, sp = self._ln_power
+        mc, sc = self._ln_counter
+        return Measurement(
+            config=cfg,
+            time_s=t * _lognormal(mt, st, z[0]),
+            cpu_plane_w=cpu_w * _lognormal(mp, sp, z[1]),
+            nbgpu_plane_w=nbgpu_w * _lognormal(mp, sp, z[2]),
+            counters={
+                name: v * _lognormal(mc, sc, x)
+                for name, v, x in zip(names, vals, z[3:])
+            },
+        )
+
     def _run_clean(
         self,
         kernel: object,
@@ -352,49 +450,24 @@ class TrinityAPU(HardwareBackend):
         rng: np.random.Generator | None = None,
     ) -> Measurement:
         """The fault-free measurement path (ground truth + noise)."""
-        chars = _characteristics(kernel)
+        chars = characteristics_of(kernel)
 
         if self.boost is None and self._noise_mode != "scalar":
             tpl = self._meas_cache.get((chars, cfg))
             if tpl is None:
-                _TPL_MISSES.inc()
-                if cfg not in self.config_space:
-                    raise ValueError(
-                        f"{cfg} is not a valid configuration for this machine"
-                    )
-                tpl = self._measurement_template(chars, cfg)
-                self._meas_cache[(chars, cfg)] = tpl
-                _TPL_SIZE.set(len(self._meas_cache))
+                tpl = self._new_template(chars, cfg)
             else:
                 _TPL_HITS.inc()
-            names, t_true, cpu_true, nbgpu_true, counter_vals = tpl
             if self._noise_mode == "vector":
-                # Same draw sequence as the legacy scalar path — one time
-                # draw, two power draws (a size-2 call consumes the
-                # stream exactly like two scalar calls), then the counter
-                # block — so measurements are bit-identical.
+                # One standard-normal row in the legacy scalar path's
+                # order — time, two power planes, the counter block — so
+                # measurements are bit-identical to per-axis lognormal
+                # draws.
                 r = rng if rng is not None else self._rng
-                mt, st = self._ln_time
-                t = t_true * r.lognormal(mean=mt, sigma=st)
-                mp, sp = self._ln_power
-                pw = r.lognormal(mean=mp, sigma=sp, size=2)
-                mc, sc = self._ln_counter
-                factors = r.lognormal(mean=mc, sigma=sc, size=counter_vals.size)
-                return Measurement(
-                    config=cfg,
-                    time_s=float(t),
-                    cpu_plane_w=float(cpu_true * pw[0]),
-                    nbgpu_plane_w=float(nbgpu_true * pw[1]),
-                    counters=dict(zip(names, (counter_vals * factors).tolist())),
-                )
+                z = r.standard_normal(3 + len(tpl[4])).tolist()
+                return self._noisy_measurement(tpl, cfg, z)
             # exact: measurements equal ground truth, no draws
-            return Measurement(
-                config=cfg,
-                time_s=t_true,
-                cpu_plane_w=cpu_true,
-                nbgpu_plane_w=nbgpu_true,
-                counters=dict(zip(names, counter_vals.tolist())),
-            )
+            return self._noisy_measurement(tpl, cfg, ())
 
         if cfg not in self.config_space:
             raise ValueError(f"{cfg} is not a valid configuration for this machine")
@@ -416,25 +489,30 @@ class TrinityAPU(HardwareBackend):
             counters=counters,
         )
 
-    def _measurement_template(
+    def _new_template(
         self, chars: KernelCharacteristics, cfg: Configuration
-    ) -> tuple[tuple[str, ...], float, float, float, np.ndarray]:
-        """Build the fused ground-truth template for one pair."""
+    ) -> tuple[tuple[str, ...], float, float, float, tuple[float, ...]]:
+        """Build and memoize the fused ground-truth template for one pair
+        (a template-cache miss; callers count their own hits)."""
+        _TPL_MISSES.inc()
+        if cfg not in self.config_space:
+            raise ValueError(f"{cfg} is not a valid configuration for this machine")
         t = self.true_time_s(chars, cfg)
         pb = self.true_power(chars, cfg)
         true_counters = self._counter_cache.get((chars, cfg))
         if true_counters is None:
             true_counters = synthesize_counters(chars, cfg)
             self._counter_cache[(chars, cfg)] = true_counters
-        counter_vals = np.array(list(true_counters.values()))
-        counter_vals.setflags(write=False)
-        return (
+        tpl = (
             tuple(true_counters),
             t,
             pb.cpu_plane_w,
             pb.nbgpu_plane_w,
-            counter_vals,
+            tuple(float(v) for v in true_counters.values()),
         )
+        self._meas_cache[(chars, cfg)] = tpl
+        _TPL_SIZE.set(len(self._meas_cache))
+        return tpl
 
     def run_all_configs(
         self,
@@ -460,7 +538,7 @@ class TrinityAPU(HardwareBackend):
         (bit-identical to the scalar calls; boost is not modeled on the
         batch path)."""
         return batch_true_rate_power(
-            _characteristics(kernel),
+            characteristics_of(kernel),
             is_gpu,
             cpu_freq_ghz,
             n_threads,

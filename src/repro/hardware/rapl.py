@@ -22,15 +22,18 @@ the CPU and GPU — and so do we, with the same semantics:
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cache, cached_property, partial
 
 import numpy as np
 
 from repro.constants import respects_cap
-from repro.faults.errors import SampleRunError
 from repro.hardware import pstates
-from repro.hardware.apu import Measurement, TrinityAPU, _characteristics
+from repro.hardware.apu import Measurement, TrinityAPU
+from repro.hardware.backend import characteristics_of
 from repro.hardware.config import Configuration, Device
+from repro.hardware.kernelmodel import KernelCharacteristics
 from repro.telemetry import counter
 
 __all__ = ["FrequencyLimiter", "LimiterResult"]
@@ -50,10 +53,6 @@ class LimiterResult:
     ----------
     final_config:
         Configuration the limiter settled on.
-    final_measurement:
-        The measurement taken at the final configuration.  When that
-        run failed outright (injected fault), a placeholder with NaN
-        readings at the final configuration.
     met_cap:
         Whether the final *observed* power is within the cap (shared
         :data:`repro.constants.CAP_EPSILON` tolerance).  Worst-case
@@ -63,12 +62,22 @@ class LimiterResult:
         visited, in order — useful for inspecting convergence.
         Observed power is ``inf`` for a dropped-out or failed reading
         (the worst-case assumption the controller acted on).
+    final_measurement:
+        The measurement taken at the final configuration, built on
+        first access.  When that run failed outright (injected fault),
+        a placeholder with NaN readings at the final configuration.
     """
 
     final_config: Configuration
-    final_measurement: Measurement
     met_cap: bool
     trace: tuple[tuple[Configuration, float], ...] = field(default_factory=tuple)
+    _measure: Callable[[], Measurement] = field(
+        default=None, repr=False, compare=False
+    )
+
+    @cached_property
+    def final_measurement(self) -> Measurement:
+        return self._measure()
 
     @property
     def steps(self) -> int:
@@ -76,31 +85,50 @@ class LimiterResult:
         return max(0, len(self.trace) - 1)
 
 
-def _step_down_cpu(cfg: Configuration) -> Configuration | None:
-    i = pstates.cpu_pstate_index(cfg.cpu_freq_ghz)
-    if i == 0:
-        return None
-    f = pstates.CPU_FREQS_GHZ[i - 1]
+def _failed_measurement(cfg: Configuration) -> Measurement:
+    """Placeholder for a final run that produced no measurement."""
+    return Measurement(
+        config=cfg,
+        time_s=math.nan,
+        cpu_plane_w=math.nan,
+        nbgpu_plane_w=math.nan,
+        counters={},
+    )
+
+
+def _with_cpu_index(cfg: Configuration, i: int) -> Configuration:
+    f = pstates.CPU_FREQS_GHZ[i]
     if cfg.device is Device.CPU:
         return Configuration.cpu(f, cfg.n_threads)
     return Configuration.gpu(cfg.gpu_freq_ghz, f)
 
 
-def _step_up_cpu(cfg: Configuration) -> Configuration | None:
-    i = pstates.cpu_pstate_index(cfg.cpu_freq_ghz)
-    if i == len(pstates.CPU_FREQS_GHZ) - 1:
-        return None
-    f = pstates.CPU_FREQS_GHZ[i + 1]
-    if cfg.device is Device.CPU:
-        return Configuration.cpu(f, cfg.n_threads)
-    return Configuration.gpu(cfg.gpu_freq_ghz, f)
+@cache
+def _ladder(start: Configuration, down: bool) -> tuple[Configuration, ...]:
+    """The configurations a walk from ``start`` measures, in order.
 
-
-def _step_down_gpu(cfg: Configuration) -> Configuration | None:
-    i = pstates.gpu_pstate_index(cfg.gpu_freq_ghz)
-    if i == 0:
-        return None
-    return Configuration.gpu(pstates.GPU_FREQS_GHZ[i - 1], cfg.cpu_freq_ghz)
+    Going down: ``start`` itself, then every lower P-state — on GPU
+    configurations the GPU ladder first, then the host CPU's.  Going up
+    (the headroom refinement, from an already-measured ``start``): every
+    higher host CPU P-state.  The path never depends on the noise, only
+    where the walk stops does, so it is memoized process-wide.
+    """
+    ci = pstates.cpu_pstate_index(start.cpu_freq_ghz)
+    if not down:
+        return tuple(
+            _with_cpu_index(start, i)
+            for i in range(ci + 1, len(pstates.CPU_FREQS_GHZ))
+        )
+    steps = [start]
+    if start.device is Device.GPU:
+        gi = pstates.gpu_pstate_index(start.gpu_freq_ghz)
+        steps += [
+            Configuration.gpu(pstates.GPU_FREQS_GHZ[i], start.cpu_freq_ghz)
+            for i in range(gi - 1, -1, -1)
+        ]
+    return tuple(steps) + tuple(
+        _with_cpu_index(steps[-1], i) for i in range(ci - 1, -1, -1)
+    )
 
 
 class FrequencyLimiter:
@@ -110,50 +138,93 @@ class FrequencyLimiter:
     ----------
     apu:
         The machine to control.  The limiter only ever sees
-        *measurements* from :meth:`TrinityAPU.run`.
+        *measurements*, through :meth:`TrinityAPU.observe`.
     """
 
     def __init__(self, apu: TrinityAPU) -> None:
         self.apu = apu
 
-    def _observe(
+    def _walk(
         self,
-        kernel: object,
-        cfg: Configuration,
+        chars: KernelCharacteristics,
+        ladder: tuple[Configuration, ...],
+        power_cap_w: float,
         rng: np.random.Generator | None,
-    ) -> tuple[Measurement | None, float]:
-        """One control-loop reading: ``(measurement, observed power)``.
+        trace: list[tuple[Configuration, float]],
+        settled: tuple[Configuration, object] | None,
+        *,
+        down: bool,
+    ) -> tuple[Configuration, object]:
+        """Measure ``ladder`` step by step, appending to ``trace``.
+
+        Going down the walk stops at the first cap-compliant reading and
+        settles on the last step visited; going up it stops at the first
+        violating reading and settles on the last compliant step (or
+        keeps ``settled``).  Returns the settled ``(config, reading)``.
 
         Real RAPL firmware cannot crash because an energy counter
         glitched — a dropped-out sensor (non-finite power) or a failed
         run reads as ``inf``, the worst case, so the controller steps
-        down instead of silently accepting an unknown draw.
+        down (or backs off) instead of silently accepting an unknown
+        draw.
         """
-        try:
-            m = self.apu.run(kernel, cfg, rng=rng)
-        except SampleRunError:
-            _FAILED_RUNS.inc()
-            return None, math.inf
-        power = m.total_power_w
-        if not math.isfinite(power):
-            _WORST_CASE_READS.inc()
-            return m, math.inf
-        return m, power
+        readings = self.apu.observe(chars, ladder, rng=rng)
+        for cfg, power, reading in readings:
+            if reading is None:
+                _FAILED_RUNS.inc()
+                power = math.inf
+            elif not math.isfinite(power):
+                _WORST_CASE_READS.inc()
+                power = math.inf
+            trace.append((cfg, power))
+            ok = respects_cap(power, power_cap_w)
+            if down or ok:
+                settled = cfg, reading
+            if ok == down:
+                break
+        readings.close()
+        return settled
 
-    @staticmethod
-    def _final_measurement(
-        m: Measurement | None, cfg: Configuration
-    ) -> Measurement:
-        """The settled measurement, or a NaN placeholder when the final
-        run produced none."""
-        if m is not None:
-            return m
-        return Measurement(
-            config=cfg,
-            time_s=math.nan,
-            cpu_plane_w=math.nan,
-            nbgpu_plane_w=math.nan,
-            counters={},
+    def _limit(
+        self,
+        kernel: object,
+        start: Configuration,
+        power_cap_w: float,
+        rng: np.random.Generator | None,
+        *,
+        headroom: bool,
+    ) -> LimiterResult:
+        if not (math.isfinite(power_cap_w) and power_cap_w > 0):
+            raise ValueError(
+                f"power_cap_w must be positive and finite, got {power_cap_w}"
+            )
+        chars = characteristics_of(kernel)
+        trace: list[tuple[Configuration, float]] = []
+        settled = self._walk(
+            chars, _ladder(start, True), power_cap_w, rng, trace, None, down=True
+        )
+        met_cap = respects_cap(trace[-1][1], power_cap_w)
+        if headroom and met_cap:
+            # Exploit headroom: raise host CPU frequency while under the
+            # cap.  A worst-case read observes as inf, so the step-up
+            # backs off exactly like a genuine violation.
+            settled = self._walk(
+                chars,
+                _ladder(settled[0], False),
+                power_cap_w,
+                rng,
+                trace,
+                settled,
+                down=False,
+            )
+        cfg, reading = settled
+        measure = (
+            partial(_failed_measurement, cfg)
+            if reading is None
+            else partial(self.apu.measurement, cfg, reading)
+        )
+        return LimiterResult(
+            final_config=cfg, met_cap=met_cap, trace=tuple(trace), _measure=measure
         )
 
     def limit(
@@ -170,35 +241,11 @@ class FrequencyLimiter:
         On CPU configurations only the CPU P-state is lowered (thread
         count is outside RAPL's authority).  On GPU configurations the
         GPU P-state is lowered first; if the cap is still violated at the
-        GPU floor, the host CPU P-state is lowered as well.
+        GPU floor, the host CPU P-state is lowered as well.  Raises
+        :class:`ValueError` unless ``power_cap_w`` is positive and
+        finite.
         """
-        if power_cap_w <= 0:
-            raise ValueError("power_cap_w must be positive")
-        # Resolve characteristics once: every control step re-measures
-        # the same kernel, so don't re-derive them per apu.run call.
-        kernel = _characteristics(kernel)
-        trace: list[tuple[Configuration, float]] = []
-        cfg = start
-        m, observed = self._observe(kernel, cfg, rng)
-        trace.append((cfg, observed))
-
-        while not respects_cap(observed, power_cap_w):
-            if cfg.device is Device.GPU:
-                nxt = _step_down_gpu(cfg) or _step_down_cpu(cfg)
-            else:
-                nxt = _step_down_cpu(cfg)
-            if nxt is None:
-                break
-            cfg = nxt
-            m, observed = self._observe(kernel, cfg, rng)
-            trace.append((cfg, observed))
-
-        return LimiterResult(
-            final_config=cfg,
-            final_measurement=self._final_measurement(m, cfg),
-            met_cap=respects_cap(observed, power_cap_w),
-            trace=tuple(trace),
-        )
+        return self._limit(kernel, start, power_cap_w, rng, headroom=False)
 
     def limit_gpu_with_headroom(
         self,
@@ -214,34 +261,10 @@ class FrequencyLimiter:
         headroom remains, raise the host CPU frequency as far as possible
         without violating the cap.
         """
-        kernel = _characteristics(kernel)
         start = Configuration.gpu(
             pstates.GPU_MAX_FREQ_GHZ, pstates.CPU_MIN_FREQ_GHZ
         )
-        result = self.limit(kernel, start, power_cap_w, rng=rng)
-        if not result.met_cap:
-            return result
-
-        # Exploit headroom: raise host CPU frequency while under the cap.
-        # A worst-case read (dropout / failed run) observes as inf, so
-        # the step-up backs off exactly like a genuine violation.
-        trace = list(result.trace)
-        cfg, m = result.final_config, result.final_measurement
-        while True:
-            nxt = _step_up_cpu(cfg)
-            if nxt is None:
-                break
-            m_next, observed = self._observe(kernel, nxt, rng)
-            trace.append((nxt, observed))
-            if not respects_cap(observed, power_cap_w):
-                break  # back off: keep the last compliant config
-            cfg, m = nxt, m_next
-        return LimiterResult(
-            final_config=cfg,
-            final_measurement=m,
-            met_cap=True,  # settled on the last cap-compliant reading
-            trace=tuple(trace),
-        )
+        return self._limit(kernel, start, power_cap_w, rng, headroom=True)
 
     def limit_cpu_all_cores(
         self,

@@ -1,0 +1,254 @@
+"""The frequency limiter's ladder walk against the step-by-step loop.
+
+:class:`~repro.hardware.FrequencyLimiter` walks a memoized P-state
+ladder through :meth:`TrinityAPU.observe`, drawing each step's noise in
+one ``standard_normal`` call and building the settled measurement only
+when asked.  These tests pin that it is an optimisation and nothing
+more: against :class:`tests.limiter_reference.ReferenceLimiter` every
+result, every generator state and every counter agrees, under every
+noise mode, boost, and each committed fault plan.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import telemetry
+from repro.faults import FaultEvent, FaultPlan
+from repro.faults.errors import SampleRunError
+from repro.hardware import (
+    BoostPolicy,
+    ConfigSpace,
+    Configuration,
+    FrequencyLimiter,
+    NoiseModel,
+    TrinityAPU,
+)
+from repro.hardware.apu import _lognormal
+from repro.hardware.counters import synthesize_counters
+from tests.conftest import make_kernel
+from tests.limiter_reference import ReferenceLimiter
+
+PLAN_DIR = Path(__file__).parent / "fault_plans"
+PLANS = (None,) + tuple(sorted(p.name for p in PLAN_DIR.glob("*.json")))
+CONFIGS = tuple(ConfigSpace())
+NOISE = {
+    "vector": NoiseModel(),
+    "exact": NoiseModel.exact(),
+    "scalar": NoiseModel(counter_rel=0.0),
+}
+POLICIES = ("limit", "limit_gpu_with_headroom", "limit_cpu_all_cores")
+COUNTERS = (
+    "cache.measurement_template.hits",
+    "cache.measurement_template.misses",
+    "faults.limiter.worst_case_reads",
+    "faults.limiter.failed_runs",
+)
+
+
+def _machine(noise: str, plan: str | None, boost: bool, seed: int) -> TrinityAPU:
+    apu = TrinityAPU(
+        noise=NOISE[noise], seed=seed, boost=BoostPolicy() if boost else None
+    )
+    if plan is not None:
+        apu.inject_faults(FaultPlan.from_file(PLAN_DIR / plan))
+    return apu
+
+
+def _call(limiter, policy: str, kernel, start: Configuration, cap: float, rng):
+    if policy == "limit":
+        return limiter.limit(kernel, start, cap, rng=rng)
+    return getattr(limiter, policy)(kernel, cap, rng=rng)
+
+
+def _same_float(a: float, b: float) -> bool:
+    return type(a) is type(b) and (a == b or (math.isnan(a) and math.isnan(b)))
+
+
+def assert_same_measurement(got, ref) -> None:
+    assert got.config == ref.config
+    for name in ("time_s", "cpu_plane_w", "nbgpu_plane_w"):
+        assert _same_float(getattr(got, name), getattr(ref, name)), name
+    assert list(got.counters) == list(ref.counters)
+    for name, value in ref.counters.items():
+        assert _same_float(got.counters[name], value), name
+
+
+def _stream_state(apu: TrinityAPU, rng) -> dict:
+    return (rng if rng is not None else apu._rng).bit_generator.state
+
+
+def _counter_values() -> dict[str, int]:
+    return {name: telemetry.counter(name).value for name in COUNTERS}
+
+
+def _forget_templates(apu: TrinityAPU, kernel) -> None:
+    """Drop ``kernel``'s process-wide measurement templates."""
+    for key in [key for key in apu._meas_cache if key[0] == kernel]:
+        del apu._meas_cache[key]
+
+
+class TestLadderWalkMatchesReference:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        noise=st.sampled_from(sorted(NOISE)),
+        plan=st.sampled_from(PLANS),
+        boost=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**16),
+        pass_rng=st.booleans(),
+        warmup=st.integers(min_value=0, max_value=300),
+        walks=st.lists(
+            st.tuples(
+                st.sampled_from(POLICIES),
+                st.sampled_from(CONFIGS),
+                st.floats(min_value=5.0, max_value=80.0),
+            ),
+            min_size=1,
+            max_size=20,
+        ),
+    )
+    def test_results_and_stream_match(
+        self, noise, plan, boost, seed, pass_rng, warmup, walks
+    ):
+        kernel = make_kernel()
+        ref_apu, apu = (_machine(noise, plan, boost, seed) for _ in range(2))
+        if plan is not None:
+            # Advance both fault clocks into the plan's event windows.
+            for machine in (ref_apu, apu):
+                for i in range(warmup):
+                    try:
+                        machine.run(kernel, CONFIGS[i % len(CONFIGS)])
+                    except SampleRunError:
+                        pass
+        ref_rng, rng = (
+            (np.random.default_rng(seed), np.random.default_rng(seed))
+            if pass_rng
+            else (None, None)
+        )
+        reference, limiter = ReferenceLimiter(ref_apu), FrequencyLimiter(apu)
+        pairs = []
+        for policy, start, cap in walks:
+            ref = _call(reference, policy, kernel, start, cap, ref_rng)
+            got = _call(limiter, policy, kernel, start, cap, rng)
+            assert got.trace == ref.trace
+            assert got.final_config == ref.final_config
+            assert got.met_cap == ref.met_cap
+            assert _stream_state(apu, rng) == _stream_state(ref_apu, ref_rng)
+            pairs.append((got, ref))
+        # Settled measurements are built lazily; later walks must not
+        # change what an earlier result reports.
+        for got, ref in pairs:
+            assert_same_measurement(got.final_measurement, ref.final_measurement)
+
+    @pytest.mark.parametrize("noise", sorted(NOISE))
+    def test_every_start_config(self, noise):
+        kernel = make_kernel()
+        ref_apu, apu = (_machine(noise, None, False, 3) for _ in range(2))
+        for start, cap in itertools.product(CONFIGS, (8.0, 20.0, 35.0, 60.0)):
+            ref = ReferenceLimiter(ref_apu).limit(kernel, start, cap)
+            got = FrequencyLimiter(apu).limit(kernel, start, cap)
+            assert got.trace == ref.trace
+            assert got.final_config == ref.final_config
+            assert got.met_cap == ref.met_cap
+            assert_same_measurement(got.final_measurement, ref.final_measurement)
+            assert _stream_state(apu, None) == _stream_state(ref_apu, None)
+
+
+class TestTelemetryParity:
+    @pytest.mark.parametrize("noise", sorted(NOISE))
+    @pytest.mark.parametrize("faulty", [False, True])
+    def test_counters_match_reference_loop(self, noise, faulty):
+        """Cold then warm walks on one kernel move the template-cache
+        and limiter-degradation counters exactly as the per-step loop
+        does (one template read per observed step)."""
+        kernel = make_kernel(work_s=1.2345)
+        plan = FaultPlan(
+            events=(
+                FaultEvent(kind="power_dropout", start=0, duration=2),
+                FaultEvent(kind="run_failure", start=3, duration=1),
+            )
+        )
+        deltas = []
+        for limiter_type in (ReferenceLimiter, FrequencyLimiter):
+            apu = TrinityAPU(noise=NOISE[noise], seed=5)
+            if faulty:
+                apu.inject_faults(plan)
+            _forget_templates(apu, kernel)
+            before = _counter_values()
+            limiter = limiter_type(apu)
+            for _ in range(2):  # cold, then warm
+                limiter.limit_gpu_with_headroom(kernel, 45.0)
+                limiter.limit_cpu_all_cores(kernel, 25.0)
+            after = _counter_values()
+            deltas.append({k: after[k] - before[k] for k in COUNTERS})
+        assert deltas[0] == deltas[1]
+        if noise != "scalar":
+            assert deltas[1]["cache.measurement_template.hits"] > 0
+            assert deltas[1]["cache.measurement_template.misses"] > 0
+        if faulty:
+            assert deltas[1]["faults.limiter.worst_case_reads"] > 0
+            assert deltas[1]["faults.limiter.failed_runs"] > 0
+
+
+class TestDrawIdentity:
+    @pytest.mark.parametrize("axis", ["time_rel", "power_rel", "counter_rel"])
+    def test_lognormal_helper_reproduces_generator(self, axis):
+        """``_lognormal`` over ``standard_normal`` equals
+        ``Generator.lognormal`` bit for bit and leaves the generator in
+        the same state (it must use ``math.exp``: ``np.exp`` is not
+        bit-identical to numpy's lognormal)."""
+        rel = getattr(NoiseModel(), axis)
+        mean = -0.5 * rel * rel
+        ref, ours = np.random.default_rng(11), np.random.default_rng(11)
+        expected = ref.lognormal(mean=mean, sigma=rel, size=50_000).tolist()
+        expected.append(float(ref.lognormal(mean=mean, sigma=rel)))
+        z = ours.standard_normal(50_001).tolist()
+        assert [_lognormal(mean, rel, x) for x in z] == expected
+        assert ours.bit_generator.state == ref.bit_generator.state
+
+    def test_run_matches_per_axis_lognormal_draws(self):
+        """The fused vector-mode draw equals the scalar noise path's
+        per-axis draws: time, two power planes, then the counters."""
+        kernel = make_kernel()
+        apu = TrinityAPU(seed=0)
+        noise = apu.noise
+        for cfg in CONFIGS:
+            fused, legacy = np.random.default_rng(9), np.random.default_rng(9)
+            m = apu.run(kernel, cfg, rng=fused)
+            pb = apu.true_power(kernel, cfg)
+            assert m.time_s == noise.perturb_time(apu.true_time_s(kernel, cfg), legacy)
+            assert m.cpu_plane_w == noise.perturb_power(pb.cpu_plane_w, legacy)
+            assert m.nbgpu_plane_w == noise.perturb_power(pb.nbgpu_plane_w, legacy)
+            assert dict(m.counters) == noise.perturb_counters(
+                synthesize_counters(kernel, cfg), legacy
+            )
+            assert fused.bit_generator.state == legacy.bit_generator.state
+
+    @pytest.mark.parametrize("noise", sorted(NOISE))
+    def test_observe_step_equals_run(self, noise):
+        kernel = make_kernel()
+        a, b = TrinityAPU(noise=NOISE[noise], seed=4), TrinityAPU(noise=NOISE[noise], seed=4)
+        for cfg, power, reading in a.observe(kernel, CONFIGS):
+            m = b.run(kernel, cfg)
+            assert power == m.total_power_w
+            assert_same_measurement(a.measurement(cfg, reading), m)
+        assert a._rng.bit_generator.state == b._rng.bit_generator.state
+
+
+class TestCapValidation:
+    @pytest.mark.parametrize("cap", [math.nan, math.inf, -math.inf, 0.0, -5.0])
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_rejects_non_finite_and_non_positive_caps(self, cap, policy):
+        apu = TrinityAPU(seed=0)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="power_cap_w"):
+            _call(FrequencyLimiter(apu), policy, make_kernel(), CONFIGS[-1], cap, rng)
+        assert rng.bit_generator.state == state  # rejected before any run
