@@ -754,9 +754,17 @@ def register_backend(
     _DESCRIPTORS[name] = descriptor
 
 
+_builtins_imported = False
+
+
 def _ensure_builtins() -> None:
+    """Import the built-in backend modules (registering them) once."""
+    global _builtins_imported
+    if _builtins_imported:
+        return
     for module in _BUILTIN_MODULES:
         importlib.import_module(module)
+    _builtins_imported = True
 
 
 def create_backend(

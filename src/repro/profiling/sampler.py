@@ -12,18 +12,24 @@ the configured rate, perturbed per-sample, and integrated with the
 trapezoidal rule.  The result is an *estimate* of average power whose
 error shrinks with kernel duration — short kernels genuinely are harder
 to measure, on silicon and here.
+
+One execution's power planes share its duration and therefore its
+sample grid, so :meth:`PowerSampler.sample` takes every plane of a run
+at once: one block of standard-normal draws, one AR(1) filter pass over
+the plane rows, and one time grid.  The draws are consumed in the order
+of sampling the planes one after another (per plane: the initial
+fluctuation, the innovations, the per-sample noise), so the fused pass
+is bit-identical to per-plane sampling from the same generator.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-
-try:  # vectorized AR(1) recurrence; pure-numpy fallback below
-    from scipy.signal import lfilter as _lfilter
-except ImportError:  # pragma: no cover - scipy is a hard dependency
-    _lfilter = None
+from scipy.signal import lfilter
 
 __all__ = ["PowerSampler", "SampledPower"]
 
@@ -49,6 +55,11 @@ class SampledPower:
     energy_j: float
     n_samples: int
     overhead_s: float
+
+
+def _check_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -90,50 +101,70 @@ class PowerSampler:
 
     def sample(
         self,
-        true_mean_w: float,
+        true_mean_w: float | Sequence[float],
         duration_s: float,
         rng: np.random.Generator,
-    ) -> SampledPower:
+    ) -> SampledPower | tuple[SampledPower, ...]:
         """Sample a kernel execution of ``duration_s`` seconds whose
         ground-truth average power is ``true_mean_w``.
 
-        Returns the integrated estimate.  At least two samples (start
-        and finish of the kernel, as the paper records) are always
-        taken.
+        ``true_mean_w`` is one plane's mean power, or a sequence of
+        plane means sampled over the same execution; the result is the
+        integrated estimate, or a tuple with one estimate per plane.
+        At least two samples (start and finish of the kernel, as the
+        paper records) are always taken.
         """
-        if true_mean_w <= 0:
-            raise ValueError("true_mean_w must be positive")
-        if duration_s <= 0:
-            raise ValueError("duration_s must be positive")
+        scalar = np.ndim(true_mean_w) == 0
+        means = [true_mean_w] if scalar else list(true_mean_w)
+        if not means:
+            raise ValueError("true_mean_w must name at least one plane")
+        for mean in means:
+            _check_positive("true_mean_w", mean)
+        _check_positive("duration_s", duration_s)
 
         n = max(2, int(round(duration_s * self.rate_hz)) + 1)
+        planes = len(means)
+        # Row p: plane p's [initial fluctuation, n - 1 innovations,
+        # n per-sample noises].  Scaling a standard normal reproduces
+        # Generator.normal(scale=...) up to the sign of zero, which
+        # never reaches a result: every value enters as 1 + value.
+        z = rng.standard_normal(2 * n * planes).reshape(planes, 2 * n)
         # AR(1) fluctuation around the mean, variance-normalized so the
-        # marginal std is fluctuation_rel regardless of ar_coeff.
-        innov_std = self.fluctuation_rel * np.sqrt(1.0 - self.ar_coeff**2)
-        fluct = np.empty(n)
-        fluct[0] = rng.normal(scale=self.fluctuation_rel)
-        innovations = rng.normal(scale=innov_std, size=n - 1)
-        if _lfilter is not None:
-            # fluct[i] = ar * fluct[i-1] + innovations[i-1] as an IIR
-            # filter, seeded so y[0] = innovations[0] + ar * fluct[0].
-            fluct[1:] = _lfilter(
-                [1.0],
-                [1.0, -self.ar_coeff],
-                innovations,
-                zi=np.array([self.ar_coeff * fluct[0]]),
-            )[0]
-        else:  # pragma: no cover - exercised only without scipy
-            for i in range(1, n):
-                fluct[i] = self.ar_coeff * fluct[i - 1] + innovations[i - 1]
-        trace = true_mean_w * (1.0 + fluct)
-        trace *= 1.0 + rng.normal(scale=self.sample_noise_rel, size=n)
-        trace = np.maximum(trace, 0.0)
+        # marginal std is fluctuation_rel regardless of ar_coeff:
+        # fluct[i] = ar * fluct[i-1] + innovations[i-1] as an IIR filter,
+        # seeded so fluct[1] = innovations[0] + ar * fluct[0].
+        ar = self.ar_coeff
+        innov_std = self.fluctuation_rel * math.sqrt(1.0 - ar**2)
+        trace = np.empty((planes, n))
+        trace[:, 0] = self.fluctuation_rel * z[:, 0]
+        trace[:, 1:] = lfilter(
+            [1.0], [1.0, -ar], innov_std * z[:, 1:n], zi=ar * trace[:, :1]
+        )[0]
+        trace += 1.0
+        trace *= np.array(means, dtype=np.float64)[:, None]
+        noise = self.sample_noise_rel * z[:, n:]
+        noise += 1.0
+        trace *= noise
+        np.maximum(trace, 0.0, out=trace)
 
-        times = np.linspace(0.0, duration_s, n)
-        energy = float(np.trapezoid(trace, times))
-        return SampledPower(
-            mean_power_w=energy / duration_s,
-            energy_j=energy,
-            n_samples=n,
-            overhead_s=n * self.overhead_per_sample_s,
-        )
+        # The grid np.linspace(0, duration_s, n) builds, and the terms
+        # np.trapezoid sums; each row is reduced on its own so the
+        # pairwise summation matches integrating that plane alone.
+        times = np.arange(n, dtype=np.float64) * (duration_s / (n - 1))
+        times[-1] = duration_s
+        terms = trace[:, 1:] + trace[:, :-1]
+        terms *= times[1:] - times[:-1]
+        terms /= 2.0
+        overhead_s = n * self.overhead_per_sample_s
+        results = []
+        for row in terms:
+            energy = float(np.add.reduce(row))
+            results.append(
+                SampledPower(
+                    mean_power_w=energy / duration_s,
+                    energy_j=energy,
+                    n_samples=n,
+                    overhead_s=overhead_s,
+                )
+            )
+        return results[0] if scalar else tuple(results)

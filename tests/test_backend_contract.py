@@ -59,6 +59,17 @@ def test_registry_contains_all_builtin_backends():
     assert set(BACKENDS) <= set(backend_names())
 
 
+def test_registry_imports_builtins_once(monkeypatch):
+    import importlib
+
+    backend_names()
+    imports = []
+    monkeypatch.setattr(importlib, "import_module", imports.append)
+    for name in BACKENDS:
+        assert descriptor_for(name).name == name
+    assert imports == []
+
+
 class TestEnumeration:
     def test_enumeration_is_deterministic(self, backend):
         a = tuple(backend.config_space)

@@ -74,6 +74,32 @@ class TestPowerSampler:
         with pytest.raises(ValueError):
             sampler.sample(10.0, 0.0, rng)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("planes", [None, 1, 2])
+    def test_non_finite_or_non_positive_inputs_rejected_before_drawing(
+        self, bad, planes
+    ):
+        sampler = PowerSampler()
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+
+        def means(value):
+            return value if planes is None else [10.0] * (planes - 1) + [value]
+
+        with pytest.raises(ValueError, match="true_mean_w"):
+            sampler.sample(means(bad), 1.0, rng)
+        with pytest.raises(ValueError, match="duration_s"):
+            sampler.sample(means(10.0), bad, rng)
+        assert rng.bit_generator.state == state
+
+    def test_plane_sequence_shares_one_grid(self):
+        sampler = PowerSampler()
+        cpu, gpu = sampler.sample((20.0, 5.0), 0.5, np.random.default_rng(0))
+        assert cpu.n_samples == gpu.n_samples == 501
+        assert cpu.overhead_s == gpu.overhead_s
+        with pytest.raises(ValueError):
+            sampler.sample([], 0.5, np.random.default_rng(0))
+
     @settings(max_examples=40, deadline=None)
     @given(
         st.floats(min_value=5.0, max_value=60.0),

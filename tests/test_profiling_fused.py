@@ -1,0 +1,248 @@
+"""The fused profiling pass against the per-plane, per-run reference.
+
+:class:`~repro.profiling.ProfilingLibrary` samples both power planes of
+a run in one pass and derives a configuration sweep's noise streams in
+one vectorized step.  These tests pin that both are optimisations and
+nothing more: against :class:`tests.profile_reference.ReferenceProfilingLibrary`
+every profile, the database, the repetition counters and the profile
+memo's hit/miss counts agree on every backend, under each noise setting,
+each committed fault plan (a run failure mid-sweep included), with boost
+on and off, and over repeated sweeps interleaved with single profiles.
+The stream derivation itself is pinned to numpy's ``SeedSequence``.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import telemetry
+from repro.faults import FaultPlan
+from repro.faults.errors import SampleRunError
+from repro.hardware import BoostPolicy, NoiseModel, TrinityAPU
+from repro.hardware.backend import create_backend
+from repro.profiling import PowerSampler, ProfilingLibrary
+from repro.profiling import library as library_module
+from repro.profiling.library import _base_pool, _seed_words
+from repro.workloads import build_suite
+from tests.profile_reference import (
+    ReferencePowerSampler,
+    ReferenceProfilingLibrary,
+    reference_run_rng,
+)
+
+PLAN_DIR = Path(__file__).parent / "fault_plans"
+PLANS = (None,) + tuple(sorted(p.name for p in PLAN_DIR.glob("*.json")))
+BACKENDS = ("trinity", "biglittle", "mpsoc")
+#: name -> (machine noise, sampler); "jitter-free" is the noiseless
+#: machine and sampler of tests/test_faults.py.
+NOISE = {
+    "default": (NoiseModel(), None),
+    "exact": (NoiseModel.exact(), None),
+    "jitter-free": (
+        NoiseModel.exact(),
+        PowerSampler(sample_noise_rel=0.0, fluctuation_rel=0.0),
+    ),
+}
+COUNTERS = ("cache.profile.hits", "cache.profile.misses")
+#: A run either fails by plan (SampleRunError) or, on the descriptor
+#: backends, is rejected once any fault is active: the injector resolves
+#: P-states on Trinity's ladders only.  Both must abort a sweep at the
+#: same run in the reference and the library.
+FAILURES = (SampleRunError, ValueError)
+KERNELS = tuple(build_suite())[:3]
+#: Repeated sweeps (repetition > 0) interleaved with single profiles;
+#: ("single", kernel, i) profiles the i-th configuration (mod size).
+SCRIPT = (
+    ("sweep", 0, None),
+    ("single", 0, 5),
+    ("sweep", 1, None),
+    ("sweep", 0, None),
+    ("single", 0, 5),
+    ("single", 2, 0),
+    ("sweep", 2, None),
+    ("sweep", 0, None),
+)
+
+
+def _machine(backend: str, noise: str, plan: str | None, boost: bool, seed: int):
+    policy = BoostPolicy() if boost else None
+    if backend == "trinity":
+        apu = TrinityAPU(noise=NOISE[noise][0], seed=seed, boost=policy)
+    else:
+        apu = create_backend(backend, seed=seed, noise=NOISE[noise][0])
+        # The analytical backends model no boost; a policy here only
+        # takes the library's boost path (every profile bypasses the memo).
+        apu.boost = policy
+    if plan is not None:
+        apu.inject_faults(FaultPlan.from_file(PLAN_DIR / plan))
+    return apu
+
+
+def _replay(library_cls, backend, noise, plan, boost, seed, ops, warmup=0):
+    """Run ``ops`` on a fresh machine and library; everything observable."""
+    apu = _machine(backend, noise, plan, boost, seed)
+    configs = list(apu.config_space)
+    for i in range(warmup):  # advance the fault clock into the plan
+        try:
+            apu.run(KERNELS[0], configs[i % len(configs)])
+        except FAILURES:
+            pass
+    library = library_cls(apu, sampler=NOISE[noise][1], seed=seed)
+    before = {name: telemetry.counter(name).value for name in COUNTERS}
+    outcomes = []
+    with mock.patch.dict(library_module._PROFILE_CACHE, clear=True):
+        for op, kernel, index in ops:
+            try:
+                if op == "sweep":
+                    outcomes.append(library.profile_all_configs(KERNELS[kernel]))
+                else:
+                    config = configs[index % len(configs)]
+                    outcomes.append([library.profile(KERNELS[kernel], config)])
+            except FAILURES as exc:
+                outcomes.append(f"{type(exc).__name__}: {exc}")
+    counts = {name: telemetry.counter(name).value - before[name] for name in COUNTERS}
+    return outcomes, list(library.database), dict(library._rep_counts), counts
+
+
+def _same_float(a: float, b: float) -> bool:
+    return type(a) is type(b) and (a == b or (math.isnan(a) and math.isnan(b)))
+
+
+def assert_same_profile(got, ref) -> None:
+    assert got.kernel_uid == ref.kernel_uid
+    assert got.iteration == ref.iteration
+    assert _same_float(got.sampling_overhead_s, ref.sampling_overhead_s)
+    m, r = got.measurement, ref.measurement
+    assert m.config == r.config
+    for name in ("time_s", "cpu_plane_w", "nbgpu_plane_w"):
+        assert _same_float(getattr(m, name), getattr(r, name)), name
+    assert list(m.counters) == list(r.counters)
+    for name, value in r.counters.items():
+        assert _same_float(m.counters[name], value), name
+
+
+def assert_replays_match(*args, **kwargs) -> list:
+    ref = _replay(ReferenceProfilingLibrary, *args, **kwargs)
+    got = _replay(ProfilingLibrary, *args, **kwargs)
+    ref_outcomes, ref_db, ref_reps, ref_counts = ref
+    outcomes, db, reps, counts = got
+    assert len(outcomes) == len(ref_outcomes)
+    for out, ref_out in zip(outcomes, ref_outcomes):
+        if isinstance(ref_out, str):
+            assert out == ref_out
+            continue
+        assert len(out) == len(ref_out)
+        for profile, ref_profile in zip(out, ref_out):
+            assert_same_profile(profile, ref_profile)
+    assert len(db) == len(ref_db)
+    for profile, ref_profile in zip(db, ref_db):
+        assert_same_profile(profile, ref_profile)
+    assert reps == ref_reps
+    assert counts == ref_counts
+    return ref_outcomes
+
+
+class TestFusedProfilingMatchesReference:
+    @pytest.mark.parametrize(
+        "backend,noise,plan,boost",
+        list(itertools.product(BACKENDS, sorted(NOISE), PLANS, (False, True))),
+    )
+    def test_script(self, backend, noise, plan, boost):
+        outcomes = assert_replays_match(backend, noise, plan, boost, 7, SCRIPT)
+        if plan == "mixed_chaos.json":
+            # The plan's first run failure (runs 30-33) lands mid-sweep.
+            assert any(out.startswith("SampleRunError") for out in outcomes if isinstance(out, str))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        backend=st.sampled_from(BACKENDS),
+        noise=st.sampled_from(sorted(NOISE)),
+        plan=st.sampled_from(PLANS),
+        boost=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        warmup=st.integers(min_value=0, max_value=300),
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(("sweep", "single")),
+                st.integers(min_value=0, max_value=len(KERNELS) - 1),
+                st.integers(min_value=0, max_value=63),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_random_sequences(self, backend, noise, plan, boost, seed, warmup, ops):
+        assert_replays_match(backend, noise, plan, boost, seed, ops, warmup=warmup)
+
+
+class TestFusedSampler:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        means=st.lists(
+            st.floats(min_value=1e-3, max_value=500.0), min_size=1, max_size=4
+        ),
+        duration=st.floats(min_value=1e-6, max_value=3.0),
+        noise=st.sampled_from(sorted(NOISE)),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_planes_match_per_plane_sampling(self, means, duration, noise, seed):
+        sampler = NOISE[noise][1] or PowerSampler()
+        reference = ReferencePowerSampler(**vars(sampler))
+        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert sampler.sample(means, duration, rng) == reference.sample(
+            means, duration, ref_rng
+        )
+        assert sampler.sample(means[0], duration, rng) == reference.sample(
+            means[0], duration, ref_rng
+        )
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+WORD = st.one_of(
+    st.sampled_from((0, 2**32 - 1)), st.integers(min_value=0, max_value=2**32 - 1)
+)
+
+
+class TestStreamDerivation:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        base=st.lists(WORD, min_size=4, max_size=4),
+        keys=st.lists(st.lists(WORD, min_size=4, max_size=4), min_size=1, max_size=5),
+    )
+    def test_matches_seed_sequence(self, base, keys):
+        words = _seed_words(_base_pool(base), np.array(keys, dtype=np.uint32))
+        assert words.shape == (len(keys), 4)
+        for key, row in zip(keys, words):
+            ref = np.random.default_rng(np.random.SeedSequence(base + key))
+            got = np.random.Generator(
+                np.random.PCG64(library_module._SeedWords(row))
+            )
+            assert got.bit_generator.state == ref.bit_generator.state
+            assert np.array_equal(got.standard_normal(8), ref.standard_normal(8))
+
+    def test_library_streams_match_seed_sequence(self):
+        library = ProfilingLibrary(TrinityAPU(seed=0), seed=12345)
+        kernel = KERNELS[0]
+        config = next(iter(library.apu.config_space))
+        for repetition in range(3):
+            got = library._run_rng(kernel.uid, config, repetition)
+            ref = reference_run_rng(
+                library._base_entropy, kernel.uid, config, repetition
+            )
+            assert got.bit_generator.state == ref.bit_generator.state
+
+    def test_sweep_leaves_no_prefetched_streams(self):
+        # The second library's sweep hits the profile memo on every run,
+        # so none of its runs consumes the stream prefetched for it.
+        for _ in range(2):
+            library = ProfilingLibrary(TrinityAPU(seed=0), seed=3)
+            library.profile_all_configs(KERNELS[0])
+            assert library._prefetched == {}
