@@ -35,7 +35,11 @@ over 100k.  The engine:
   different sort key.  Whole cohorts of lowest-rate nodes are lifted by
   one prefix cut instead of one ``min()`` scan per step.
 
-Both kernels are validated step-for-step against the retained
+The cut and fix-up are *segmented*: :func:`allocate_batch` water-fills a
+CSR batch of independent groups (:class:`~repro.cluster.pool.StepBatch`)
+in one call, bit-identical to one call per group — a flat pool is one
+group, and :class:`~repro.cluster.tree.BudgetTree` runs each level as one
+batch.  Both orders are validated step-for-step against the retained
 references (:func:`greedy_marginal_allocation_reference`,
 :func:`maxmin_allocation_reference`) — bit-identical caps on the
 4-node benchmark suite and on Hypothesis-random frontiers.
@@ -48,12 +52,13 @@ allocator never runs a kernel — it only reads predictions.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Mapping
 
 import numpy as np
 
 from repro.cluster.node import NodeFrontier
-from repro.cluster.pool import FrontierPool
+from repro.cluster.pool import FrontierPool, StepBatch
 from repro.telemetry import counter, histogram, trace_span
 
 __all__ = [
@@ -81,6 +86,8 @@ _ALLOC_S = histogram("cluster.alloc.s")
 def _check_budget(budget_w: float, n: int) -> None:
     if n == 0:
         raise ValueError("no nodes to allocate to")
+    if not math.isfinite(budget_w):
+        raise ValueError("budget_w must be finite")
     if budget_w <= 0:
         raise ValueError("budget_w must be positive")
 
@@ -96,87 +103,106 @@ def uniform_allocation(
     return {name: share for name in frontiers}
 
 
-# -- the vectorized consumption kernel ---------------------------------------
+# -- the segmented consumption kernel -----------------------------------------
 
 
 def _consume_steps(
-    view, policy: str, remaining: float
+    batch: StepBatch, remaining: np.ndarray
 ) -> tuple[np.ndarray, int, int]:
-    """Take frontier steps in ``policy`` order until the budget is dry.
+    """Take frontier steps in each group's order until its budget is dry.
 
-    Returns ``(per-node taken-step counts, steps taken, fix-up
-    rounds)``.  The bulk of the work is one prefix-sum cut over the
-    cached sorted order; the boundary fix-up then replays the
-    reference semantics in vectorized rounds over per-node cursors: a
-    node whose next exposed step is unaffordable is dropped (its later
-    steps are skipped), the earliest-ordered affordable candidate is
-    taken, and each round costs O(nodes) instead of one Python
-    iteration per skipped step — the round count is bounded by the
-    number of steps the leftover budget can still buy.
+    ``remaining`` is each group's budget above its floors (``-inf`` for
+    floor-scaled groups, which take nothing).  Returns ``(per-node
+    taken-step counts, steps taken, fix-up rounds)``.  The bulk is one
+    prefix-sum cut per group; the boundary fix-up then replays the
+    reference semantics in rounds shared by all groups: every node whose
+    next step is unaffordable is dropped (valid early: a group's budget
+    only shrinks), then each group takes its earliest-ordered candidate.
     """
-    _perm, sp, sn, cum, grouped, goff, gkeys, span = view.order_bundle(policy)
+    sp, step_off, goff = batch.sp, batch.step_off, batch.goff
     n_steps = sp.size
-    n_nodes = view.n_nodes
-    k = int(np.searchsorted(cum, remaining, side="right"))
-    taken = np.zeros(n_steps, dtype=bool)
-    taken[:k] = True
-    if k:
-        remaining -= float(cum[k - 1])
-    counts = np.bincount(sn[:k], minlength=n_nodes)
+    last = n_steps - 1
+    # Each group's cut is searchsorted(cum_g, remaining_g, "right"), all
+    # groups in one call: complex keys compare lexicographically, so the
+    # (group, prefix sum) pairs never mix groups and never round a sum.
+    query = np.arange(remaining.size) + 0j
+    query.imag = remaining
+    k = np.searchsorted(batch.cut_keys, query, side="right") - step_off[:-1]
+    took = k > 0
+    if took.any():
+        remaining[took] -= batch.cum[step_off[:-1][took] + k[took] - 1]
+    # Per-node view of per-group arrays; one group broadcasts as-is.
+    ng = batch.node_group if remaining.size > 1 else slice(None)
+    # Every node's first pending step (its position >= its group's cut)
+    # from one searchsorted over the integer node-band keys; the steps
+    # before it are exactly the ones the cut took.
+    cut = step_off[:-1] + k
+    start = np.searchsorted(batch.gkeys, cut[ng] + batch.node_band, side="left")
+    counts = start - goff[:-1]
+    steps = int(k.sum())
     fixup = 0
-    if k < n_steps:
-        # Candidate rounds over per-node cursors.  Every node's first
-        # pending step (its position >= k in sorted order) comes from
-        # one shifted searchsorted; each round drops every node whose
-        # candidate no longer fits (valid early: the budget only
-        # shrinks, so today's unaffordable step is unaffordable at its
-        # turn too) and takes the earliest-ordered affordable candidate
-        # — exactly the reference's visit order, one O(n) round per
-        # taken step instead of one Python iteration per skipped one.
-        node_ids = np.arange(n_nodes)
-        start = np.searchsorted(gkeys, k + span * node_ids, side="left")
-        exhausted = start >= goff[1:]
-        cand_pos = np.where(exhausted, n_steps, grouped[np.minimum(start, n_steps - 1)])
-        cand_power = np.where(exhausted, np.inf, sp[np.minimum(cand_pos, n_steps - 1)])
+    pending = (k < np.diff(step_off)) & np.isfinite(remaining)
+    if pending.any():
+        exhausted = (start >= goff[1:]) | ~pending[ng]
+        cand_pos = np.where(exhausted, n_steps, batch.grouped[np.minimum(start, last)])
+        cand_power = np.where(exhausted, np.inf, sp[np.minimum(cand_pos, last)])
         cursor = start
         while True:
             fixup += 1
-            live = cand_power > remaining
-            if live.any():
+            drop = cand_power > remaining[ng]
+            if drop.any():
                 # Drop: exhaust every node whose next step is unaffordable.
-                cand_pos = np.where(live, n_steps, cand_pos)
-                cand_power = np.where(live, np.inf, cand_power)
-            j = int(cand_pos.argmin())
-            pos = int(cand_pos[j])
-            if pos >= n_steps:
+                cand_pos = np.where(drop, n_steps, cand_pos)
+                cand_power = np.where(drop, np.inf, cand_power)
+            pos = np.minimum.reduceat(cand_pos, batch.node_off[:-1])
+            live = pos < n_steps
+            if not live.any():
                 break
-            remaining -= float(sp[pos])
-            taken[pos] = True
+            pos = pos[live]
+            remaining[live] -= sp[pos]
+            j = batch.sn[pos]
             counts[j] += 1
             cursor[j] += 1
-            if cursor[j] < goff[j + 1]:
-                nxt = int(grouped[cursor[j]])
-                cand_pos[j] = nxt
-                cand_power[j] = sp[nxt]
-            else:
-                cand_pos[j] = n_steps
-                cand_power[j] = np.inf
-    return counts, int(np.count_nonzero(taken)), fixup
+            more = cursor[j] < goff[j + 1]
+            nxt = np.where(more, batch.grouped[np.minimum(cursor[j], last)], n_steps)
+            cand_pos[j] = nxt
+            cand_power[j] = np.where(more, sp[np.minimum(nxt, last)], np.inf)
+            steps += pos.size
+    return counts, steps, fixup
 
 
-def _allocate_view(view, policy: str, budget_w: float, spent: float) -> np.ndarray:
-    """Per-node caps for an active view, floors already summed into
-    ``spent`` (callers choose the summation order so the dict API stays
-    bit-identical to the references)."""
-    floors = view.floors()
-    if spent >= budget_w:
-        _ALLOC_FLOOR_SCALED.inc()
-        scale = budget_w / spent
-        return floors * scale
-    counts, steps, fixup = _consume_steps(view, policy, budget_w - spent)
-    _ALLOC_STEPS.inc(steps)
-    _ALLOC_FIXUP.inc(fixup)
-    return view.caps[view.offsets[:-1] + counts]
+def allocate_batch(
+    batch: StepBatch, budgets: np.ndarray, policy: str
+) -> np.ndarray:
+    """Split each group's budget across its nodes, all groups at once.
+
+    Returns per-node caps in batch order, bit-identical to one
+    :func:`allocate_pool` call per group (each group counts as one
+    allocation in the ``cluster.alloc.*`` counters; ``fixup_steps``
+    counts the batch's shared rounds).
+    """
+    budgets = np.asarray(budgets, dtype=np.float64)
+    if not (np.all(np.isfinite(budgets)) and np.all(budgets > 0)):
+        raise ValueError("budgets must be positive and finite")
+    _ALLOC_CALLS[policy].inc(budgets.size)
+    _ALLOC_NODES.inc(batch.node_group.size)
+    with trace_span("cluster/allocate"), _ALLOC_S.time():
+        if policy == "uniform":
+            sizes = np.diff(batch.node_off)
+            return np.repeat(budgets / sizes, sizes)
+        scaled = batch.spent >= budgets
+        remaining = np.where(scaled, -np.inf, budgets - batch.spent)
+        counts, steps, fixup = _consume_steps(batch, remaining)
+        _ALLOC_STEPS.inc(steps)
+        _ALLOC_FIXUP.inc(fixup)
+        caps = batch.caps[batch.floor_idx + counts]
+        if scaled.any():
+            # Floors cannot be met: scale them down proportionally.
+            _ALLOC_FLOOR_SCALED.inc(int(np.count_nonzero(scaled)))
+            on = np.nonzero(scaled[batch.node_group])[0]
+            g = batch.node_group[on]
+            caps[on] = batch.caps[batch.floor_idx[on]] * (budgets[g] / batch.spent[g])
+        return caps
 
 
 def allocate_pool(
@@ -192,14 +218,7 @@ def allocate_pool(
     _check_budget(budget_w, pool.n_active)
     if policy not in ("uniform", "greedy", "maxmin"):
         raise ValueError(f"unknown allocation policy {policy!r}")
-    _ALLOC_CALLS[policy].inc()
-    _ALLOC_NODES.inc(pool.n_active)
-    with trace_span("cluster/allocate"), _ALLOC_S.time():
-        view = pool.view()
-        if policy == "uniform":
-            return np.full(view.n_nodes, budget_w / view.n_nodes)
-        spent = float(np.sum(view.floors()))
-        return _allocate_view(view, policy, budget_w, spent)
+    return allocate_batch(pool.view().step_batch(policy), np.array([budget_w]), policy)
 
 
 def _allocate_dict(
@@ -212,13 +231,11 @@ def _allocate_dict(
     rounds identically.
     """
     _check_budget(budget_w, len(frontiers))
-    _ALLOC_CALLS[policy].inc()
-    _ALLOC_NODES.inc(len(frontiers))
-    with trace_span("cluster/allocate"), _ALLOC_S.time():
-        pool = FrontierPool.from_frontiers(frontiers)
-        spent = sum(f.min_cap_w for f in frontiers.values())
-        caps = _allocate_view(pool.view(), policy, budget_w, spent)
-        return dict(zip(frontiers, caps.tolist()))
+    pool = FrontierPool.from_frontiers(frontiers)
+    spent = np.array([sum(f.min_cap_w for f in frontiers.values())])
+    batch = pool.view().step_batch(policy)._replace(spent=spent)
+    caps = allocate_batch(batch, np.array([budget_w]), policy)
+    return dict(zip(frontiers, caps.tolist()))
 
 
 def greedy_marginal_allocation(

@@ -33,7 +33,7 @@ hierarchical node → rack → row → datacenter topology of
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,6 +41,69 @@ from repro.cluster.node import NodeFrontier, NodeFrontierPoint
 from repro.constants import CAP_EPSILON
 
 __all__ = ["FrontierPool"]
+
+
+class StepBatch(NamedTuple):
+    """A CSR batch of allocation groups for the water-filling kernel.
+
+    Group ``g`` owns nodes ``node_off[g]:node_off[g + 1]`` and sorted
+    steps ``step_off[g]:step_off[g + 1]``; each group's pieces (step
+    order, prefix sums, floor sum ``spent``) are its own view's, laid
+    back to back with indices shifted to global positions.  The uniform
+    policy needs no step fields and leaves them ``None``.
+    """
+
+    node_off: np.ndarray
+    node_group: np.ndarray
+    caps: np.ndarray
+    floor_idx: np.ndarray
+    spent: np.ndarray
+    step_off: np.ndarray | None = None
+    sp: np.ndarray | None = None
+    sn: np.ndarray | None = None
+    cum: np.ndarray | None = None
+    cut_keys: np.ndarray | None = None
+    grouped: np.ndarray | None = None
+    goff: np.ndarray | None = None
+    gkeys: np.ndarray | None = None
+    node_band: np.ndarray | None = None
+
+
+def step_batch(views: Sequence["_PoolView"], policy: str) -> StepBatch:
+    """Pack active views, one group each, into a :class:`StepBatch`."""
+    sizes = [v.n_nodes for v in views]
+    node_off = np.cumsum([0] + sizes)
+    point_off = np.cumsum([0] + [v.caps.size for v in views])
+    head = (
+        node_off,
+        np.repeat(np.arange(len(views)), sizes),
+        np.concatenate([v.caps for v in views]),
+        np.concatenate([v.offsets[:-1] + o for v, o in zip(views, point_off)]),
+        np.array([np.sum(v.floors()) for v in views]),
+    )
+    if policy == "uniform":
+        return StepBatch(*head)
+    bundles = [v.order_bundle(policy) for v in views]
+    step_off = np.cumsum([0] + [b[1].size for b in bundles])
+    cum = np.concatenate([b[3] for b in bundles])
+    grouped = np.concatenate([b[4] + o for b, o in zip(bundles, step_off)])
+    goff = np.concatenate([b[5][:-1] + o for b, o in zip(bundles, step_off)] + [step_off[-1:]])
+    # Integer node bands: node j's sorted positions live in
+    # [j * span, j * span + n_steps], so "first pending step of every
+    # node" is one searchsorted of ``cut + node_band``.
+    node_band = (int(step_off[-1]) + 1) * np.arange(node_off[-1])
+    return StepBatch(
+        *head,
+        step_off,
+        np.concatenate([b[1] for b in bundles]),
+        np.concatenate([b[2] + o for b, o in zip(bundles, node_off)]),
+        cum,
+        np.repeat(np.arange(len(views)), np.diff(step_off)) + 1j * cum,
+        grouped,
+        goff,
+        grouped + np.repeat(node_band, np.diff(goff)),
+        node_band,
+    )
 
 
 def _segmented_cummin(values: np.ndarray, seg_rank: np.ndarray) -> np.ndarray:
@@ -94,6 +157,7 @@ class _PoolView:
         "name_rank",
         "_steps",
         "_orders",
+        "_batches",
         "_keys",
         "_cap_max",
         "_shift",
@@ -124,6 +188,7 @@ class _PoolView:
         self.name_rank = rank
         self._steps: tuple[np.ndarray, ...] | None = None
         self._orders: dict[str, tuple] = {}
+        self._batches: dict[str, StepBatch] = {}
         self._keys: np.ndarray | None = None
         self._cap_max = 0.0
         self._shift = 1.0
@@ -133,10 +198,6 @@ class _PoolView:
         return len(self.names)
 
     # -- floors -------------------------------------------------------------
-
-    def floor_indices(self) -> np.ndarray:
-        """Flat index of each node's lowest (floor) point."""
-        return self.offsets[:-1]
 
     def floors(self) -> np.ndarray:
         """Each node's floor cap (its smallest honourable cap)."""
@@ -184,7 +245,7 @@ class _PoolView:
 
     def order_bundle(self, policy: str) -> tuple:
         """Sorted step consumption order for ``policy`` plus its prefix
-        sums: ``(perm, power, node, cum_power, suffix_min_power)``.
+        sums: ``(perm, power, node, cum_power, grouped, group_offsets)``.
 
         * ``greedy`` sorts by descending *exposure utility* — the running
           minimum of marginal rate-per-watt along each node's frontier —
@@ -226,19 +287,22 @@ class _PoolView:
             # node the sort keys are non-increasing with position-order
             # tie-breaks, so perm keeps step order — the plain inverse
             # permutation, laid out node-major like the step arrays, IS
-            # the grouped table (no extra sort).  The shifted keys make
-            # "first pending step of every node at cut k" one
-            # searchsorted.
+            # the grouped table (no extra sort).
             grouped = np.empty(sp.size, dtype=np.int64)
             grouped[perm] = np.arange(sp.size)
             group_offsets = (self.offsets - np.arange(self.offsets.size)).astype(
                 np.int64
             )
-            span = sp.size + 1
-            group_keys = grouped + span * node
-            bundle = (perm, sp, sn, cum, grouped, group_offsets, group_keys, span)
+            bundle = (perm, sp, sn, cum, grouped, group_offsets)
             self._orders[policy] = bundle
         return bundle
+
+    def step_batch(self, policy: str) -> StepBatch:
+        """This view as a one-group :class:`StepBatch` (cached)."""
+        batch = self._batches.get(policy)
+        if batch is None:
+            batch = self._batches[policy] = step_batch([self], policy)
+        return batch
 
     # -- vectorized at_cap --------------------------------------------------
 

@@ -6,7 +6,7 @@ constraints "filter down from the system level to individual nodes"
 the datacenter feed splits over rows, each row over its racks, each
 rack over its nodes.  :class:`BudgetTree` models exactly that topology
 on top of a :class:`~repro.cluster.pool.FrontierPool`, reusing the
-vectorized allocation kernels at every level:
+vectorized allocation kernel at every level:
 
 * each **rack** is summarized by an *aggregate frontier*: its members'
   floors summed, plus their marginal steps merged in best-first
@@ -16,7 +16,9 @@ vectorized allocation kernels at every level:
   sorted rack menus keeps the global utility order);
 * :meth:`BudgetTree.allocate` then runs the requested policy top-down:
   datacenter budget over row aggregates, each row's share over its
-  rack aggregates, each rack's share over its member nodes.
+  rack aggregates, each rack's share over its member nodes — the last
+  two levels as one segmented kernel call each, over every row (rack)
+  at once.
 
 Aggregates are cached per rack and keyed by the rack's active-member
 set, so dynamic membership (nodes dying, leaving, or joining the
@@ -30,18 +32,20 @@ proportional floor scaling.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from repro.cluster.allocation import allocate_pool
-from repro.cluster.pool import FrontierPool
+from repro.cluster.allocation import allocate_batch, allocate_pool
+from repro.cluster.pool import FrontierPool, StepBatch, step_batch
 from repro.telemetry import counter, trace_span
 
 __all__ = ["BudgetTree"]
 
 _TREE_CALLS = counter("cluster.alloc.tree.calls")
 _TREE_RACK_REBUILDS = counter("cluster.alloc.tree.rack_rebuilds")
+_TREE_SHIFTS_SKIPPED = counter("cluster.alloc.tree.shifts_skipped")
 
 
 def _aggregate_frontier(
@@ -124,16 +128,16 @@ class BudgetTree:
         self.pool = pool
         self._rack_of = dict(rack_of)
         self._row_of = dict(row_of)
-        self._shifts: dict[str, float] = {}
+        self._shifts: list[tuple[str, str, float]] = []
         # Per-rack caches keyed by the rack's active-member tuple.
         self._rack_members: dict[str, tuple[str, ...]] = {}
         self._rack_subpool: dict[str, FrontierPool] = {}
         self._rack_aggregate: dict[str, tuple[np.ndarray, ...]] = {}
-        self._rack_names: list[str] = []
-        self._row_names: list[str] = []
-        self._row_racks: dict[str, list[str]] = {}
         self._row_pool: FrontierPool | None = None
         self._row_rack_pools: dict[str, FrontierPool] = {}
+        self._rack_pos: dict[str, int] = {}
+        self._level_batches: dict[tuple[str, str], StepBatch] = {}
+        self._out_index = np.empty(0, dtype=np.int64)
         self._built_version = -1
         self.last_rack_budgets: dict[str, float] = {}
 
@@ -179,15 +183,16 @@ class BudgetTree:
 
     def shift_budget(self, from_rack: str, to_rack: str, watts: float) -> None:
         """Persistently move ``watts`` of every future split from one
-        rack to another (zero-sum: the datacenter total is unchanged)."""
-        if watts < 0:
-            raise ValueError("watts must be non-negative")
+        rack to another (zero-sum: the datacenter total is unchanged).
+        It applies only while both racks have active nodes, else it is
+        skipped whole (``cluster.alloc.tree.shifts_skipped``)."""
+        if not (math.isfinite(watts) and watts >= 0):
+            raise ValueError("watts must be finite and non-negative")
         known = set(self._row_of)
         for rack in (from_rack, to_rack):
             if rack not in known:
                 raise ValueError(f"unknown rack {rack!r}")
-        self._shifts[from_rack] = self._shifts.get(from_rack, 0.0) - watts
-        self._shifts[to_rack] = self._shifts.get(to_rack, 0.0) + watts
+        self._shifts.append((from_rack, to_rack, float(watts)))
 
     def clear_shifts(self) -> None:
         """Drop all inter-rack budget shifts."""
@@ -229,17 +234,9 @@ class BudgetTree:
                 del self._rack_members[rack]
                 del self._rack_subpool[rack]
                 del self._rack_aggregate[rack]
-        self._rack_names = rack_order
         row_racks: dict[str, list[str]] = {}
-        row_order: list[str] = []
         for rack in rack_order:
-            row = self._row_of[rack]
-            if row not in row_racks:
-                row_racks[row] = []
-                row_order.append(row)
-            row_racks[row].append(rack)
-        self._row_racks = row_racks
-        self._row_names = row_order
+            row_racks.setdefault(self._row_of[rack], []).append(rack)
         # One pool of rack aggregates per row (the row's split menu) and
         # one pool of row aggregates (the datacenter's split menu).
         self._row_rack_pools = {
@@ -250,49 +247,72 @@ class BudgetTree:
             row: _aggregate_frontier(rack_pool)
             for row, rack_pool in self._row_rack_pools.items()
         }
-        self._row_pool = _pool_of_aggregates(row_order, row_aggregates)
+        self._row_pool = _pool_of_aggregates(list(row_racks), row_aggregates)
+        # The two segmented levels share one row-major rack order: row
+        # g's racks are group g of the row level, and each rack is one
+        # group of the rack level.
+        self._rack_pos = {
+            rack: i
+            for i, rack in enumerate(r for racks in row_racks.values() for r in racks)
+        }
+        self._level_batches = {}
+        index = {name: i for i, name in enumerate(self.pool.active_names())}
+        self._out_index = np.array(
+            [index[n] for rack in self._rack_pos for n in self._rack_members[rack]],
+            dtype=np.int64,
+        )
         self._built_version = self.pool.version
+
+    def _batch(self, level: str, policy: str) -> StepBatch:
+        """The ``"row"`` level (rows over rack aggregates) or ``"rack"``
+        level (racks over nodes) as one segmented batch, built once per
+        policy and membership version from the cached per-group pools."""
+        batch = self._level_batches.get((level, policy))
+        if batch is None:
+            pools = self._row_rack_pools.values() if level == "row" else (
+                self._rack_subpool[rack] for rack in self._rack_pos
+            )
+            batch = step_batch([p.view() for p in pools], policy)
+            self._level_batches[(level, policy)] = batch
+        return batch
 
     # -- allocation ---------------------------------------------------------
 
     def allocate(self, budget_w: float, policy: str = "greedy") -> np.ndarray:
         """Split a datacenter budget down the hierarchy.
 
-        Returns per-node caps aligned with ``pool.active_names()``.
-        Every level runs the same vectorized kernel as the flat
-        :func:`~repro.cluster.allocation.allocate_pool`; a level's
-        slack (budget its children's frontiers cannot absorb) simply
-        stays unspent, as in the flat allocator.
+        Returns per-node caps aligned with ``pool.active_names()``.  The
+        datacenter-over-rows split is one
+        :func:`~repro.cluster.allocation.allocate_pool` call; the row
+        and rack levels are one segmented kernel call each, bit-identical
+        to one ``allocate_pool`` per row and per rack.  A level's slack
+        (budget its children's frontiers cannot absorb) simply stays
+        unspent, as in the flat allocator.
         """
-        if budget_w <= 0:
-            raise ValueError("budget_w must be positive")
+        if not (math.isfinite(budget_w) and budget_w > 0):
+            raise ValueError("budget_w must be positive and finite")
         _TREE_CALLS.inc()
         with trace_span("cluster/tree_allocate"):
             self._ensure_structure()
             assert self._row_pool is not None
             row_budgets = allocate_pool(self._row_pool, budget_w, policy)
-            rack_budget: dict[str, float] = {}
-            for row, row_b in zip(self._row_names, row_budgets.tolist()):
-                rack_pool = self._row_rack_pools[row]
-                shares = allocate_pool(rack_pool, row_b, policy)
-                for rack, share in zip(self._row_racks[row], shares.tolist()):
-                    rack_budget[rack] = share
-            for rack, delta in self._shifts.items():
-                if rack in rack_budget:
-                    rack_budget[rack] += delta
-            self.last_rack_budgets = dict(rack_budget)
-            active_index = {
-                name: i for i, name in enumerate(self.pool.active_names())
-            }
-            out = np.empty(len(active_index))
-            for rack in self._rack_names:
-                b = rack_budget[rack]
-                if b <= 0:
-                    raise ValueError(
-                        f"rack {rack!r} budget driven non-positive "
-                        f"({b:.3f} W) — reduce its outgoing shift"
-                    )
-                caps = allocate_pool(self._rack_subpool[rack], b, policy)
-                for name, cap in zip(self._rack_members[rack], caps.tolist()):
-                    out[active_index[name]] = cap
+            rack_budgets = allocate_batch(self._batch("row", policy), row_budgets, policy)
+            skipped = 0
+            for from_rack, to_rack, watts in self._shifts:
+                if from_rack in self._rack_pos and to_rack in self._rack_pos:
+                    rack_budgets[self._rack_pos[from_rack]] -= watts
+                    rack_budgets[self._rack_pos[to_rack]] += watts
+                else:
+                    skipped += 1
+            _TREE_SHIFTS_SKIPPED.inc(skipped)
+            self.last_rack_budgets = dict(zip(self._rack_pos, rack_budgets.tolist()))
+            low = np.nonzero(rack_budgets <= 0)[0]
+            if low.size:
+                rack = list(self._rack_pos)[low[0]]
+                raise ValueError(
+                    f"rack {rack!r} budget driven non-positive "
+                    f"({rack_budgets[low[0]]:.3f} W) — reduce its outgoing shift"
+                )
+            out = np.empty(self._out_index.size)
+            out[self._out_index] = allocate_batch(self._batch("rack", policy), rack_budgets, policy)
             return out

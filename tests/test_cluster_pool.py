@@ -19,6 +19,7 @@ from repro.cluster import (
     maxmin_allocation,
     maxmin_allocation_reference,
     pool_allocation_summary,
+    uniform_allocation,
 )
 
 
@@ -193,6 +194,45 @@ class TestAllocatePool:
             allocate_pool(pool, 0.0)
         with pytest.raises(ValueError):
             allocate_pool(pool, 10.0, "fair")
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("policy", ["uniform", "greedy", "maxmin"])
+    def test_rejects_non_finite_budgets(self, policy, bad):
+        # Before the check, NaN/inf handed every node its maximum cap
+        # (greedy, maxmin) or NaN caps (uniform).
+        pool = FrontierPool.synthesize(16, seed=0)
+        with pytest.raises(ValueError, match="finite"):
+            allocate_pool(pool, bad, policy)
+        frontiers = pool.to_frontiers()
+        dict_api = {
+            "uniform": uniform_allocation,
+            "greedy": greedy_marginal_allocation,
+            "maxmin": maxmin_allocation,
+        }[policy]
+        with pytest.raises(ValueError, match="finite"):
+            dict_api(bad, frontiers)
+
+    @pytest.mark.parametrize(
+        "policy, alloc, reference",
+        [
+            ("greedy", greedy_marginal_allocation, greedy_marginal_allocation_reference),
+            ("maxmin", maxmin_allocation, maxmin_allocation_reference),
+        ],
+    )
+    def test_fixup_takes_one_candidate_per_round(self, policy, alloc, reference):
+        # After the cut, "a"'s 5 W step no longer fits the 4 W left, while
+        # "b" and "c" each fit alone but not together: the reference buys
+        # "b" only.
+        fr = {
+            "a": _frontier([(10.0, 10.0, 0.1), (15.0, 15.0, 5.1)]),
+            "b": _frontier([(10.0, 10.0, 0.2), (13.0, 13.0, 2.6)]),
+            "c": _frontier([(10.0, 10.0, 0.3), (13.0, 13.0, 2.4)]),
+        }
+        expect = {"a": 10.0, "b": 13.0, "c": 10.0}
+        assert reference(34.0, fr) == expect
+        assert alloc(34.0, fr) == expect
+        caps = allocate_pool(FrontierPool.from_frontiers(fr), 34.0, policy)
+        assert caps.tolist() == list(expect.values())
 
     def test_respects_membership(self):
         pool = FrontierPool.from_frontiers(_two_frontiers())
