@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from repro.core.frontier import ParetoFrontier
-from repro.core.sample_configs import CPU_SAMPLE, GPU_SAMPLE
 from repro.hardware.apu import Measurement
+from repro.hardware.backend import descriptor_of_config
 from repro.hardware.config import Configuration
 from repro.profiling.library import ProfilingLibrary
 from repro.profiling.records import ProfileDatabase
@@ -41,16 +41,8 @@ class KernelCharacterization:
     def __post_init__(self) -> None:
         if not self.measurements:
             raise ValueError("characterization needs at least one measurement")
-        # Table II anchors of the machine the measurements came from —
-        # Trinity's constants for Configuration keys, the owning
-        # descriptor's "both blocks fully powered" pair otherwise.
-        first = next(iter(self.measurements))
-        if isinstance(first, Configuration):
-            samples = (CPU_SAMPLE, GPU_SAMPLE)
-        else:
-            from repro.hardware.backend import descriptor_of_config
-
-            samples = descriptor_of_config(first).sample_configs()
+        # Table II anchors of the machine the measurements came from.
+        samples = descriptor_of_config(next(iter(self.measurements))).sample_configs()
         object.__setattr__(self, "_samples", samples)
         for sample in samples:
             if sample not in self.measurements:

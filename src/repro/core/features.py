@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.hardware import pstates
-from repro.hardware.config import Configuration, Device
+from repro.hardware.backend import descriptor_of_config
 
 __all__ = [
     "CPU_FEATURE_NAMES",
@@ -59,23 +58,12 @@ GPU_POWER_FEATURE_NAMES: tuple[str, ...] = (
 
 
 def design_row(cfg) -> np.ndarray:
-    """The regressor vector of one configuration (device-specific).
-
-    Non-Trinity configurations delegate to their backend descriptor's
-    rows, which follow the same width/normalization convention — that
-    shared convention is what makes regression coefficients portable
-    across backends (:mod:`repro.evaluation.transfer`)."""
-    if not isinstance(cfg, Configuration):
-        from repro.hardware.backend import descriptor_of_config
-
-        return descriptor_of_config(cfg).perf_row(cfg)
-    if cfg.device is Device.CPU:
-        f = cfg.cpu_freq_ghz / pstates.CPU_MAX_FREQ_GHZ
-        n = cfg.n_threads / pstates.N_CORES
-        return np.array([f, n, f * n])
-    g = cfg.gpu_freq_ghz / pstates.GPU_MAX_FREQ_GHZ
-    h = cfg.cpu_freq_ghz / pstates.CPU_MAX_FREQ_GHZ
-    return np.array([g, h, g * h])
+    """The regressor vector of one configuration (device-specific), from
+    its backend descriptor.  Every backend's rows follow the same
+    width/normalization convention — that shared convention is what
+    makes regression coefficients portable across backends
+    (:mod:`repro.evaluation.transfer`)."""
+    return descriptor_of_config(cfg).perf_row(cfg)
 
 
 def power_design_row(cfg) -> np.ndarray:
@@ -89,28 +77,7 @@ def power_design_row(cfg) -> np.ndarray:
     model over configuration variables and first-order interactions";
     the variables are simply expressed in the units power is linear in.
     """
-    if not isinstance(cfg, Configuration):
-        from repro.hardware.backend import descriptor_of_config
-
-        return descriptor_of_config(cfg).power_row(cfg)
-    if cfg.device is Device.CPU:
-        f = cfg.cpu_freq_ghz / pstates.CPU_MAX_FREQ_GHZ
-        n = cfg.n_threads / pstates.N_CORES
-        v = pstates.cpu_voltage(cfg.cpu_freq_ghz) / pstates.cpu_voltage(
-            pstates.CPU_MAX_FREQ_GHZ
-        )
-        v2 = v * v
-        return np.array([f, n, f * n, v2, n * f * v2])
-    g = cfg.gpu_freq_ghz / pstates.GPU_MAX_FREQ_GHZ
-    h = cfg.cpu_freq_ghz / pstates.CPU_MAX_FREQ_GHZ
-    vg = pstates.gpu_voltage(cfg.gpu_freq_ghz) / pstates.gpu_voltage(
-        pstates.GPU_MAX_FREQ_GHZ
-    )
-    vh = pstates.cpu_voltage(cfg.cpu_freq_ghz) / pstates.cpu_voltage(
-        pstates.CPU_MAX_FREQ_GHZ
-    )
-    vg2, vh2 = vg * vg, vh * vh
-    return np.array([g, h, g * h, vg2, g * vg2, h * vh2])
+    return descriptor_of_config(cfg).power_row(cfg)
 
 
 def design_matrix(configs: list) -> np.ndarray:

@@ -37,7 +37,8 @@ from repro.faults import (
     sanitize_measurement,
 )
 from repro.hardware.apu import Measurement
-from repro.hardware.config import Configuration, ConfigSpace
+from repro.hardware.backend import sample_configs_of_space
+from repro.hardware.config import Configuration
 from repro.profiling.library import ProfilingLibrary
 from repro.telemetry import counter, get_logger, log_event, trace_span
 
@@ -366,13 +367,11 @@ class OnlinePredictor:
             )
 
     def _sample_configs(self) -> tuple:
-        """The machine's sample-configuration pair: Trinity's Table II
-        anchors on a Trinity model, the backend descriptor's otherwise."""
+        """The machine's sample-configuration pair (Trinity's Table II
+        anchors for a model without a configuration space)."""
         space = getattr(self.model, "config_space", None)
-        if space is None or isinstance(space, ConfigSpace):
+        if space is None:
             return (CPU_SAMPLE, GPU_SAMPLE)
-        from repro.hardware.backend import sample_configs_of_space
-
         return sample_configs_of_space(space)
 
     def _sample(self, kernel, config: Configuration) -> Measurement:

@@ -18,20 +18,15 @@ counters recorded during them.
 
 from __future__ import annotations
 
-from repro.hardware import pstates
+from repro.hardware.backend import TRINITY_DESCRIPTOR, sample_configs_of_space
 from repro.hardware.config import Configuration
 
 __all__ = ["CPU_SAMPLE", "GPU_SAMPLE", "SAMPLE_CONFIGS", "sample_configs_for"]
 
-#: CPU-device sample configuration: all cores at maximum frequency.
-CPU_SAMPLE: Configuration = Configuration.cpu(
-    pstates.CPU_MAX_FREQ_GHZ, pstates.N_CORES
-)
-
-#: GPU-device sample configuration: GPU and host both at maximum frequency.
-GPU_SAMPLE: Configuration = Configuration.gpu(
-    pstates.GPU_MAX_FREQ_GHZ, pstates.CPU_MAX_FREQ_GHZ
-)
+#: CPU-device sample configuration (all cores at maximum frequency) and
+#: GPU-device sample configuration (GPU and host both at maximum
+#: frequency): the Trinity descriptor's sample pair.
+CPU_SAMPLE, GPU_SAMPLE = TRINITY_DESCRIPTOR.sample_configs()
 
 #: Both sample configurations, CPU first (the paper's Table II order).
 SAMPLE_CONFIGS: tuple[Configuration, Configuration] = (CPU_SAMPLE, GPU_SAMPLE)
@@ -46,6 +41,4 @@ def sample_configs_for(space) -> tuple:
     (:class:`~repro.hardware.backend.BlockConfigSpace`) answer "both
     blocks fully powered" from their own ladders.
     """
-    from repro.hardware.backend import sample_configs_of_space
-
     return sample_configs_of_space(space)

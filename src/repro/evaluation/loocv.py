@@ -36,7 +36,7 @@ from repro.core.clustering import cluster_kernels, resolve_warm_medoids
 from repro.core.model import AdaptiveModel
 from repro.core.scheduler import Scheduler
 from repro.evaluation.harness import CapEvaluation, evaluate_suite
-from repro.hardware.apu import TrinityAPU
+from repro.hardware.backend import create_backend
 from repro.methods.freq_limit import CpuFrequencyLimiting, GpuFrequencyLimiting
 from repro.methods.model_method import ModelMethod, ModelPlusFL
 from repro.methods.oracle import Oracle
@@ -191,24 +191,15 @@ def run_loocv(
         make which run draws which fault nondeterministic.
     backend:
         Hardware backend to evaluate on (default ``"trinity"``, the
-        paper's machine — its records are bit-identical to the
-        pre-backend driver).  Non-Trinity backends skip the
-        frequency-limiting baselines and the Model+FL hybrid (both are
-        built on Trinity's P-state tables), evaluating ModelMethod
-        against the oracle.
+        paper's machine).  Every backend evaluates the same methods:
+        the frequency limiter walks each machine's own P-state ladders.
 
     Returns
     -------
     LOOCVReport
     """
     suite = suite if suite is not None else build_suite()
-    if backend == "trinity":
-        apu = TrinityAPU(seed=seed)
-    else:
-        from repro.hardware.backend import create_backend
-
-        apu = create_backend(backend, seed=seed)
-        include_freq_limiting = False
+    apu = create_backend(backend, seed=seed)
     oracle = Oracle(apu)
     if fault_plan is not None:
         from repro.faults import FaultPlan
@@ -273,15 +264,8 @@ def run_loocv(
             scheduler = Scheduler(risk_margin=risk_margin)
             methods = [
                 ModelMethod(model, online_library, scheduler=scheduler),
+                ModelPlusFL(model, online_library, scheduler=scheduler, seed=mfl_ss),
             ]
-            if backend == "trinity":
-                # The FL fallback walks Trinity's P-state ladders; on
-                # other backends the hybrid is undefined.
-                methods.append(
-                    ModelPlusFL(
-                        model, online_library, scheduler=scheduler, seed=mfl_ss
-                    )
-                )
             if include_freq_limiting:
                 methods.append(CpuFrequencyLimiting(apu, seed=cpufl_ss))
                 methods.append(GpuFrequencyLimiting(apu, seed=gpufl_ss))

@@ -2,14 +2,15 @@
 
 A :class:`FaultInjector` owns a :class:`~repro.faults.plan.FaultPlan`
 and a thread-safe *measured-run clock*.  Measurement paths
-(:meth:`repro.hardware.apu.TrinityAPU.run`,
+(:meth:`repro.hardware.backend.AnalyticalBackend.run`,
 :meth:`repro.profiling.library.ProfilingLibrary.profile`) call
 :meth:`FaultInjector.begin_run` once per execution; the injector
 advances the clock, resolves which plan events cover the run, and
 returns a :class:`RunContext` describing
 
 * the configuration the hardware *actually* executes (P-state faults:
-  stuck, unavailable, thermally throttled), and
+  stuck, unavailable, thermally throttled, resolved on the
+  configuration's own machine ladders), and
 * the sensor faults to apply to the resulting readings
   (:meth:`RunContext.apply`: power dropout/bias, counter NaN/corruption).
 
@@ -17,7 +18,7 @@ returns a :class:`RunContext` describing
 :class:`~repro.faults.errors.SampleRunError` instead.
 
 The injector never touches ground truth: oracle baselines and the
-evaluation harness keep judging on :meth:`TrinityAPU.true_table`, which
+evaluation harness keep judging on the machine's ``true_table``, which
 is exactly what lets the chaos suite assert that injected faults never
 *improve* reported results.
 
@@ -41,8 +42,7 @@ from repro.faults.plan import (
     FaultEvent,
     FaultPlan,
 )
-from repro.hardware import pstates
-from repro.hardware.config import Configuration, Device
+from repro.hardware.config import Configuration
 from repro.telemetry import counter
 
 __all__ = [
@@ -75,52 +75,65 @@ FALLBACK_CPU_PLANE_W: float = 12.0
 FALLBACK_NBGPU_PLANE_W: float = 8.0
 
 
-def _event_targets_run(event: FaultEvent, cfg: Configuration) -> bool:
+def _event_targets_run(event: FaultEvent, cfg) -> bool:
     """Whether an event's device scope covers a run on ``cfg``."""
     if event.device is None:
         return True
     if event.device == "cpu":
-        # Every configuration has a CPU frequency domain (GPU configs
-        # carry the host CPU's P-state).
-        return True
-    return cfg.device is Device.GPU
+        # Every configuration has a primary (CPU) frequency domain —
+        # secondary rows carry the host's P-state — but a P-state fault
+        # cannot move a host the machine keeps fixed.
+        return not (
+            cfg.is_gpu
+            and event.kind in PSTATE_FAULT_KINDS
+            and len(_host_ladder(cfg)) == 1
+        )
+    return cfg.is_gpu
 
 
-def _substitute_pstates(
-    cfg: Configuration, events: tuple[FaultEvent, ...]
-) -> Configuration:
+def _host_ladder(cfg) -> tuple[float, ...]:
+    """The rungs ``cfg.cpu_freq_ghz`` may take on its own machine."""
+    # Imported here: repro.hardware imports this package.
+    from repro.hardware.backend import descriptor_of_config
+
+    d = descriptor_of_config(cfg)
+    return d.host_freqs_ghz() if cfg.is_gpu else d.primary.freqs_ghz
+
+
+def _rung(freqs: tuple[float, ...], f: float) -> int:
+    for i, g in enumerate(freqs):
+        if abs(g - f) < 1e-9:
+            return i
+    raise ValueError(f"{f} GHz is not on the ladder {freqs}")
+
+
+def _substitute_pstates(cfg, events: tuple[FaultEvent, ...]):
     """The configuration the hardware executes under P-state faults.
 
-    Events apply in plan order.  ``device`` scoping: ``"cpu"`` targets
-    the CPU frequency ladder (host CPU for GPU configurations),
-    ``"gpu"`` the GPU ladder of GPU configurations, ``None`` the run's
-    primary domain.  Indices are clamped to the targeted ladder.
+    P-states resolve on the configuration's own ladders, and the result
+    is rebuilt from its own class; with no P-state event ``cfg`` comes
+    back untouched.  Events apply in plan order.  ``device`` scoping:
+    ``"cpu"`` targets the primary ladder (the host's for secondary
+    rows), ``"gpu"`` the secondary ladder of secondary rows, ``None``
+    the run's own block.  Indices are clamped to the targeted ladder.
     """
-    ci = pstates.cpu_pstate_index(cfg.cpu_freq_ghz)
-    gi = (
-        pstates.gpu_pstate_index(cfg.gpu_freq_ghz)
-        if cfg.device is Device.GPU
-        else None
-    )
+    if not events:
+        return cfg
+    from repro.hardware.backend import descriptor_of_config
+
+    ladders = {"cpu_freq_ghz": _host_ladder(cfg)}
+    if cfg.is_gpu:
+        ladders["gpu_freq_ghz"] = descriptor_of_config(cfg).secondary.freqs_ghz
+    index = {axis: _rung(freqs, getattr(cfg, axis)) for axis, freqs in ladders.items()}
     for ev in events:
-        if ev.kind not in PSTATE_FAULT_KINDS:
-            continue
-        target_gpu = ev.device == "gpu" or (
-            ev.device is None and cfg.device is Device.GPU
-        )
-        if target_gpu:
-            if gi is None:
-                continue  # CPU run: no GPU ladder to perturb
-            idx = min(ev.pstate_index, len(pstates.GPU_FREQS_GHZ) - 1)
-            gi = _apply_pstate_fault(ev.kind, gi, idx, len(pstates.GPU_FREQS_GHZ))
-        else:
-            idx = min(ev.pstate_index, len(pstates.CPU_FREQS_GHZ) - 1)
-            ci = _apply_pstate_fault(ev.kind, ci, idx, len(pstates.CPU_FREQS_GHZ))
-    if cfg.device is Device.GPU:
-        return Configuration.gpu(
-            pstates.GPU_FREQS_GHZ[gi], pstates.CPU_FREQS_GHZ[ci]
-        )
-    return Configuration.cpu(pstates.CPU_FREQS_GHZ[ci], cfg.n_threads)
+        target_gpu = ev.device == "gpu" or (ev.device is None and cfg.is_gpu)
+        axis = "gpu_freq_ghz" if target_gpu else "cpu_freq_ghz"
+        if axis not in index:
+            continue  # primary-block run: no secondary ladder to perturb
+        depth = len(ladders[axis])
+        idx = min(ev.pstate_index, depth - 1)
+        index[axis] = _apply_pstate_fault(ev.kind, index[axis], idx, depth)
+    return replace(cfg, **{axis: ladders[axis][i] for axis, i in index.items()})
 
 
 def _apply_pstate_fault(kind: str, current: int, idx: int, depth: int) -> int:

@@ -16,9 +16,13 @@ replaces that silicon with an analytical simulator (see DESIGN.md §2 and
   northbridge + GPU) with a shared CPU voltage plane;
 * :mod:`~repro.hardware.counters` — performance-counter synthesis;
 * :mod:`~repro.hardware.noise` — measurement-noise models;
-* :mod:`~repro.hardware.apu` — the :class:`TrinityAPU` facade separating
-  oracle-only ground truth from noisy measurements;
-* :mod:`~repro.hardware.rapl` — RAPL-style frequency limiting.
+* :mod:`~repro.hardware.backend` — the machine interface and its one
+  implementation, ``AnalyticalBackend``, separating oracle-only ground
+  truth from noisy measurements;
+* :mod:`~repro.hardware.apu` — :class:`TrinityAPU`, the paper's machine
+  as one such backend;
+* :mod:`~repro.hardware.rapl` — RAPL-style frequency limiting on any
+  backend.
 """
 
 from repro.hardware.apu import Measurement, TrinityAPU

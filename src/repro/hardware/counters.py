@@ -23,8 +23,8 @@ the profiling layer, not here.
 
 from __future__ import annotations
 
-from repro.hardware import pstates
-from repro.hardware.config import Configuration, Device
+from repro.hardware.backend import descriptor_of_config
+from repro.hardware.config import Device
 from repro.hardware.kernelmodel import (
     KernelCharacteristics,
     memory_bandwidth_factor,
@@ -55,20 +55,12 @@ def synthesize_counters(k: KernelCharacteristics, cfg) -> dict[str, float]:
     paper's normalization of raw counts.
 
     The synthesis is descriptor-parametrized: frequency and thread count
-    normalize to the primary block's ladder maxima, which for Trinity
-    :class:`Configuration`\\ s are exactly the historical
-    ``pstates.CPU_MAX_FREQ_GHZ`` / ``pstates.N_CORES`` constants, so the
-    Trinity values are bit-identical to the pre-backend code.
+    normalize to the primary block's ladder maxima (Trinity's 3.7 GHz
+    and four cores).
     """
-    if isinstance(cfg, Configuration):
-        max_freq_ghz = pstates.CPU_MAX_FREQ_GHZ
-        max_units = pstates.N_CORES
-    else:
-        from repro.hardware.backend import descriptor_of_config
-
-        primary = descriptor_of_config(cfg).primary
-        max_freq_ghz = primary.max_freq_ghz
-        max_units = primary.max_threads
+    primary = descriptor_of_config(cfg).primary
+    max_freq_ghz = primary.max_freq_ghz
+    max_units = primary.max_threads
     if cfg.device is Device.CPU:
         n = cfg.n_threads
         # Shared L2 within a PileDriver module: co-resident threads evict

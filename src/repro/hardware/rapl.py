@@ -17,22 +17,31 @@ the CPU and GPU — and so do we, with the same semantics:
   remains, the host CPU frequency is raised as far as the cap allows
   (the paper's GPU+FL refinement); conversely if the GPU floor still
   violates the cap, the host CPU is stepped down too.
+
+The walks are built from each configuration's own descriptor, so the
+limiter runs on every backend: there the primary block plays the CPU
+and the secondary block the GPU.  Only Trinity's space varies the host
+of a secondary-block run, so elsewhere those walks stay on the
+secondary ladder.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache, cached_property, partial
 
 import numpy as np
 
 from repro.constants import respects_cap
-from repro.hardware import pstates
-from repro.hardware.apu import Measurement, TrinityAPU
-from repro.hardware.backend import characteristics_of
-from repro.hardware.config import Configuration, Device
+from repro.hardware.backend import (
+    HardwareBackend,
+    Measurement,
+    characteristics_of,
+    descriptor_of_config,
+)
+from repro.hardware.config import Configuration
 from repro.hardware.kernelmodel import KernelCharacteristics
 from repro.telemetry import counter
 
@@ -96,38 +105,49 @@ def _failed_measurement(cfg: Configuration) -> Measurement:
     )
 
 
-def _with_cpu_index(cfg: Configuration, i: int) -> Configuration:
-    f = pstates.CPU_FREQS_GHZ[i]
-    if cfg.device is Device.CPU:
-        return Configuration.cpu(f, cfg.n_threads)
-    return Configuration.gpu(cfg.gpu_freq_ghz, f)
+@cache
+def _rungs(descriptor) -> dict:
+    """``{config: config}`` over a descriptor's space: looking a built
+    configuration up returns the space's own instance, so ladder steps
+    hit the memo caches by identity."""
+    return {cfg: cfg for cfg in descriptor.enumerate_configs()}
+
+
+def _below(freqs: tuple[float, ...], f: float) -> list[float]:
+    """Rungs of ascending ``freqs`` strictly below ``f``, descending."""
+    return [g for g in reversed(freqs) if g < f - 1e-9]
 
 
 @cache
-def _ladder(start: Configuration, down: bool) -> tuple[Configuration, ...]:
+def _ladder(start, down: bool) -> tuple:
     """The configurations a walk from ``start`` measures, in order.
 
-    Going down: ``start`` itself, then every lower P-state — on GPU
-    configurations the GPU ladder first, then the host CPU's.  Going up
-    (the headroom refinement, from an already-measured ``start``): every
-    higher host CPU P-state.  The path never depends on the noise, only
-    where the walk stops does, so it is memoized process-wide.
+    Built from the configuration's own descriptor, visiting only rungs
+    of its space.  Going down: ``start`` itself, then every lower
+    P-state — the primary ladder at ``start``'s unit count on a
+    primary-block run; on a secondary-block run the secondary ladder
+    first, then the host ladder (which only Trinity's space varies).
+    Going up (the headroom refinement, from an already-measured
+    ``start``): every higher host rung.  The path never depends on the
+    noise, only where the walk stops does, so it is memoized
+    process-wide.
     """
-    ci = pstates.cpu_pstate_index(start.cpu_freq_ghz)
+    d = descriptor_of_config(start)
+    rungs = _rungs(d)
+    host = d.host_freqs_ghz() if start.is_gpu else d.primary.freqs_ghz
+    f = start.cpu_freq_ghz
     if not down:
         return tuple(
-            _with_cpu_index(start, i)
-            for i in range(ci + 1, len(pstates.CPU_FREQS_GHZ))
+            rungs[replace(start, cpu_freq_ghz=h)] for h in host if h > f + 1e-9
         )
     steps = [start]
-    if start.device is Device.GPU:
-        gi = pstates.gpu_pstate_index(start.gpu_freq_ghz)
+    if start.is_gpu:
         steps += [
-            Configuration.gpu(pstates.GPU_FREQS_GHZ[i], start.cpu_freq_ghz)
-            for i in range(gi - 1, -1, -1)
+            rungs[replace(start, gpu_freq_ghz=g)]
+            for g in _below(d.secondary.freqs_ghz, start.gpu_freq_ghz)
         ]
     return tuple(steps) + tuple(
-        _with_cpu_index(steps[-1], i) for i in range(ci - 1, -1, -1)
+        rungs[replace(steps[-1], cpu_freq_ghz=h)] for h in _below(host, f)
     )
 
 
@@ -137,12 +157,18 @@ class FrequencyLimiter:
     Parameters
     ----------
     apu:
-        The machine to control.  The limiter only ever sees
-        *measurements*, through :meth:`TrinityAPU.observe`.
+        The machine to control (any backend).  The limiter only ever
+        sees *measurements*, through :meth:`HardwareBackend.observe`.
     """
 
-    def __init__(self, apu: TrinityAPU) -> None:
+    def __init__(self, apu: HardwareBackend) -> None:
         self.apu = apu
+        d = apu.descriptor
+        primary, secondary = d.sample_configs()
+        self._cpu_start = primary
+        self._gpu_start = _rungs(d)[
+            replace(secondary, cpu_freq_ghz=d.host_freqs_ghz()[0])
+        ]
 
     def _walk(
         self,
@@ -205,7 +231,7 @@ class FrequencyLimiter:
         )
         met_cap = respects_cap(trace[-1][1], power_cap_w)
         if headroom and met_cap:
-            # Exploit headroom: raise host CPU frequency while under the
+            # Exploit headroom: raise the host frequency while under the
             # cap.  A worst-case read observes as inf, so the step-up
             # backs off exactly like a genuine violation.
             settled = self._walk(
@@ -238,12 +264,13 @@ class FrequencyLimiter:
         """Run the control loop from ``start`` until the cap is met or no
         further frequency reduction is possible.
 
-        On CPU configurations only the CPU P-state is lowered (thread
-        count is outside RAPL's authority).  On GPU configurations the
-        GPU P-state is lowered first; if the cap is still violated at the
-        GPU floor, the host CPU P-state is lowered as well.  Raises
-        :class:`ValueError` unless ``power_cap_w`` is positive and
-        finite.
+        On primary-block (CPU) configurations only the primary P-state
+        is lowered (the unit count is outside RAPL's authority).  On
+        secondary-block (GPU) configurations the secondary P-state is
+        lowered first; if the cap is still violated at its floor, the
+        host P-state is lowered as well, where the machine varies it.
+        Raises :class:`ValueError` unless ``power_cap_w`` is positive
+        and finite.
         """
         return self._limit(kernel, start, power_cap_w, rng, headroom=False)
 
@@ -256,15 +283,13 @@ class FrequencyLimiter:
     ) -> LimiterResult:
         """The paper's GPU+FL policy (Section V-A).
 
-        Start with the GPU at maximum frequency and the host CPU at
-        minimum; lower the GPU P-state until the cap is met; then, if
-        headroom remains, raise the host CPU frequency as far as possible
-        without violating the cap.
+        Start from the secondary sample configuration (GPU at maximum
+        frequency) with the host at its lowest rung; lower the GPU
+        P-state until the cap is met; then, if headroom remains, raise
+        the host frequency as far as possible without violating the cap
+        (a no-op on machines with a fixed host).
         """
-        start = Configuration.gpu(
-            pstates.GPU_MAX_FREQ_GHZ, pstates.CPU_MIN_FREQ_GHZ
-        )
-        return self._limit(kernel, start, power_cap_w, rng, headroom=True)
+        return self._limit(kernel, self._gpu_start, power_cap_w, rng, headroom=True)
 
     def limit_cpu_all_cores(
         self,
@@ -273,7 +298,7 @@ class FrequencyLimiter:
         *,
         rng: np.random.Generator | None = None,
     ) -> LimiterResult:
-        """The paper's CPU+FL policy (Section V-A): all cores enabled,
-        GPU at minimum frequency, CPU P-state lowered to meet the cap."""
-        start = Configuration.cpu(pstates.CPU_MAX_FREQ_GHZ, pstates.N_CORES)
-        return self.limit(kernel, start, power_cap_w, rng=rng)
+        """The paper's CPU+FL policy (Section V-A): the primary sample
+        configuration (all cores at maximum frequency, GPU at minimum),
+        CPU P-state lowered to meet the cap."""
+        return self.limit(kernel, self._cpu_start, power_cap_w, rng=rng)

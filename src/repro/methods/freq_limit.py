@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.hardware.apu import TrinityAPU
+from repro.hardware.backend import HardwareBackend
 from repro.hardware.rapl import FrequencyLimiter
 from repro.methods.base import MethodDecision, PowerLimitMethod
 
@@ -33,7 +33,9 @@ class CpuFrequencyLimiting(PowerLimitMethod):
 
     name = "CPU+FL"
 
-    def __init__(self, apu: TrinityAPU, *, seed: int | np.random.SeedSequence = 0) -> None:
+    def __init__(
+        self, apu: HardwareBackend, *, seed: int | np.random.SeedSequence = 0
+    ) -> None:
         self.limiter = FrequencyLimiter(apu)
         self._rng = np.random.default_rng(seed)
 
@@ -52,7 +54,9 @@ class GpuFrequencyLimiting(PowerLimitMethod):
 
     name = "GPU+FL"
 
-    def __init__(self, apu: TrinityAPU, *, seed: int | np.random.SeedSequence = 0) -> None:
+    def __init__(
+        self, apu: HardwareBackend, *, seed: int | np.random.SeedSequence = 0
+    ) -> None:
         self.limiter = FrequencyLimiter(apu)
         self._rng = np.random.default_rng(seed)
 

@@ -38,6 +38,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from repro.hardware.apu import TrinityAPU
+from repro.hardware.backend import create_backend
 from repro.profiling.library import ProfilingLibrary
 from repro.profiling.sampler import PowerSampler
 from repro.telemetry import counter, trace_span
@@ -249,12 +250,7 @@ class CharacterizationStore:
         with cls._shared_lock:
             store = cls._shared.get(key)
             if store is None:
-                if backend == "trinity":
-                    store = cls(seed=seed)
-                else:
-                    from repro.hardware.backend import create_backend
-
-                    store = cls(create_backend(backend, seed=seed), seed=seed)
+                store = cls(create_backend(backend, seed=seed), seed=seed)
                 while len(cls._shared) >= _MAX_SHARED_STORES:
                     cls._shared.pop(next(iter(cls._shared)))
                 cls._shared[key] = store

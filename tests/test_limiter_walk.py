@@ -31,7 +31,7 @@ from repro.hardware import (
     NoiseModel,
     TrinityAPU,
 )
-from repro.hardware.apu import _lognormal
+from repro.hardware.backend import _lognormal
 from repro.hardware.counters import synthesize_counters
 from tests.conftest import make_kernel
 from tests.limiter_reference import ReferenceLimiter
