@@ -29,6 +29,8 @@ of points seen, bit-identical across runs and insertion orders.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["EpsilonArchive"]
@@ -37,12 +39,6 @@ __all__ = ["EpsilonArchive"]
 def _box_indices(values: np.ndarray, epsilon: float) -> np.ndarray:
     """Geometric ε-box index per strictly-positive objective value."""
     return np.floor(np.log(values) / np.log1p(epsilon)).astype(np.int64)
-
-
-def _genome_ranks(genomes: np.ndarray) -> np.ndarray:
-    """Lexicographic rank per genome row (equal rows share a rank)."""
-    _, inverse = np.unique(genomes, axis=0, return_inverse=True)
-    return inverse.reshape(-1)
 
 
 class EpsilonArchive:
@@ -58,8 +54,8 @@ class EpsilonArchive:
     """
 
     def __init__(self, space, *, epsilon: float = 0.0) -> None:
-        if epsilon < 0:
-            raise ValueError(f"epsilon={epsilon} must be >= 0")
+        if not (math.isfinite(epsilon) and epsilon >= 0):
+            raise ValueError(f"epsilon={epsilon} must be finite and >= 0")
         self.space = space
         self.epsilon = float(epsilon)
         self._genomes = np.empty((0, space.n_axes), dtype=np.int64)
@@ -73,14 +69,16 @@ class EpsilonArchive:
     ) -> int:
         """Fold a batch of evaluated genomes in; returns archive size.
 
-        Positivity is required (both objectives are physical rates and
-        watts); violations indicate a broken evaluation model.
+        Finite, positive objectives are required (both are physical
+        rates and watts); violations indicate a broken evaluation model.
         """
         genomes = self.space.validate_genomes(genomes)
         powers = np.asarray(powers, dtype=np.float64).reshape(-1)
         rates = np.asarray(rates, dtype=np.float64).reshape(-1)
         if not (len(genomes) == len(powers) == len(rates)):
             raise ValueError("genomes/powers/rates length mismatch")
+        if not (np.isfinite(powers).all() and np.isfinite(rates).all()):
+            raise ValueError("powers and rates must be finite")
         if len(powers) and (powers.min() <= 0 or rates.min() <= 0):
             raise ValueError("powers and rates must be strictly positive")
 
@@ -97,9 +95,9 @@ class EpsilonArchive:
             bp, br = pw, rt  # exact: each distinct (power, rate) is a box
 
         # Stage 1 — one representative per box, order-free tie-break:
-        # highest rate, then lowest power, then smallest genome.
-        grank = _genome_ranks(g)
-        order = np.lexsort((grank, pw, -rt, br, bp))
+        # highest rate, then lowest power, then smallest genome (its
+        # columns as trailing keys, first column most significant).
+        order = np.lexsort((*g.T[::-1], pw, -rt, br, bp))
         bp_s, br_s = bp[order], br[order]
         first = np.empty(len(order), dtype=bool)
         first[0] = True

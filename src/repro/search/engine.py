@@ -6,9 +6,10 @@ every evaluated point into an :class:`~repro.search.archive.
 EpsilonArchive`.
 
 * :func:`nsga2_search` — NSGA-II-style (μ+λ) evolution: vectorized
-  2-D non-dominated ranking (sort-and-sweep peeling, no O(n²) pairwise
-  matrix), crowding-distance diversity, binary tournaments, uniform
-  crossover and neighbour-step mutation over integer genome matrices.
+  2-D non-dominated ranking (one sort, then peeling only the fronts
+  selection keeps), segmented crowding-distance diversity, binary
+  tournaments, uniform crossover and neighbour-step mutation over
+  integer genome matrices.
   All inner loops are numpy over ``(n, n_axes)`` arrays.
 * :func:`random_search` — the bounded random-sampling baseline the
   benchmark compares against (same archive, same evaluation path).
@@ -26,6 +27,7 @@ an attached fault plan forces the serial path, mirroring
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -91,6 +93,12 @@ class SearchConfig:
             raise ValueError("generations must be >= 0")
         if not 0.0 <= self.crossover_rate <= 1.0:
             raise ValueError("crossover_rate must be in [0, 1]")
+        if self.mutation_rate is not None and not 0.0 <= self.mutation_rate <= 1.0:
+            raise ValueError("mutation_rate must be in [0, 1]")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ValueError("epsilon must be finite and >= 0")
+        if self.max_evaluations is not None and self.max_evaluations < self.population:
+            raise ValueError("max_evaluations must be >= population")
 
 
 @dataclass
@@ -137,104 +145,107 @@ def hypervolume(
     keep[0] = True
     if len(pw) > 1:
         keep[1:] = rt[1:] > frontier_rt[:-1]
-    pw, rt = pw[keep], rt[keep]
-    prev = np.concatenate([[0.0], rt[:-1]])
-    return float(np.sum((ref_power_w - pw) * (rt - prev)))
+    return _staircase_area(pw[keep], rt[keep], ref_power_w)
 
 
-def non_dominated_rank(powers: np.ndarray, rates: np.ndarray) -> np.ndarray:
+def _staircase_area(
+    powers: np.ndarray, rates: np.ndarray, ref_power_w: float
+) -> float:
+    """Area under a staircase whose powers (all below the reference)
+    and rates both strictly increase."""
+    steps = rates - np.concatenate(([0.0], rates[:-1]))
+    return float(np.sum((ref_power_w - powers) * steps))
+
+
+def _archive_hypervolume(archive: EpsilonArchive, ref_power_w: float) -> float:
+    """:func:`hypervolume` of an archive, which already is a strictly
+    increasing staircase: only the points beyond the reference drop
+    (all of them for a NaN reference, as in :func:`hypervolume`)."""
+    inside = int(np.count_nonzero(archive.powers < ref_power_w))
+    return _staircase_area(
+        archive.powers[:inside], archive.performances[:inside], ref_power_w
+    )
+
+
+def non_dominated_rank(
+    powers: np.ndarray, rates: np.ndarray, stop_at: int | None = None
+) -> np.ndarray:
     """Pareto front rank per point (0 = non-dominated), vectorized.
 
-    Peels fronts with a sort-and-sweep membership test per layer
-    instead of the classic O(n²) dominance matrix; validated against
-    :func:`_non_dominated_rank_reference` in the test suite.
+    Sorts once by (power asc, rate desc) and peels fronts over that
+    fixed order (what remains of a sorted sequence stays sorted), one
+    sweep per front instead of the classic O(n²) dominance matrix.
+    With ``stop_at``, peeling stops once the ranked fronts hold at
+    least that many points; every point left shares the next rank.
     """
-    n = len(powers)
-    ranks = np.full(n, -1, dtype=np.int64)
-    remaining = np.arange(n)
-    front = 0
-    while len(remaining):
-        mask = _front_membership(powers[remaining], rates[remaining])
-        ranks[remaining[mask]] = front
-        remaining = remaining[~mask]
-        front += 1
-    return ranks
-
-
-def _front_membership(powers: np.ndarray, rates: np.ndarray) -> np.ndarray:
-    """Boolean mask of non-dominated points (weak dominance, duplicates
-    of a frontier point count as members)."""
     n = len(powers)
     order = np.lexsort((-rates, powers))
     pw, rt = powers[order], rates[order]
-    # Walking in (power asc, rate desc) order: group points by equal
-    # power; each group's first element carries the group's max rate.
-    new_power = np.empty(n, dtype=bool)
+    ranks = np.empty(n, dtype=np.int64)
+    remaining = np.arange(n)
+    front = 0
+    while len(remaining) and (stop_at is None or n - len(remaining) < stop_at):
+        mask = _front_membership(pw[remaining], rt[remaining])
+        ranks[order[remaining[mask]]] = front
+        remaining = remaining[~mask]
+        front += 1
+    ranks[order[remaining]] = front
+    return ranks
+
+
+def _front_membership(pw: np.ndarray, rt: np.ndarray) -> np.ndarray:
+    """Non-dominated mask over points sorted by (power asc, rate desc)
+    (weak dominance: duplicates of a frontier point count as members)."""
+    # Group points by equal power; each group's first element carries
+    # the group's max rate.
+    new_power = np.empty(len(pw), dtype=bool)
     new_power[0] = True
     new_power[1:] = pw[1:] != pw[:-1]
     group_id = np.cumsum(new_power) - 1
-    leader_rt = rt[new_power][group_id]
-    # Best rate over all strictly cheaper groups.
     group_best = rt[new_power]
+    # Best rate over all strictly cheaper groups.
     prev_best = np.concatenate(
         [[-np.inf], np.maximum.accumulate(group_best)[:-1]]
     )
-    cheaper_best = prev_best[group_id]
     # A point survives iff no strictly cheaper point matches its rate
     # (rate > cheaper_best: equality loses — strict in power) and no
     # equal-power point strictly beats it (rate == group leader's;
     # exact duplicates of the leader survive — weak dominance needs one
     # strict objective).
-    member = (rt > cheaper_best) & (rt == leader_rt)
-    out = np.zeros(n, dtype=bool)
-    out[order] = member
-    return out
-
-
-def _non_dominated_rank_reference(
-    powers: np.ndarray, rates: np.ndarray
-) -> np.ndarray:
-    """O(n²) reference ranking (tests only)."""
-    n = len(powers)
-    dominated_by = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        dominated_by[i] = (
-            (powers <= powers[i])
-            & (rates >= rates[i])
-            & ((powers < powers[i]) | (rates > rates[i]))
-        )
-    ranks = np.full(n, -1, dtype=np.int64)
-    remaining = np.ones(n, dtype=bool)
-    front = 0
-    while remaining.any():
-        on_front = remaining & ~np.any(
-            dominated_by[:, :] & remaining[None, :], axis=1
-        )
-        ranks[on_front] = front
-        remaining &= ~on_front
-        front += 1
-    return ranks
+    return (rt > prev_best[group_id]) & (rt == group_best[group_id])
 
 
 def crowding_distance(
     powers: np.ndarray, rates: np.ndarray, ranks: np.ndarray
 ) -> np.ndarray:
-    """NSGA-II crowding distance per point, computed front by front."""
-    n = len(powers)
+    """NSGA-II crowding distance per point, all fronts in one pass.
+
+    Per objective, one stable sort by (rank, value) lays the fronts out
+    back to back with equal values in index order.  Each front's first
+    and last point get ``inf`` (so fronts of <= 2 points are all
+    ``inf``); interior points add ``(next - prev) / span``, or nothing
+    when the front's span is 0.  The power pass is added before the rate
+    pass, the order a front-by-front loop adds them in.
+    """
+    n = len(ranks)
     crowd = np.zeros(n, dtype=np.float64)
-    for front in range(int(ranks.max()) + 1 if n else 0):
-        idx = np.flatnonzero(ranks == front)
-        if len(idx) <= 2:
-            crowd[idx] = np.inf
-            continue
-        for values in (powers[idx], rates[idx]):
-            order = np.argsort(values, kind="stable")
-            span = values[order[-1]] - values[order[0]]
-            crowd[idx[order[0]]] = np.inf
-            crowd[idx[order[-1]]] = np.inf
-            if span > 0:
-                gaps = (values[order[2:]] - values[order[:-2]]) / span
-                crowd[idx[order[1:-1]]] += gaps
+    if not n:
+        return crowd
+    for values in (powers, rates):
+        order = np.lexsort((values, ranks))
+        v, r = values[order], ranks[order]
+        first = np.concatenate(([True], r[1:] != r[:-1]))
+        last = np.concatenate((first[1:], [True]))
+        span = (v[last] - v[first])[np.cumsum(first) - 1]
+        inner = ~(first | last)
+        gaps = np.full(n, np.inf)
+        gaps[inner] = np.divide(
+            (v[2:] - v[:-2])[inner[1:-1]],
+            span[inner],
+            out=np.zeros(np.count_nonzero(inner)),
+            where=span[inner] > 0,
+        )
+        crowd[order] += gaps
     return crowd
 
 
@@ -330,9 +341,10 @@ def nsga2_search(
             if hypervolume_ref_w is not None
             else float(powers.max()) * 1.05
         )
-        history.append((evaluations, hypervolume(archive.powers, archive.performances, ref)))
+        history.append((evaluations, _archive_hypervolume(archive, ref)))
         _ARCHIVE_SIZE.set(len(archive))
         _HYPERVOLUME.set(history[-1][1])
+        ranks = non_dominated_rank(powers, rates)
 
         for gen in range(cfg.generations):
             if (
@@ -342,7 +354,6 @@ def nsga2_search(
                 break
             with trace_span("search/generation"):
                 rng = np.random.default_rng(children_seeds[gen + 1])
-                ranks = non_dominated_rank(powers, rates)
                 crowd = crowding_distance(powers, rates, ranks)
                 children = _make_offspring(rng, space, pop, ranks, crowd, cfg)
                 with trace_span("search/evaluate"):
@@ -359,22 +370,25 @@ def nsga2_search(
                 all_pop = np.concatenate([pop, children])
                 all_rates = np.concatenate([rates, c_rates])
                 all_powers = np.concatenate([powers, c_powers])
-                all_ranks = non_dominated_rank(all_powers, all_rates)
-                all_crowd = crowding_distance(all_powers, all_rates, all_ranks)
-                order = np.lexsort(
-                    (np.arange(len(all_pop)), -all_crowd, all_ranks)
+                # The first μ by (rank, -crowd, index) all lie in the
+                # fewest whole fronts holding μ points: ranking stops
+                # there and crowding skips the rest.  Survivors hold every
+                # lower front whole, so their ranks carry over.
+                all_ranks = non_dominated_rank(
+                    all_powers, all_rates, stop_at=cfg.population
                 )
-                take = order[: cfg.population]
+                cut = np.partition(all_ranks, cfg.population - 1)[cfg.population - 1]
+                kept = np.flatnonzero(all_ranks <= cut)
+                all_crowd = crowding_distance(
+                    all_powers[kept], all_rates[kept], all_ranks[kept]
+                )
+                take = kept[np.lexsort((-all_crowd, all_ranks[kept]))[: cfg.population]]
                 pop = all_pop[take]
                 rates = all_rates[take]
                 powers = all_powers[take]
+                ranks = all_ranks[take]
 
-            history.append(
-                (
-                    evaluations,
-                    hypervolume(archive.powers, archive.performances, ref),
-                )
-            )
+            history.append((evaluations, _archive_hypervolume(archive, ref)))
             _ARCHIVE_SIZE.set(len(archive))
             _HYPERVOLUME.set(history[-1][1])
 
@@ -426,12 +440,7 @@ def random_search(
             archive.insert(genomes, powers, rates)
             if ref is None:
                 ref = float(powers.max()) * 1.05
-            history.append(
-                (
-                    evaluations,
-                    hypervolume(archive.powers, archive.performances, ref),
-                )
-            )
+            history.append((evaluations, _archive_hypervolume(archive, ref)))
             _ARCHIVE_SIZE.set(len(archive))
             _HYPERVOLUME.set(history[-1][1])
 

@@ -9,6 +9,7 @@ from repro.core.frontier import FrontierPoint, ParetoFrontier
 from repro.search import EpsilonArchive, demo_space, paper_space
 
 from .conftest import make_kernel
+from .search_reference import ReferenceArchive
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +66,27 @@ class TestInvariants:
         with pytest.raises(ValueError, match="length mismatch"):
             a.insert(g, np.array([10.0]), np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_epsilon(self, space, eps):
+        with pytest.raises(ValueError, match="epsilon"):
+            EpsilonArchive(space, epsilon=eps)
+
+    @pytest.mark.parametrize(
+        "powers,rates",
+        [
+            ([10.0, np.nan, 12.0], [1.0, 2.0, np.nan]),
+            ([10.0, np.inf, 12.0], [1.0, 2.0, 3.0]),
+            ([10.0, 11.0, 12.0], [1.0, np.inf, 3.0]),
+            ([10.0, 11.0, 12.0], [np.nan, 2.0, 3.0]),
+        ],
+    )
+    def test_rejects_non_finite_objectives(self, space, powers, rates):
+        a = EpsilonArchive(space)
+        g = space.sample_genomes(np.random.default_rng(0), 3)
+        with pytest.raises(ValueError, match="finite"):
+            a.insert(g, np.array(powers), np.array(rates))
+        assert len(a) == 0
+
     def test_powers_and_rates_strictly_increasing(self, space):
         k = make_kernel()
         a = EpsilonArchive(space)
@@ -118,6 +140,24 @@ class TestInvariants:
 
 
 class TestDeterminism:
+    @pytest.mark.parametrize("epsilon", [0.0, 0.3])
+    def test_genome_tie_break_matches_unique_ranking(self, epsilon):
+        """Coarse objectives put many distinct genomes in one box; the
+        smallest genome must win exactly as with ``np.unique`` ranks."""
+        sp = demo_space()
+        rng = np.random.default_rng(11)
+        fast = EpsilonArchive(sp, epsilon=epsilon)
+        slow = ReferenceArchive(sp, epsilon=epsilon)
+        for _ in range(4):
+            g = rng.integers(0, sp.radices, size=(150, sp.n_axes))
+            pw = rng.integers(1, 6, size=150).astype(np.float64)
+            rt = rng.integers(1, 6, size=150).astype(np.float64)
+            fast.insert(g, pw, rt)
+            slow.insert(g, pw, rt)
+            assert np.array_equal(fast.genomes, slow.genomes)
+            assert np.array_equal(fast.powers, slow.powers)
+            assert np.array_equal(fast.performances, slow.performances)
+
     def test_insertion_order_independent(self, space):
         k = make_kernel()
         g, pw, rt = _evaluated(space, k, seed=4, n=200)

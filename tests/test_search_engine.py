@@ -17,14 +17,20 @@ from repro.search import (
     random_search,
 )
 from repro.search.engine import (
-    _non_dominated_rank_reference,
+    _archive_hypervolume,
     _resolve_jobs,
     crowding_distance,
     non_dominated_rank,
 )
 from repro.telemetry.spans import get_tracer
+from repro.workloads import build_suite
 
 from .conftest import make_kernel
+from .search_reference import (
+    _non_dominated_rank_reference,
+    crowding_distance_reference,
+    reference_nsga2_search,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -51,6 +57,16 @@ class TestHypervolume:
     def test_points_beyond_reference_ignored(self):
         assert hypervolume(np.array([12.0]), np.array([9.0]), 10.0) == 0.0
         assert hypervolume(np.array([]), np.array([]), 10.0) == 0.0
+
+    @pytest.mark.parametrize("ref_scale", [0.0, 0.5, 0.9, 1.0, 1.05, 3.0, np.nan])
+    def test_archive_path_matches_point_set_path(self, ref_scale):
+        res = nsga2_search(
+            demo_space(), make_kernel(), SearchConfig(population=24, generations=5)
+        )
+        ref = float(res.archive.powers.max()) * ref_scale
+        fast = _archive_hypervolume(res.archive, ref)
+        assert fast == hypervolume(res.archive.powers, res.archive.performances, ref)
+        assert type(fast) is float
 
 
 @st.composite
@@ -81,6 +97,56 @@ class TestNonDominatedRank:
         # the same rate is strictly dominated.
         assert list(ranks) == [0, 0, 1]
 
+    @settings(max_examples=80, deadline=None)
+    @given(_objectives(), st.integers(min_value=1, max_value=70))
+    def test_early_stop_ranks_the_prefix_exactly(self, objectives, stop_at):
+        powers, rates = objectives
+        full = _non_dominated_rank_reference(powers, rates)
+        early = non_dominated_rank(powers, rates, stop_at=stop_at)
+        # The last ranked front is the first whose cumulative size
+        # reaches stop_at (or the last front, if none does).
+        held = np.cumsum(np.bincount(full))
+        last = min(int(np.searchsorted(held, stop_at)), int(full.max()))
+        ranked = full <= last
+        assert np.array_equal(early[ranked], full[ranked])
+        # Everything else shares one rank above every ranked point.
+        assert np.all(early[~ranked] == last + 1)
+
+    def test_early_stop_boundary(self):
+        pw = np.array([1.0, 2.0, 3.0, 2.0, 3.0, 4.0])
+        rt = np.array([1.0, 2.0, 3.0, 1.0, 2.0, 3.0])
+        assert list(non_dominated_rank(pw, rt)) == [0, 0, 0, 1, 1, 1]
+        assert list(non_dominated_rank(pw, rt, stop_at=3)) == [0, 0, 0, 1, 1, 1]
+        assert list(non_dominated_rank(pw, rt, stop_at=4)) == [0, 0, 0, 1, 1, 1]
+        assert list(non_dominated_rank(pw, rt, stop_at=6)) == [0, 0, 0, 1, 1, 1]
+        pw, rt = np.append(pw, 5.0), np.append(rt, 1.0)
+        assert list(non_dominated_rank(pw, rt, stop_at=3)) == [0, 0, 0, 1, 1, 1, 1]
+        assert list(non_dominated_rank(pw, rt, stop_at=4)) == [0, 0, 0, 1, 1, 1, 2]
+        assert non_dominated_rank(pw[:0], rt[:0], stop_at=1).shape == (0,)
+
+    @settings(max_examples=80, deadline=None)
+    @given(_objectives(), st.booleans())
+    def test_segmented_crowding_matches_front_loop(self, objectives, early):
+        powers, rates = objectives
+        stop_at = len(powers) // 2 if early else None
+        ranks = non_dominated_rank(powers, rates, stop_at=stop_at)
+        fast = crowding_distance(powers, rates, ranks)
+        slow = crowding_distance_reference(powers, rates, ranks)
+        assert np.array_equal(fast, slow)
+
+    def test_segmented_crowding_on_duplicates_and_flat_fronts(self):
+        # Front 0: duplicates and a zero power span; front 1: two points;
+        # front 2: one point; front 3: a zero rate span.
+        pw = np.array([1.0, 1.0, 1.0, 1.0, 2.0, 3.0, 5.0, 6.0, 7.0, 8.0])
+        rt = np.array([5.0, 5.0, 5.0, 5.0, 4.0, 4.5, 3.0, 1.0, 1.0, 1.0])
+        ranks = np.array([0, 0, 0, 0, 1, 1, 2, 3, 3, 3])
+        fast = crowding_distance(pw, rt, ranks)
+        assert np.array_equal(fast, crowding_distance_reference(pw, rt, ranks))
+        inf = [True, False, False, True, True, True, True, True, False, True]
+        assert list(np.isinf(fast)) == inf
+        assert fast[1] == fast[2] == 0.0
+        assert crowding_distance(pw[:0], rt[:0], ranks[:0]).shape == (0,)
+
     def test_crowding_boundaries_are_infinite(self):
         pw = np.array([1.0, 2.0, 3.0, 4.0])
         rt = np.array([1.0, 2.0, 3.0, 4.0])
@@ -105,6 +171,25 @@ class TestSearchConfig:
             SearchConfig(generations=-1)
         with pytest.raises(ValueError, match="crossover_rate"):
             SearchConfig(crossover_rate=1.5)
+
+    @pytest.mark.parametrize("rate", [-1.0, -1e-9, 1.0 + 1e-9, 5.0, float("nan")])
+    def test_rejects_mutation_rate_outside_unit_interval(self, rate):
+        with pytest.raises(ValueError, match="mutation_rate"):
+            SearchConfig(mutation_rate=rate)
+        assert SearchConfig(mutation_rate=0.0).mutation_rate == 0.0
+        assert SearchConfig(mutation_rate=1.0).mutation_rate == 1.0
+
+    @pytest.mark.parametrize("eps", [-0.1, float("nan"), float("inf")])
+    def test_rejects_negative_or_non_finite_epsilon(self, eps):
+        with pytest.raises(ValueError, match="epsilon"):
+            SearchConfig(epsilon=eps)
+        assert SearchConfig(epsilon=0.0).epsilon == 0.0
+
+    @pytest.mark.parametrize("budget", [0, 1, 15])
+    def test_rejects_budget_below_one_population(self, budget):
+        with pytest.raises(ValueError, match="max_evaluations"):
+            SearchConfig(population=16, max_evaluations=budget)
+        assert SearchConfig(population=16, max_evaluations=16).max_evaluations == 16
 
     def test_fault_plan_forces_serial(self):
         assert _resolve_jobs(8, FaultPlan()) == 1
@@ -203,6 +288,61 @@ class TestNsga2Search:
             hypervolume_ref_w=123.0,
         )
         assert res.hypervolume_ref_w == 123.0
+
+    def test_nan_reference_gives_zero_hypervolume(self):
+        """No power lies below a NaN reference, so (as with
+        :func:`hypervolume`) every history entry is 0.0, not NaN."""
+        cfg = SearchConfig(population=8, generations=3)
+        for res in (
+            nsga2_search(paper_space(), make_kernel(), cfg, hypervolume_ref_w=np.nan),
+            random_search(
+                paper_space(), make_kernel(), 40, batch=16, hypervolume_ref_w=np.nan
+            ),
+        ):
+            assert [hv for _, hv in res.history] == [0.0] * len(res.history)
+
+
+class TestMatchesReferenceLoop:
+    """The one-sort, early-stopping, rank-carrying engine against the
+    full-rank, front-by-front generation loop: byte-equal archives,
+    histories and counts."""
+
+    @staticmethod
+    def _assert_same(fast, slow):
+        assert fast.archive.genomes.tobytes() == slow.archive.genomes.tobytes()
+        assert fast.archive.powers.tobytes() == slow.archive.powers.tobytes()
+        assert fast.archive.performances.tobytes() == slow.archive.performances.tobytes()
+        assert fast.history == slow.history
+        assert fast.hypervolume_ref_w == slow.hypervolume_ref_w
+        assert (fast.evaluations, fast.generations) == (slow.evaluations, slow.generations)
+
+    @pytest.mark.parametrize("space_fn", [demo_space, paper_space])
+    @pytest.mark.parametrize("kernel_idx,seed", [(0, 0), (7, 1), (23, 2), (41, 3), (64, 5)])
+    def test_default_config(self, space_fn, kernel_idx, seed):
+        kernel = list(build_suite())[kernel_idx]
+        cfg = SearchConfig(seed=seed)
+        self._assert_same(
+            nsga2_search(space_fn(), kernel, cfg),
+            reference_nsga2_search(space_fn(), kernel, cfg),
+        )
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SearchConfig(population=24, generations=15, seed=4, epsilon=0.0),
+            SearchConfig(population=16, generations=50, seed=2, max_evaluations=70),
+            SearchConfig(population=10, generations=30, seed=9, max_evaluations=10),
+            SearchConfig(population=32, generations=20, seed=6, mutation_rate=1.0),
+        ],
+        ids=["exact-archive", "truncated", "init-only", "all-mutate"],
+    )
+    @pytest.mark.parametrize("space_fn", [demo_space, paper_space])
+    def test_edge_configs(self, space_fn, cfg):
+        kernel = make_kernel()
+        self._assert_same(
+            nsga2_search(space_fn(), kernel, cfg, hypervolume_ref_w=200.0),
+            reference_nsga2_search(space_fn(), kernel, cfg, hypervolume_ref_w=200.0),
+        )
 
 
 # ---------------------------------------------------------------------------
