@@ -21,11 +21,10 @@ resolves with one :func:`numpy.searchsorted` lookup.  Ties break
 exactly as the historical scalar loop did: the earliest configuration
 in prediction order wins.
 
-The prefix scan itself is reified as a :class:`CapSweepTable` so
-long-lived consumers (the decision server in :mod:`repro.server`) can
-build it once per prediction and answer every later cap with a single
-binary search; :meth:`Scheduler.sweep_table` is the factory and
-:meth:`Scheduler.select_many` is now a thin wrapper over it.
+The prefix scan itself is reified as a :class:`CapSweepTable`, which
+:meth:`Scheduler.sweep_table` builds and :meth:`Scheduler.select_many`
+wraps.  Tables stack into one CSR table, so the decision server in
+:mod:`repro.server` answers a whole mixed batch with one lookup.
 
 When selection has no runnable candidate at all — an empty frontier, or
 every configuration quarantined under ``strict_quarantine=True`` — the
@@ -128,6 +127,13 @@ class NoFeasibleConfigError(RuntimeError):
     """
 
 
+def require_positive_caps(caps: np.ndarray) -> None:
+    """Reject any cap that is not ``> 0`` (NaN included), naming it."""
+    if not (caps > 0).all():
+        bad = float(caps[~(caps > 0)][0])
+        raise ValueError(f"power_cap_w must be positive, got {bad!r}")
+
+
 def _prefix_best_reference(order: np.ndarray, scores: np.ndarray) -> np.ndarray:
     """Scalar prefix scan: ``best_at[p]`` is the original index of the
     best-scoring configuration among the ``p + 1`` lowest-power ones,
@@ -172,45 +178,92 @@ def _prefix_best(order: np.ndarray, scores: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CapSweepTable:
-    """Precomputed cap-sweep answers for one prediction.
+    """Precomputed cap-sweep answers, one CSR segment per prediction.
 
-    Built once by :meth:`Scheduler.sweep_table`; every subsequent cap
-    (or whole cap vector) resolves with a single binary search.  The
-    table bakes in the scheduler's goal, risk settings, and quarantine
-    state at build time — consumers holding stale tables (see
-    ``repro.server``'s snapshot swap) must rebuild after a quarantine.
+    :meth:`Scheduler.sweep_table` builds a one-segment table and
+    :meth:`stack` concatenates many; either way a cap vector resolves
+    with two binary searches.  Tables bake in the scheduler's goal, risk
+    settings and quarantine state at build time — consumers holding
+    stale tables (see ``repro.server``'s snapshot swap) must rebuild
+    after a quarantine.
 
     Attributes
     ----------
     sorted_power_w:
-        Bounded predicted power, ascending (stable order).
+        Bounded predicted power, ascending (stable order) per segment.
     best_at:
-        ``best_at[p]`` — original prediction index of the winner among
-        the ``p + 1`` lowest-power configurations.
-    fallback_index:
-        Lowest-bounded-power configuration, chosen when a cap admits
-        nothing (the least-bad violation).
-    cap_scale:
-        ``1 - risk_margin``: caps are scaled by this before the search.
+        ``best_at[p]`` — prediction index of the winner among the
+        segment's lowest-power configurations up to position ``p``.
+    offsets:
+        Segment ``s`` holds positions ``offsets[s]:offsets[s + 1]``.
+    fallback_index, cap_scale:
+        Per segment: the lowest-bounded-power configuration, chosen
+        when a cap admits nothing, and ``1 - risk_margin``.
     """
 
     sorted_power_w: np.ndarray
     best_at: np.ndarray
-    fallback_index: int
-    cap_scale: float
+    offsets: np.ndarray
+    fallback_index: np.ndarray
+    cap_scale: np.ndarray
+
+    def __post_init__(self) -> None:
+        # Rank every threshold among the sorted unique thresholds U and
+        # key it segment * (|U| + 1) + rank + 1: keys ascend across the
+        # whole table, and a cap keyed segment * (|U| + 1) + #(U <= cap)
+        # lands after exactly the segment's thresholds <= cap (NaN sorts
+        # last in U, so it is never <= a cap, as in a plain search).
+        uniq = np.unique(self.sorted_power_w)
+        segment = np.repeat(
+            np.arange(self.offsets.size - 1), np.diff(self.offsets)
+        )
+        rank = np.searchsorted(uniq, self.sorted_power_w)
+        object.__setattr__(self, "_thresholds", uniq)
+        object.__setattr__(self, "_keys", segment * (uniq.size + 1) + rank + 1)
+
+    @classmethod
+    def stack(cls, tables: Sequence["CapSweepTable"]) -> "CapSweepTable":
+        """Concatenate tables into one, segments in argument order."""
+        if len(tables) == 1:
+            return tables[0]
+
+        def cat(name: str, dtype: type) -> np.ndarray:
+            parts = [getattr(t, name) for t in tables]
+            return np.concatenate(parts) if parts else np.empty(0, dtype)
+
+        sizes = [t.sorted_power_w.size for t in tables]
+        return cls(
+            sorted_power_w=cat("sorted_power_w", np.float64),
+            best_at=cat("best_at", np.intp),
+            offsets=np.concatenate(([0], np.cumsum(sizes, dtype=np.intp))),
+            fallback_index=cat("fallback_index", np.intp),
+            cap_scale=cat("cap_scale", np.float64),
+        )
 
     def lookup(
-        self, power_caps_w: Sequence[float] | np.ndarray
+        self,
+        power_caps_w: Sequence[float] | np.ndarray,
+        segments: np.ndarray | int = 0,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Resolve caps to ``(config_index, predicted_feasible)`` arrays."""
+        """Resolve caps, each in its segment, to ``(config_index,
+        predicted_feasible)`` arrays.
+
+        ``found - start`` is exactly the count of the segment's
+        thresholds ``<= cap * cap_scale``, as one search per segment
+        would give; zero means no configuration meets the cap.
+        """
         caps = np.asarray(power_caps_w, dtype=np.float64)
-        cut = np.searchsorted(
-            self.sorted_power_w, caps * self.cap_scale, side="right"
+        seg = np.asarray(segments, dtype=np.intp)
+        uniq = self._thresholds
+        below = np.searchsorted(uniq, caps * self.cap_scale[seg], side="right")
+        found = np.searchsorted(
+            self._keys, seg * (uniq.size + 1) + below, side="right"
         )
-        feasible = cut > 0
-        index = self.best_at[np.maximum(cut, 1) - 1]
+        start = self.offsets[seg]
+        feasible = found > start
+        index = self.best_at[np.maximum(found - 1, start)]
         if not feasible.all():
-            index = np.where(feasible, index, self.fallback_index)
+            index = np.where(feasible, index, self.fallback_index[seg])
         return index, feasible
 
 
@@ -448,8 +501,8 @@ class Scheduler:
             If no candidate is runnable at any cap — an empty candidate
             set, or a full quarantine under ``strict_quarantine=True``.
         """
-        if power_cap_w <= 0:
-            raise ValueError("power_cap_w must be positive")
+        if not power_cap_w > 0:
+            raise ValueError(f"power_cap_w must be positive, got {power_cap_w!r}")
         risk_margin = self._resolve_margin(risk_margin)
         self._validate_selection_args(prediction, risk_averse, confidence_z)
 
@@ -487,9 +540,8 @@ class Scheduler:
         The table bakes in this scheduler's goal, the resolved risk
         settings, and the quarantine state *at build time*; afterwards
         any cap vector resolves via :meth:`CapSweepTable.lookup` with
-        one binary search per cap and no reference back to the
-        scheduler.  :meth:`select_many` builds one per call; the
-        decision server memoizes one per warm kernel.
+        no reference back to the scheduler.  :meth:`select_many` builds
+        one per call; the decision server stacks one per warm kernel.
 
         Raises
         ------
@@ -506,8 +558,9 @@ class Scheduler:
         return CapSweepTable(
             sorted_power_w=pw_bound[order],
             best_at=_prefix_best(order, scores),
-            fallback_index=int(np.argmin(pw_bound)),
-            cap_scale=1.0 - risk_margin,
+            offsets=np.array([0, order.size]),
+            fallback_index=np.array([np.argmin(pw_bound)]),
+            cap_scale=np.array([1.0 - risk_margin]),
         )
 
     def select_many(
@@ -525,14 +578,13 @@ class Scheduler:
         power_caps_w]`` — decision-for-decision, including tie-breaking
         and the infeasible-cap fallback — but the per-config scores are
         prefix-scanned once (:meth:`sweep_table`) in ascending
-        bounded-power order, after which every cap costs a single
-        binary search.
+        bounded-power order, after which every cap costs two binary
+        searches.
         """
         caps = np.asarray(power_caps_w, dtype=np.float64)
         if caps.ndim != 1:
             raise ValueError("power_caps_w must be one-dimensional")
-        if caps.size and caps.min() <= 0:
-            raise ValueError("power_cap_w must be positive")
+        require_positive_caps(caps)
 
         with trace_span("online/select"):
             table = self.sweep_table(

@@ -6,8 +6,8 @@ concurrent stream.  This package turns the array engine's batched
 ``select_many`` kernel into a long-lived service:
 
 * :mod:`repro.server.engine` — :func:`decide_batch`, the pure batched
-  decision kernel shared with the LOOCV harness (grouped sweeps over
-  memoized cap tables), and the :class:`BatchDecisions`
+  decision kernel shared with the LOOCV harness (one segmented lookup
+  over the stacked cap tables), and the :class:`BatchDecisions`
   structure-of-arrays result;
 * :mod:`repro.server.service` — :class:`DecisionService`, the facade
   owning immutable engine state published atomically via snapshot

@@ -19,11 +19,17 @@ are shed immediately with :class:`ServerOverloadError` (counted under
 ``server.shed``) rather than queued into unbounded latency.  Each
 completed request observes its queue-to-resolution latency into the
 ``server.latency_s`` histogram.
+
+The first server started in a process freezes the heap built so far
+(the trained model, warm predictions and sweep tables) out of the
+cyclic collector, so full collections while serving do not rescan it.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
+import gc
 import threading
 import time
 from collections import deque
@@ -52,6 +58,12 @@ _QUEUE_DEPTH = gauge("server.queue_depth")
 _LATENCY = histogram("server.latency_s")
 
 _STOP = object()
+
+
+@functools.cache
+def _freeze_heap() -> None:
+    gc.collect()
+    gc.freeze()
 
 
 def _record_batch_exemplars(
@@ -125,6 +137,7 @@ class DecisionServer:
 
     def start(self) -> None:
         """Spawn the dispatcher threads and begin accepting requests."""
+        _freeze_heap()
         with self._wake:
             if self._threads:
                 raise RuntimeError("server already started")
@@ -267,6 +280,7 @@ class AsyncDecisionServer:
         """Start the dispatcher task on the running loop."""
         if self._task is not None:
             raise RuntimeError("server already started")
+        _freeze_heap()
         self._queue = asyncio.Queue(maxsize=self.config.max_queue)
         self._task = asyncio.get_running_loop().create_task(
             self._dispatch_loop()

@@ -1,15 +1,16 @@
 """The pure batched decision kernel shared by server and harness.
 
 :func:`decide_batch` is the single selection path for heterogeneous
-``(kernel, cap)`` request batches: it groups requests by kernel (dict
-encoding against the prediction catalogue, then one integer
-:func:`numpy.unique`), answers each group through a memoized
-:class:`~repro.core.scheduler.CapSweepTable` (one binary search per
-cap), and scatters results back into request order as a
-structure-of-arrays :class:`BatchDecisions`.  Both the LOOCV harness
-(via :meth:`repro.methods.model_method.ModelMethod.decide_many`) and
-the decision server (:mod:`repro.server.service`) call it, so the two
-paths cannot drift — the server's answers are bit-identical to the
+``(kernel, cap)`` request batches.  A :class:`DecisionIndex` stacks the
+kernels' :class:`~repro.core.scheduler.CapSweepTable` segments into one
+table, so a batch of any size and kernel mix costs the same fixed
+sequence of array operations: encode uids to segments, one segmented
+lookup, one gather of the predicted power/performance, returned as a
+structure-of-arrays :class:`BatchDecisions`.  The decision server
+publishes one index per engine snapshot; other callers (the LOOCV
+harness via :meth:`repro.methods.model_method.ModelMethod.decide_many`,
+tests, benchmarks) stack the batch's tables on the fly.  Both paths
+run the same lookup, so the server's answers are bit-identical to the
 evaluation's by construction.
 
 Telemetry mirrors ``Scheduler.select_many`` exactly: the whole batch
@@ -21,16 +22,18 @@ configuration was predicted to meet).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.core.predictor import KernelPrediction
 from repro.core.scheduler import CapSweepTable, Scheduler, SchedulerDecision
+from repro.core.scheduler import require_positive_caps
 from repro.hardware.config import Configuration
 from repro.telemetry import counter, trace_span
 
-__all__ = ["BatchDecisions", "DecisionRequest", "decide_batch"]
+__all__ = ["BatchDecisions", "DecisionIndex", "DecisionRequest", "decide_batch"]
 
 # Same counter objects as core.scheduler (the registry returns one
 # object per name), so engine-path decisions land in the same totals.
@@ -38,32 +41,15 @@ _SELECTIONS = counter("scheduler.selections")
 _FALLBACKS = counter("scheduler.infeasible_fallbacks")
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class DecisionRequest:
     """One decision request: which kernel, under what cap."""
 
-    __slots__ = ("kernel_uid", "power_cap_w")
-
-    def __init__(self, kernel_uid: str, power_cap_w: float) -> None:
-        self.kernel_uid = kernel_uid
-        self.power_cap_w = power_cap_w
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"DecisionRequest({self.kernel_uid!r}, "
-            f"power_cap_w={self.power_cap_w!r})"
-        )
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, DecisionRequest)
-            and self.kernel_uid == other.kernel_uid
-            and self.power_cap_w == other.power_cap_w
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.kernel_uid, self.power_cap_w))
+    kernel_uid: str
+    power_cap_w: float
 
 
+@dataclass(slots=True, eq=False)
 class BatchDecisions:
     """Structure-of-arrays result of :func:`decide_batch`.
 
@@ -75,40 +61,20 @@ class BatchDecisions:
     benchmarks, bulk evaluation) never pays for them.
     """
 
-    __slots__ = (
-        "kernel_uids",
-        "power_caps_w",
-        "config_index",
-        "feasible",
-        "predicted_power_w",
-        "predicted_performance",
-        "_predictions",
-    )
-
-    def __init__(
-        self,
-        kernel_uids: Sequence[str],
-        power_caps_w: np.ndarray,
-        config_index: np.ndarray,
-        feasible: np.ndarray,
-        predicted_power_w: np.ndarray,
-        predicted_performance: np.ndarray,
-        predictions: Mapping[str, KernelPrediction],
-    ) -> None:
-        self.kernel_uids = kernel_uids
-        self.power_caps_w = power_caps_w
-        self.config_index = config_index
-        self.feasible = feasible
-        self.predicted_power_w = predicted_power_w
-        self.predicted_performance = predicted_performance
-        self._predictions = predictions
+    kernel_uids: Sequence[str]
+    power_caps_w: np.ndarray
+    config_index: np.ndarray
+    feasible: np.ndarray
+    predicted_power_w: np.ndarray
+    predicted_performance: np.ndarray
+    predictions: Mapping[str, KernelPrediction]
 
     def __len__(self) -> int:
         return self.config_index.size
 
     def config(self, i: int) -> Configuration:
         """The selected configuration for request ``i``."""
-        prediction = self._predictions[self.kernel_uids[i]]
+        prediction = self.predictions[self.kernel_uids[i]]
         return prediction.config_at(int(self.config_index[i]))
 
     def configs(self) -> list[Configuration]:
@@ -124,9 +90,47 @@ class BatchDecisions:
             predicted_feasible=bool(self.feasible[i]),
         )
 
-    def decisions(self) -> list[SchedulerDecision]:
-        """All requests as :class:`SchedulerDecision` objects."""
-        return [self.decision(i) for i in range(len(self))]
+
+class DecisionIndex:
+    """Sweep tables of many kernels stacked for one-pass lookups.
+
+    ``segment_of`` maps a kernel uid to its segment of ``table``, whose
+    ``offsets`` also locate each segment's configurations in the
+    concatenated ``power_w`` / ``performance`` predictions.
+    """
+
+    __slots__ = ("table", "segment_of", "power_w", "performance")
+
+    def __init__(
+        self,
+        predictions: Mapping[str, KernelPrediction],
+        tables: Mapping[str, CapSweepTable],
+    ) -> None:
+        self.table = CapSweepTable.stack(list(tables.values()))
+        self.segment_of = {uid: s for s, uid in enumerate(tables)}
+        picked = [predictions[uid] for uid in tables]
+        self.power_w = np.concatenate(
+            [np.empty(0), *(p.power_array for p in picked)]
+        )
+        self.performance = np.concatenate(
+            [np.empty(0), *(p.performance_array for p in picked)]
+        )
+
+
+def _batch_index(
+    scheduler: Scheduler,
+    predictions: Mapping[str, KernelPrediction],
+    uids: Sequence[str],
+    tables: Mapping[str, CapSweepTable] | None,
+    **settings,
+) -> DecisionIndex:
+    """Index the batch's distinct kernels, taking memoized tables from
+    ``tables`` and building the rest with ``scheduler``."""
+    memo = tables or {}
+    return DecisionIndex(predictions, {
+        uid: memo.get(uid) or scheduler.sweep_table(predictions[uid], **settings)
+        for uid in dict.fromkeys(uids)
+    })
 
 
 def decide_batch(
@@ -136,6 +140,7 @@ def decide_batch(
     power_caps_w: Sequence[float] | np.ndarray,
     *,
     tables: Mapping[str, CapSweepTable] | None = None,
+    index: DecisionIndex | None = None,
     risk_margin: float | None = None,
     risk_averse: bool = False,
     confidence_z: float = 1.0,
@@ -153,10 +158,15 @@ def decide_batch(
         the server resolves unknown kernels to per-request errors
         *before* calling this).
     kernel_uids, power_caps_w:
-        Parallel request arrays.
+        Parallel request arrays.  Caps must be positive (NaN is
+        rejected like any other non-positive cap).
     tables:
-        Optional memoized :class:`CapSweepTable` per uid (the server's
-        snapshot provides these); missing entries are built on the fly.
+        Optional memoized :class:`CapSweepTable` per uid; missing
+        entries are built on the fly.
+    index:
+        A prebuilt :class:`DecisionIndex` covering every requested uid
+        (the server's snapshot provides one); ``tables`` and the risk
+        settings are then unused.
 
     Returns
     -------
@@ -173,62 +183,27 @@ def decide_batch(
         raise ValueError(
             "kernel_uids and power_caps_w must be parallel 1-d sequences"
         )
-    if caps.size and caps.min() <= 0:
-        raise ValueError("power_cap_w must be positive")
+    require_positive_caps(caps)
 
     with trace_span("online/select"):
         n = caps.size
-        index = np.empty(n, dtype=np.intp)
-        feasible = np.empty(n, dtype=bool)
-        power = np.empty(n, dtype=np.float64)
-        perf = np.empty(n, dtype=np.float64)
-
-        # Group by kernel without a string sort: encode uids against the
-        # prediction catalogue (str hashes are cached on the request
-        # objects, so this is ~10x cheaper than np.unique on a str
-        # array), then sort the small integer codes.
-        code_of = {uid: code for code, uid in enumerate(predictions)}
         try:
-            codes = np.fromiter(
-                (code_of[u] for u in uids), dtype=np.int64, count=n
+            if index is None:
+                index = _batch_index(
+                    scheduler, predictions, uids, tables,
+                    risk_margin=risk_margin,
+                    risk_averse=risk_averse,
+                    confidence_z=confidence_z,
+                )
+            segments = np.fromiter(
+                map(index.segment_of.__getitem__, uids), dtype=np.intp, count=n
             )
         except KeyError as exc:
             raise KeyError(
                 f"no prediction for kernel uid {exc.args[0]!r}"
             ) from None
-        names = list(predictions)
-        unique_codes, inverse = np.unique(codes, return_inverse=True)
-        if unique_codes.size <= 1:
-            groups = [(g, slice(None)) for g in range(unique_codes.size)]
-        else:
-            # Stable argsort of the group codes yields each kernel's
-            # request positions as one contiguous slice.
-            order = np.argsort(inverse, kind="stable")
-            starts = np.searchsorted(
-                inverse[order], np.arange(unique_codes.size)
-            )
-            ends = np.append(starts[1:], n)
-            groups = [
-                (g, order[starts[g]:ends[g]])
-                for g in range(unique_codes.size)
-            ]
-
-        for g, rows in groups:
-            uid = names[int(unique_codes[g])]
-            prediction = predictions[uid]
-            table = tables.get(uid) if tables is not None else None
-            if table is None:
-                table = scheduler.sweep_table(
-                    prediction,
-                    risk_margin=risk_margin,
-                    risk_averse=risk_averse,
-                    confidence_z=confidence_z,
-                )
-            g_index, g_feasible = table.lookup(caps[rows])
-            index[rows] = g_index
-            feasible[rows] = g_feasible
-            power[rows] = prediction.power_array[g_index]
-            perf[rows] = prediction.performance_array[g_index]
+        config_index, feasible = index.table.lookup(caps, segments)
+        at = index.table.offsets[segments] + config_index
 
         _SELECTIONS.inc(n)
         infeasible = n - int(np.count_nonzero(feasible))
@@ -238,9 +213,9 @@ def decide_batch(
     return BatchDecisions(
         kernel_uids=uids,
         power_caps_w=caps,
-        config_index=index,
+        config_index=config_index,
         feasible=feasible,
-        predicted_power_w=power,
-        predicted_performance=perf,
+        predicted_power_w=index.power_w[at],
+        predicted_performance=index.performance[at],
         predictions=predictions,
     )

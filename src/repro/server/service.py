@@ -2,8 +2,9 @@
 
 :class:`DecisionService` owns the shared read-only state of a serving
 process — the trained :class:`~repro.core.model.AdaptiveModel`, the
-per-kernel whole-space predictions, and the memoized
-:class:`~repro.core.scheduler.CapSweepTable` per kernel — published
+per-kernel whole-space predictions, the memoized
+:class:`~repro.core.scheduler.CapSweepTable` per kernel and their
+stacked :class:`~repro.server.engine.DecisionIndex` — published
 atomically as an :class:`EngineSnapshot`.  Writers (warming a new
 kernel, quarantining a configuration) copy, extend, and swap the
 snapshot under a publish lock; readers grab ``self._snapshot`` once per
@@ -27,8 +28,6 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from repro.core.model import AdaptiveModel
 from repro.core.predictor import KernelPrediction, OnlinePredictor
 from repro.core.scheduler import CapSweepTable, NoFeasibleConfigError, Scheduler
@@ -36,7 +35,7 @@ from repro.faults import SampleRunError
 from repro.hardware.apu import TrinityAPU
 from repro.hardware.config import Configuration
 from repro.profiling.library import ProfilingLibrary
-from repro.server.engine import DecisionRequest, decide_batch
+from repro.server.engine import DecisionIndex, DecisionRequest, decide_batch
 from repro.telemetry import counter, histogram, trace_span
 from repro.workloads import build_suite
 
@@ -113,12 +112,15 @@ class EngineSnapshot:
         missing here had no selectable configuration at table-build
         time (strict full quarantine) and is reported per request as
         ``no-feasible-config``.
+    index:
+        ``tables`` stacked for one-pass batch lookups, built with them.
     """
 
     version: int
     scheduler: Scheduler
     predictions: Mapping[str, KernelPrediction]
     tables: Mapping[str, CapSweepTable]
+    index: DecisionIndex
 
     def infeasible(self, uid: str) -> bool:
         """Warmed but unservable: predicted, yet no sweep table."""
@@ -161,6 +163,7 @@ class DecisionService:
             scheduler=self._scheduler,
             predictions=MappingProxyType({}),
             tables=MappingProxyType({}),
+            index=DecisionIndex({}, {}),
         )
 
     @property
@@ -178,15 +181,25 @@ class DecisionService:
     def _publish(
         self,
         predictions: dict[str, KernelPrediction],
-        tables: dict[str, CapSweepTable],
+        tables: dict[str, CapSweepTable | None],
     ) -> None:
+        """Swap in a snapshot; ``None`` tables (unservable) are dropped."""
+        tables = {uid: t for uid, t in tables.items() if t is not None}
         snap = self._snapshot
         self._snapshot = EngineSnapshot(
             version=snap.version + 1,
             scheduler=self._scheduler,
             predictions=MappingProxyType(predictions),
             tables=MappingProxyType(tables),
+            index=DecisionIndex(predictions, tables),
         )
+
+    def _table(self, prediction: KernelPrediction) -> CapSweepTable | None:
+        """The prediction's sweep table, or ``None`` if unservable."""
+        try:
+            return self._scheduler.sweep_table(prediction)
+        except NoFeasibleConfigError:
+            return None
 
     def warm(self, kernels: Iterable | None = None) -> dict[str, str]:
         """Sample, predict, and publish sweep tables for kernels.
@@ -232,12 +245,7 @@ class DecisionService:
                                 errors[uid] = ERROR_SAMPLE_FAILED
                                 continue
                             predictions[uid] = prediction
-                            try:
-                                tables[uid] = self._scheduler.sweep_table(
-                                    prediction
-                                )
-                            except NoFeasibleConfigError:
-                                pass  # warmed but unservable
+                            tables[uid] = self._table(prediction)
                     self._publish(predictions, tables)
         snap = self._snapshot
         for u in uids:
@@ -270,10 +278,8 @@ class DecisionService:
                     # unknown; the prediction itself is already here, so
                     # the predictor never runs for it.
                     self._kernels.setdefault(uid, None)
-                    try:
-                        tables[uid] = self._scheduler.sweep_table(prediction)
-                    except NoFeasibleConfigError:
-                        tables.pop(uid, None)
+                    tables[uid] = self._table(prediction)
+                    if tables[uid] is None:
                         errors[uid] = ERROR_NO_FEASIBLE_CONFIG
             self._publish(merged, tables)
         return errors
@@ -295,15 +301,10 @@ class DecisionService:
     def _rebuild_tables(self) -> None:
         """Rebuild all sweep tables against the scheduler's current
         quarantine state (call under the publish lock)."""
-        snap = self._snapshot
-        predictions = dict(snap.predictions)
-        tables: dict[str, CapSweepTable] = {}
-        for uid, prediction in predictions.items():
-            try:
-                tables[uid] = self._scheduler.sweep_table(prediction)
-            except NoFeasibleConfigError:
-                pass
-        self._publish(predictions, tables)
+        predictions = dict(self._snapshot.predictions)
+        self._publish(
+            predictions, {u: self._table(p) for u, p in predictions.items()}
+        )
 
     # -- serving -----------------------------------------------------------
 
@@ -354,7 +355,7 @@ class DecisionService:
     def decide_batch(
         self, requests: Sequence[DecisionRequest]
     ) -> list[DecisionResult]:
-        """Answer a coalesced batch with one grouped engine sweep.
+        """Answer a coalesced batch with one segmented engine lookup.
 
         Per-request failures (unknown kernel, invalid cap, no feasible
         configuration) degrade that request to an error result; the
@@ -391,29 +392,30 @@ class DecisionService:
 
             if live:
                 snap = self._snapshot
+                uids = [requests[i].kernel_uid for i in live]
+                caps = [requests[i].power_cap_w for i in live]
                 batch = decide_batch(
-                    snap.scheduler,
-                    snap.predictions,
-                    [requests[i].kernel_uid for i in live],
-                    np.array(
-                        [requests[i].power_cap_w for i in live],
-                        dtype=np.float64,
-                    ),
-                    tables=snap.tables,
+                    snap.scheduler, snap.predictions, uids, caps, index=snap.index
                 )
-                for j, i in enumerate(live):
+                for i, uid, cap, c, power, perf, feasible in zip(
+                    live,
+                    uids,
+                    caps,
+                    batch.config_index.tolist(),
+                    batch.predicted_power_w.tolist(),
+                    batch.predicted_performance.tolist(),
+                    batch.feasible.tolist(),
+                ):
                     results[i] = DecisionResult(
-                        kernel_uid=requests[i].kernel_uid,
-                        power_cap_w=requests[i].power_cap_w,
-                        config=batch.config(j),
-                        predicted_power_w=float(batch.predicted_power_w[j]),
-                        predicted_performance=float(
-                            batch.predicted_performance[j]
-                        ),
-                        feasible=bool(batch.feasible[j]),
+                        kernel_uid=uid,
+                        power_cap_w=cap,
+                        config=snap.predictions[uid].config_tuple[c],
+                        predicted_power_w=power,
+                        predicted_performance=perf,
+                        feasible=feasible,
                     )
 
-            n_errors = sum(1 for r in results if r is not None and not r.ok)
+            n_errors = len(requests) - len(live)  # the rest got error results
             if n_errors:
                 _ERRORS.inc(n_errors)
             return results  # type: ignore[return-value]

@@ -1,0 +1,108 @@
+"""Grouped reference for :func:`repro.server.engine.decide_batch`.
+
+The engine answers a batch with one segmented lookup over stacked
+sweep tables.  This module keeps the path that lookup replaced — group
+the requests by kernel with :func:`numpy.unique`, answer each group
+with its own table's binary search, scatter the answers back into
+request order — as the oracle the engine must reproduce element for
+element.  :func:`reference_lookup` is the one-table search itself,
+written against the table's arrays so it shares no code with
+:meth:`repro.core.scheduler.CapSweepTable.lookup`.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.server.engine import BatchDecisions
+
+
+def reference_lookup(table, caps) -> tuple[np.ndarray, np.ndarray]:
+    """``(config_index, feasible)`` for caps against a one-segment
+    table: one binary search over its sorted thresholds."""
+    caps = np.asarray(caps, dtype=np.float64)
+    cut = np.searchsorted(
+        table.sorted_power_w, caps * table.cap_scale[0], side="right"
+    )
+    feasible = cut > 0
+    index = table.best_at[np.maximum(cut, 1) - 1]
+    index = np.where(feasible, index, table.fallback_index[0])
+    return index.astype(np.intp), feasible
+
+
+def reference_decide_batch(
+    scheduler,
+    predictions,
+    kernel_uids,
+    power_caps_w,
+    *,
+    tables=None,
+    risk_margin=None,
+    risk_averse=False,
+    confidence_z=1.0,
+) -> BatchDecisions:
+    """``decide_batch`` one kernel group at a time."""
+    caps = np.asarray(power_caps_w, dtype=np.float64)
+    uids = list(kernel_uids)
+    if caps.ndim != 1 or len(uids) != caps.size:
+        raise ValueError(
+            "kernel_uids and power_caps_w must be parallel 1-d sequences"
+        )
+    if not (caps > 0).all():
+        raise ValueError("power_cap_w must be positive")
+    n = caps.size
+    index = np.empty(n, dtype=np.intp)
+    feasible = np.empty(n, dtype=bool)
+    power = np.empty(n, dtype=np.float64)
+    perf = np.empty(n, dtype=np.float64)
+
+    code_of = {uid: code for code, uid in enumerate(predictions)}
+    try:
+        codes = np.fromiter((code_of[u] for u in uids), dtype=np.int64, count=n)
+    except KeyError as exc:
+        raise KeyError(f"no prediction for kernel uid {exc.args[0]!r}") from None
+    names = list(predictions)
+    unique_codes, inverse = np.unique(codes, return_inverse=True)
+    order = np.argsort(inverse, kind="stable")
+    starts = np.searchsorted(inverse[order], np.arange(unique_codes.size))
+    ends = np.append(starts[1:], n)
+    for g in range(unique_codes.size):
+        rows = order[starts[g]:ends[g]]
+        uid = names[int(unique_codes[g])]
+        prediction = predictions[uid]
+        table = tables.get(uid) if tables is not None else None
+        if table is None:
+            table = scheduler.sweep_table(
+                prediction,
+                risk_margin=risk_margin,
+                risk_averse=risk_averse,
+                confidence_z=confidence_z,
+            )
+        g_index, g_feasible = reference_lookup(table, caps[rows])
+        index[rows] = g_index
+        feasible[rows] = g_feasible
+        power[rows] = prediction.power_array[g_index]
+        perf[rows] = prediction.performance_array[g_index]
+
+    return BatchDecisions(
+        kernel_uids=uids,
+        power_caps_w=caps,
+        config_index=index,
+        feasible=feasible,
+        predicted_power_w=power,
+        predicted_performance=perf,
+        predictions=predictions,
+    )
+
+
+def assert_same_decisions(got: BatchDecisions, want: BatchDecisions) -> None:
+    """Element-equal batches (NaN predictions compare equal)."""
+    assert list(got.kernel_uids) == list(want.kernel_uids)
+    assert np.array_equal(got.config_index, want.config_index)
+    assert np.array_equal(got.feasible, want.feasible)
+    assert np.array_equal(
+        got.predicted_power_w, want.predicted_power_w, equal_nan=True
+    )
+    assert np.array_equal(
+        got.predicted_performance, want.predicted_performance, equal_nan=True
+    )

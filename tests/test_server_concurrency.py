@@ -29,9 +29,12 @@ from repro.server import (
     ServerClosedError,
     ServerConfig,
     ServerOverloadError,
+    decide_batch,
     request_pool,
 )
 from repro.workloads import build_suite
+
+from .engine_reference import assert_same_decisions, reference_decide_batch
 
 
 def counter_value(name: str) -> int:
@@ -219,9 +222,14 @@ class TestSnapshotSwapHammer:
         deadline = time.perf_counter() + 1.0
         errors: list[BaseException] = []
         versions: list[int] = []
-        some_config = service.snapshot.predictions[
-            service.kernel_uids[0]
-        ].config_tuple[0]
+        prediction = service.snapshot.predictions[service.kernel_uids[0]]
+        # Quarantine the kernel's pick at a mid-range cap, so the
+        # republished tables answer differently.
+        some_config = service.snapshot.scheduler.select(
+            prediction, 25.0
+        ).config
+        uids = [r.kernel_uid for r in pool[:32]]
+        caps = [r.power_cap_w for r in pool[:32]]
 
         def publisher():
             while time.perf_counter() < deadline:
@@ -239,6 +247,18 @@ class TestSnapshotSwapHammer:
                     assert set(snap.tables) <= set(snap.predictions)
                     assert snap.version >= last_version
                     last_version = snap.version
+                    # Its stacked index answers exactly as its own
+                    # per-uid tables do: never stale against them.
+                    assert_same_decisions(
+                        decide_batch(
+                            snap.scheduler, snap.predictions, uids, caps,
+                            index=snap.index,
+                        ),
+                        reference_decide_batch(
+                            snap.scheduler, snap.predictions, uids, caps,
+                            tables=snap.tables,
+                        ),
+                    )
                     results = service.decide_batch(pool[:32])
                     assert all(r.ok for r in results)
                 versions.append(last_version)
