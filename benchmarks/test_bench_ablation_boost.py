@@ -22,10 +22,22 @@ The timed operation is a boosted ground-truth sweep of one kernel.
 import numpy as np
 
 from repro.hardware import BoostPolicy, Configuration, NoiseModel, TrinityAPU
+from repro.hardware.kernelmodel import amdahl_speedup, memory_bandwidth_factor
 
 from conftest import write_artifact
 
 TOP = Configuration.cpu(3.7, 4)
+
+
+def _boost_outcome(policy, exact_apu, kernel):
+    """The policy's outcome at TOP, from the unboosted truth and the
+    kernel's frequency-sensitive runtime share."""
+    c = kernel.characteristics
+    compute = (1.0 - c.mem_fraction) / amdahl_speedup(4, c.parallel_fraction)
+    memory = c.mem_fraction / memory_bandwidth_factor(4)
+    return policy.evaluate(
+        exact_apu.true_total_power_w(kernel, TOP), 4, compute / (compute + memory)
+    )
 
 
 def test_ablation_opportunistic_boost(benchmark, exact_apu, suite):
@@ -41,7 +53,7 @@ def test_ablation_opportunistic_boost(benchmark, exact_apu, suite):
         t_base = exact_apu.true_time_s(k, TOP)
         t_boost = boosted.true_time_s(k, TOP)
         speedups.append(t_base / t_boost)
-        out = boosted._boost_outcome(k.characteristics, TOP)
+        out = _boost_outcome(boosted.boost, exact_apu, k)
         duties.append(out.duty_cycle)
         power_deltas.append(
             boosted.true_total_power_w(k, TOP) - exact_apu.true_total_power_w(k, TOP)

@@ -13,14 +13,16 @@ replaces that silicon with an analytical simulator (see DESIGN.md §2 and
   the ground-truth timing model (Amdahl × roofline on the CPU, offload +
   launch overhead on the GPU);
 * :mod:`~repro.hardware.power` — two-plane power model (CPU cores;
-  northbridge + GPU) with a shared CPU voltage plane;
+  northbridge + GPU) with a shared CPU voltage plane: its constants and
+  per-plane record;
 * :mod:`~repro.hardware.counters` — performance-counter synthesis;
 * :mod:`~repro.hardware.noise` — measurement-noise models;
 * :mod:`~repro.hardware.backend` — the machine interface and its one
   implementation, ``AnalyticalBackend``, separating oracle-only ground
   truth from noisy measurements;
 * :mod:`~repro.hardware.apu` — :class:`TrinityAPU`, the paper's machine
-  as one such backend;
+  as one such backend, and ``trinity_physics``, the one array
+  evaluation of its timing and power models;
 * :mod:`~repro.hardware.rapl` — RAPL-style frequency limiting on any
   backend.
 """
@@ -30,7 +32,7 @@ from repro.hardware.config import Configuration, ConfigSpace, Device
 from repro.hardware.counters import COUNTER_NAMES, synthesize_counters
 from repro.hardware.kernelmodel import KernelCharacteristics
 from repro.hardware.noise import NoiseModel
-from repro.hardware.power import PowerBreakdown, PowerModelConstants, power_w
+from repro.hardware.power import PowerBreakdown, PowerModelConstants
 from repro.hardware.pstates import (
     CPU_FREQS_GHZ,
     CPU_MAX_FREQ_GHZ,
@@ -66,6 +68,5 @@ __all__ = [
     "PowerBreakdown",
     "PowerModelConstants",
     "TrinityAPU",
-    "power_w",
     "synthesize_counters",
 ]

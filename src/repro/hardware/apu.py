@@ -1,11 +1,11 @@
 """The simulated Trinity APU: the paper's machine as an analytical backend.
 
 :class:`TrinityAPU` is one :class:`~repro.hardware.backend.AnalyticalBackend`
-among several: a descriptor (:data:`~repro.hardware.backend.TRINITY_DESCRIPTOR`),
-the two physics hooks over :mod:`~repro.hardware.kernelmodel` and
-:mod:`~repro.hardware.power`, and the vectorized
-:func:`~repro.hardware.batch.batch_true_rate_power`.  The base class
-supplies both views of the machine:
+among several: a descriptor (:data:`~repro.hardware.backend.TRINITY_DESCRIPTOR`)
+and one physics hook over :func:`trinity_physics`, the timing model of
+:mod:`~repro.hardware.kernelmodel` and the power model of
+:mod:`~repro.hardware.power` evaluated over configuration arrays.  The
+base class supplies both views of the machine:
 
 * ``true_time_s`` / ``true_power`` — deterministic ground truth,
   available only to the **oracle** used as the evaluation baseline
@@ -19,7 +19,7 @@ supplies both views of the machine:
 Measurements report the two power domains separately (CPU cores;
 northbridge + GPU), just like the Trinity system-management
 microcontroller.  Opportunistic boost (Section VI) is Trinity physics:
-the hooks apply it.
+the hook applies it.
 """
 
 from __future__ import annotations
@@ -31,24 +31,79 @@ from repro.hardware.backend import (
     TRINITY_DESCRIPTOR,
     AnalyticalBackend,
     Measurement,
-    characteristics_of,
     register_backend,
 )
-from repro.hardware.batch import batch_true_rate_power
-from repro.hardware.config import Configuration, Device
 from repro.hardware.kernelmodel import (
     KernelCharacteristics,
     amdahl_speedup,
     memory_bandwidth_factor,
-    true_time_s,
 )
 from repro.hardware.noise import NoiseModel
-from repro.hardware.power import PowerBreakdown, PowerModelConstants, power_w
+from repro.hardware.power import PowerModelConstants
 from repro.hardware.thermal import BoostPolicy
 
 # Measurement moved to repro.hardware.backend with the interface
 # extraction; re-exported here for compatibility.
-__all__ = ["Measurement", "TrinityAPU"]
+__all__ = ["Measurement", "TrinityAPU", "trinity_physics"]
+
+
+def trinity_physics(
+    k: KernelCharacteristics,
+    c: PowerModelConstants,
+    is_gpu: np.ndarray,
+    cpu_freq_ghz: np.ndarray,
+    n_threads: np.ndarray,
+    gpu_freq_ghz: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Trinity's ground truth without boost: ``(time_s, CPU plane W,
+    NB+GPU plane W)`` per configuration row.
+
+    Rows mirror the configuration fields (``is_gpu`` is the device
+    mask).  Both device branches are computed elementwise and joined on
+    the mask.  The voltage curves are read as their affine coefficients,
+    since rows only ever hold ladder frequencies.
+    """
+    # Timing: Amdahl x roofline on the CPU, offload + launch on the GPU.
+    s = cpu_freq_ghz / pstates.CPU_MAX_FREQ_GHZ
+    compute = (1.0 - k.mem_fraction) / (
+        amdahl_speedup(n_threads, k.parallel_fraction) * s
+    )
+    memory = k.mem_fraction / memory_bandwidth_factor(n_threads)
+    t_cpu = k.work_s * (compute + memory)
+    fg = gpu_freq_ghz / pstates.GPU_MAX_FREQ_GHZ
+    device = (k.work_s / k.gpu_affinity) * (
+        (1.0 - k.gpu_mem_fraction) / fg + k.gpu_mem_fraction
+    )
+    launch = k.launch_overhead_s * (pstates.CPU_MAX_FREQ_GHZ / cpu_freq_ghz)
+    t = np.where(is_gpu, device + launch, t_cpu)
+
+    # CPU plane: one shared voltage plane; a GPU run keeps one host
+    # thread busy at a reduced activity.  Vector-dense kernels switch
+    # more silicon per cycle.
+    v = pstates._CPU_V0 + pstates._CPU_V1 * cpu_freq_ghz
+    static = c.cpu_static_base + c.cpu_static_v2 * v * v
+    act = np.where(
+        is_gpu, c.host_activity, k.activity * (1.0 + 0.25 * k.vector_fraction)
+    )
+    n_active = np.where(is_gpu, 1.0, n_threads)
+    cpu_plane = static + n_active * c.cpu_dyn_per_core * act * cpu_freq_ghz * v * v
+
+    # NB+GPU plane: DRAM traffic grows with delivered CPU bandwidth; the
+    # GPU's wide SIMD units drive the shared controller harder.
+    traffic = np.where(
+        is_gpu,
+        min(c.gpu_traffic_scale, 2.0),
+        memory_bandwidth_factor(n_threads)
+        / memory_bandwidth_factor(pstates.N_CORES),
+    )
+    dram = c.dram_max_w * k.dram_intensity * traffic
+    vg = pstates._GPU_V0 + pstates._GPU_V1 * gpu_freq_ghz
+    gpu_static = c.gpu_static_base + c.gpu_static_v2 * vg * vg
+    busy_compute = (1.0 - k.gpu_mem_fraction) / fg
+    busy = busy_compute / (busy_compute + k.gpu_mem_fraction)
+    gpu_dynamic = c.gpu_dyn * k.gpu_activity * gpu_freq_ghz * vg * vg * busy
+    gpu = np.where(is_gpu, gpu_static + gpu_dynamic, c.gpu_idle_w)
+    return t, cpu_plane, c.nb_static + dram + gpu
 
 
 class TrinityAPU(AnalyticalBackend):
@@ -92,64 +147,35 @@ class TrinityAPU(AnalyticalBackend):
         )
         self.boost = boost
 
-    # -- physics hooks, with opportunistic boost (Section VI extension) -------
+    # -- physics, with opportunistic boost (Section VI extension) -----------
 
-    def _boost_applies(self, cfg: Configuration) -> bool:
-        return (
-            self.boost is not None
-            and cfg.device is Device.CPU
-            and abs(cfg.cpu_freq_ghz - pstates.CPU_MAX_FREQ_GHZ) < 1e-9
-        )
-
-    def _boost_outcome(self, chars: KernelCharacteristics, cfg: Configuration):
-        base_power = power_w(chars, cfg, self.power_constants).total_w
-        # Frequency-sensitive share of runtime at the top P-state.
-        compute = (1.0 - chars.mem_fraction) / amdahl_speedup(
-            cfg.n_threads, chars.parallel_fraction
-        )
-        memory = chars.mem_fraction / memory_bandwidth_factor(cfg.n_threads)
-        compute_fraction = compute / (compute + memory) if compute + memory else 0.0
-        return self.boost.evaluate(base_power, cfg.n_threads, compute_fraction)
-
-    def _model_time_s(self, chars: KernelCharacteristics, cfg: Configuration) -> float:
-        t = true_time_s(chars, cfg)
-        if self._boost_applies(cfg):
-            t *= self._boost_outcome(chars, cfg).time_scale
-        return t
-
-    def _model_power(
-        self, chars: KernelCharacteristics, cfg: Configuration
-    ) -> PowerBreakdown:
-        pb = power_w(chars, cfg, self.power_constants)
-        if self._boost_applies(cfg):
-            delta = self._boost_outcome(chars, cfg).power_delta_w
-            pb = PowerBreakdown(
-                cpu_plane_w=pb.cpu_plane_w + delta,
-                nbgpu_plane_w=pb.nbgpu_plane_w,
-            )
-        return pb
-
-    # -- batch evaluation ------------------------------------------------------
-
-    def batch_rate_power(
-        self,
-        kernel: object,
-        is_gpu: np.ndarray,
-        cpu_freq_ghz: np.ndarray,
-        n_threads: np.ndarray,
-        gpu_freq_ghz: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized ground truth via :mod:`repro.hardware.batch`
-        (bit-identical to the scalar calls; boost is not modeled on the
-        batch path)."""
-        return batch_true_rate_power(
-            characteristics_of(kernel),
+    def _physics(self, chars, is_gpu, cpu_freq_ghz, n_threads, gpu_freq_ghz):
+        t, cpu_w, nbgpu_w = trinity_physics(
+            chars,
+            self.power_constants,
             is_gpu,
             cpu_freq_ghz,
             n_threads,
             gpu_freq_ghz,
-            self.power_constants,
         )
+        if self.boost is None:
+            return t, cpu_w, nbgpu_w
+        top = ~is_gpu & (np.abs(cpu_freq_ghz - pstates.CPU_MAX_FREQ_GHZ) < 1e-9)
+        for i in np.flatnonzero(top).tolist():
+            n = int(n_threads[i])
+            # Frequency-sensitive share of runtime at the top P-state.
+            compute = (1.0 - chars.mem_fraction) / amdahl_speedup(
+                n, chars.parallel_fraction
+            )
+            memory = chars.mem_fraction / memory_bandwidth_factor(n)
+            outcome = self.boost.evaluate(
+                float(cpu_w[i] + nbgpu_w[i]),
+                n,
+                compute / (compute + memory) if compute + memory else 0.0,
+            )
+            t[i] *= outcome.time_scale
+            cpu_w[i] += outcome.power_delta_w
+        return t, cpu_w, nbgpu_w
 
 
 register_backend(

@@ -16,8 +16,8 @@ Four ingredients live here:
   vectorized batch evaluation);
 * :class:`AnalyticalBackend` — its one implementation: memoized
   ground truth, the noisy measurement path and the limiter's
-  ``observe``, so a machine is a descriptor, two physics hooks and
-  ``batch_rate_power``;
+  ``observe``, so a machine is a descriptor plus one array physics
+  hook;
 * :class:`BackendDescriptor` / :class:`BlockDescriptor` — the static
   description of a machine's two device blocks (P-state ladders,
   thread counts, voltage curves, sample configurations, design-row
@@ -26,7 +26,9 @@ Four ingredients live here:
 * the registry — ``register_backend`` / :func:`create_backend` /
   :func:`descriptor_for`, mapping names (``"trinity"``,
   ``"biglittle"``, ``"mpsoc"``) to factories so evaluation drivers and
-  the CLI select machines by flag.
+  the CLI select machines by flag; :func:`register_descriptor` makes a
+  variant's descriptor (an MPSoC at another node) resolvable from its
+  configurations without adding a backend name.
 
 Every backend keeps the *two-block* shape of the paper's Trinity
 machine: a primary block playing the CPU role (rows ``device=CPU``) and
@@ -44,10 +46,11 @@ same width and normalization convention.
 from __future__ import annotations
 
 import abc
+import functools
 import importlib
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, ClassVar, Iterable, Iterator, Mapping
+from typing import Callable, ClassVar, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -56,10 +59,8 @@ from repro.hardware import pstates
 from repro.hardware.config import ConfigSpace, Configuration, Device
 from repro.hardware.kernelmodel import KernelCharacteristics
 from repro.hardware.noise import NoiseModel
+from repro.hardware.power import PowerBreakdown
 from repro.telemetry import counter, gauge
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.hardware.power import PowerBreakdown
 
 __all__ = [
     "Measurement",
@@ -71,6 +72,7 @@ __all__ = [
     "AnalyticalBackend",
     "TRINITY_DESCRIPTOR",
     "register_backend",
+    "register_descriptor",
     "create_backend",
     "descriptor_for",
     "backend_names",
@@ -531,7 +533,7 @@ class HardwareBackend(abc.ABC):
         """Deterministic execution time (seconds) of one invocation."""
 
     @abc.abstractmethod
-    def true_power(self, kernel: object, cfg) -> "PowerBreakdown":
+    def true_power(self, kernel: object, cfg) -> PowerBreakdown:
         """Deterministic per-plane average power."""
 
     def true_total_power_w(self, kernel: object, cfg) -> float:
@@ -542,17 +544,10 @@ class HardwareBackend(abc.ABC):
         """Deterministic throughput (invocations per second)."""
         return 1.0 / self.true_time_s(kernel, cfg)
 
+    @abc.abstractmethod
     def true_table(self, kernel: object) -> dict:
         """Per-configuration ground truth ``{config: (total power W,
         performance)}`` over the whole space."""
-        chars = characteristics_of(kernel)
-        return {
-            cfg: (
-                self.true_power(chars, cfg).total_w,
-                1.0 / self.true_time_s(chars, cfg),
-            )
-            for cfg in self.config_space
-        }
 
     # -- measurement --------------------------------------------------------
 
@@ -604,8 +599,8 @@ class HardwareBackend(abc.ABC):
         """Vectorized ground-truth ``(rate, total power)`` per row.
 
         Row semantics mirror the configuration fields; results are
-        bit-identical to the scalar ground-truth calls (the backend
-        conformance suite pins this for every registered backend).
+        bit-identical to :meth:`true_table` (the backend conformance
+        suite pins this for every registered backend).
         """
 
     # -- fault injection ----------------------------------------------------
@@ -637,14 +632,14 @@ class HardwareBackend(abc.ABC):
 
 # Process-wide memo caches, keyed by each backend's frozen constants
 # record (and, for measurement templates, its noise model).  With boost
-# off, ground truth is a pure function of (characteristics, config)
-# given the constants, so every machine with equal constants shares one
-# set of dicts: run_loocv and the evaluation harness build fresh
-# machines constantly (fresh noise streams, same physics).  Constants
-# records of different machine types never compare equal, so the
-# caches of different backends never collide.  Keyspace is bounded:
+# off, ground truth is a pure function of the characteristics given the
+# constants, so every machine with equal constants shares one set of
+# dicts: run_loocv and the evaluation harness build fresh machines
+# constantly (fresh noise streams, same physics).  Constants records of
+# different machine types never compare equal, so the caches of
+# different backends never collide.  Keyspace is bounded:
 # kernels-in-process x configurations.
-_TRUTH_CACHES: dict[object, tuple[dict, dict, dict]] = {}
+_TRUTH_CACHES: dict[object, tuple[dict, dict]] = {}
 _TRUTH_TABLE_CACHES: dict[object, dict] = {}
 _TEMPLATE_CACHES: dict[tuple[object, NoiseModel], dict] = {}
 
@@ -671,20 +666,41 @@ def _lognormal(mean: float, sigma: float, z: float) -> float:
     return math.exp(mean + sigma * z)
 
 
+@functools.cache
+def _space_columns(descriptor: BackendDescriptor) -> tuple[tuple, tuple]:
+    """A descriptor's configurations and their ``_physics`` columns
+    (device mask, primary frequency, unit count, secondary frequency)."""
+    configs = descriptor.enumerate_configs()
+    columns = (
+        np.array([cfg.is_gpu for cfg in configs]),
+        np.array([cfg.cpu_freq_ghz for cfg in configs]),
+        np.array([float(cfg.n_threads) for cfg in configs]),
+        np.array([cfg.gpu_freq_ghz for cfg in configs]),
+    )
+    for column in columns:  # shared by every machine of the descriptor
+        column.flags.writeable = False
+    return configs, columns
+
+
+def _power_perf(truth: dict) -> dict:
+    """``{config: (total power W, performance)}`` from a truth table."""
+    return {cfg: (p + s, 1.0 / t) for cfg, (t, p, s) in truth.items()}
+
+
 class AnalyticalBackend(HardwareBackend):
     """The one implementation of an analytical (closed-form) machine.
 
     A machine is a ``descriptor``, a frozen ``power_constants`` record
-    and two physics hooks — :meth:`_model_time_s` and
-    :meth:`_model_power` over ``(characteristics, config)`` — plus its
-    vectorized ``batch_rate_power``.  This base supplies everything
-    else: process-wide memoized ground truth, the noisy measurement path
+    and one physics hook, :meth:`_physics`, over configuration arrays.
+    This base supplies everything else: ground truth evaluated once per
+    kernel over the whole space and memoized process-wide, the
+    vectorized :meth:`batch_rate_power`, the noisy measurement path
     (fused measurement templates, fault-injection plumbing) and the
     limiter's :meth:`observe` primitive.
 
     ``boost`` (``None`` unless the machine's physics has opportunistic
-    overclocking) does two things here: it bypasses the caches (thermal
-    state may make truth impure) and the template path.
+    overclocking) keeps truth in a per-machine memo keyed by the policy,
+    away from the process-wide caches, and bypasses the template path.
     """
 
     def __init__(
@@ -706,8 +722,9 @@ class AnalyticalBackend(HardwareBackend):
         self._rng = np.random.default_rng(seed)
         caches = _TRUTH_CACHES.get(constants)
         if caches is None:
-            caches = _TRUTH_CACHES[constants] = ({}, {}, {})
-        self._time_cache, self._power_cache, self._counter_cache = caches
+            caches = _TRUTH_CACHES[constants] = ({}, {})
+        self._truth_cache, self._counter_cache = caches
+        self._boost_truth: dict = {}
         # Fused measurement templates: (counter names, true time, true
         # primary-plane W, true secondary-plane W, true counter values)
         # per (characteristics, config).  Lets :meth:`run` and
@@ -732,57 +749,95 @@ class AnalyticalBackend(HardwareBackend):
         self._ln_power = (-0.5 * rels[1] * rels[1], rels[1])
         self._ln_counter = (-0.5 * rels[2] * rels[2], rels[2])
 
-    # -- physics hooks ------------------------------------------------------
+    # -- physics ------------------------------------------------------------
 
     @abc.abstractmethod
-    def _model_time_s(self, chars: KernelCharacteristics, cfg) -> float:
-        """Deterministic invocation time of the analytical model."""
-
-    @abc.abstractmethod
-    def _model_power(self, chars: KernelCharacteristics, cfg) -> "PowerBreakdown":
-        """Deterministic per-plane power of the analytical model."""
+    def _physics(
+        self,
+        chars: KernelCharacteristics,
+        is_gpu: np.ndarray,
+        cpu_freq_ghz: np.ndarray,
+        n_threads: np.ndarray,
+        gpu_freq_ghz: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The machine's ground truth: ``(time_s, primary-plane W,
+        secondary-plane W)`` per configuration row (``is_gpu`` is the
+        device mask; the other columns mirror the configuration fields).
+        Raises :class:`ValueError` on a row the machine cannot run."""
 
     # -- ground truth -------------------------------------------------------
 
-    def true_time_s(self, kernel: object, cfg) -> float:
-        chars = characteristics_of(kernel)
-        if self.boost is not None:
-            return self._model_time_s(chars, cfg)
-        t = self._time_cache.get((chars, cfg))
-        if t is None:
-            t = self._time_cache[(chars, cfg)] = self._model_time_s(chars, cfg)
-        return t
+    def _truth(self, chars: KernelCharacteristics) -> dict:
+        """``{config: (time_s, primary W, secondary W)}`` over the whole
+        space as Python floats: one :meth:`_physics` call per kernel,
+        memoized (process-wide without boost, per machine and policy
+        with it)."""
+        if self.boost is None:
+            cache, key = self._truth_cache, chars
+        else:
+            cache, key = self._boost_truth, (self.boost, chars)
+        truth = cache.get(key)
+        if truth is None:
+            configs, columns = _space_columns(self.descriptor)
+            t, primary, secondary = self._physics(chars, *columns)
+            truth = cache[key] = dict(
+                zip(configs, zip(t.tolist(), primary.tolist(), secondary.tolist()))
+            )
+        return truth
 
-    def true_power(self, kernel: object, cfg) -> "PowerBreakdown":
-        chars = characteristics_of(kernel)
-        if self.boost is not None:
-            return self._model_power(chars, cfg)
-        pb = self._power_cache.get((chars, cfg))
-        if pb is None:
-            pb = self._power_cache[(chars, cfg)] = self._model_power(chars, cfg)
-        return pb
+    def _truth_of(self, kernel: object, cfg) -> tuple[float, float, float]:
+        try:
+            return self._truth(characteristics_of(kernel))[cfg]
+        except KeyError:
+            raise ValueError(
+                f"{cfg} is not a valid configuration for this machine"
+            ) from None
+
+    def true_time_s(self, kernel: object, cfg) -> float:
+        return self._truth_of(kernel, cfg)[0]
+
+    def true_power(self, kernel: object, cfg) -> PowerBreakdown:
+        _, primary, secondary = self._truth_of(kernel, cfg)
+        return PowerBreakdown(cpu_plane_w=primary, nbgpu_plane_w=secondary)
 
     def true_table(self, kernel: object) -> dict:
         """Per-configuration ground truth ``{config: (total power W,
         performance)}``, memoized process-wide.
 
         The evaluation harness judges every decision against ground
-        truth; one dict lookup per record beats two memoized calls.
+        truth; one dict lookup per record beats two truth reads.
         """
         chars = characteristics_of(kernel)
         if self.boost is not None:
-            return super().true_table(chars)
+            return _power_perf(self._truth(chars))
         tables = _TRUTH_TABLE_CACHES.get(self.power_constants)
         if tables is None:
             tables = _TRUTH_TABLE_CACHES[self.power_constants] = {}
         table = tables.get(chars)
         if table is None:
             _TT_MISSES.inc()
-            table = tables[chars] = super().true_table(chars)
+            table = tables[chars] = _power_perf(self._truth(chars))
             _TT_SIZE.set(len(tables))
         else:
             _TT_HITS.inc()
         return table
+
+    def batch_rate_power(
+        self,
+        kernel: object,
+        is_gpu: np.ndarray,
+        cpu_freq_ghz: np.ndarray,
+        n_threads: np.ndarray,
+        gpu_freq_ghz: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        t, primary, secondary = self._physics(
+            characteristics_of(kernel),
+            np.asarray(is_gpu, dtype=bool),
+            np.asarray(cpu_freq_ghz, dtype=np.float64),
+            np.asarray(n_threads, dtype=np.float64),
+            np.asarray(gpu_freq_ghz, dtype=np.float64),
+        )
+        return 1.0 / t, primary + secondary
 
     def _true_counters(self, chars: KernelCharacteristics, cfg) -> dict:
         counters = self._counter_cache.get((chars, cfg))
@@ -911,13 +966,11 @@ class AnalyticalBackend(HardwareBackend):
             # exact: measurements equal ground truth, no draws
             return self._noisy_measurement(tpl, cfg, ())
 
-        if cfg not in self.config_space:
-            raise ValueError(f"{cfg} is not a valid configuration for this machine")
+        true_t, primary, secondary = self._truth_of(chars, cfg)
         r = rng if rng is not None else self._rng
-        t = self.noise.perturb_time(self.true_time_s(chars, cfg), r)
-        pb = self.true_power(chars, cfg)
-        cpu_w = self.noise.perturb_power(pb.cpu_plane_w, r)
-        nbgpu_w = self.noise.perturb_power(pb.nbgpu_plane_w, r)
+        t = self.noise.perturb_time(true_t, r)
+        cpu_w = self.noise.perturb_power(primary, r)
+        nbgpu_w = self.noise.perturb_power(secondary, r)
         counters = self.noise.perturb_counters(self._true_counters(chars, cfg), r)
         return Measurement(
             config=cfg,
@@ -931,16 +984,13 @@ class AnalyticalBackend(HardwareBackend):
         """Build and memoize the fused ground-truth template for one pair
         (a template-cache miss; callers count their own hits)."""
         _TPL_MISSES.inc()
-        if cfg not in self.config_space:
-            raise ValueError(f"{cfg} is not a valid configuration for this machine")
-        t = self.true_time_s(chars, cfg)
-        pb = self.true_power(chars, cfg)
+        t, primary, secondary = self._truth_of(chars, cfg)
         true_counters = self._true_counters(chars, cfg)
         tpl = (
             tuple(true_counters),
             t,
-            pb.cpu_plane_w,
-            pb.nbgpu_plane_w,
+            primary,
+            secondary,
             tuple(float(v) for v in true_counters.values()),
         )
         self._meas_cache[(chars, cfg)] = tpl
@@ -972,6 +1022,13 @@ def register_backend(
     _DESCRIPTORS[name] = descriptor
 
 
+def register_descriptor(descriptor: BackendDescriptor) -> None:
+    """Make ``descriptor`` resolvable by :func:`descriptor_for` (and so
+    from its configurations' ``arch``) without registering a backend
+    name: a machine variant such as an MPSoC at a non-default node."""
+    _DESCRIPTORS[descriptor.name] = descriptor
+
+
 _builtins_imported = False
 
 
@@ -1000,7 +1057,7 @@ def create_backend(
 
 
 def descriptor_for(name: str) -> BackendDescriptor:
-    """The registered descriptor of a backend name."""
+    """The registered descriptor of a backend name or machine variant."""
     _ensure_builtins()
     try:
         return _DESCRIPTORS[name]

@@ -28,15 +28,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.constants import respects_cap
 from repro.hardware import pstates
+from repro.hardware.apu import trinity_physics
 from repro.hardware.config import Configuration
-from repro.hardware.kernelmodel import (
-    KernelCharacteristics,
-    cpu_time_s,
-    gpu_time_s,
-)
-from repro.hardware.power import PowerModelConstants, power_w
+from repro.hardware.kernelmodel import KernelCharacteristics
+from repro.hardware.power import PowerModelConstants
 from repro.telemetry import counter, gauge
 
 __all__ = [
@@ -110,42 +109,64 @@ def hybrid_execution(
         paper's conceded best case; realistic hybrid runtimes land well
         below).
     """
+    (point,) = _hybrid_points(
+        k, [(cpu_freq_ghz, n_threads, gpu_freq_ghz)], efficiency, constants
+    )
+    return point
+
+
+def _hybrid_points(
+    k: KernelCharacteristics,
+    triples: list[tuple[float, int, float]],
+    efficiency: float,
+    constants: PowerModelConstants | None,
+) -> list[HybridPoint]:
+    """Hybrid points of ``(cpu_freq_ghz, n_threads, gpu_freq_ghz)``
+    triples, from one :func:`~repro.hardware.apu.trinity_physics` call
+    over each triple's CPU and GPU configuration."""
     if not 0.0 < efficiency <= 1.0:
         raise ValueError("efficiency must be in (0, 1]")
     c = constants if constants is not None else PowerModelConstants()
-
-    cpu_cfg = Configuration.cpu(cpu_freq_ghz, n_threads)
-    gpu_cfg = Configuration.gpu(gpu_freq_ghz, cpu_freq_ghz)
-
-    t_cpu = cpu_time_s(k, cpu_freq_ghz, n_threads)
-    t_gpu = gpu_time_s(k, gpu_freq_ghz, cpu_freq_ghz)
-
-    # Perfect load balance: split so both sides finish together.
-    # share/t_cpu' = (1-share)/t_gpu'  ->  share = t_gpu / (t_cpu + t_gpu)
-    # (t_x is the full-work time on device x; a fraction s of the work
-    # takes s * t_x).
-    cpu_share = t_gpu / (t_cpu + t_gpu)
-    ideal_time = cpu_share * t_cpu  # == (1 - cpu_share) * t_gpu
-    time_s = ideal_time / efficiency
-
-    # Power: both devices active simultaneously.  Shared NB/DRAM/static
-    # components must not be double counted: take the CPU-side report
-    # and add only the GPU-side's *GPU-specific* increment (its NB+GPU
-    # plane minus the idle-GPU NB+GPU plane the CPU side already pays),
-    # plus the larger DRAM draw is already inside whichever side reports
-    # more on that plane.
-    pb_cpu = power_w(k, cpu_cfg, c)
-    pb_gpu = power_w(k, gpu_cfg, c)
-    gpu_increment = pb_gpu.nbgpu_plane_w - pb_cpu.nbgpu_plane_w
-    total_power = pb_cpu.total_w + max(gpu_increment, 0.0)
-
-    return HybridPoint(
-        cpu_config=cpu_cfg,
-        gpu_config=gpu_cfg,
-        time_s=time_s,
-        power_w=total_power,
-        cpu_share=cpu_share,
+    configs = [Configuration.cpu(f, n) for f, n, _ in triples] + [
+        Configuration.gpu(g, f) for f, _, g in triples
+    ]
+    t, cpu_w, nbgpu_w = (
+        column.tolist()
+        for column in trinity_physics(
+            k,
+            c,
+            np.array([cfg.is_gpu for cfg in configs]),
+            np.array([cfg.cpu_freq_ghz for cfg in configs]),
+            np.array([float(cfg.n_threads) for cfg in configs]),
+            np.array([cfg.gpu_freq_ghz for cfg in configs]),
+        )
     )
+    m = len(triples)
+    points = []
+    for i in range(m):
+        j = m + i
+        # Perfect load balance: split so both sides finish together.
+        # share/t_cpu' = (1-share)/t_gpu'  ->  share = t_gpu / (t_cpu + t_gpu)
+        # (t_x is the full-work time on device x; a fraction s of the
+        # work takes s * t_x).
+        cpu_share = t[j] / (t[i] + t[j])
+        ideal_time = cpu_share * t[i]  # == (1 - cpu_share) * t_gpu
+        # Power: both devices active simultaneously.  Shared NB/DRAM/
+        # static components must not be double counted: take the
+        # CPU-side report and add only the GPU side's *GPU-specific*
+        # increment (its NB+GPU plane minus the idle-GPU NB+GPU plane
+        # the CPU side already pays).
+        gpu_increment = nbgpu_w[j] - nbgpu_w[i]
+        points.append(
+            HybridPoint(
+                cpu_config=configs[i],
+                gpu_config=configs[j],
+                time_s=ideal_time / efficiency,
+                power_w=(cpu_w[i] + nbgpu_w[i]) + max(gpu_increment, 0.0),
+                cpu_share=cpu_share,
+            )
+        )
+    return points
 
 
 def enumerate_hybrid_points(
@@ -172,10 +193,17 @@ def enumerate_hybrid_points(
     if points is None:
         _HP_MISSES.inc()
         points = tuple(
-            hybrid_execution(k, f, n, g, efficiency=efficiency, constants=c)
-            for f in pstates.CPU_FREQS_GHZ
-            for n in range(1, pstates.N_CORES + 1)
-            for g in pstates.GPU_FREQS_GHZ
+            _hybrid_points(
+                k,
+                [
+                    (f, n, g)
+                    for f in pstates.CPU_FREQS_GHZ
+                    for n in range(1, pstates.N_CORES + 1)
+                    for g in pstates.GPU_FREQS_GHZ
+                ],
+                efficiency,
+                c,
+            )
         )
         _POINTS_CACHE[key] = points
         _HP_SIZE.set(len(_POINTS_CACHE))

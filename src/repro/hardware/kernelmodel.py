@@ -30,6 +30,10 @@ memory-bound fraction, which flattens the benefit of higher GPU P-states
 ``launch_s`` is driver/launch overhead executed on the *host* CPU, which
 is why GPU-device frontier configurations differ in CPU frequency.
 
+:func:`repro.hardware.apu.trinity_physics` evaluates this model over
+configuration arrays.  The two scaling helpers below work elementwise
+and are shared by every machine's physics.
+
 All characteristic values live in documented ranges validated at
 construction, so workload generators cannot silently produce
 out-of-model kernels.
@@ -39,17 +43,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from repro.hardware import pstates
-from repro.hardware.config import Configuration, Device
+import numpy as np
 
 __all__ = [
     "KernelCharacteristics",
     "amdahl_speedup",
-    "cpu_time_s",
-    "gpu_busy_fraction",
-    "gpu_time_s",
     "memory_bandwidth_factor",
-    "true_time_s",
 ]
 
 #: Memory-bandwidth contention coefficient: bw(4) ~ 2.29x one thread.
@@ -170,64 +169,33 @@ class KernelCharacteristics:
         )
 
 
-def amdahl_speedup(n_threads: int, parallel_fraction: float) -> float:
-    """Amdahl's-law speedup of the compute part at ``n_threads``."""
-    if n_threads < 1:
+def _require_units(n_threads) -> None:
+    # Scalars are compared in Python: the counter synthesis calls the
+    # helpers once per profiled run, where a numpy reduction would cost
+    # more than the formula.
+    if isinstance(n_threads, np.ndarray):
+        bad = bool((n_threads < 1).any())
+    else:
+        bad = n_threads < 1
+    if bad:
         raise ValueError("n_threads must be >= 1")
+
+
+def amdahl_speedup(n_threads, parallel_fraction: float):
+    """Amdahl's-law speedup of the compute part at ``n_threads``
+    (elementwise over an array of thread counts)."""
+    _require_units(n_threads)
     return 1.0 / ((1.0 - parallel_fraction) + parallel_fraction / n_threads)
 
 
-def memory_bandwidth_factor(n_threads: int) -> float:
-    """Effective memory bandwidth relative to one thread.
+def memory_bandwidth_factor(n_threads, contention: float = BW_CONTENTION):
+    """Effective memory bandwidth relative to one thread (elementwise
+    over an array of thread counts).
 
     Saturating: ``bw(n) = n / (1 + c (n-1))`` with contention ``c`` —
     additional threads help until the shared memory controller saturates
-    (the CPU and GPU share it on Trinity).
+    (the CPU and GPU share it on Trinity).  Each machine passes its own
+    block's coefficient.
     """
-    if n_threads < 1:
-        raise ValueError("n_threads must be >= 1")
-    return n_threads / (1.0 + BW_CONTENTION * (n_threads - 1))
-
-
-def cpu_time_s(k: KernelCharacteristics, freq_ghz: float, n_threads: int) -> float:
-    """Ground-truth CPU execution time of one kernel invocation."""
-    s = freq_ghz / pstates.CPU_MAX_FREQ_GHZ
-    compute = (1.0 - k.mem_fraction) / (
-        amdahl_speedup(n_threads, k.parallel_fraction) * s
-    )
-    memory = k.mem_fraction / memory_bandwidth_factor(n_threads)
-    return k.work_s * (compute + memory)
-
-
-def gpu_time_s(
-    k: KernelCharacteristics, gpu_freq_ghz: float, host_cpu_freq_ghz: float
-) -> float:
-    """Ground-truth GPU execution time (device time + host launch time)."""
-    fg = gpu_freq_ghz / pstates.GPU_MAX_FREQ_GHZ
-    device = (k.work_s / k.gpu_affinity) * (
-        (1.0 - k.gpu_mem_fraction) / fg + k.gpu_mem_fraction
-    )
-    launch = k.launch_overhead_s * (
-        pstates.CPU_MAX_FREQ_GHZ / host_cpu_freq_ghz
-    )
-    return device + launch
-
-
-def gpu_busy_fraction(k: KernelCharacteristics, gpu_freq_ghz: float) -> float:
-    """Fraction of GPU device time spent computing (vs memory stalls).
-
-    Used by the power model: a memory-bound GPU kernel at a high P-state
-    mostly stalls, so its dynamic power grows sub-linearly with
-    frequency — matching the paper's nearly flat GPU power ladder
-    (Table I: 24.2 W -> 25.2 W across a 2x GPU frequency step).
-    """
-    fg = gpu_freq_ghz / pstates.GPU_MAX_FREQ_GHZ
-    compute = (1.0 - k.gpu_mem_fraction) / fg
-    return compute / (compute + k.gpu_mem_fraction)
-
-
-def true_time_s(k: KernelCharacteristics, cfg: Configuration) -> float:
-    """Ground-truth execution time of ``k`` on configuration ``cfg``."""
-    if cfg.device is Device.CPU:
-        return cpu_time_s(k, cfg.cpu_freq_ghz, cfg.n_threads)
-    return gpu_time_s(k, cfg.gpu_freq_ghz, cfg.cpu_freq_ghz)
+    _require_units(n_threads)
+    return n_threads / (1.0 + contention * (n_threads - 1))

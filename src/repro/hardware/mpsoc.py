@@ -41,12 +41,11 @@ from repro.hardware.backend import (
     AnalyticalBackend,
     BackendDescriptor,
     BlockDescriptor,
-    characteristics_of,
     register_backend,
+    register_descriptor,
 )
-from repro.hardware.kernelmodel import KernelCharacteristics, amdahl_speedup
+from repro.hardware.kernelmodel import amdahl_speedup, memory_bandwidth_factor
 from repro.hardware.noise import NoiseModel
-from repro.hardware.power import PowerBreakdown
 
 __all__ = [
     "MPSoCConstants",
@@ -179,24 +178,33 @@ def mpsoc_descriptor(tech_nm: int = 22) -> BackendDescriptor:
     )
 
 
+# Every node's descriptor is built once, so configurations of equal
+# nodes compare and hash identically across machine instances, and is
+# resolvable from its configurations' ``arch`` ("mpsoc45", ...) without
+# a backend name of its own.
+_NODE_DESCRIPTORS: dict[int, BackendDescriptor] = {
+    nm: mpsoc_descriptor(nm) for nm in TECH_NODES_NM
+}
+for _node_descriptor in _NODE_DESCRIPTORS.values():
+    register_descriptor(_node_descriptor)
+
 #: The default machine's descriptor (22 nm, registered as ``"mpsoc"``).
-MPSOC_DESCRIPTOR = mpsoc_descriptor(22)
-
-# Per-node descriptors are cached so configurations of equal nodes
-# compare and hash identically across machine instances.
-_DESCRIPTORS: dict[int, BackendDescriptor] = {22: MPSOC_DESCRIPTOR}
+MPSOC_DESCRIPTOR = _NODE_DESCRIPTORS[22]
 
 
-def _descriptor(tech_nm: int) -> BackendDescriptor:
-    desc = _DESCRIPTORS.get(tech_nm)
-    if desc is None:
-        desc = _DESCRIPTORS.setdefault(tech_nm, mpsoc_descriptor(tech_nm))
-    return desc
-
-
-def _bw_factor(m: float) -> float:
-    """Effective bandwidth of ``m`` active throughput cores."""
-    return m / (1.0 + TPUT_BW_CONTENTION * (m - 1))
+def _relative_dvfs(
+    block: BlockDescriptor, rel: tuple[float, ...], freqs_ghz: np.ndarray
+) -> np.ndarray:
+    """The relative DVFS point of each frequency, looked up exactly on
+    the block's ladder; an off-ladder frequency raises."""
+    ladder = np.array(block.freqs_ghz)
+    i = np.minimum(np.searchsorted(ladder, freqs_ghz), len(ladder) - 1)
+    if not np.array_equal(ladder[i], freqs_ghz):
+        off = sorted(set(np.asarray(freqs_ghz)[ladder[i] != freqs_ghz].tolist()))
+        raise ValueError(
+            f"{off} GHz not on the {block.label} ladder {block.freqs_ghz}"
+        )
+    return np.array(rel)[i]
 
 
 class MPSoC(AnalyticalBackend):
@@ -227,134 +235,20 @@ class MPSoC(AnalyticalBackend):
         elif tech_nm is not None and tech_nm != constants.tech_nm:
             raise ValueError("tech_nm conflicts with constants.tech_nm")
         super().__init__(
-            _descriptor(constants.tech_nm), constants, noise=noise, seed=seed
+            _NODE_DESCRIPTORS[constants.tech_nm], constants, noise=noise, seed=seed
         )
-        self._rel_serial = {
-            f: SERIAL_DVFS[i]
-            for i, f in enumerate(self.descriptor.primary.freqs_ghz)
-        }
-        self._rel_tput = {
-            f: TPUT_DVFS[i]
-            for i, f in enumerate(self.descriptor.secondary.freqs_ghz)
-        }
 
-    # -- relative-coordinate model (45 nm reference) ------------------------
-
-    @staticmethod
-    def _serial_time_base(k: KernelCharacteristics, s: float, n: int) -> float:
-        smt = 1.0 + SMT_UPLIFT * k.parallel_fraction * (n - 1)
-        compute = (1.0 - k.mem_fraction) / (smt * s * SERIAL_IPC)
-        return k.work_s * (compute + k.mem_fraction)
-
-    @staticmethod
-    def _tput_time_base(k: KernelCharacteristics, g: float, m: int) -> float:
-        # Parallel efficiency normalized to the full 64-core array, so a
-        # fully-dimmed full array at nominal frequency matches the
-        # kernel's intrinsic throughput affinity.
-        eff = amdahl_speedup(m, k.parallel_fraction) / amdahl_speedup(
-            64, k.parallel_fraction
-        )
-        traffic = _bw_factor(m) / _bw_factor(64)
-        device = (k.work_s / k.gpu_affinity) * (
-            (1.0 - k.gpu_mem_fraction) / (g * eff)
-            + k.gpu_mem_fraction / traffic
-        )
-        return device + DISPATCH_SCALE * k.launch_overhead_s
-
-    def _planes_base(
-        self, k: KernelCharacteristics, cfg
-    ) -> tuple[float, float]:
-        """(primary plane, secondary plane) at the 45 nm reference."""
+    def _physics(self, k, is_gpu, cpu_freq_ghz, n_threads, gpu_freq_ghz):
         c = self.power_constants
-        if cfg.is_gpu:
-            g = self._rel_tput[cfg.gpu_freq_ghz]
-            m = cfg.n_threads
-            v = 0.42 + 0.58 * g
-            tput = (
-                c.tput_static_base_w
-                + c.tput_static_v2_w * v * v
-                + m * c.tput_dyn_per_core_w * k.gpu_activity * g * v * v
-            )
-            traffic = _bw_factor(m) / _bw_factor(64)
-            uncore = c.uncore_static_w + c.dram_max_w * k.dram_intensity * traffic
-            return c.serial_host_w, tput + uncore
-        s = self._rel_serial[cfg.cpu_freq_ghz]
-        n = cfg.n_threads
-        act = k.activity * (1.0 + 0.25 * k.vector_fraction)
-        v = 0.55 + 0.45 * s
-        serial = (
-            c.serial_static_base_w
-            + c.serial_static_v2_w * v * v
-            + n * c.serial_dyn_per_thread_w * act * s * v * v
-        )
-        uncore = c.uncore_static_w + c.dram_max_w * k.dram_intensity
-        return serial, c.tput_idle_w + uncore
-
-    # -- node-scaled physics ------------------------------------------------
-
-    def _model_time_s(self, k: KernelCharacteristics, cfg) -> float:
-        if cfg.is_gpu:
-            base = self._tput_time_base(
-                k, self._rel_tput[cfg.gpu_freq_ghz], cfg.n_threads
-            )
-        else:
-            base = self._serial_time_base(
-                k, self._rel_serial[cfg.cpu_freq_ghz], cfg.n_threads
-            )
-        return base / FREQ_SCALE[self.power_constants.tech_nm]
-
-    def _model_power(self, k: KernelCharacteristics, cfg) -> PowerBreakdown:
-        primary, secondary = self._planes_base(k, cfg)
-        scale = POWER_SCALE[self.power_constants.tech_nm]
-        return PowerBreakdown(
-            cpu_plane_w=primary * scale, nbgpu_plane_w=secondary * scale
-        )
-
-    # -- batch evaluation ---------------------------------------------------
-
-    def batch_rate_power(
-        self,
-        kernel: object,
-        is_gpu: np.ndarray,
-        cpu_freq_ghz: np.ndarray,
-        n_threads: np.ndarray,
-        gpu_freq_ghz: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized ground truth, bit-identical to the scalar model.
-
-        Relative DVFS points are recovered by ladder lookup (exactly as
-        the scalar path does), then evaluated elementwise in the same
-        operation order.
-        """
-        k = characteristics_of(kernel)
-        c = self.power_constants
-        s = np.array([self._rel_serial.get(float(f), 1.0) for f in cpu_freq_ghz])
-        g = np.array([self._rel_tput.get(float(f), 1.0) for f in gpu_freq_ghz])
+        d = self.descriptor
+        s = _relative_dvfs(d.primary, SERIAL_DVFS, cpu_freq_ghz)
+        g = _relative_dvfs(d.secondary, TPUT_DVFS, gpu_freq_ghz)
         n = n_threads
 
+        # Serial core (primary block); the throughput array idles.
         smt = 1.0 + SMT_UPLIFT * k.parallel_fraction * (n - 1)
-        compute_s = (1.0 - k.mem_fraction) / (smt * s * SERIAL_IPC)
-        t_serial = k.work_s * (compute_s + k.mem_fraction)
-        eff = (
-            1.0 / ((1.0 - k.parallel_fraction) + k.parallel_fraction / n)
-        ) / amdahl_speedup(64, k.parallel_fraction)
-        traffic = (n / (1.0 + TPUT_BW_CONTENTION * (n - 1))) / _bw_factor(64)
-        t_tput = (k.work_s / k.gpu_affinity) * (
-            (1.0 - k.gpu_mem_fraction) / (g * eff)
-            + k.gpu_mem_fraction / traffic
-        ) + DISPATCH_SCALE * k.launch_overhead_s
-        t = (
-            np.where(is_gpu, t_tput, t_serial)
-            / FREQ_SCALE[c.tech_nm]
-        )
-
-        v_t = 0.42 + 0.58 * g
-        tput = (
-            c.tput_static_base_w
-            + c.tput_static_v2_w * v_t * v_t
-            + n * c.tput_dyn_per_core_w * k.gpu_activity * g * v_t * v_t
-        )
-        uncore_t = c.uncore_static_w + c.dram_max_w * k.dram_intensity * traffic
+        compute = (1.0 - k.mem_fraction) / (smt * s * SERIAL_IPC)
+        t_serial = k.work_s * (compute + k.mem_fraction)
         act = k.activity * (1.0 + 0.25 * k.vector_fraction)
         v_s = 0.55 + 0.45 * s
         serial = (
@@ -363,13 +257,36 @@ class MPSoC(AnalyticalBackend):
             + n * c.serial_dyn_per_thread_w * act * s * v_s * v_s
         )
         uncore_s = c.uncore_static_w + c.dram_max_w * k.dram_intensity
-        scale = POWER_SCALE[c.tech_nm]
-        power = np.where(
-            is_gpu,
-            c.serial_host_w * scale + (tput + uncore_t) * scale,
-            serial * scale + (c.tput_idle_w + uncore_s) * scale,
+
+        # Throughput array (secondary block), its parallel efficiency and
+        # bandwidth normalized to the full 64 cores (so a full array at
+        # nominal frequency matches the kernel's throughput affinity);
+        # the serial core hosts.
+        eff = amdahl_speedup(n, k.parallel_fraction) / amdahl_speedup(
+            64, k.parallel_fraction
         )
-        return 1.0 / t, power
+        traffic = memory_bandwidth_factor(
+            n, TPUT_BW_CONTENTION
+        ) / memory_bandwidth_factor(64, TPUT_BW_CONTENTION)
+        device = (k.work_s / k.gpu_affinity) * (
+            (1.0 - k.gpu_mem_fraction) / (g * eff) + k.gpu_mem_fraction / traffic
+        )
+        t_tput = device + DISPATCH_SCALE * k.launch_overhead_s
+        v_t = 0.42 + 0.58 * g
+        tput = (
+            c.tput_static_base_w
+            + c.tput_static_v2_w * v_t * v_t
+            + n * c.tput_dyn_per_core_w * k.gpu_activity * g * v_t * v_t
+        )
+        uncore_t = c.uncore_static_w + c.dram_max_w * k.dram_intensity * traffic
+
+        # Uniform node scaling of the 45 nm reference.
+        power_scale = POWER_SCALE[c.tech_nm]
+        return (
+            np.where(is_gpu, t_tput, t_serial) / FREQ_SCALE[c.tech_nm],
+            np.where(is_gpu, c.serial_host_w, serial) * power_scale,
+            np.where(is_gpu, tput + uncore_t, c.tput_idle_w + uncore_s) * power_scale,
+        )
 
 
 register_backend(

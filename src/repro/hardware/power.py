@@ -2,7 +2,7 @@
 
 The Trinity APU exposes two measurable power domains (Section III-B of
 the paper): the **CPU cores** plane and the **northbridge + GPU** plane.
-This module computes ground-truth average power draw for each plane while
+The model gives the ground-truth average power draw of each plane while
 a given kernel executes on a given configuration:
 
 CPU plane::
@@ -22,11 +22,14 @@ Northbridge + GPU plane::
     P_gpu   = idle                                    (CPU-device configs)
             | G0 + G1 * Vg^2 + G_dyn * act_g * fg * Vg^2 * busy(fg)
 
-The ``busy(fg)`` factor (see
-:func:`repro.hardware.kernelmodel.gpu_busy_fraction`) makes memory-bound
-GPU kernels draw nearly flat power across GPU P-states, reproducing the
-paper's observation (Table I) that a 2x GPU frequency step can cost only
-~1 W.
+The ``busy(fg)`` factor — the share of GPU device time spent computing
+rather than stalled on memory — makes memory-bound GPU kernels draw
+nearly flat power across GPU P-states, reproducing the paper's
+observation (Table I) that a 2x GPU frequency step can cost only ~1 W.
+
+:func:`repro.hardware.apu.trinity_physics` evaluates this model, with
+the timing model, over configuration arrays; this module holds its
+calibration constants and the per-plane record every machine reports.
 
 Constants were calibrated against the paper's published observations:
 CPU floor ~12.5 W, 4-thread 2.4 GHz ~24 W, GPU-active floor ~24 W, and a
@@ -39,15 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.hardware import pstates
-from repro.hardware.config import Configuration, Device
-from repro.hardware.kernelmodel import (
-    KernelCharacteristics,
-    gpu_busy_fraction,
-    memory_bandwidth_factor,
-)
-
-__all__ = ["PowerModelConstants", "PowerBreakdown", "power_w"]
+__all__ = ["PowerModelConstants", "PowerBreakdown"]
 
 
 @dataclass(frozen=True)
@@ -83,59 +78,3 @@ class PowerBreakdown:
     def total_w(self) -> float:
         """Whole-chip power: both planes summed (watts)."""
         return self.cpu_plane_w + self.nbgpu_plane_w
-
-
-def _cpu_plane_w(
-    k: KernelCharacteristics, cfg: Configuration, c: PowerModelConstants
-) -> float:
-    v = pstates.cpu_voltage(cfg.cpu_freq_ghz)
-    static = c.cpu_static_base + c.cpu_static_v2 * v * v
-    if cfg.device is Device.CPU:
-        # Vector-dense kernels switch more silicon per cycle.
-        act = k.activity * (1.0 + 0.25 * k.vector_fraction)
-        n_active = cfg.n_threads
-    else:
-        act = c.host_activity
-        n_active = 1
-    dynamic = n_active * c.cpu_dyn_per_core * act * cfg.cpu_freq_ghz * v * v
-    return static + dynamic
-
-
-def _dram_w(
-    k: KernelCharacteristics, cfg: Configuration, c: PowerModelConstants
-) -> float:
-    if cfg.device is Device.CPU:
-        # Traffic grows with delivered memory bandwidth, saturating with
-        # thread count exactly as the timing model's bw() does.
-        traffic = memory_bandwidth_factor(cfg.n_threads) / memory_bandwidth_factor(
-            pstates.N_CORES
-        )
-    else:
-        # The GPU's wide SIMD units drive the shared memory controller
-        # harder than the CPU cores can.
-        traffic = min(c.gpu_traffic_scale, 2.0)
-    return c.dram_max_w * k.dram_intensity * traffic
-
-
-def _gpu_w(
-    k: KernelCharacteristics, cfg: Configuration, c: PowerModelConstants
-) -> float:
-    if cfg.device is Device.CPU:
-        return c.gpu_idle_w
-    vg = pstates.gpu_voltage(cfg.gpu_freq_ghz)
-    static = c.gpu_static_base + c.gpu_static_v2 * vg * vg
-    busy = gpu_busy_fraction(k, cfg.gpu_freq_ghz)
-    dynamic = c.gpu_dyn * k.gpu_activity * cfg.gpu_freq_ghz * vg * vg * busy
-    return static + dynamic
-
-
-def power_w(
-    k: KernelCharacteristics,
-    cfg: Configuration,
-    constants: PowerModelConstants | None = None,
-) -> PowerBreakdown:
-    """Ground-truth per-plane average power of ``k`` running on ``cfg``."""
-    c = constants if constants is not None else PowerModelConstants()
-    cpu_plane = _cpu_plane_w(k, cfg, c)
-    nbgpu = c.nb_static + _dram_w(k, cfg, c) + _gpu_w(k, cfg, c)
-    return PowerBreakdown(cpu_plane_w=cpu_plane, nbgpu_plane_w=nbgpu)

@@ -18,7 +18,7 @@ materializing it:
   axis; a population is an ``(n, n_axes)`` int matrix;
 * an attached evaluation model decodes genome *columns* straight into
   ground-truth ``(rate, power)`` arrays in one vectorized pass (the
-  :mod:`repro.hardware.batch` path), so the space's cost is the number
+  machine's ``batch_rate_power``), so the space's cost is the number
   of genomes *evaluated*, never the number of points it *contains*.
 
 Exhaustive enumeration stays available for small spaces (it is how the
@@ -359,18 +359,16 @@ class _TrinityModel:
 
     Decoded rows are bit-identical to
     ``TrinityAPU.true_performance`` / ``true_total_power_w`` (boost
-    off): the batch kernels mirror the scalar models operation for
-    operation, and canonical genomes map one-to-one onto the 42 valid
+    off): both read the machine's one physics hook, and canonical
+    genomes map one-to-one onto the 42 valid
     :class:`~repro.hardware.config.Configuration` objects.
     """
 
     def __init__(self, constants=None) -> None:
-        from repro.hardware.power import PowerModelConstants
+        from repro.hardware.apu import TrinityAPU
 
-        self.constants = (
-            constants if constants is not None else PowerModelConstants()
-        )
-        self.key = ("trinity", self.constants)
+        self.machine = TrinityAPU(power_constants=constants)
+        self.key = ("trinity", self.machine.power_constants)
 
     def canonicalize(self, space, genomes: np.ndarray) -> np.ndarray:
         g = genomes.copy()
@@ -382,15 +380,12 @@ class _TrinityModel:
         return g
 
     def evaluate(self, chars, columns):
-        from repro.hardware.batch import batch_true_rate_power
-
-        return batch_true_rate_power(
+        return self.machine.batch_rate_power(
             chars,
             columns["device"] == 1.0,
             columns["cpu_freq_ghz"],
             columns["n_threads"],
             columns["gpu_freq_ghz"],
-            self.constants,
         )
 
     def payloads(self, space, genomes: np.ndarray) -> list:

@@ -1,8 +1,15 @@
 """Shared fixtures: representative kernels and machines."""
 
+import numpy as np
 import pytest
 
-from repro.hardware import KernelCharacteristics, NoiseModel, TrinityAPU
+from repro.hardware import (
+    KernelCharacteristics,
+    NoiseModel,
+    PowerModelConstants,
+    TrinityAPU,
+)
+from repro.hardware.apu import trinity_physics
 
 
 def make_kernel(**overrides) -> KernelCharacteristics:
@@ -25,6 +32,22 @@ def make_kernel(**overrides) -> KernelCharacteristics:
     )
     base.update(overrides)
     return KernelCharacteristics(**base)
+
+
+def trinity_truth(
+    k: KernelCharacteristics, cfg, constants: PowerModelConstants | None = None
+) -> tuple[float, float, float]:
+    """``(time_s, CPU plane W, NB+GPU plane W)`` of ``k`` on one Trinity
+    configuration, straight from :func:`trinity_physics`."""
+    t, cpu_w, nbgpu_w = trinity_physics(
+        k,
+        constants if constants is not None else PowerModelConstants(),
+        np.array([cfg.is_gpu]),
+        np.array([cfg.cpu_freq_ghz]),
+        np.array([float(cfg.n_threads)]),
+        np.array([cfg.gpu_freq_ghz]),
+    )
+    return float(t[0]), float(cpu_w[0]), float(nbgpu_w[0])
 
 
 @pytest.fixture

@@ -16,12 +16,20 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hardware.backend import characteristics_of, create_backend
 from repro.hardware.biglittle import HMPConstants, migration_cost_s
-from repro.hardware.mpsoc import TECH_NODES_NM, MPSoC, dvfs_bounds
+from repro.hardware.mpsoc import (
+    SERIAL_DVFS,
+    TECH_NODES_NM,
+    TPUT_DVFS,
+    MPSoC,
+    _relative_dvfs,
+    dvfs_bounds,
+)
 from repro.workloads import build_suite
 
 BACKENDS = ("trinity", "biglittle", "mpsoc")
@@ -130,12 +138,11 @@ def test_node_scaling_preserves_pareto_dominance(kernel, nodes, data):
 def test_node_ladders_respect_dvfs_bounds(nm):
     """Every relative DVFS point of a node's ladders sits inside the
     node's (near-threshold, boost) voltage-scaling bounds."""
-    machine = _MPSOC_NODES[nm]
+    d = _MPSOC_NODES[nm].descriptor
     lo, hi = dvfs_bounds(nm)
-    for rel in machine._rel_serial.values():
-        assert lo <= rel <= hi
-    for rel in machine._rel_tput.values():
-        assert lo <= rel <= hi
+    for block, rel in ((d.primary, SERIAL_DVFS), (d.secondary, TPUT_DVFS)):
+        for r in _relative_dvfs(block, rel, np.array(block.freqs_ghz)).tolist():
+            assert lo <= r <= hi
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,4 +1,6 @@
-"""Calibration and invariant tests for repro.hardware.power.
+"""Calibration and invariant tests for the Trinity power model
+(repro.hardware.power's constants, evaluated by
+repro.hardware.apu.trinity_physics).
 
 These tests pin the power model to the paper's published observations:
 Table I (CPU floor ~12.5 W, CPU 4x2.4 GHz ~24 W, GPU floor ~24 W, GPU
@@ -14,13 +16,18 @@ from repro.hardware import (
     CPU_FREQS_GHZ,
     GPU_FREQS_GHZ,
     Configuration,
+    PowerBreakdown,
     PowerModelConstants,
-    power_w,
 )
-from tests.conftest import make_kernel
+from tests.conftest import make_kernel, trinity_truth
 
 
 TYPICAL = make_kernel()
+
+
+def power_w(k, cfg, constants=None):
+    _, cpu_w, nbgpu_w = trinity_truth(k, cfg, constants)
+    return PowerBreakdown(cpu_plane_w=cpu_w, nbgpu_plane_w=nbgpu_w)
 
 
 def total(k, cfg):

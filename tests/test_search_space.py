@@ -1,19 +1,12 @@
-"""Tests for repro.search.space and the hardware batch path."""
+"""Tests for repro.search.space and the machines' vectorized truth."""
 
 import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.hardware import NoiseModel, TrinityAPU
-from repro.hardware.batch import (
-    batch_cpu_time_s,
-    batch_gpu_time_s,
-    batch_total_power_w,
-    batch_true_rate_power,
-)
+from repro.hardware import NoiseModel, PowerModelConstants, TrinityAPU
+from repro.hardware.apu import trinity_physics
 from repro.hardware.config import Configuration, Device
-from repro.hardware.kernelmodel import cpu_time_s, gpu_time_s
-from repro.hardware.power import power_w
 from repro.methods.oracle import Oracle
 from repro.search.space import (
     ENUMERATION_LIMIT,
@@ -26,6 +19,7 @@ from repro.search.space import (
 from repro.workloads import build_suite
 
 from .conftest import make_kernel
+from .physics_reference import cpu_time_s, gpu_time_s, power_w
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +63,7 @@ class TestGeneratedConfig:
 
 
 # ---------------------------------------------------------------------------
-# Batch evaluation path: bit-identical to the scalar models
+# Batch evaluation path: bit-identical to the former scalar models
 # ---------------------------------------------------------------------------
 
 
@@ -93,7 +87,7 @@ class TestBatchBitIdentity:
         f = np.array([c.cpu_freq_ghz for c in cfgs])
         n = np.array([float(c.n_threads) for c in cfgs])
         g = np.array([c.gpu_freq_ghz for c in cfgs])
-        rates, powers = batch_true_rate_power(k, is_gpu, f, n, g)
+        rates, powers = TrinityAPU().batch_rate_power(k, is_gpu, f, n, g)
         for i, c in enumerate(cfgs):
             t = (
                 gpu_time_s(k, c.gpu_freq_ghz, c.cpu_freq_ghz)
@@ -108,13 +102,16 @@ class TestBatchBitIdentity:
         f = np.array([1.4, 3.7])
         n = np.array([1.0, 4.0])
         g = np.array([0.311, 0.819])
-        assert batch_cpu_time_s(k, f, n)[0] == cpu_time_s(k, 1.4, 1)
-        assert batch_gpu_time_s(k, g, f)[1] == gpu_time_s(k, 0.819, 3.7)
-        got = batch_total_power_w(
-            k, np.array([False, True]), f, n, g
+        t, cpu_w, nbgpu_w = trinity_physics(
+            k, PowerModelConstants(), np.array([False, True]), f, n, g
         )
-        assert got[0] == power_w(k, Configuration.cpu(1.4, 1)).total_w
-        assert got[1] == power_w(k, Configuration.gpu(0.819, 3.7)).total_w
+        assert t[0] == cpu_time_s(k, 1.4, 1)
+        assert t[1] == gpu_time_s(k, 0.819, 3.7)
+        for i, cfg in enumerate(
+            (Configuration.cpu(1.4, 1), Configuration.gpu(0.819, 3.7))
+        ):
+            pb = power_w(k, cfg)
+            assert (cpu_w[i], nbgpu_w[i]) == (pb.cpu_plane_w, pb.nbgpu_plane_w)
 
 
 # ---------------------------------------------------------------------------
