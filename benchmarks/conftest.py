@@ -11,9 +11,16 @@ benchmark run leaves the regenerated tables/figures on disk.
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 import pytest
+
+# The repository root, so a benchmark can time the pure-Python reference
+# implementations kept under ``tests/`` when run from this directory.
+_ROOT = str(Path(__file__).resolve().parent.parent)
+if _ROOT not in sys.path:
+    sys.path.insert(0, _ROOT)
 
 from repro.core import AdaptiveModel, ParetoFrontier
 from repro.evaluation import run_loocv

@@ -12,7 +12,8 @@ Measured and written to ``BENCH_cluster.json`` at the repo root:
   manager reallocating as the budget moves — pool order caches hot);
 * cold allocation time at 100k nodes (view + sorted order rebuilt from
   scratch, the post-membership-change path);
-* the pure-Python reference allocators at their feasible scales
+* the pure-Python reference allocators (``tests/allocation_reference.py``)
+  at their feasible scales
   (greedy at 10k, maxmin at 1k — the scan reference is quadratic), and
   the vectorized speedup over them.
 
@@ -27,15 +28,14 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.cluster import (
-    FrontierPool,
-    allocate_pool,
-    greedy_marginal_allocation_reference,
-    maxmin_allocation_reference,
-)
+from repro.cluster import FrontierPool, allocate_pool
 from repro.telemetry import counter, get_tracer
 
 from conftest import write_artifact
+from tests.allocation_reference import (
+    greedy_marginal_allocation_reference,
+    maxmin_allocation_reference,
+)
 
 BENCH_PATH = Path(__file__).parent.parent / "BENCH_cluster.json"
 

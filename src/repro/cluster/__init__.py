@@ -15,8 +15,8 @@ system:
   the substrate the vectorized kernels run on;
 * :mod:`~repro.cluster.allocation` — uniform (state of the practice),
   greedy marginal water-filling, and max-min fair budget splitting,
-  vectorized from 4 nodes to 100k (pure-Python references retained for
-  golden-record validation);
+  vectorized from 4 nodes to 100k (validated against pure-Python
+  references kept in ``tests/allocation_reference.py``);
 * :class:`~repro.cluster.tree.BudgetTree` — hierarchical node → rack →
   row → datacenter budget splitting over aggregated child frontiers;
 * :mod:`~repro.cluster.faults` — epoch-clock fault schedules (dead,
@@ -29,9 +29,7 @@ from repro.cluster.allocation import (
     allocate_pool,
     allocation_summary,
     greedy_marginal_allocation,
-    greedy_marginal_allocation_reference,
     maxmin_allocation,
-    maxmin_allocation_reference,
     pool_allocation_summary,
     uniform_allocation,
 )
@@ -60,9 +58,7 @@ __all__ = [
     "allocate_pool",
     "allocation_summary",
     "greedy_marginal_allocation",
-    "greedy_marginal_allocation_reference",
     "maxmin_allocation",
-    "maxmin_allocation_reference",
     "pool_allocation_summary",
     "uniform_allocation",
 ]

@@ -39,10 +39,10 @@ The cut and fix-up are *segmented*: :func:`allocate_batch` water-fills a
 CSR batch of independent groups (:class:`~repro.cluster.pool.StepBatch`)
 in one call, bit-identical to one call per group — a flat pool is one
 group, and :class:`~repro.cluster.tree.BudgetTree` runs each level as one
-batch.  Both orders are validated step-for-step against the retained
-references (:func:`greedy_marginal_allocation_reference`,
-:func:`maxmin_allocation_reference`) — bit-identical caps on the
-4-node benchmark suite and on Hypothesis-random frontiers.
+batch.  Both orders are validated step-for-step against the pure-Python
+heap and scan references kept in ``tests/allocation_reference.py`` —
+bit-identical caps on the 4-node benchmark suite and on
+Hypothesis-random frontiers.
 
 This realizes the paper's framing that node-level predicted frontiers
 are "a key ingredient" for cluster-level power management: the
@@ -51,7 +51,6 @@ allocator never runs a kernel — it only reads predictions.
 
 from __future__ import annotations
 
-import heapq
 import math
 from typing import Mapping
 
@@ -68,8 +67,6 @@ __all__ = [
     "allocation_summary",
     "allocate_pool",
     "pool_allocation_summary",
-    "greedy_marginal_allocation_reference",
-    "maxmin_allocation_reference",
 ]
 
 _ALLOC_CALLS = {
@@ -224,7 +221,7 @@ def allocate_pool(
 def _allocate_dict(
     budget_w: float, frontiers: Mapping[str, NodeFrontier], policy: str
 ) -> dict[str, float]:
-    """Dict-level frontend: bit-identical to the retained references.
+    """Dict-level frontend: bit-identical to the pure-Python references.
 
     The floor sum runs sequentially in mapping order (matching the
     references' ``sum()``), so even the infeasible-budget scale factor
@@ -250,8 +247,8 @@ def greedy_marginal_allocation(
     honestly by :func:`allocation_summary`).  The remaining budget is
     spent one frontier step at a time, always on the step with the
     highest marginal rate per watt — computed here by the vectorized
-    kernel, bit-identical to
-    :func:`greedy_marginal_allocation_reference`.
+    kernel, bit-identical to the heap-based reference in
+    ``tests/allocation_reference.py``.
     """
     return _allocate_dict(budget_w, frontiers, "greedy")
 
@@ -266,8 +263,8 @@ def maxmin_allocation(
     :func:`greedy_marginal_allocation`); then, while budget remains,
     the node with the lowest current predicted rate takes its next
     affordable frontier step.  Ties break deterministically by node
-    name.  Vectorized, bit-identical to
-    :func:`maxmin_allocation_reference`.
+    name.  Vectorized, bit-identical to the scan-based reference in
+    ``tests/allocation_reference.py``.
     """
     return _allocate_dict(budget_w, frontiers, "maxmin")
 
@@ -310,95 +307,3 @@ def pool_allocation_summary(
         "budget_w": budget_w,
         "slack_w": budget_w - float(np.sum(caps_w)),
     }
-
-
-# -- retained pure-Python references ------------------------------------------
-#
-# The pre-vectorization implementations, kept verbatim: the golden
-# semantics the kernels must reproduce step for step (tests pin
-# bit-identical caps) and the baseline the scale benchmark measures its
-# speedup against.
-
-
-def greedy_marginal_allocation_reference(
-    budget_w: float, frontiers: Mapping[str, NodeFrontier]
-) -> dict[str, float]:
-    """Heap-based water-filling (pure Python, one pop per step)."""
-    _check_budget(budget_w, len(frontiers))
-    caps = {name: f.min_cap_w for name, f in frontiers.items()}
-    spent = sum(caps.values())
-    if spent >= budget_w:
-        scale = budget_w / spent
-        return {name: cap * scale for name, cap in caps.items()}
-
-    # Per-node iterator over frontier steps, consumed in global
-    # best-marginal order via a heap.  Steps within one node must be
-    # taken in order (caps only grow), which the per-node cursor
-    # guarantees.
-    step_lists = {name: f.steps() for name, f in frontiers.items()}
-    cursors = {name: 0 for name in frontiers}
-    heap: list[tuple[float, str]] = []
-
-    def push(name: str) -> None:
-        i = cursors[name]
-        steps = step_lists[name]
-        if i < len(steps):
-            extra_power, extra_rate, _ = steps[i]
-            if extra_power <= 0:
-                # Degenerate zero-cost step: take it immediately.
-                cursors[name] += 1
-                caps[name] = steps[i][2]
-                push(name)
-                return
-            heapq.heappush(heap, (-extra_rate / extra_power, name))
-
-    for name in frontiers:
-        push(name)
-
-    remaining = budget_w - spent
-    while heap:
-        neg_utility, name = heapq.heappop(heap)
-        i = cursors[name]
-        extra_power, extra_rate, new_cap = step_lists[name][i]
-        if extra_power > remaining:
-            continue  # cannot afford this node's next step; try others
-        remaining -= extra_power
-        caps[name] = new_cap
-        cursors[name] += 1
-        push(name)
-    return caps
-
-
-def maxmin_allocation_reference(
-    budget_w: float, frontiers: Mapping[str, NodeFrontier]
-) -> dict[str, float]:
-    """Scan-based max-min (pure Python, one ``min()`` per step)."""
-    _check_budget(budget_w, len(frontiers))
-    caps = {name: f.min_cap_w for name, f in frontiers.items()}
-    spent = sum(caps.values())
-    if spent >= budget_w:
-        scale = budget_w / spent
-        return {name: cap * scale for name, cap in caps.items()}
-
-    step_lists = {name: f.steps() for name, f in frontiers.items()}
-    cursors = {name: 0 for name in frontiers}
-    rates = {name: f.points[0].rate for name, f in frontiers.items()}
-    remaining = budget_w - spent
-    # Nodes whose next step is unaffordable or exhausted drop out.
-    active = set(frontiers)
-    while active:
-        name = min(active, key=lambda n: (rates[n], n))
-        i = cursors[name]
-        steps = step_lists[name]
-        if i >= len(steps):
-            active.discard(name)
-            continue
-        extra_power, extra_rate, new_cap = steps[i]
-        if extra_power > remaining:
-            active.discard(name)
-            continue
-        remaining -= extra_power
-        caps[name] = new_cap
-        rates[name] += extra_rate
-        cursors[name] += 1
-    return caps

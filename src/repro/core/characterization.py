@@ -10,7 +10,7 @@ sample-configuration anchors (Table II).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from repro.core.frontier import ParetoFrontier
 from repro.hardware.apu import Measurement
@@ -19,7 +19,12 @@ from repro.hardware.config import Configuration
 from repro.profiling.library import ProfilingLibrary
 from repro.profiling.records import ProfileDatabase
 
-__all__ = ["KernelCharacterization", "characterize_kernel", "characterization_from_database"]
+__all__ = [
+    "KernelCharacterization",
+    "characterize_kernel",
+    "characterize_kernels",
+    "characterization_from_database",
+]
 
 
 @dataclass(frozen=True)
@@ -72,16 +77,26 @@ class KernelCharacterization:
         return ParetoFrontier.from_measurements(list(self.measurements.values()))
 
 
+def characterize_kernels(
+    library: ProfilingLibrary, kernels: Sequence
+) -> list[KernelCharacterization]:
+    """Profile kernels on every configuration, as one batch, and
+    assemble their characterizations (the offline data-collection
+    step)."""
+    return [
+        KernelCharacterization(
+            kernel_uid=profiles[0].kernel_uid,
+            measurements={p.config: p.measurement for p in profiles},
+        )
+        for profiles in library.profile_sweeps(kernels)
+    ]
+
+
 def characterize_kernel(
     library: ProfilingLibrary, kernel
 ) -> KernelCharacterization:
-    """Profile a kernel on every configuration and assemble its
-    characterization (the offline data-collection step)."""
-    profiles = library.profile_all_configs(kernel)
-    return KernelCharacterization(
-        kernel_uid=profiles[0].kernel_uid,
-        measurements={p.config: p.measurement for p in profiles},
-    )
+    """One kernel's :func:`characterize_kernels`."""
+    return characterize_kernels(library, [kernel])[0]
 
 
 def characterization_from_database(

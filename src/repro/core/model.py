@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 
 from repro.core.characterization import (
     KernelCharacterization,
-    characterize_kernel,
+    characterize_kernels,
 )
 from repro.core.classifier import ClusterClassifier
 from repro.core.configspace import ConfigTable
@@ -288,5 +288,4 @@ def train_model(
 
     Accepts the same keyword arguments as :meth:`AdaptiveModel.train`.
     """
-    characterizations = [characterize_kernel(library, k) for k in kernels]
-    return AdaptiveModel.train(characterizations, **train_kwargs)
+    return AdaptiveModel.train(characterize_kernels(library, kernels), **train_kwargs)

@@ -37,6 +37,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from repro.constants import respects_cap
 from repro.core.model import AdaptiveModel
 from repro.core.predictor import KernelPrediction
 from repro.core.sample_configs import sample_configs_for
@@ -340,7 +341,7 @@ def _score(
         pw, pf = truth[decision.config]
         o_pw, o_pf = truth[o_cfg]
         acc.cases += 1
-        if pw <= cap * (1.0 + 1e-9):
+        if respects_cap(pw, cap):
             acc.under += 1
             acc.under_perf.append(pf / o_pf)
             # Energy per unit of work = power / performance; < 100%

@@ -511,8 +511,9 @@ class HardwareBackend(abc.ABC):
 
     A backend exposes two views of its machine:
 
-    * deterministic ground truth (:meth:`true_time_s`,
-      :meth:`true_power`, :meth:`true_table`) — oracle-only;
+    * deterministic ground truth (:meth:`truth`, :meth:`true_time_s`,
+      :meth:`true_power`, :meth:`true_table`, :meth:`true_counters`) —
+      oracle-only, apart from the profiling library that measures it;
     * noisy measured executions (:meth:`run`, and :meth:`observe` for
       control loops that read only each step's total power) — the only
       view the modeling pipeline sees.
@@ -529,12 +530,19 @@ class HardwareBackend(abc.ABC):
     # -- ground truth -------------------------------------------------------
 
     @abc.abstractmethod
+    def truth(self, kernel: object, cfg) -> tuple[float, float, float]:
+        """Deterministic ``(time_s, primary-plane W, secondary-plane W)``
+        of one invocation; raises :class:`ValueError` for a
+        configuration outside the machine's space."""
+
     def true_time_s(self, kernel: object, cfg) -> float:
         """Deterministic execution time (seconds) of one invocation."""
+        return self.truth(kernel, cfg)[0]
 
-    @abc.abstractmethod
     def true_power(self, kernel: object, cfg) -> PowerBreakdown:
         """Deterministic per-plane average power."""
+        _, primary, secondary = self.truth(kernel, cfg)
+        return PowerBreakdown(cpu_plane_w=primary, nbgpu_plane_w=secondary)
 
     def true_total_power_w(self, kernel: object, cfg) -> float:
         """Deterministic whole-chip average power (watts)."""
@@ -548,6 +556,12 @@ class HardwareBackend(abc.ABC):
     def true_table(self, kernel: object) -> dict:
         """Per-configuration ground truth ``{config: (total power W,
         performance)}`` over the whole space."""
+
+    @abc.abstractmethod
+    def true_counters(self, kernel: object, cfg) -> dict[str, float]:
+        """Deterministic normalized counter metrics of one invocation
+        (:func:`repro.hardware.counters.synthesize_counters`); callers
+        must not mutate the returned dict."""
 
     # -- measurement --------------------------------------------------------
 
@@ -785,20 +799,13 @@ class AnalyticalBackend(HardwareBackend):
             )
         return truth
 
-    def _truth_of(self, kernel: object, cfg) -> tuple[float, float, float]:
+    def truth(self, kernel: object, cfg) -> tuple[float, float, float]:
         try:
             return self._truth(characteristics_of(kernel))[cfg]
         except KeyError:
             raise ValueError(
                 f"{cfg} is not a valid configuration for this machine"
             ) from None
-
-    def true_time_s(self, kernel: object, cfg) -> float:
-        return self._truth_of(kernel, cfg)[0]
-
-    def true_power(self, kernel: object, cfg) -> PowerBreakdown:
-        _, primary, secondary = self._truth_of(kernel, cfg)
-        return PowerBreakdown(cpu_plane_w=primary, nbgpu_plane_w=secondary)
 
     def true_table(self, kernel: object) -> dict:
         """Per-configuration ground truth ``{config: (total power W,
@@ -839,7 +846,9 @@ class AnalyticalBackend(HardwareBackend):
         )
         return 1.0 / t, primary + secondary
 
-    def _true_counters(self, chars: KernelCharacteristics, cfg) -> dict:
+    def true_counters(self, kernel: object, cfg) -> dict[str, float]:
+        """Memoized process-wide per (constants, kernel, configuration)."""
+        chars = characteristics_of(kernel)
         counters = self._counter_cache.get((chars, cfg))
         if counters is None:
             # Imported here: repro.hardware.counters imports this module.
@@ -966,12 +975,12 @@ class AnalyticalBackend(HardwareBackend):
             # exact: measurements equal ground truth, no draws
             return self._noisy_measurement(tpl, cfg, ())
 
-        true_t, primary, secondary = self._truth_of(chars, cfg)
+        true_t, primary, secondary = self.truth(chars, cfg)
         r = rng if rng is not None else self._rng
         t = self.noise.perturb_time(true_t, r)
         cpu_w = self.noise.perturb_power(primary, r)
         nbgpu_w = self.noise.perturb_power(secondary, r)
-        counters = self.noise.perturb_counters(self._true_counters(chars, cfg), r)
+        counters = self.noise.perturb_counters(self.true_counters(chars, cfg), r)
         return Measurement(
             config=cfg,
             time_s=t,
@@ -984,8 +993,8 @@ class AnalyticalBackend(HardwareBackend):
         """Build and memoize the fused ground-truth template for one pair
         (a template-cache miss; callers count their own hits)."""
         _TPL_MISSES.inc()
-        t, primary, secondary = self._truth_of(chars, cfg)
-        true_counters = self._true_counters(chars, cfg)
+        t, primary, secondary = self.truth(chars, cfg)
+        true_counters = self.true_counters(chars, cfg)
         tpl = (
             tuple(true_counters),
             t,

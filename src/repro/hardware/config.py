@@ -60,18 +60,20 @@ class Configuration:
     gpu_freq_ghz: float
 
     def __post_init__(self) -> None:
-        pstates.cpu_pstate_index(self.cpu_freq_ghz)  # validates
-        pstates.gpu_pstate_index(self.gpu_freq_ghz)  # validates
+        # Store the rung each frequency matched (validating it), so a
+        # value within the ladder's tolerance is the same configuration:
+        # equal, with the same hash, and in the space.
+        cpu = pstates.CPU_FREQS_GHZ[pstates.cpu_pstate_index(self.cpu_freq_ghz)]
+        gpu = pstates.GPU_FREQS_GHZ[pstates.gpu_pstate_index(self.gpu_freq_ghz)]
+        object.__setattr__(self, "cpu_freq_ghz", cpu)
+        object.__setattr__(self, "gpu_freq_ghz", gpu)
         if not 1 <= self.n_threads <= pstates.N_CORES:
             raise ValueError(
                 f"n_threads={self.n_threads} outside 1..{pstates.N_CORES}"
             )
         if self.device is Device.GPU and self.n_threads != 1:
             raise ValueError("GPU configurations use exactly one host thread")
-        if (
-            self.device is Device.CPU
-            and abs(self.gpu_freq_ghz - pstates.GPU_MIN_FREQ_GHZ) > 1e-9
-        ):
+        if self.device is Device.CPU and gpu != pstates.GPU_MIN_FREQ_GHZ:
             raise ValueError(
                 "CPU configurations idle the GPU at its minimum P-state"
             )

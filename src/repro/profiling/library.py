@@ -30,13 +30,22 @@ base + key))``: ``base`` is the library's four entropy words and ``key``
 the four little-endian words leading the SHA-256 of the run identity.
 The library computes that without a ``SeedSequence`` per run.  It
 hashes the base words into SeedSequence's four-word pool once, at
-construction; a configuration sweep then mixes all of its run keys into
+construction; a batch of runs then mixes all of its run keys into
 copies of that pool in one vectorized numpy pass, and each run's
 resulting seed words go to numpy's own ``PCG64`` through
-:class:`_SeedWords`.  A single :meth:`ProfilingLibrary.profile` call is
-the one-run case of the same derivation.  The tests compare generator
-states with numpy's ``SeedSequence`` for random words, so a change in
-numpy's seeding fails there instead of silently moving every profile.
+:class:`_SeedWords`.  The tests compare generator states with numpy's
+``SeedSequence`` for random words, so a change in numpy's seeding fails
+there instead of silently moving every profile.
+
+Profiling is batched: :meth:`ProfilingLibrary.profile_sweeps` measures
+all kernel × configuration runs that miss the profile memo together, and
+:meth:`~ProfilingLibrary.profile` is its one-run case.  Per run, only the
+seed words and one ``standard_normal`` call remain, drawing in the order
+run-by-run profiling consumed the stream (sampler planes, time noise,
+counters).  Truth and counters come from the machine's memo, and the
+lognormal noise factors, rebuilt with libm ``exp``, multiply all runs'
+true times and counters in one array product: profiles are bit-identical
+to profiling run by run (``tests/profile_reference.py``).
 """
 
 from __future__ import annotations
@@ -48,9 +57,8 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from repro.hardware.apu import Measurement
-from repro.hardware.backend import HardwareBackend
+from repro.hardware.backend import HardwareBackend, _lognormal, characteristics_of
 from repro.hardware.config import Configuration
-from repro.hardware.counters import synthesize_counters
 from repro.profiling.records import KernelProfile, ProfileDatabase
 from repro.profiling.sampler import PowerSampler
 from repro.telemetry import counter, gauge
@@ -204,31 +212,19 @@ class ProfilingLibrary:
         # derive that run's private noise stream.
         self._base_entropy = tuple(int(w) for w in seed_seq.generate_state(4))
         self._pool = _base_pool(self._base_entropy)
-        # Seed words a sweep derived ahead of its runs, keyed by run
-        # identity; each is consumed by the run it belongs to.
-        self._prefetched: dict[tuple[str, Configuration, int], np.ndarray] = {}
         # Per-(kernel, configuration) repetition counters: re-profiling
         # the same run draws fresh noise, while first-time profiles are
         # independent of the order other runs were requested in.
         self._rep_counts: dict[tuple[str, Configuration], int] = {}
 
-    def _run_seeds(
-        self, kernel_uid: str, runs: Sequence[tuple[Configuration, int]]
-    ) -> np.ndarray:
-        """Seed words of each ``(configuration, repetition)`` run."""
-        keys = b"".join(_run_key(kernel_uid, cfg, rep) for cfg, rep in runs)
-        return _seed_words(
-            self._pool, np.frombuffer(keys, dtype="<u4").reshape(-1, 4)
-        )
-
-    def _run_rng(
-        self, kernel_uid: str, config: Configuration, repetition: int
-    ) -> np.random.Generator:
-        """The counter-based noise stream of one profiled execution."""
-        words = self._prefetched.pop((kernel_uid, config, repetition), None)
-        if words is None:
-            words = self._run_seeds(kernel_uid, [(config, repetition)])[0]
-        return np.random.Generator(np.random.PCG64(_SeedWords(words)))
+    def _run_rngs(
+        self, runs: Sequence[tuple[str, Configuration, int]]
+    ) -> list[np.random.Generator]:
+        """The counter-based noise stream of each ``(kernel uid,
+        configuration, repetition)`` run."""
+        keys = b"".join(_run_key(uid, cfg, rep) for uid, cfg, rep in runs)
+        words = _seed_words(self._pool, np.frombuffer(keys, "<u4").reshape(-1, 4))
+        return [np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in words]
 
     @staticmethod
     def _uid(kernel, kernel_uid: str | None) -> str:
@@ -240,11 +236,7 @@ class ProfilingLibrary:
         return uid
 
     def profile(
-        self,
-        kernel,
-        config: Configuration,
-        *,
-        kernel_uid: str | None = None,
+        self, kernel, config: Configuration, *, kernel_uid: str | None = None
     ) -> KernelProfile:
         """Execute ``kernel`` once on ``config`` and record the profile.
 
@@ -253,93 +245,109 @@ class ProfilingLibrary:
         :class:`~repro.hardware.KernelCharacteristics` with an explicit
         ``kernel_uid``.
         """
-        uid = self._uid(kernel, kernel_uid)
-        repetition = self._rep_counts.get((uid, config), 0)
-        self._rep_counts[(uid, config)] = repetition + 1
-
-        chars = kernel if not hasattr(kernel, "characteristics") else (
-            kernel.characteristics
-        )
-
-        # Fault injection: the run clock advances per profile attempt
-        # (failed attempts included), may raise SampleRunError, and may
-        # substitute the executed P-state.  Run identity — the noise
-        # stream and repetition count — stays keyed by the *requested*
-        # configuration, so an empty plan replays bit-identically and a
-        # retry after a failure draws fresh noise.
-        fctx = None
-        if self.apu.fault_injector is not None:
-            fctx = self.apu.fault_injector.begin_run(config)
-        exec_config = config if fctx is None else fctx.config
-
-        memo_key = None
-        if self.apu.boost is None and (fctx is None or fctx.clean):
-            memo_key = (
-                self.apu.power_constants,
-                self.apu.noise,
-                self.sampler,
-                self._base_entropy,
-                uid,
-                chars,
-                config,
-                repetition,
-            )
-            cached = _PROFILE_CACHE.get(memo_key)
-            if cached is not None:
-                _PROFILE_HITS.inc()
-                measurement, sampling_overhead = cached
-                return self.database.record(
-                    uid, measurement, sampling_overhead_s=sampling_overhead
-                )
-            _PROFILE_MISSES.inc()
-
-        rng = self._run_rng(uid, config, repetition)
-        true_t = self.apu.true_time_s(kernel, exec_config)
-        true_pb = self.apu.true_power(kernel, exec_config)
-
-        # Integrate each power plane from its own sampled trace.
-        cpu_sp, nbgpu_sp = self.sampler.sample(
-            (true_pb.cpu_plane_w, true_pb.nbgpu_plane_w), true_t, rng
-        )
-        sampling_overhead = cpu_sp.overhead_s + COUNTER_READ_OVERHEAD_S
-
-        # Timing measurement includes instrumentation overhead plus the
-        # machine's run-to-run noise.
-        noisy_t = self.apu.noise.perturb_time(true_t, rng)
-        measured_t = noisy_t + sampling_overhead
-
-        counters = self.apu.noise.perturb_counters(
-            synthesize_counters(chars, exec_config), rng
-        )
-        measurement = Measurement(
-            config=exec_config,
-            time_s=measured_t,
-            cpu_plane_w=cpu_sp.mean_power_w,
-            nbgpu_plane_w=nbgpu_sp.mean_power_w,
-            counters=counters,
-        )
-        if fctx is not None:
-            measurement = fctx.apply(measurement)
-        if memo_key is not None:
-            _PROFILE_CACHE[memo_key] = (measurement, sampling_overhead)
-            _PROFILE_SIZE.set(len(_PROFILE_CACHE))
-        return self.database.record(
-            uid, measurement, sampling_overhead_s=sampling_overhead
-        )
+        return self._profile([(self._uid(kernel, kernel_uid), kernel, config)])[0]
 
     def profile_all_configs(self, kernel) -> list[KernelProfile]:
         """Profile a kernel on every machine configuration — the offline
-        exhaustive characterization applied to training kernels.
+        exhaustive characterization applied to training kernels."""
+        return self.profile_sweeps([kernel])[0]
 
-        The sweep's noise streams are derived in one pass up front; a
-        run consumes its stream only if it misses the profile memo."""
-        uid = self._uid(kernel, None)
+    def profile_sweeps(self, kernels: Sequence) -> list[list[KernelProfile]]:
+        """:meth:`profile_all_configs` of each kernel, as one batch
+        (recorded kernel after kernel, in configuration order)."""
         configs = list(self.apu.config_space)
-        runs = [(cfg, self._rep_counts.get((uid, cfg), 0)) for cfg in configs]
-        keys = [(uid, cfg, rep) for cfg, rep in runs]
-        self._prefetched.update(zip(keys, self._run_seeds(uid, runs)))
-        try:
-            return [self.profile(kernel, cfg) for cfg in configs]
-        finally:
-            for key in keys:
-                self._prefetched.pop(key, None)
+        profiles = self._profile(
+            [(self._uid(k, None), k, cfg) for k in kernels for cfg in configs]
+        )
+        size = len(configs)
+        return [profiles[i : i + size] for i in range(0, len(profiles), size)]
+
+    def _profile(self, runs: Sequence[tuple]) -> list[KernelProfile]:
+        """Profile and record ``(uid, kernel, configuration)`` runs in
+        order: memo hits are reused, the misses measured together by
+        :meth:`_measure`.  A machine with a fault injector or boost goes
+        one run at a time: a run may fail, and the runs before it stay
+        recorded."""
+        apu = self.apu
+        injector = apu.fault_injector
+        if len(runs) > 1 and (injector is not None or apu.boost is not None):
+            return [profile for run in runs for profile in self._profile([run])]
+        done: list = [None] * len(runs)  # (measurement, sampling overhead)
+        misses = []  # (position, stream, kernel, fault context, memo key)
+        for pos, (uid, kernel, config) in enumerate(runs):
+            repetition = self._rep_counts.get((uid, config), 0)
+            self._rep_counts[(uid, config)] = repetition + 1
+            # Fault injection: the run clock advances per profile
+            # attempt (failed attempts included), may raise
+            # SampleRunError, and may substitute the executed P-state.
+            # Run identity — the noise stream and repetition count —
+            # stays keyed by the *requested* configuration, so an empty
+            # plan replays bit-identically and a retry after a failure
+            # draws fresh noise.
+            fctx = None if injector is None else injector.begin_run(config)
+            memo_key = None
+            if apu.boost is None and (fctx is None or fctx.clean):
+                memo_key = (
+                    apu.power_constants, apu.noise, self.sampler, self._base_entropy,
+                    uid, characteristics_of(kernel), config, repetition,
+                )
+                done[pos] = _PROFILE_CACHE.get(memo_key)
+                if done[pos] is not None:
+                    continue
+            misses.append((pos, (uid, config, repetition), kernel, fctx, memo_key))
+        _PROFILE_HITS.inc(sum(result is not None for result in done))
+        _PROFILE_MISSES.inc(sum(memo_key is not None for *_, memo_key in misses))
+        if misses:
+            _, streams, kernels, fctxs, _ = zip(*misses)
+            executed = [s[1] if f is None else f.config for s, f in zip(streams, fctxs)]
+            measured = self._measure(kernels, executed, streams)
+            for (pos, *_, fctx, memo_key), (measurement, overhead) in zip(
+                misses, measured
+            ):
+                if fctx is not None:
+                    measurement = fctx.apply(measurement)
+                done[pos] = (measurement, overhead)
+                if memo_key is not None:
+                    _PROFILE_CACHE[memo_key] = done[pos]
+            _PROFILE_SIZE.set(len(_PROFILE_CACHE))
+        return [
+            self.database.record(uid, measurement, sampling_overhead_s=overhead)
+            for (uid, _, _), (measurement, overhead) in zip(runs, done)
+        ]
+
+    def _measure(
+        self, kernels: Sequence, configs: Sequence, streams: Sequence[tuple]
+    ) -> list[tuple[Measurement, float]]:
+        """``(measurement, sampling overhead)`` of each kernel on its
+        executed configuration, with noise from the stream of its
+        ``(uid, requested configuration, repetition)``.  A noise axis
+        at zero draws nothing, as in ``NoiseModel``."""
+        apu, noise = self.apu, self.apu.noise
+        truth = [apu.truth(k, cfg) for k, cfg in zip(kernels, configs)]
+        counters = [apu.true_counters(k, cfg) for k, cfg in zip(kernels, configs)]
+        timed, counted = noise.time_rel > 0.0, noise.counter_rel > 0.0
+        time_ln = (-0.5 * noise.time_rel * noise.time_rel, noise.time_rel)
+        counter_ln = (-0.5 * noise.counter_rel * noise.counter_rel, noise.counter_rel)
+        values, params = [], []  # the noisy true values and their lognormals
+        for (t, _, _), c in zip(truth, counters):
+            values += ([t] if timed else []) + (list(c.values()) if counted else [])
+            params += [time_ln] * timed + [counter_ln] * (counted * len(c))
+        sampled = self.sampler.sample(
+            np.array([(primary, secondary) for _, primary, secondary in truth]),
+            np.array([t for t, _, _ in truth]),
+            self._run_rngs(streams),
+            extra_draws=[timed + counted * len(c) for c in counters],
+        )
+        draws = np.concatenate(sampled.extra).tolist()
+        factors = [_lognormal(mu, sigma, z) for (mu, sigma), z in zip(params, draws)]
+        noisy = iter((np.array(values) * np.array(factors)).tolist())
+        overheads = (sampled.overhead_s + COUNTER_READ_OVERHEAD_S).tolist()
+        results = []
+        for cfg, (t, _, _), c, (cpu_w, nbgpu_w), overhead in zip(
+            configs, truth, counters, sampled.mean_power_w.tolist(), overheads
+        ):
+            time_s = (next(noisy) if timed else t) + overhead
+            measured = {name: next(noisy) for name in c} if counted else dict(c)
+            measurement = Measurement(cfg, time_s, cpu_w, nbgpu_w, measured)
+            results.append((measurement, overhead))
+        return results

@@ -13,25 +13,29 @@ trapezoidal rule.  The result is an *estimate* of average power whose
 error shrinks with kernel duration — short kernels genuinely are harder
 to measure, on silicon and here.
 
-One execution's power planes share its duration and therefore its
-sample grid, so :meth:`PowerSampler.sample` takes every plane of a run
-at once: one block of standard-normal draws, one AR(1) filter pass over
-the plane rows, and one time grid.  The draws are consumed in the order
-of sampling the planes one after another (per plane: the initial
-fluctuation, the innovations, the per-sample noise), so the fused pass
-is bit-identical to per-plane sampling from the same generator.
+:meth:`PowerSampler.sample` integrates a batch of runs.  Each run makes
+one ``standard_normal`` call on its own generator (per plane: initial
+fluctuation, ``n - 1`` innovations, ``n`` sample noises; then any draws
+the caller asks for).  Runs are bucketed by ``n`` and zero-padded, so a
+bucket is one AR(1) ``lfilter`` call and one set of elementwise and
+trapezoid-term operations.  The filter is causal, so padding never
+reaches a run's samples, and each plane of each run is summed by its own
+``np.add.reduce`` over exactly its terms, so estimates are bit-identical
+to sampling run by run and plane by plane.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import lfilter
 
-__all__ = ["PowerSampler", "SampledPower"]
+__all__ = ["PowerSampler", "SampledPower", "SampledRuns"]
+
+#: A bucket's longest run relative to its shortest, and its element budget.
+_BUCKET_SPREAD, _BUCKET_ELEMENTS = 1.125, 1 << 18
 
 
 @dataclass(frozen=True)
@@ -57,9 +61,22 @@ class SampledPower:
     overhead_s: float
 
 
-def _check_positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+@dataclass(frozen=True)
+class SampledRuns:
+    """:class:`SampledPower` of a batch as arrays (row = run, column =
+    plane), plus each run's draws that followed the sampler's."""
+
+    mean_power_w: np.ndarray
+    energy_j: np.ndarray
+    n_samples: np.ndarray
+    overhead_s: np.ndarray
+    extra: tuple[np.ndarray, ...]
+
+
+def _check_positive(name: str, values: np.ndarray) -> None:
+    bad = values[~(np.isfinite(values) & (values > 0))]
+    if bad.size:
+        raise ValueError(f"{name} must be finite and positive, got {float(bad[0])!r}")
 
 
 @dataclass(frozen=True)
@@ -99,72 +116,102 @@ class PowerSampler:
         if self.overhead_per_sample_s < 0:
             raise ValueError("overhead_per_sample_s must be non-negative")
 
-    def sample(
-        self,
-        true_mean_w: float | Sequence[float],
-        duration_s: float,
-        rng: np.random.Generator,
-    ) -> SampledPower | tuple[SampledPower, ...]:
-        """Sample a kernel execution of ``duration_s`` seconds whose
+    def sample(self, true_mean_w, duration_s, rng, *, extra_draws=0):
+        """Sample kernel executions of ``duration_s`` seconds whose
         ground-truth average power is ``true_mean_w``.
 
-        ``true_mean_w`` is one plane's mean power, or a sequence of
-        plane means sampled over the same execution; the result is the
-        integrated estimate, or a tuple with one estimate per plane.
-        At least two samples (start and finish of the kernel, as the
-        paper records) are always taken.
+        One run: ``true_mean_w`` is one plane's mean or a sequence of
+        plane means, ``rng`` the run's generator; the result is the
+        estimate, or a tuple with one per plane.  A batch:
+        ``duration_s`` is a 1-D array, ``true_mean_w`` a ``(runs,
+        planes)`` array and ``rng`` one generator per run; the result's
+        ``extra`` holds ``extra_draws`` (a count, or one per run) more
+        standard normals from each run's stream.  At least two samples
+        (start and finish of the kernel, as the paper records) are
+        always taken.
         """
-        scalar = np.ndim(true_mean_w) == 0
-        means = [true_mean_w] if scalar else list(true_mean_w)
-        if not means:
-            raise ValueError("true_mean_w must name at least one plane")
-        for mean in means:
-            _check_positive("true_mean_w", mean)
-        _check_positive("duration_s", duration_s)
+        one_run = np.ndim(duration_s) == 0
+        if one_run:
+            scalar = np.ndim(true_mean_w) == 0
+            true_mean_w = [[true_mean_w] if scalar else list(true_mean_w)]
+            duration_s, rng = [duration_s], [rng]
+        means = np.array(true_mean_w, dtype=np.float64)
+        durations = np.array(duration_s, dtype=np.float64)
+        if means.ndim != 2 or not means.size or not len(means) == len(durations):
+            raise ValueError("true_mean_w must name one or more planes per run")
+        if len(rng) != len(durations):
+            raise ValueError("rng must hold one generator per run")
+        runs, planes = means.shape
+        _check_positive("true_mean_w", means)
+        _check_positive("duration_s", durations)
 
-        n = max(2, int(round(duration_s * self.rate_hz)) + 1)
-        planes = len(means)
-        # Row p: plane p's [initial fluctuation, n - 1 innovations,
-        # n per-sample noises].  Scaling a standard normal reproduces
-        # Generator.normal(scale=...) up to the sign of zero, which
-        # never reaches a result: every value enters as 1 + value.
-        z = rng.standard_normal(2 * n * planes).reshape(planes, 2 * n)
-        # AR(1) fluctuation around the mean, variance-normalized so the
-        # marginal std is fluctuation_rel regardless of ar_coeff:
-        # fluct[i] = ar * fluct[i-1] + innovations[i-1] as an IIR filter,
-        # seeded so fluct[1] = innovations[0] + ar * fluct[0].
+        n = np.maximum(2, np.rint(durations * self.rate_hz).astype(np.int64) + 1)
+        n_list = n.tolist()
+        widths = (planes * 2 * n + np.asarray(extra_draws, dtype=np.int64)).tolist()
         ar = self.ar_coeff
         innov_std = self.fluctuation_rel * math.sqrt(1.0 - ar**2)
-        trace = np.empty((planes, n))
-        trace[:, 0] = self.fluctuation_rel * z[:, 0]
-        trace[:, 1:] = lfilter(
-            [1.0], [1.0, -ar], innov_std * z[:, 1:n], zi=ar * trace[:, :1]
-        )[0]
-        trace += 1.0
-        trace *= np.array(means, dtype=np.float64)[:, None]
-        noise = self.sample_noise_rel * z[:, n:]
-        noise += 1.0
-        trace *= noise
-        np.maximum(trace, 0.0, out=trace)
-
-        # The grid np.linspace(0, duration_s, n) builds, and the terms
-        # np.trapezoid sums; each row is reduced on its own so the
-        # pairwise summation matches integrating that plane alone.
-        times = np.arange(n, dtype=np.float64) * (duration_s / (n - 1))
-        times[-1] = duration_s
-        terms = trace[:, 1:] + trace[:, :-1]
-        terms *= times[1:] - times[:-1]
-        terms /= 2.0
-        overhead_s = n * self.overhead_per_sample_s
-        results = []
-        for row in terms:
-            energy = float(np.add.reduce(row))
-            results.append(
-                SampledPower(
-                    mean_power_w=energy / duration_s,
-                    energy_j=energy,
-                    n_samples=n,
-                    overhead_s=overhead_s,
-                )
+        energy = np.empty((runs, planes))
+        extra: list = [None] * runs
+        order = np.argsort(n, kind="stable")
+        sorted_n = n[order]
+        start = 0
+        while start < runs:
+            # A bucket: the next runs by length, up to _BUCKET_SPREAD
+            # times the shortest and within the element budget.
+            longest = int(sorted_n[start] * _BUCKET_SPREAD)
+            stop = min(
+                int(np.searchsorted(sorted_n, longest, side="right")),
+                start + max(1, _BUCKET_ELEMENTS // (planes * 2 * longest)),
             )
-        return results[0] if scalar else tuple(results)
+            rows = order[start:stop].tolist()
+            length, start = int(sorted_n[stop - 1]), stop
+
+            # Row r, plane p: [initial fluctuation, n - 1 innovations]
+            # and [n per-sample noises], each zero-padded to ``length``.
+            # Scaling a standard normal reproduces
+            # Generator.normal(scale=...) up to the sign of zero, which
+            # never reaches a result: every value enters as 1 + value.
+            z = np.zeros((len(rows), planes, 2, length))
+            for r, i in enumerate(rows):
+                k = planes * 2 * n_list[i]
+                draws = rng[i].standard_normal(widths[i])
+                z[r, ..., : n_list[i]] = draws[:k].reshape(planes, 2, n_list[i])
+                extra[i] = draws[k:].copy()  # a view would keep all draws alive
+
+            # AR(1) fluctuation around the mean, variance-normalized so
+            # the marginal std is fluctuation_rel regardless of ar_coeff:
+            # fluct[i] = ar * fluct[i-1] + innovations[i-1] as an IIR
+            # filter, seeded so fluct[1] = innovations[0] + ar * fluct[0].
+            trace = np.empty((len(rows), planes, length))
+            trace[..., 0] = self.fluctuation_rel * z[:, :, 0, 0]
+            trace[..., 1:] = lfilter(
+                [1.0], [1.0, -ar], innov_std * z[:, :, 0, 1:], zi=ar * trace[..., :1]
+            )[0]
+            trace += 1.0
+            trace *= means[rows][:, :, None]
+            noise = self.sample_noise_rel * z[:, :, 1]
+            noise += 1.0
+            trace *= noise
+            np.maximum(trace, 0.0, out=trace)
+
+            # The grid np.linspace(0, duration_s, n) builds, and the
+            # terms np.trapezoid sums, of every run in the bucket.
+            times = np.arange(length, dtype=np.float64) * (
+                durations[rows] / (n[rows] - 1)
+            )[:, None]
+            times[np.arange(len(rows)), n[rows] - 1] = durations[rows]
+            terms = trace[..., 1:] + trace[..., :-1]
+            terms *= (times[:, 1:] - times[:, :-1])[:, None, :]
+            terms /= 2.0
+            for r, i in enumerate(rows):
+                for p in range(planes):
+                    energy[i, p] = np.add.reduce(terms[r, p, : n_list[i] - 1])
+
+        mean, overhead = energy / durations[:, None], n * self.overhead_per_sample_s
+        if not one_run:
+            return SampledRuns(mean, energy, n, overhead, tuple(extra))
+        results = tuple(
+            SampledPower(m, e, n_list[0], float(overhead[0]))
+            for m, e in zip(mean[0].tolist(), energy[0].tolist())
+        )
+        return results[0] if scalar else results

@@ -122,32 +122,37 @@ class CharacterizationStore:
 
     def characterization(self, kernel) -> "KernelCharacterization":
         """The kernel's exhaustive characterization (cached)."""
-        from repro.core.characterization import characterize_kernel
+        return self._characterizations([kernel])[0]
 
-        uid = kernel.uid
+    def characterize(self, kernels: Sequence) -> list["KernelCharacterization"]:
+        """Characterizations for many kernels, in input order (cached);
+        the missing ones are profiled as one batch."""
+        with trace_span("offline/characterize"):
+            return self._characterizations(kernels)
+
+    def _characterizations(self, kernels: Sequence) -> list["KernelCharacterization"]:
+        from repro.core.characterization import characterize_kernels
+
         with self._lock:
-            cached = self._chars.get(uid)
-            if cached is not None:
-                if self._characteristics[uid] != kernel.characteristics:
+            # Every uid must name one kernel: checked before profiling.
+            seen = dict(self._characteristics)
+            for k in kernels:
+                if seen.setdefault(k.uid, k.characteristics) != k.characteristics:
                     raise ValueError(
-                        f"kernel {uid!r} conflicts with a previously "
+                        f"kernel {k.uid!r} conflicts with a previously "
                         "characterized kernel of the same uid; use a "
                         "separate store per suite"
                     )
-                self.hits += 1
-                _STORE_HITS.inc()
-                return cached
-            self.misses += 1
-            _STORE_MISSES.inc()
-            char = characterize_kernel(self.library, kernel)
-            self._chars[uid] = char
-            self._characteristics[uid] = kernel.characteristics
-            return char
-
-    def characterize(self, kernels: Sequence) -> list["KernelCharacterization"]:
-        """Characterizations for many kernels, in input order (cached)."""
-        with trace_span("offline/characterize"):
-            return [self.characterization(k) for k in kernels]
+            missing = {k.uid: k for k in kernels if k.uid not in self._chars}
+            fresh = characterize_kernels(self.library, list(missing.values()))
+            for (uid, k), char in zip(missing.items(), fresh):
+                self._chars[uid] = char
+                self._characteristics[uid] = k.characteristics
+            self.misses += len(missing)
+            self.hits += len(kernels) - len(missing)
+            _STORE_MISSES.inc(len(missing))
+            _STORE_HITS.inc(len(kernels) - len(missing))
+            return [self._chars[k.uid] for k in kernels]
 
     # -- frontiers and dissimilarities -------------------------------------
 

@@ -23,8 +23,8 @@ every candidate threshold of every feature in one numpy pass —
 cumulative one-hot class counts down the sorted order give the left/
 right Gini of all split points at once.  The arithmetic mirrors the
 scalar loop operation for operation, so chosen splits are bit-identical
-to the retained reference implementation
-(:func:`_best_split_reference`), which the equivalence suite pins.
+to the per-sample reference loop kept in ``tests/cart_reference.py``,
+which the equivalence suite pins.
 
 :meth:`ClassificationTree.render` produces a text rendering in the spirit
 of the paper's Figure 3 (feature comparisons at internal nodes, cluster
@@ -88,53 +88,6 @@ def _gini(counts: np.ndarray) -> float:
     # (pinned by the CART property suite).
     ss = float(np.sum(counts * counts))
     return float(1.0 - ss / (total * total))
-
-
-def _best_split_reference(
-    X: np.ndarray,
-    y: np.ndarray,
-    counts: np.ndarray,
-    *,
-    n_classes: int,
-    min_samples_leaf: int = 1,
-) -> tuple[int, float] | None:
-    """Reference per-sample split search (the pre-vectorization loop).
-
-    Retained verbatim as the behavioural oracle for
-    :meth:`ClassificationTree._best_split`: the equivalence suite runs
-    both over random and adversarially tied datasets and requires the
-    identical ``(feature, threshold)`` choice, including the
-    lexicographic ``(gini, feature, threshold)`` tie-break.  Not used
-    on any production path.
-    """
-    n = y.shape[0]
-    parent_gini = _gini(counts)
-    best: tuple[float, int, float] | None = None  # (gini, feature, thr)
-
-    for f in range(X.shape[1]):
-        order = np.argsort(X[:, f], kind="stable")
-        xs, ys = X[order, f], y[order]
-        left_counts = np.zeros(n_classes)
-        right_counts = counts.astype(float).copy()
-        for i in range(n - 1):
-            c = ys[i]
-            left_counts[c] += 1
-            right_counts[c] -= 1
-            if xs[i] == xs[i + 1]:
-                continue  # cannot split between equal values
-            n_left = i + 1
-            n_right = n - n_left
-            if n_left < min_samples_leaf or n_right < min_samples_leaf:
-                continue
-            g = (n_left * _gini(left_counts) + n_right * _gini(right_counts)) / n
-            thr = 0.5 * (xs[i] + xs[i + 1])
-            key = (g, f, thr)
-            if best is None or key < best:
-                best = key
-
-    if best is None or best[0] >= parent_gini - 1e-12:
-        return None
-    return best[1], best[2]
 
 
 class ClassificationTree:
@@ -281,7 +234,8 @@ class ClassificationTree:
         cumulative one-hot class counts down each sorted column give all
         left/right class distributions at once, and the weighted Gini is
         evaluated for the whole ``(m-1, p)`` candidate grid.  Each
-        scalar operation matches :func:`_best_split_reference` exactly
+        scalar operation matches the per-sample reference loop
+        (``tests/cart_reference.py``) exactly
         (integer-valued counts, identical division/summation order), so
         the selected split — including the lexicographic
         ``(gini, feature, threshold)`` tie-break — is bit-identical.

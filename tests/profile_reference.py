@@ -1,15 +1,18 @@
 """Per-plane, per-run reference for :class:`repro.profiling.ProfilingLibrary`.
 
-The library samples both power planes of a run in one fused pass and
-derives a sweep's noise streams in one vectorized step.  This module
-keeps the straightforward code those replaced, as the oracle they must
-reproduce bit for bit:
+The library profiles a whole characterization sweep as one batch: one
+draw call per run, power sampled for every run and plane in bucketed
+array passes, and noise streams derived in one vectorized step.  This
+module keeps the straightforward code those replaced, as the oracle
+they must reproduce bit for bit:
 
 * :class:`ReferencePowerSampler` integrates each plane from its own
   ``Generator.normal`` draws, ``np.linspace`` grid and ``np.trapezoid``;
 * :func:`reference_run_rng` builds each run's generator from a fresh
   :class:`numpy.random.SeedSequence`;
-* :class:`ReferenceProfilingLibrary` uses both and sweeps run by run.
+* :class:`ReferenceProfilingLibrary` uses both, profiles one run at a
+  time (synthesizing counters and drawing each noise axis through
+  ``NoiseModel``), and sweeps run by run.
 """
 
 from __future__ import annotations
@@ -19,8 +22,12 @@ from dataclasses import asdict
 import numpy as np
 from scipy.signal import lfilter
 
+from repro.hardware.apu import Measurement
 from repro.hardware.config import Configuration
-from repro.profiling.library import ProfilingLibrary, _run_key
+from repro.hardware.counters import synthesize_counters
+from repro.profiling import library as library_module
+from repro.profiling.library import COUNTER_READ_OVERHEAD_S, ProfilingLibrary, _run_key
+from repro.profiling.records import KernelProfile
 from repro.profiling.sampler import PowerSampler, SampledPower
 
 
@@ -85,5 +92,73 @@ class ReferenceProfilingLibrary(ProfilingLibrary):
     def _run_rng(self, kernel_uid, config, repetition):
         return reference_run_rng(self._base_entropy, kernel_uid, config, repetition)
 
+    def profile(self, kernel, config, *, kernel_uid=None) -> KernelProfile:
+        uid = self._uid(kernel, kernel_uid)
+        repetition = self._rep_counts.get((uid, config), 0)
+        self._rep_counts[(uid, config)] = repetition + 1
+
+        chars = kernel if not hasattr(kernel, "characteristics") else (
+            kernel.characteristics
+        )
+
+        fctx = None
+        if self.apu.fault_injector is not None:
+            fctx = self.apu.fault_injector.begin_run(config)
+        exec_config = config if fctx is None else fctx.config
+
+        memo_key = None
+        if self.apu.boost is None and (fctx is None or fctx.clean):
+            memo_key = (
+                self.apu.power_constants,
+                self.apu.noise,
+                self.sampler,
+                self._base_entropy,
+                uid,
+                chars,
+                config,
+                repetition,
+            )
+            cached = library_module._PROFILE_CACHE.get(memo_key)
+            if cached is not None:
+                library_module._PROFILE_HITS.inc()
+                measurement, sampling_overhead = cached
+                return self.database.record(
+                    uid, measurement, sampling_overhead_s=sampling_overhead
+                )
+            library_module._PROFILE_MISSES.inc()
+
+        rng = self._run_rng(uid, config, repetition)
+        true_t = self.apu.true_time_s(kernel, exec_config)
+        true_pb = self.apu.true_power(kernel, exec_config)
+
+        cpu_sp, nbgpu_sp = self.sampler.sample(
+            (true_pb.cpu_plane_w, true_pb.nbgpu_plane_w), true_t, rng
+        )
+        sampling_overhead = cpu_sp.overhead_s + COUNTER_READ_OVERHEAD_S
+
+        noisy_t = self.apu.noise.perturb_time(true_t, rng)
+        measured_t = noisy_t + sampling_overhead
+
+        counters = self.apu.noise.perturb_counters(
+            synthesize_counters(chars, exec_config), rng
+        )
+        measurement = Measurement(
+            config=exec_config,
+            time_s=measured_t,
+            cpu_plane_w=cpu_sp.mean_power_w,
+            nbgpu_plane_w=nbgpu_sp.mean_power_w,
+            counters=counters,
+        )
+        if fctx is not None:
+            measurement = fctx.apply(measurement)
+        if memo_key is not None:
+            library_module._PROFILE_CACHE[memo_key] = (measurement, sampling_overhead)
+        return self.database.record(
+            uid, measurement, sampling_overhead_s=sampling_overhead
+        )
+
     def profile_all_configs(self, kernel):
         return [self.profile(kernel, cfg) for cfg in self.apu.config_space]
+
+    def profile_sweeps(self, kernels):
+        return [self.profile_all_configs(kernel) for kernel in kernels]

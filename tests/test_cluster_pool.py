@@ -15,11 +15,13 @@ from repro.cluster import (
     NodeFrontierPoint,
     allocate_pool,
     greedy_marginal_allocation,
-    greedy_marginal_allocation_reference,
     maxmin_allocation,
-    maxmin_allocation_reference,
     pool_allocation_summary,
     uniform_allocation,
+)
+from tests.allocation_reference import (
+    greedy_marginal_allocation_reference,
+    maxmin_allocation_reference,
 )
 
 

@@ -135,3 +135,47 @@ class TestRunTransfer:
         a = run_transfer("trinity", "mpsoc", ks=(0, 1), seed=3, suite=small_suite)
         b = run_transfer("trinity", "mpsoc", ks=(0, 1), seed=3, suite=small_suite)
         assert a.to_dict() == b.to_dict()
+
+
+class TestScoreCapRule:
+    """Transfer scoring judges compliance with ``respects_cap``."""
+
+    @staticmethod
+    def _score_pick(picked: str, powers: dict, cap: float):
+        from types import SimpleNamespace
+
+        import numpy as np
+
+        from repro.evaluation.transfer import _Accumulator, _score
+
+        perf = {"edge": 1.0, "over": 2.0}
+        configs = tuple(powers)
+        prediction = SimpleNamespace(
+            config_tuple=configs,
+            power_array=np.array([powers[c] for c in configs]),
+            performance_array=np.array([perf[c] for c in configs]),
+        )
+        apu = SimpleNamespace(
+            true_total_power_w=lambda kernel, c: powers[c],
+            true_performance=lambda kernel, c: perf[c],
+        )
+        scheduler = SimpleNamespace(
+            select=lambda pred, cap, risk_margin: SimpleNamespace(config=picked)
+        )
+        oracle = SimpleNamespace(decide=lambda kernel, cap: SimpleNamespace(config="edge"))
+        acc = _Accumulator()
+        _score(acc, prediction, None, apu, oracle, scheduler, [cap])
+        return acc
+
+    def test_power_exactly_at_the_tolerance_is_under_the_cap(self):
+        from repro.constants import CAP_EPSILON, respects_cap
+
+        cap = 37.5
+        edge = cap * (1.0 + CAP_EPSILON)
+        over = math.nextafter(edge, math.inf)
+        assert respects_cap(edge, cap) and not respects_cap(over, cap)
+        powers = {"edge": edge, "over": over}
+        at_edge = self._score_pick("edge", powers, cap)
+        assert (at_edge.cases, at_edge.under) == (1, 1)
+        beyond = self._score_pick("over", powers, cap)
+        assert (beyond.cases, beyond.under) == (1, 0)

@@ -121,3 +121,28 @@ def test_config_space_index_rejects_foreign():
         # Valid Configuration object but built differently; same values
         # are equal, so construct an impossible one via direct check:
         space.index(None)  # type: ignore[arg-type]
+
+
+def test_frequency_within_tolerance_snaps_to_its_rung():
+    from repro.hardware import TrinityAPU
+    from repro.workloads import build_suite
+
+    near = Configuration.cpu(2.4 + 1e-12, 4)
+    exact = Configuration.cpu(2.4, 4)
+    assert near == exact and hash(near) == hash(exact)
+    assert near.cpu_freq_ghz == 2.4
+    space = ConfigSpace()
+    assert near in space and exact in space
+    gpu = Configuration.gpu(0.649 - 1e-12, 3.7 + 1e-12)
+    assert gpu == Configuration.gpu(0.649, 3.7) and gpu in space
+    kernel = build_suite().get("LU/Small/LUDecomposition")
+    apu = TrinityAPU(seed=0)
+    assert apu.true_time_s(kernel, near) == apu.true_time_s(kernel, exact)
+    assert apu.true_time_s(kernel, near) == pytest.approx(0.2605, abs=1e-4)
+
+
+def test_off_ladder_frequency_still_raises():
+    with pytest.raises(ValueError, match="not a CPU P-state"):
+        Configuration.cpu(2.4 + 1e-6, 4)
+    with pytest.raises(ValueError, match="not a GPU P-state"):
+        Configuration.gpu(0.7, 3.7)

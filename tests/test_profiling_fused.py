@@ -1,20 +1,27 @@
-"""The fused profiling pass against the per-plane, per-run reference.
+"""The batched profiling pass against the per-plane, per-run reference.
 
-:class:`~repro.profiling.ProfilingLibrary` samples both power planes of
-a run in one pass and derives a configuration sweep's noise streams in
-one vectorized step.  These tests pin that both are optimisations and
-nothing more: against :class:`tests.profile_reference.ReferenceProfilingLibrary`
-every profile, the database, the repetition counters and the profile
-memo's hit/miss counts agree on every backend, under each noise setting,
-each committed fault plan (a run failure mid-sweep included), with boost
-on and off, and over repeated sweeps interleaved with single profiles.
-The stream derivation itself is pinned to numpy's ``SeedSequence``.
+:class:`~repro.profiling.ProfilingLibrary` profiles a whole
+characterization sweep as one batch: one draw call per run, every run's
+power planes sampled in bucketed array passes, noise streams derived in
+one vectorized step, and the time and counter noise of all runs applied
+in one array product.  These tests pin that all of it is an
+optimisation and nothing more: against
+:class:`tests.profile_reference.ReferenceProfilingLibrary` every
+profile, the database, the repetition counters and the profile memo's
+hit/miss counts agree on every backend, under each noise setting (exact,
+default and scalar, where some noise axes are zero), each committed
+fault plan (a run failure mid-sweep included), with boost on and off,
+and over repeated single- and multi-kernel sweeps interleaved with
+single profiles.  The kernels include runs of two samples and runs of
+more than 8192.  The stream derivation itself is pinned to numpy's
+``SeedSequence``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -28,10 +35,12 @@ from repro.faults import FaultPlan
 from repro.faults.errors import SampleRunError
 from repro.hardware import BoostPolicy, NoiseModel, TrinityAPU
 from repro.hardware.backend import create_backend
-from repro.profiling import PowerSampler, ProfilingLibrary
+from repro.profiling import CharacterizationStore, PowerSampler, ProfilingLibrary
 from repro.profiling import library as library_module
 from repro.profiling.library import _base_pool, _seed_words
-from repro.workloads import build_suite
+from repro.profiling.store import _STORE_STREAM_TAG
+from repro.workloads import Kernel, build_suite
+from tests.conftest import make_kernel
 from tests.profile_reference import (
     ReferencePowerSampler,
     ReferenceProfilingLibrary,
@@ -50,25 +59,40 @@ NOISE = {
         NoiseModel.exact(),
         PowerSampler(sample_noise_rel=0.0, fluctuation_rel=0.0),
     ),
+    # Scalar noise: a zero axis draws nothing from the run's stream.
+    "scalar-counters": (NoiseModel(time_rel=0.0, counter_rel=0.03), None),
+    "scalar-time": (NoiseModel(time_rel=0.015, counter_rel=0.0), None),
 }
 COUNTERS = ("cache.profile.hits", "cache.profile.misses")
 #: A run fails only by plan, on every backend (the injector resolves
 #: P-states on each configuration's own ladders).  A failure must abort
 #: a sweep at the same run in the reference and the library.
 FAILURES = (SampleRunError,)
-KERNELS = tuple(build_suite())[:3]
+#: Three suite kernels, then one whose runs all take two samples and one
+#: with runs of more than 8192 samples on every backend.
+KERNELS = tuple(build_suite())[:3] + (
+    Kernel("Tiny", "Probe", "Edge", make_kernel(work_s=1e-5, launch_overhead_s=1e-6)),
+    Kernel("Long", "Probe", "Edge", make_kernel(work_s=9.0)),
+)
 #: Repeated sweeps (repetition > 0) interleaved with single profiles;
-#: ("single", kernel, i) profiles the i-th configuration (mod size).
+#: ("single", kernel, i) profiles the i-th configuration (mod size), and
+#: ("sweeps", kernel, i) sweeps i + 1 kernels from ``kernel`` on (mod
+#: the kernel count) in one batch.
 SCRIPT = (
     ("sweep", 0, None),
     ("single", 0, 5),
     ("sweep", 1, None),
-    ("sweep", 0, None),
+    ("sweeps", 0, 4),
     ("single", 0, 5),
     ("single", 2, 0),
     ("sweep", 2, None),
+    ("sweeps", 3, 2),
     ("sweep", 0, None),
 )
+
+
+def _sweep_kernels(kernel: int, index: int) -> list:
+    return [KERNELS[(kernel + j) % len(KERNELS)] for j in range(index % len(KERNELS) + 1)]
 
 
 def _machine(backend: str, noise: str, plan: str | None, boost: bool, seed: int):
@@ -102,6 +126,9 @@ def _replay(library_cls, backend, noise, plan, boost, seed, ops, warmup=0):
             try:
                 if op == "sweep":
                     outcomes.append(library.profile_all_configs(KERNELS[kernel]))
+                elif op == "sweeps":
+                    sweeps = library.profile_sweeps(_sweep_kernels(kernel, index))
+                    outcomes.append([p for sweep in sweeps for p in sweep])
                 else:
                     config = configs[index % len(configs)]
                     outcomes.append([library.profile(KERNELS[kernel], config)])
@@ -170,7 +197,7 @@ class TestFusedProfilingMatchesReference:
         warmup=st.integers(min_value=0, max_value=300),
         ops=st.lists(
             st.tuples(
-                st.sampled_from(("sweep", "single")),
+                st.sampled_from(("sweep", "single", "sweeps")),
                 st.integers(min_value=0, max_value=len(KERNELS) - 1),
                 st.integers(min_value=0, max_value=63),
             ),
@@ -204,6 +231,116 @@ class TestFusedSampler:
         )
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        runs=st.lists(
+            st.tuples(
+                st.floats(min_value=1e-3, max_value=500.0),
+                st.floats(min_value=1e-3, max_value=500.0),
+                st.one_of(
+                    st.floats(min_value=1e-6, max_value=5e-4),  # n = 2
+                    st.floats(min_value=1e-6, max_value=0.2),
+                    st.floats(min_value=8.2, max_value=15.0),  # n > 8192
+                ),
+                st.integers(min_value=0, max_value=12),
+            ),
+            min_size=1,
+            max_size=24,
+        ),
+        noise=st.sampled_from(sorted(NOISE)),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_batch_matches_run_by_run_sampling(self, runs, noise, seed):
+        sampler = NOISE[noise][1] or PowerSampler()
+        reference = ReferencePowerSampler(**vars(sampler))
+        rngs = [np.random.default_rng([seed, i]) for i in range(len(runs))]
+        batch = sampler.sample(
+            np.array([(cpu, nbgpu) for cpu, nbgpu, _, _ in runs]),
+            np.array([duration for _, _, duration, _ in runs]),
+            rngs,
+            extra_draws=[extra for *_, extra in runs],
+        )
+        for i, (cpu, nbgpu, duration, extra) in enumerate(runs):
+            ref_rng = np.random.default_rng([seed, i])
+            ref = reference.sample((cpu, nbgpu), duration, ref_rng)
+            assert batch.mean_power_w[i].tolist() == [p.mean_power_w for p in ref]
+            assert batch.energy_j[i].tolist() == [p.energy_j for p in ref]
+            assert batch.n_samples[i] == ref[0].n_samples
+            assert batch.overhead_s[i] == ref[0].overhead_s
+            assert np.array_equal(batch.extra[i], ref_rng.standard_normal(extra))
+            assert rngs[i].bit_generator.state == ref_rng.bit_generator.state
+
+
+class TestStoreBatch:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("noise", ["default", "exact", "scalar-counters"])
+    def test_characterize_matches_reference_sweeps(self, backend, noise):
+        # One batch over the missing kernels (a duplicate and a cached
+        # kernel among them) records what sweeping them one after
+        # another with the reference records.
+        seed = 11
+        apu = _machine(backend, noise, None, False, seed)
+        with mock.patch.dict(library_module._PROFILE_CACHE, clear=True):
+            store = CharacterizationStore(apu, seed=seed)
+            store.characterization(KERNELS[1])
+            chars = store.characterize([KERNELS[0], KERNELS[1], KERNELS[3], KERNELS[0], KERNELS[4]])
+        reference = ReferenceProfilingLibrary(
+            _machine(backend, noise, None, False, seed),
+            seed=np.random.SeedSequence([seed, _STORE_STREAM_TAG]),
+        )
+        with mock.patch.dict(library_module._PROFILE_CACHE, clear=True):
+            for kernel in (KERNELS[1], KERNELS[0], KERNELS[3], KERNELS[4]):
+                reference.profile_all_configs(kernel)
+        assert len(store.library.database) == len(reference.database)
+        for profile, ref_profile in zip(store.library.database, reference.database):
+            assert_same_profile(profile, ref_profile)
+        assert [c.kernel_uid for c in chars] == [
+            KERNELS[i].uid for i in (0, 1, 3, 0, 4)
+        ]
+        assert chars[0] is chars[3]
+        assert (store.hits, store.misses) == (2, 4)
+
+    def test_conflicting_uid_raises_before_profiling(self):
+        store = CharacterizationStore(seed=0)
+        imposter = Kernel("Tiny", "Probe", "Edge", make_kernel(work_s=2e-5))
+        with pytest.raises(ValueError, match="conflicts"):
+            store.characterize([KERNELS[0], KERNELS[3], imposter])
+        assert len(store.library.database) == 0
+        assert store.stats()["kernels"] == 0
+
+
+def test_round_synthesizes_counters_once_per_pair():
+    # Three-machine rounds on fresh machines and stores (as the offline
+    # bring-up runs them, one seed per round) read every run's counters
+    # from the machines' process-wide memo: one synthesis per (kernel,
+    # configuration) and machine, however many rounds.  The profiling
+    # library's own namespace is patched too, so a direct call from it
+    # would be counted.
+    from repro.hardware import backend as backend_module
+    from repro.hardware import counters as counters_module
+
+    calls = Counter()
+    synthesize = counters_module.synthesize_counters
+
+    def counting(chars, cfg):
+        calls[(chars, cfg)] += 1
+        return synthesize(chars, cfg)
+
+    kernels = list(build_suite())
+    with mock.patch.dict(backend_module._TRUTH_CACHES, clear=True), mock.patch.dict(
+        library_module._PROFILE_CACHE, clear=True
+    ), mock.patch.object(counters_module, "synthesize_counters", counting), mock.patch.object(
+        library_module, "synthesize_counters", counting, create=True
+    ):
+        for seed in (5, 6):
+            for backend in BACKENDS:
+                apu = create_backend(backend, seed=seed)
+                CharacterizationStore(apu, seed=seed).characterize(kernels)
+    assert max(calls.values()) == 1
+    assert sum(calls.values()) == len(kernels) * sum(
+        len(create_backend(backend).config_space) for backend in BACKENDS
+    )
+
 
 WORD = st.one_of(
     st.sampled_from((0, 2**32 - 1)), st.integers(min_value=0, max_value=2**32 - 1)
@@ -231,17 +368,7 @@ class TestStreamDerivation:
         library = ProfilingLibrary(TrinityAPU(seed=0), seed=12345)
         kernel = KERNELS[0]
         config = next(iter(library.apu.config_space))
-        for repetition in range(3):
-            got = library._run_rng(kernel.uid, config, repetition)
-            ref = reference_run_rng(
-                library._base_entropy, kernel.uid, config, repetition
-            )
+        runs = [(kernel.uid, config, repetition) for repetition in range(3)]
+        for (uid, cfg, repetition), got in zip(runs, library._run_rngs(runs)):
+            ref = reference_run_rng(library._base_entropy, uid, cfg, repetition)
             assert got.bit_generator.state == ref.bit_generator.state
-
-    def test_sweep_leaves_no_prefetched_streams(self):
-        # The second library's sweep hits the profile memo on every run,
-        # so none of its runs consumes the stream prefetched for it.
-        for _ in range(2):
-            library = ProfilingLibrary(TrinityAPU(seed=0), seed=3)
-            library.profile_all_configs(KERNELS[0])
-            assert library._prefetched == {}

@@ -216,7 +216,7 @@ def test_property_predictions_are_training_labels(seed):
 
 # -- vectorized split search vs the retained reference loop --------------------
 
-from repro.stats.cart import _best_split_reference  # noqa: E402
+from tests.cart_reference import _best_split_reference  # noqa: E402
 
 
 def _reference_structure(X, y, *, max_depth, min_samples_split, min_samples_leaf):
