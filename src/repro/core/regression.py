@@ -43,6 +43,7 @@ extremes of the fitted range.
 
 from __future__ import annotations
 
+import functools
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -51,6 +52,7 @@ from typing import Iterable, Literal, Mapping, Sequence
 import numpy as np
 
 from repro.core.characterization import KernelCharacterization
+from repro.core.configspace import ConfigTable
 from repro.core.features import (
     CPU_FEATURE_NAMES,
     CPU_POWER_FEATURE_NAMES,
@@ -59,6 +61,7 @@ from repro.core.features import (
     design_row,
     power_design_row,
 )
+from repro.hardware.backend import descriptor_of_config
 from repro.hardware.config import Configuration, Device
 from repro.stats.ols import GramStats, OLSModel, fit_ols, fit_ols_from_gram
 from repro.telemetry import counter
@@ -110,7 +113,7 @@ class DeviceModels:
         """Predicted total power (watts) of ``cfg`` given the kernel's
         measured sample power on this device."""
         self._check_device(cfg)
-        x = _power_features(cfg, sample_power_w, self.power_anchor)
+        x = self._anchored(power_design_row(cfg)[np.newaxis], sample_power_w)
         p = float(self.power.predict(x)[0])
         if self.transform == "log":
             p = float(np.exp(p))
@@ -150,11 +153,7 @@ class DeviceModels:
         return np.maximum(p, 1e-6)
 
     def _anchored(self, X_power: np.ndarray, sample_power_w: float) -> np.ndarray:
-        if not self.power_anchor:
-            return X_power
-        s = sample_power_w / _POWER_ANCHOR_SCALE_W
-        n = X_power.shape[0]
-        return np.hstack([X_power, np.full((n, 1), s), s * X_power])
+        return _anchor(X_power, sample_power_w) if self.power_anchor else X_power
 
     # -- prediction uncertainty (paper Section VI) ----------------------------
 
@@ -217,17 +216,12 @@ class ClusterModels:
         )
 
 
-def _power_features(
-    cfg: Configuration, sample_power_w: float, power_anchor: bool
-) -> np.ndarray:
-    """Power-model regressors: voltage-aware configuration variables,
-    optionally joined by the sample-power anchor and its first-order
-    interactions with every configuration variable."""
-    x = power_design_row(cfg)
-    if not power_anchor:
-        return x
+def _anchor(X_power: np.ndarray, sample_power_w: float) -> np.ndarray:
+    """``[X, s, s*X]``: power design rows joined by the sample-power
+    anchor ``s`` and its interactions with every column."""
     s = sample_power_w / _POWER_ANCHOR_SCALE_W
-    return np.concatenate([x, [s], s * x])
+    n = X_power.shape[0]
+    return np.hstack([X_power, np.full((n, 1), s), s * X_power])
 
 
 def _power_feature_names(device: Device, power_anchor: bool) -> tuple[str, ...]:
@@ -239,6 +233,13 @@ def _power_feature_names(device: Device, power_anchor: bool) -> tuple[str, ...]:
     return base + ("sample_power",) + tuple(f"sample_power*{n}" for n in base)
 
 
+@functools.cache
+def _design_table(descriptor) -> ConfigTable:
+    """The process-wide :class:`ConfigTable` of one machine's whole
+    configuration space."""
+    return ConfigTable.for_space(descriptor.config_space())
+
+
 def _kernel_design(
     char: KernelCharacterization,
     device: Device,
@@ -248,27 +249,35 @@ def _kernel_design(
     """The design rows one kernel contributes to its cluster's fits:
     ``(X_perf, y_perf, X_power, y_power)``, without intercept columns,
     in the kernel's measurement order.  Shared by the direct-design and
-    sufficient-statistics paths so both see identical rows."""
+    sufficient-statistics paths so both see identical rows.
+
+    The rows are gathered from the machine's :class:`ConfigTable`
+    design matrices, and the anchor block and targets are array ops, so
+    a kernel costs a fixed number of array passes, not one
+    :func:`design_row` per configuration; every value is the one the
+    per-configuration rows gave."""
     sample = char.gpu_sample if device is Device.GPU else char.cpu_sample
-    s_perf = sample.performance
-    s_power = sample.total_power_w
-    X_perf, y_perf, X_power, y_power = [], [], [], []
+    cfgs, ms = [], []
     for cfg, m in char.measurements.items():
-        if cfg.device is not device:
-            continue
-        ratio = m.performance / s_perf
-        X_perf.append(design_row(cfg))
-        y_perf.append(np.log(ratio) if transform == "log" else ratio)
-        X_power.append(_power_features(cfg, s_power, power_anchor))
-        y_power.append(
-            np.log(m.total_power_w) if transform == "log" else m.total_power_w
-        )
-    return (
-        np.asarray(X_perf),
-        np.asarray(y_perf),
-        np.asarray(X_power),
-        np.asarray(y_power),
-    )
+        if cfg.device is device:
+            cfgs.append(cfg)
+            ms.append(m)
+    table = _design_table(descriptor_of_config(next(iter(char.measurements))))
+    rows = table.rows_for(cfgs)
+    if device is Device.GPU:
+        rows -= table.n_cpu
+        X_perf, X_power = table.X_perf_gpu[rows], table.X_power_gpu[rows]
+    else:
+        X_perf, X_power = table.X_perf_cpu[rows], table.X_power_cpu[rows]
+    time_s = np.array([m.time_s for m in ms])
+    y_perf = 1.0 / time_s / sample.performance
+    y_power = np.array([m.cpu_plane_w for m in ms])
+    y_power += np.array([m.nbgpu_plane_w for m in ms])
+    if transform == "log":
+        y_perf, y_power = np.log(y_perf), np.log(y_power)
+    if power_anchor:
+        X_power = _anchor(X_power, sample.total_power_w)
+    return X_perf, y_perf, X_power, y_power
 
 
 @dataclass(frozen=True)

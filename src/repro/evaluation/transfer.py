@@ -32,6 +32,7 @@ counted on the ``transfer.recalibration_samples`` telemetry counter.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -214,6 +215,11 @@ class TransferPoint:
     natively-trained baseline (no transfer, no recalibration).
     Percentages follow Table III conventions; MAPE/tau are computed
     against the deterministic ground truth over the full space.
+    ``fallback_pct`` is the share of cases in which no configuration
+    was predicted feasible, so the scheduler fell back to the
+    lowest-predicted-power one; ``top_config`` is the label of the
+    most-picked configuration and ``top_config_share_pct`` its share of
+    all cases.
     """
 
     k: int | None
@@ -226,6 +232,9 @@ class TransferPoint:
     recalibration_runs: int
     n_cases: int
     mean_risk_margin: float = 0.0
+    fallback_pct: float = 0.0
+    top_config: str = ""
+    top_config_share_pct: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -261,6 +270,9 @@ class TransferReport:
                 "recalibration_runs": p.recalibration_runs,
                 "n_cases": p.n_cases,
                 "mean_risk_margin": p.mean_risk_margin,
+                "fallback_pct": p.fallback_pct,
+                "top_config": p.top_config,
+                "top_config_share_pct": p.top_config_share_pct,
             }
 
         return {
@@ -286,8 +298,11 @@ class _Accumulator:
     under_energy: list = field(default_factory=list)
     recal_runs: int = 0
     margins: list = field(default_factory=list)
+    fallbacks: int = 0
+    picks: Counter = field(default_factory=Counter)
 
     def point(self, k: int | None) -> TransferPoint:
+        top, top_count = self.picks.most_common(1)[0]
         return TransferPoint(
             k=k,
             power_mape=float(np.mean(self.power_err)),
@@ -307,6 +322,9 @@ class _Accumulator:
             mean_risk_margin=(
                 float(np.mean(self.margins)) if self.margins else 0.0
             ),
+            fallback_pct=100.0 * self.fallbacks / self.cases,
+            top_config=top.label(),
+            top_config_share_pct=100.0 * top_count / self.cases,
         )
 
 
@@ -341,6 +359,8 @@ def _score(
         pw, pf = truth[decision.config]
         o_pw, o_pf = truth[o_cfg]
         acc.cases += 1
+        acc.fallbacks += not decision.predicted_feasible
+        acc.picks[decision.config] += 1
         if respects_cap(pw, cap):
             acc.under += 1
             acc.under_perf.append(pf / o_pf)

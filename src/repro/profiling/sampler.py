@@ -22,6 +22,12 @@ trapezoid-term operations.  The filter is causal, so padding never
 reaches a run's samples, and each plane of each run is summed by its own
 ``np.add.reduce`` over exactly its terms, so estimates are bit-identical
 to sampling run by run and plane by plane.
+
+``scipy.signal`` is imported on the first call to :meth:`PowerSampler.sample`,
+not with this module: importing it pulls in ``scipy.stats`` and costs
+about 1.5 s, and most processes that import :mod:`repro` (searches, fleet
+allocation, served decisions, CLI commands over a warm store) never
+sample a run.
 """
 
 from __future__ import annotations
@@ -30,7 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 __all__ = ["PowerSampler", "SampledPower", "SampledRuns"]
 
@@ -130,6 +135,9 @@ class PowerSampler:
         (start and finish of the kernel, as the paper records) are
         always taken.
         """
+        # Not at module level: see the module docstring.
+        from scipy.signal import lfilter
+
         one_run = np.ndim(duration_s) == 0
         if one_run:
             scalar = np.ndim(true_mean_w) == 0

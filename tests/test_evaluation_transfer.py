@@ -131,6 +131,32 @@ class TestRunTransfer:
         assert len(d["transferred"]) == len(report.transferred)
         assert d["native"]["k"] is None
 
+    def test_drivers_are_reported(self, report):
+        for p in (*report.transferred, report.native):
+            assert 0.0 <= p.fallback_pct <= 100.0
+            assert 0.0 < p.top_config_share_pct <= 100.0
+            assert p.top_config
+        row = report.to_dict()["transferred"][0]
+        point = report.transferred[0]
+        assert row["fallback_pct"] == point.fallback_pct
+        assert row["top_config"] == point.top_config
+        assert row["top_config_share_pct"] == point.top_config_share_pct
+
+    def test_one_configuration_dominates_biglittle_at_every_k(self):
+        # The transplanted model picks the LITTLE cluster's 1.6 GHz x 4
+        # configuration in more than nine cases of ten at every
+        # recalibration budget.
+        r = run_transfer("trinity", "biglittle", seed=0)
+        descriptor = create_backend("biglittle").config_space.descriptor
+        label = next(
+            c.label() for c in descriptor.enumerate_configs()
+            if not c.is_gpu and c.cpu_freq_ghz == 1.6 and c.n_threads == 4
+        )
+        for p in r.transferred:
+            assert p.top_config == label, p.k
+            assert p.top_config_share_pct > 90.0, p.k
+        assert r.native.top_config != label
+
     def test_deterministic_given_seed(self, small_suite):
         a = run_transfer("trinity", "mpsoc", ks=(0, 1), seed=3, suite=small_suite)
         b = run_transfer("trinity", "mpsoc", ks=(0, 1), seed=3, suite=small_suite)
@@ -160,7 +186,9 @@ class TestScoreCapRule:
             true_performance=lambda kernel, c: perf[c],
         )
         scheduler = SimpleNamespace(
-            select=lambda pred, cap, risk_margin: SimpleNamespace(config=picked)
+            select=lambda pred, cap, risk_margin: SimpleNamespace(
+                config=picked, predicted_feasible=True
+            )
         )
         oracle = SimpleNamespace(decide=lambda kernel, cap: SimpleNamespace(config="edge"))
         acc = _Accumulator()

@@ -1,0 +1,69 @@
+"""A fresh interpreter imports the package without loading scipy.
+
+``scipy.signal`` costs about 1.5 s to import and only the power sampler
+uses it, so :mod:`repro.profiling.sampler` imports it inside
+:meth:`PowerSampler.sample`.  This test runs a new interpreter that
+imports the package entry points a searching, allocating or serving
+process uses, checks that no ``scipy`` module is loaded, and then
+samples one run and a two-run batch, which must equal the per-plane
+reference sampler bit for bit.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SCRIPT = """
+import sys
+
+import repro
+import repro.cli
+import repro.cluster.allocation
+import repro.cluster.tree
+import repro.search.engine
+import repro.server.service
+
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, f"importing repro loaded {loaded}"
+
+import numpy as np
+
+from repro.profiling import PowerSampler
+
+one = PowerSampler().sample([21.5, 7.25], 0.0437, np.random.default_rng(1))
+means = np.array([[21.5, 7.25], [4.0, 11.0]])
+durations = np.array([0.0437, 0.0012])
+batch = PowerSampler().sample(
+    means, durations, [np.random.default_rng(2), np.random.default_rng(3)]
+)
+assert "scipy.signal" in sys.modules
+
+from tests.profile_reference import ReferencePowerSampler
+
+reference = ReferencePowerSampler()
+assert one == reference.sample([21.5, 7.25], 0.0437, np.random.default_rng(1))
+for i, seed in enumerate((2, 3)):
+    runs = reference.sample(list(means[i]), durations[i], np.random.default_rng(seed))
+    for p, run in enumerate(runs):
+        assert batch.mean_power_w[i, p] == run.mean_power_w
+        assert batch.energy_j[i, p] == run.energy_j
+        assert batch.n_samples[i] == run.n_samples
+        assert batch.overhead_s[i] == run.overhead_s
+"""
+
+
+def test_fresh_interpreter_imports_repro_without_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT), env.get("PYTHONPATH", "")]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
