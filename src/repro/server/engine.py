@@ -6,10 +6,12 @@ kernels' :class:`~repro.core.scheduler.CapSweepTable` segments into one
 table, so a batch of any size and kernel mix costs the same fixed
 sequence of array operations: encode uids to segments, one segmented
 lookup, one gather of the predicted power/performance, returned as a
-structure-of-arrays :class:`BatchDecisions`.  The decision server
-publishes one index per engine snapshot; other callers (the LOOCV
-harness via :meth:`repro.methods.model_method.ModelMethod.decide_many`,
-tests, benchmarks) stack the batch's tables on the fly.  Both paths
+structure-of-arrays :class:`BatchDecisions` whose global rows also
+gather the chosen configurations from the index's flat tuple.  The
+decision server publishes one index per engine snapshot; other callers
+(the LOOCV harness via
+:meth:`repro.methods.model_method.ModelMethod.decide_many`, tests,
+benchmarks) stack the batch's tables on the fly.  Both paths
 run the same lookup, so the server's answers are bit-identical to the
 evaluation's by construction.
 
@@ -23,6 +25,7 @@ configuration was predicted to meet).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -54,11 +57,12 @@ class BatchDecisions:
     """Structure-of-arrays result of :func:`decide_batch`.
 
     Parallel to the request arrays: ``config_index[i]`` is the chosen
-    configuration's index in kernel ``kernel_uids[i]``'s prediction,
-    with the predicted power/performance gathered alongside.  Full
-    :class:`Configuration` / :class:`SchedulerDecision` objects are
-    materialized lazily per element — the hot path (throughput
-    benchmarks, bulk evaluation) never pays for them.
+    configuration's index in kernel ``kernel_uids[i]``'s prediction and
+    ``at[i]`` its global row in the stacked index, from which the
+    predicted power/performance were gathered and ``stacked_configs``
+    gathers the :class:`Configuration` on demand: :meth:`configs` for
+    every request in one gather, :meth:`config` / :meth:`decision` for
+    one.
     """
 
     kernel_uids: Sequence[str]
@@ -67,19 +71,19 @@ class BatchDecisions:
     feasible: np.ndarray
     predicted_power_w: np.ndarray
     predicted_performance: np.ndarray
-    predictions: Mapping[str, KernelPrediction]
+    at: np.ndarray
+    stacked_configs: Sequence[Configuration]
 
     def __len__(self) -> int:
         return self.config_index.size
 
     def config(self, i: int) -> Configuration:
         """The selected configuration for request ``i``."""
-        prediction = self.predictions[self.kernel_uids[i]]
-        return prediction.config_at(int(self.config_index[i]))
+        return self.stacked_configs[self.at[i]]
 
     def configs(self) -> list[Configuration]:
-        """All selected configurations, in request order."""
-        return [self.config(i) for i in range(len(self))]
+        """All selected configurations, in request order (one gather)."""
+        return list(map(self.stacked_configs.__getitem__, self.at.tolist()))
 
     def decision(self, i: int) -> SchedulerDecision:
         """Request ``i`` as a full :class:`SchedulerDecision`."""
@@ -96,10 +100,11 @@ class DecisionIndex:
 
     ``segment_of`` maps a kernel uid to its segment of ``table``, whose
     ``offsets`` also locate each segment's configurations in the
-    concatenated ``power_w`` / ``performance`` predictions.
+    concatenated ``power_w`` / ``performance`` predictions and in the
+    flat ``configs`` tuple.
     """
 
-    __slots__ = ("table", "segment_of", "power_w", "performance")
+    __slots__ = ("table", "segment_of", "power_w", "performance", "configs")
 
     def __init__(
         self,
@@ -115,6 +120,7 @@ class DecisionIndex:
         self.performance = np.concatenate(
             [np.empty(0), *(p.performance_array for p in picked)]
         )
+        self.configs = tuple(chain.from_iterable(p.config_tuple for p in picked))
 
 
 def _batch_index(
@@ -217,5 +223,6 @@ def decide_batch(
         feasible=feasible,
         predicted_power_w=index.power_w[at],
         predicted_performance=index.performance[at],
-        predictions=predictions,
+        at=at,
+        stacked_configs=index.configs,
     )

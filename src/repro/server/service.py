@@ -25,8 +25,9 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from itertools import compress, repeat
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from repro.core.model import AdaptiveModel
 from repro.core.predictor import KernelPrediction, OnlinePredictor
@@ -59,13 +60,14 @@ ERROR_NO_FEASIBLE_CONFIG = "no-feasible-config"
 ERROR_SAMPLE_FAILED = "sample-failed"
 
 
-@dataclass(frozen=True)
-class DecisionResult:
+class DecisionResult(NamedTuple):
     """Answer to one :class:`~repro.server.engine.DecisionRequest`.
 
     ``error`` is ``None`` on success; otherwise one of the
     ``ERROR_*`` codes and every predicted field is a placeholder
-    (``config`` ``None``, NaN predictions, ``feasible`` False).
+    (``config`` ``None``, NaN predictions, ``feasible`` False).  A
+    named tuple, so a batch's answers are built by one C-level ``map``;
+    it iterates and compares equal like the plain tuple of its fields.
     """
 
     kernel_uid: str
@@ -84,13 +86,8 @@ class DecisionResult:
 
 def _error_result(request: DecisionRequest, error: str) -> DecisionResult:
     return DecisionResult(
-        kernel_uid=request.kernel_uid,
-        power_cap_w=request.power_cap_w,
-        config=None,
-        predicted_power_w=math.nan,
-        predicted_performance=math.nan,
-        feasible=False,
-        error=error,
+        request.kernel_uid, request.power_cap_w, None, math.nan, math.nan,
+        False, error,
     )
 
 
@@ -309,13 +306,12 @@ class DecisionService:
     # -- serving -----------------------------------------------------------
 
     @staticmethod
-    def _cap_error(request: DecisionRequest) -> str | None:
-        cap = request.power_cap_w
+    def _cap_valid(cap) -> bool:
+        """The per-request cap rule: a finite real number above zero."""
         try:
-            valid = math.isfinite(cap) and cap > 0
+            return math.isfinite(cap) and cap > 0
         except TypeError:
-            valid = False
-        return None if valid else ERROR_INVALID_CAP
+            return False
 
     def decide(self, request: DecisionRequest) -> DecisionResult:
         """Answer one request on the unbatched per-request path.
@@ -326,19 +322,22 @@ class DecisionService:
         """
         with trace_span("server/request"):
             _REQUESTS.inc()
-            error = self._cap_error(request)
-            if error is None:
+            if self._cap_valid(request.power_cap_w):
                 error = self._ensure([request.kernel_uid]).get(
                     request.kernel_uid
                 )
+            else:
+                error = ERROR_INVALID_CAP
             if error is not None:
                 _ERRORS.inc()
                 return _error_result(request, error)
             snap = self._snapshot
             prediction = snap.predictions[request.kernel_uid]
             try:
+                # float(), as the batch path's float64 array does, so a
+                # Decimal or numpy cap is answered the same on both.
                 decision = snap.scheduler.select(
-                    prediction, request.power_cap_w
+                    prediction, float(request.power_cap_w)
                 )
             except NoFeasibleConfigError:
                 _ERRORS.inc()
@@ -355,7 +354,9 @@ class DecisionService:
     def decide_batch(
         self, requests: Sequence[DecisionRequest]
     ) -> list[DecisionResult]:
-        """Answer a coalesced batch with one segmented engine lookup.
+        """Answer a coalesced batch in one array pass: one segmented
+        engine lookup, one configuration gather, and every answer built
+        as a tuple by one ``map``.
 
         Per-request failures (unknown kernel, invalid cap, no feasible
         configuration) degrade that request to an error result; the
@@ -366,59 +367,43 @@ class DecisionService:
             _BATCHES.inc()
             _REQUESTS.inc(len(requests))
             _BATCH_SIZE.observe(float(len(requests)))
-            results: list[DecisionResult | None] = [None] * len(requests)
+            uids = [r.kernel_uid for r in requests]
+            caps = [r.power_cap_w for r in requests]
+            valid = list(map(self._cap_valid, caps))
+            errors = self._ensure(list(dict.fromkeys(compress(uids, valid))))
+            codes = None
+            if errors or not all(valid):
+                codes = [
+                    errors.get(uid) if ok else ERROR_INVALID_CAP
+                    for uid, ok in zip(uids, valid)
+                ]
+                keep = [code is None for code in codes]
+                uids = list(compress(uids, keep))
+                caps = list(compress(caps, keep))
+                _ERRORS.inc(len(requests) - len(uids))
 
-            live: list[int] = []
-            for i, request in enumerate(requests):
-                error = self._cap_error(request)
-                if error is not None:
-                    results[i] = _error_result(request, error)
-                else:
-                    live.append(i)
-
-            if live:
-                errors = self._ensure(
-                    list({requests[i].kernel_uid for i in live})
-                )
-                if errors:
-                    still = []
-                    for i in live:
-                        error = errors.get(requests[i].kernel_uid)
-                        if error is not None:
-                            results[i] = _error_result(requests[i], error)
-                        else:
-                            still.append(i)
-                    live = still
-
-            if live:
+            answers: Iterator[DecisionResult] = iter(())
+            if uids:
                 snap = self._snapshot
-                uids = [requests[i].kernel_uid for i in live]
-                caps = [requests[i].power_cap_w for i in live]
                 batch = decide_batch(
                     snap.scheduler, snap.predictions, uids, caps, index=snap.index
                 )
-                for i, uid, cap, c, power, perf, feasible in zip(
-                    live,
+                answers = map(tuple.__new__, repeat(DecisionResult), zip(
                     uids,
                     caps,
-                    batch.config_index.tolist(),
+                    batch.configs(),
                     batch.predicted_power_w.tolist(),
                     batch.predicted_performance.tolist(),
                     batch.feasible.tolist(),
-                ):
-                    results[i] = DecisionResult(
-                        kernel_uid=uid,
-                        power_cap_w=cap,
-                        config=snap.predictions[uid].config_tuple[c],
-                        predicted_power_w=power,
-                        predicted_performance=perf,
-                        feasible=feasible,
-                    )
-
-            n_errors = len(requests) - len(live)  # the rest got error results
-            if n_errors:
-                _ERRORS.inc(n_errors)
-            return results  # type: ignore[return-value]
+                    repeat(None),
+                ))
+            if codes is None:
+                return list(answers)
+            # Answers come in request order, so each live slot takes the next.
+            return [
+                next(answers) if code is None else _error_result(r, code)
+                for r, code in zip(requests, codes)
+            ]
 
 
 def build_default_service(

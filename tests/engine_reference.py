@@ -55,6 +55,7 @@ def reference_decide_batch(
     feasible = np.empty(n, dtype=bool)
     power = np.empty(n, dtype=np.float64)
     perf = np.empty(n, dtype=np.float64)
+    at = np.empty(n, dtype=np.intp)
 
     code_of = {uid: code for code, uid in enumerate(predictions)}
     try:
@@ -62,6 +63,9 @@ def reference_decide_batch(
     except KeyError as exc:
         raise KeyError(f"no prediction for kernel uid {exc.args[0]!r}") from None
     names = list(predictions)
+    stacked = tuple(c for p in predictions.values() for c in p.config_tuple)
+    sizes = [len(p.config_tuple) for p in predictions.values()]
+    first_row = np.concatenate(([0], np.cumsum(sizes)))
     unique_codes, inverse = np.unique(codes, return_inverse=True)
     order = np.argsort(inverse, kind="stable")
     starts = np.searchsorted(inverse[order], np.arange(unique_codes.size))
@@ -80,6 +84,7 @@ def reference_decide_batch(
             )
         g_index, g_feasible = reference_lookup(table, caps[rows])
         index[rows] = g_index
+        at[rows] = first_row[unique_codes[g]] + g_index
         feasible[rows] = g_feasible
         power[rows] = prediction.power_array[g_index]
         perf[rows] = prediction.performance_array[g_index]
@@ -91,7 +96,8 @@ def reference_decide_batch(
         feasible=feasible,
         predicted_power_w=power,
         predicted_performance=perf,
-        predictions=predictions,
+        at=at,
+        stacked_configs=stacked,
     )
 
 
@@ -99,6 +105,7 @@ def assert_same_decisions(got: BatchDecisions, want: BatchDecisions) -> None:
     """Element-equal batches (NaN predictions compare equal)."""
     assert list(got.kernel_uids) == list(want.kernel_uids)
     assert np.array_equal(got.config_index, want.config_index)
+    assert got.configs() == want.configs()
     assert np.array_equal(got.feasible, want.feasible)
     assert np.array_equal(
         got.predicted_power_w, want.predicted_power_w, equal_nan=True

@@ -7,16 +7,19 @@ replaced (``tests/engine_reference.py``: group by kernel, one search
 per table) on tie-heavy inputs — duplicate thresholds, ±0.0,
 quarantined (+inf) and NaN predicted power, caps on a threshold and
 one ulp either side, per-segment risk margins — and end to end through
-the decision service.
+the decision service, whose batch answers must equal its one-request
+answers field for field, and whose gathered configurations must be the
+predictions' own objects.
 """
 
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from .engine_reference import (
@@ -37,6 +40,11 @@ from repro.server.service import (
     ERROR_INVALID_CAP,
     ERROR_UNKNOWN_KERNEL,
     DecisionResult,
+)
+
+_FIELDS = (
+    "kernel_uid", "power_cap_w", "config", "predicted_power_w",
+    "predicted_performance", "feasible", "error",
 )
 
 _SPACE = list(ConfigSpace())
@@ -329,3 +337,101 @@ class TestNanCapsRejected:
                 snap.scheduler, snap.predictions, [uid, uid], [20.0, math.nan],
                 index=snap.index,
             )
+
+
+# -- the service's batch path against its single-request path ------------------
+
+
+def _caps():
+    """Valid caps plus every kind of invalid one the per-request rule
+    sees: non-positive, non-finite, and values numpy would coerce
+    (``"3.0"`` to 3.0, ``None`` to NaN) but the rule rejects."""
+    return st.one_of(
+        st.floats(min_value=1e-3, max_value=80.0),
+        st.sampled_from([
+            0.0, -0.0, -1.0, -math.inf, math.inf, math.nan, 1e-300, 1e300,
+            True, np.float32(2), np.float64(25.0), Decimal("2"), "3.0", None,
+        ]),
+    )
+
+
+def _same_field(a, b) -> bool:
+    nan = isinstance(a, float) and isinstance(b, float) and a != a and b != b
+    return type(a) is type(b) and (nan or a == b)
+
+
+class TestBatchMatchesSingle:
+    """``decide_batch`` answers every request exactly as ``decide``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(
+                    st.integers(0, 64),
+                    st.sampled_from(["no/such/kernel", ""]),
+                ),
+                _caps(),
+            ),
+            max_size=24,
+        )
+    )
+    # numpy would coerce "3.0" to 3.0 and None to NaN; the rule rejects
+    # both.  Decimal passes the rule but fails float arithmetic.
+    @example([(0, "3.0"), (0, None), (1, Decimal("2")), ("no/such", 20.0)])
+    def test_batch_equals_per_request(self, service, picks):
+        uids = service.kernel_uids
+        batch = [
+            DecisionRequest(uids[k] if isinstance(k, int) else k, cap)
+            for k, cap in picks
+        ]
+        got = service.decide_batch(batch)
+        want = [service.decide(r) for r in batch]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert type(g) is DecisionResult
+            for name, a, b in zip(_FIELDS, g, w):
+                assert _same_field(a, b), (name, a, b)
+
+
+class TestDecisionResultRecord:
+    def _result(self, service):
+        uid = service.kernel_uids[0]
+        return service.decide_batch([DecisionRequest(uid, 20.0)])[0]
+
+    def test_field_order_and_ok(self, service):
+        result = self._result(service)
+        assert DecisionResult._fields == _FIELDS
+        assert tuple(result) == tuple(getattr(result, f) for f in _FIELDS)
+        assert result.ok and result.error is None
+        assert tuple(result) == result  # compares like its plain tuple
+        failed = service.decide_batch([DecisionRequest("no/such", 20.0)])[0]
+        assert not failed.ok and failed.error == ERROR_UNKNOWN_KERNEL
+
+    def test_immutable_and_hashable(self, service):
+        result = self._result(service)
+        with pytest.raises(AttributeError):
+            result.config = None  # type: ignore[misc]
+        assert hash(result) == hash(tuple(result))
+        assert {result, self._result(service)} == {result}
+
+
+@pytest.mark.parametrize("backend", ["trinity", "biglittle", "mpsoc"])
+def test_index_rows_hold_the_predictions_configurations(backend):
+    """Every row the batch gathers is the prediction's own object."""
+    svc = build_default_service(seed=0, backend=backend)
+    assert svc.warm() == {}
+    snap = svc.snapshot
+    uids, caps = _pool(svc, 600, seed=3)
+    caps[::5] = 0.5  # fallbacks too
+    batch = decide_batch(
+        snap.scheduler, snap.predictions, uids, caps, index=snap.index
+    )
+    configs = batch.configs()
+    for i, (uid, row, c) in enumerate(
+        zip(uids, batch.at.tolist(), batch.config_index.tolist())
+    ):
+        want = snap.predictions[uid].config_at(c)
+        assert snap.index.configs[row] is want
+        assert configs[i] is want and batch.config(i) is want
+    assert len(snap.index.configs) == snap.index.power_w.size
