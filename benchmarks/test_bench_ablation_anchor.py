@@ -15,9 +15,12 @@ The timed operation is offline training without the anchor.
 
 import numpy as np
 
-from repro.core import CPU_SAMPLE, GPU_SAMPLE, AdaptiveModel
+from repro.core import AdaptiveModel
 
 from conftest import write_artifact
+from repro.hardware.backend import TRINITY_DESCRIPTOR
+
+CPU_SAMPLE, GPU_SAMPLE = TRINITY_DESCRIPTOR.sample_configs()
 
 
 def test_ablation_power_anchor(benchmark, exact_apu, suite, char_store):

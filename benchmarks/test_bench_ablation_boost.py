@@ -21,12 +21,13 @@ The timed operation is a boosted ground-truth sweep of one kernel.
 
 import numpy as np
 
-from repro.hardware import BoostPolicy, Configuration, NoiseModel, TrinityAPU
+from repro.hardware import BoostPolicy, NoiseModel, TrinityAPU
+from repro.hardware.backend import TRINITY_DESCRIPTOR
 from repro.hardware.kernelmodel import amdahl_speedup, memory_bandwidth_factor
 
 from conftest import write_artifact
 
-TOP = Configuration.cpu(3.7, 4)
+TOP = TRINITY_DESCRIPTOR.sample_configs()[0]  # CPU 3.7 GHz x4
 
 
 def _boost_outcome(policy, exact_apu, kernel):

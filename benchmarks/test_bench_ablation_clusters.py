@@ -22,10 +22,13 @@ characterizations.
 
 import numpy as np
 
-from repro.core import CPU_SAMPLE, GPU_SAMPLE, AdaptiveModel
+from repro.core import AdaptiveModel
 from repro.core import cluster_kernels
 
 from conftest import write_artifact
+from repro.hardware.backend import TRINITY_DESCRIPTOR
+
+CPU_SAMPLE, GPU_SAMPLE = TRINITY_DESCRIPTOR.sample_configs()
 
 SWEEP_KS = (1, 2, 3, 5, 8, 20)
 

@@ -18,13 +18,14 @@ The timed operation is one risk-averse selection.
 import numpy as np
 
 from repro.core import (
-    CPU_SAMPLE,
-    GPU_SAMPLE,
     Scheduler,
 )
 from repro.methods import Oracle
 
 from conftest import train_from_store, write_artifact
+from repro.hardware.backend import TRINITY_DESCRIPTOR
+
+CPU_SAMPLE, GPU_SAMPLE = TRINITY_DESCRIPTOR.sample_configs()
 
 
 def test_ablation_risk_aware_selection(benchmark, exact_apu, suite, char_store):

@@ -16,9 +16,12 @@ The timed operation is offline training with the transform enabled.
 
 import numpy as np
 
-from repro.core import CPU_SAMPLE, GPU_SAMPLE, AdaptiveModel
+from repro.core import AdaptiveModel
 
 from conftest import write_artifact
+from repro.hardware.backend import TRINITY_DESCRIPTOR
+
+CPU_SAMPLE, GPU_SAMPLE = TRINITY_DESCRIPTOR.sample_configs()
 
 
 def test_ablation_variance_stabilizing_transform(

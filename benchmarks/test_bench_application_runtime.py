@@ -19,7 +19,8 @@ The timed operation is one adaptive timestep (all kernels, scheduled
 phase).
 """
 
-from repro.hardware import Configuration
+from repro.hardware import Device
+from repro.hardware.backend import TRINITY_DESCRIPTOR
 from repro.profiling import ProfilingLibrary
 from repro.runtime import AdaptiveRuntime, Application, OracleRuntime, StaticRuntime
 
@@ -41,10 +42,12 @@ def test_application_level_adaptation(benchmark, exact_apu, suite, char_store):
     adaptive_rt = AdaptiveRuntime(model, ProfilingLibrary(exact_apu, seed=1))
     adaptive = adaptive_rt.run(app, TIMESTEPS, _caps)
     static_hot = StaticRuntime(
-        ProfilingLibrary(exact_apu, seed=2), Configuration.cpu(3.7, 4)
+        ProfilingLibrary(exact_apu, seed=2),
+        TRINITY_DESCRIPTOR.config(Device.CPU, 3.7, 4, 0.311),
     ).run(app, TIMESTEPS, _caps)
     static_cold = StaticRuntime(
-        ProfilingLibrary(exact_apu, seed=3), Configuration.cpu(1.4, 4)
+        ProfilingLibrary(exact_apu, seed=3),
+        TRINITY_DESCRIPTOR.config(Device.CPU, 1.4, 4, 0.311),
     ).run(app, TIMESTEPS, _caps)
     oracle = OracleRuntime(ProfilingLibrary(exact_apu, seed=4)).run(
         app, TIMESTEPS, _caps

@@ -20,11 +20,14 @@ The timed operation is retraining on the new machine.
 
 import numpy as np
 
-from repro.core import CPU_SAMPLE, GPU_SAMPLE, train_model
+from repro.core import train_model
 from repro.hardware.presets import leaky_apu, trinity
 from repro.profiling import ProfilingLibrary
 
 from conftest import write_artifact
+from repro.hardware.backend import TRINITY_DESCRIPTOR
+
+CPU_SAMPLE, GPU_SAMPLE = TRINITY_DESCRIPTOR.sample_configs()
 
 
 def _power_mape(model, apu, kernels):

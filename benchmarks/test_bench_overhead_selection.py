@@ -9,9 +9,12 @@ complete online decision — tree classification + whole-space prediction
 the sub-millisecond claim holds for our implementation too.
 """
 
-from repro.core import CPU_SAMPLE, GPU_SAMPLE, Scheduler
+from repro.core import Scheduler
 
 from conftest import train_from_store, write_artifact
+from repro.hardware.backend import TRINITY_DESCRIPTOR
+
+CPU_SAMPLE, GPU_SAMPLE = TRINITY_DESCRIPTOR.sample_configs()
 
 
 def test_online_selection_under_one_millisecond(

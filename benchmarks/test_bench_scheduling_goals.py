@@ -21,9 +21,12 @@ The timed operation is one energy-goal selection.
 
 import numpy as np
 
-from repro.core import CPU_SAMPLE, GPU_SAMPLE, Scheduler
+from repro.core import Scheduler
 
 from conftest import train_from_store, write_artifact
+from repro.hardware.backend import TRINITY_DESCRIPTOR
+
+CPU_SAMPLE, GPU_SAMPLE = TRINITY_DESCRIPTOR.sample_configs()
 
 CAP_W = 35.0
 

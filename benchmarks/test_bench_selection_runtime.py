@@ -19,11 +19,14 @@ import json
 import time
 from pathlib import Path
 
-from repro.core import CPU_SAMPLE, GPU_SAMPLE, Scheduler
+from repro.core import Scheduler
 from repro.evaluation import run_loocv
 from repro.methods import Oracle
 
 from conftest import train_from_store, write_artifact
+from repro.hardware.backend import TRINITY_DESCRIPTOR
+
+CPU_SAMPLE, GPU_SAMPLE = TRINITY_DESCRIPTOR.sample_configs()
 
 BENCH_PATH = Path(__file__).parent.parent / "BENCH_selection.json"
 

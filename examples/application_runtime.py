@@ -13,7 +13,7 @@ per kernel.
 Run:  python examples/application_runtime.py
 """
 
-from repro import Configuration, ProfilingLibrary, TrinityAPU, build_suite, train_model
+from repro import Device, ProfilingLibrary, TrinityAPU, build_suite, train_model
 from repro.runtime import AdaptiveRuntime, Application, OracleRuntime, StaticRuntime
 
 GROUP = "CoMD Small"
@@ -36,15 +36,21 @@ def main() -> None:
     print(f"Training model without CoMD ({len(train)} kernels) ...")
     model = train_model(library, train)
 
+    d = apu.descriptor
+
+    def cpu_at(freq_ghz: float):
+        """All four cores at one P-state, the GPU idling."""
+        return d.config(Device.CPU, freq_ghz, 4, d.secondary.min_freq_ghz)
+
     runs = {
         "Adaptive (model)": AdaptiveRuntime(
             model, ProfilingLibrary(apu, seed=1)
         ).run(app, TIMESTEPS, cap_schedule),
         "Static CPU 3.7x4": StaticRuntime(
-            ProfilingLibrary(apu, seed=2), Configuration.cpu(3.7, 4)
+            ProfilingLibrary(apu, seed=2), cpu_at(3.7)
         ).run(app, TIMESTEPS, cap_schedule),
         "Static CPU 1.4x4": StaticRuntime(
-            ProfilingLibrary(apu, seed=3), Configuration.cpu(1.4, 4)
+            ProfilingLibrary(apu, seed=3), cpu_at(1.4)
         ).run(app, TIMESTEPS, cap_schedule),
         "Oracle": OracleRuntime(ProfilingLibrary(apu, seed=4)).run(
             app, TIMESTEPS, cap_schedule

@@ -15,7 +15,6 @@ Run:  python examples/energy_budget.py
 """
 
 from repro import ProfilingLibrary, TrinityAPU, build_suite, train_model
-from repro.core import CPU_SAMPLE, GPU_SAMPLE
 from repro.runtime import optimize_energy_budget
 
 GROUP = "CoMD Small"
@@ -32,9 +31,10 @@ def main() -> None:
     model = train_model(library, [k for k in suite if k.benchmark != benchmark])
 
     predictions = {}
+    cpu_sample, gpu_sample = apu.descriptor.sample_configs()
     for k in kernels:
-        cm = library.profile(k, CPU_SAMPLE).measurement
-        gm = library.profile(k, GPU_SAMPLE).measurement
+        cm = library.profile(k, cpu_sample).measurement
+        gm = library.profile(k, gpu_sample).measurement
         predictions[k.uid] = model.predict_kernel(cm, gm, kernel_uid=k.uid)
 
     floor = sum(

@@ -58,7 +58,6 @@ from repro.core import (
 )
 from repro.hardware import (
     Configuration,
-    ConfigSpace,
     Device,
     FrequencyLimiter,
     KernelCharacteristics,
@@ -73,7 +72,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AdaptiveModel",
-    "ConfigSpace",
     "Configuration",
     "Device",
     "FrequencyLimiter",

@@ -48,6 +48,7 @@ from repro.evaluation import (
     summarize,
 )
 from repro.hardware import NoiseModel, TrinityAPU
+from repro.hardware.backend import create_backend
 from repro.profiling import ProfilingLibrary
 from repro.telemetry import (
     configure_logging,
@@ -599,7 +600,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_predict(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    apu = TrinityAPU(seed=args.seed)
+    # The machine the model was trained on (model files record it).
+    apu = create_backend(model.config_space.descriptor.name, seed=args.seed)
     library = ProfilingLibrary(apu, seed=args.seed)
     kernel = build_suite().get(args.kernel)
     prediction = OnlinePredictor(model, library).predict(kernel)

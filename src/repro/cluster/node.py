@@ -30,8 +30,8 @@ import numpy as np
 from repro.constants import CAP_EPSILON
 from repro.core.model import AdaptiveModel
 from repro.core.predictor import KernelPrediction
-from repro.core.sample_configs import CPU_SAMPLE, GPU_SAMPLE
 from repro.hardware.apu import TrinityAPU
+from repro.hardware.backend import HardwareBackend
 from repro.profiling.library import ProfilingLibrary
 from repro.runtime.adaptive import AdaptiveRuntime
 from repro.runtime.application import Application
@@ -129,7 +129,8 @@ class ClusterNode:
         The machine's trained adaptive model (shared across identical
         nodes — the offline stage runs once per machine type).
     apu:
-        The node's machine (defaults to a fresh one seeded by ``seed``).
+        The node's machine, any backend (defaults to a fresh Trinity APU
+        seeded by ``seed``).
     seed:
         Seed for this node's measurement streams.
     """
@@ -140,7 +141,7 @@ class ClusterNode:
         application: Application,
         model: AdaptiveModel,
         *,
-        apu: TrinityAPU | None = None,
+        apu: HardwareBackend | None = None,
         seed: int = 0,
     ) -> None:
         if not name:
@@ -163,9 +164,10 @@ class ClusterNode:
         if self._predictions is not None:
             return
         predictions: dict[str, KernelPrediction] = {}
+        cpu_sample, gpu_sample = self.apu.descriptor.sample_configs()
         for kernel in self.application.kernels:
-            cpu_m = self.library.profile(kernel, CPU_SAMPLE).measurement
-            gpu_m = self.library.profile(kernel, GPU_SAMPLE).measurement
+            cpu_m = self.library.profile(kernel, cpu_sample).measurement
+            gpu_m = self.library.profile(kernel, gpu_sample).measurement
             predictions[kernel.uid] = self.model.predict_kernel(
                 cpu_m, gpu_m, kernel_uid=kernel.uid
             )

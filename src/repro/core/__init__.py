@@ -50,7 +50,6 @@ from repro.core.regression import (
     RegressionGramPool,
     fit_cluster_models,
 )
-from repro.core.sample_configs import CPU_SAMPLE, GPU_SAMPLE, SAMPLE_CONFIGS
 from repro.core.scheduler import (
     CapSweepTable,
     NoFeasibleConfigError,
@@ -62,7 +61,6 @@ from repro.core.scheduler import (
 __all__ = [
     "AdaptiveModel",
     "CPU_FEATURE_NAMES",
-    "CPU_SAMPLE",
     "CapSweepTable",
     "ClusterClassifier",
     "ClusterModels",
@@ -73,14 +71,12 @@ __all__ = [
     "DissimilarityCache",
     "FrontierPoint",
     "GPU_FEATURE_NAMES",
-    "GPU_SAMPLE",
     "KernelCharacterization",
     "KernelPrediction",
     "NoFeasibleConfigError",
     "OnlinePredictor",
     "ParetoFrontier",
     "RegressionGramPool",
-    "SAMPLE_CONFIGS",
     "SAMPLE_FEATURE_NAMES",
     "Scheduler",
     "SchedulerDecision",

@@ -14,7 +14,6 @@ from typing import Mapping, Sequence
 
 from repro.core.frontier import ParetoFrontier
 from repro.hardware.apu import Measurement
-from repro.hardware.backend import descriptor_of_config
 from repro.hardware.config import Configuration
 from repro.profiling.library import ProfilingLibrary
 from repro.profiling.records import ProfileDatabase
@@ -47,7 +46,7 @@ class KernelCharacterization:
         if not self.measurements:
             raise ValueError("characterization needs at least one measurement")
         # Table II anchors of the machine the measurements came from.
-        samples = descriptor_of_config(next(iter(self.measurements))).sample_configs()
+        samples = next(iter(self.measurements)).descriptor.sample_configs()
         object.__setattr__(self, "_samples", samples)
         for sample in samples:
             if sample not in self.measurements:

@@ -34,7 +34,8 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from repro.core.features import design_row, power_design_row
-from repro.hardware.config import ConfigSpace, Configuration
+from repro.hardware.backend import BlockConfigSpace
+from repro.hardware.config import Configuration
 
 __all__ = ["ConfigTable"]
 
@@ -75,7 +76,7 @@ class ConfigTable:
         if ordered != tuple(configs):
             raise ValueError(
                 "configurations must come as a contiguous CPU block "
-                "followed by a contiguous GPU block (ConfigSpace order)"
+                "followed by a contiguous GPU block (space order)"
             )
         self.configs: tuple[Configuration, ...] = ordered
         self.index: Mapping[Configuration, int] = {
@@ -101,11 +102,11 @@ class ConfigTable:
     _CACHE: dict[tuple[Configuration, ...], "ConfigTable"] = {}
 
     @classmethod
-    def for_space(cls, space: ConfigSpace) -> "ConfigTable":
+    def for_space(cls, space: BlockConfigSpace) -> "ConfigTable":
         """The process-wide table for ``space``.
 
         Tables are cached by the space's configuration tuple, so every
-        :class:`ConfigSpace` instance enumerating the same machine maps
+        space instance enumerating the same machine maps
         to one shared table.
         """
         key = tuple(space)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.hardware.backend import descriptor_of_config
 
 __all__ = [
     "CPU_FEATURE_NAMES",
@@ -63,7 +62,7 @@ def design_row(cfg) -> np.ndarray:
     width/normalization convention — that shared convention is what
     makes regression coefficients portable across backends
     (:mod:`repro.evaluation.transfer`)."""
-    return descriptor_of_config(cfg).perf_row(cfg)
+    return cfg.descriptor.perf_row(cfg)
 
 
 def power_design_row(cfg) -> np.ndarray:
@@ -77,7 +76,7 @@ def power_design_row(cfg) -> np.ndarray:
     model over configuration variables and first-order interactions";
     the variables are simply expressed in the units power is linear in.
     """
-    return descriptor_of_config(cfg).power_row(cfg)
+    return cfg.descriptor.power_row(cfg)
 
 
 def design_matrix(configs: list) -> np.ndarray:

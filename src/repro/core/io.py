@@ -3,10 +3,11 @@
 The paper's offline stage runs "only once to characterize a new system"
 (Section III); its output must therefore outlive the process that
 computed it.  These helpers serialize a trained
-:class:`~repro.core.model.AdaptiveModel` — regression coefficients,
-clustering, and the full classification-tree structure — to JSON and
-back, so the two-hour offline characterization is paid once per machine
-and every subsequent runtime just loads the model.
+:class:`~repro.core.model.AdaptiveModel` — the machine it was trained
+on, regression coefficients, clustering, and the full
+classification-tree structure — to JSON and back, so the two-hour
+offline characterization is paid once per machine and every subsequent
+runtime just loads the model.
 """
 
 from __future__ import annotations
@@ -21,13 +22,16 @@ from repro.core.classifier import ClusterClassifier, SAMPLE_FEATURE_NAMES
 from repro.core.clustering import ClusteringResult
 from repro.core.model import AdaptiveModel
 from repro.core.regression import ClusterModels, DeviceModels
-from repro.hardware.config import ConfigSpace, Device
+from repro.hardware.backend import descriptor_for
+from repro.hardware.config import Device
 from repro.stats.cart import ClassificationTree, TreeNode
 from repro.stats.ols import OLSModel
 
 __all__ = ["model_to_json", "model_from_json", "save_model", "load_model"]
 
-_VERSION = 1
+#: Version 2 records the machine (``"backend"``); version-1 files, which
+#: did not, are rejected.
+_VERSION = 2
 
 
 def _array(a: np.ndarray | None) -> Any:
@@ -149,6 +153,7 @@ def model_to_json(model: AdaptiveModel) -> str:
     """Serialize a trained model to a JSON string."""
     payload = {
         "version": _VERSION,
+        "backend": model.config_space.descriptor.name,
         "clustering": {
             "labels": dict(model.clustering.labels),
             "n_clusters": model.clustering.n_clusters,
@@ -176,7 +181,10 @@ def model_from_json(text: str) -> AdaptiveModel:
     """Rebuild a trained model from :func:`model_to_json` output."""
     data = json.loads(text)
     if data.get("version") != _VERSION:
-        raise ValueError(f"unsupported model version: {data.get('version')!r}")
+        raise ValueError(
+            f"unsupported model version: {data.get('version')!r} "
+            f"(this build reads version {_VERSION})"
+        )
     clus = data["clustering"]
     clustering = ClusteringResult(
         labels={k: int(v) for k, v in clus["labels"].items()},
@@ -198,7 +206,7 @@ def model_from_json(text: str) -> AdaptiveModel:
         clustering=clustering,
         cluster_models=cluster_models,
         classifier=_classifier_from_dict(data["classifier"]),
-        config_space=ConfigSpace(),
+        config_space=descriptor_for(data["backend"]).config_space(),
     )
 
 

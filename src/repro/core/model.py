@@ -45,7 +45,7 @@ from repro.core.regression import (
     fit_cluster_models,
 )
 from repro.hardware.apu import Measurement
-from repro.hardware.config import ConfigSpace
+from repro.hardware.backend import BlockConfigSpace
 from repro.profiling.library import ProfilingLibrary
 from repro.telemetry import get_logger, log_event, trace_span
 
@@ -77,7 +77,7 @@ class AdaptiveModel:
     clustering: ClusteringResult
     cluster_models: Mapping[int, ClusterModels]
     classifier: ClusterClassifier
-    config_space: ConfigSpace
+    config_space: BlockConfigSpace
 
     def __post_init__(self) -> None:
         # Attach the process-wide configuration table: the design
@@ -112,7 +112,7 @@ class AdaptiveModel:
         ridge: float = 0.0,
         tree_max_depth: int = 4,
         tree_min_samples_leaf: int = 2,
-        config_space: ConfigSpace | None = None,
+        config_space: BlockConfigSpace | None = None,
         dissimilarity: np.ndarray | None = None,
         initial_medoid_uids: Sequence[str] | None = None,
         gram_pool: RegressionGramPool | None = None,
@@ -127,7 +127,8 @@ class AdaptiveModel:
         ``characterizations`` order (e.g. sliced from a
         :class:`~repro.core.dissimilarity.DissimilarityCache`),
         skipping both the per-kernel frontier derivation and the
-        pairwise frontier comparisons.
+        pairwise frontier comparisons.  ``config_space`` defaults to the
+        space of the machine the characterizations were measured on.
 
         The training-engine accelerators (``docs/TRAINING_ENGINE.md``)
         are opt-in and result-preserving: ``initial_medoid_uids``
@@ -196,7 +197,12 @@ class AdaptiveModel:
             clustering=clustering,
             cluster_models=cluster_models,
             classifier=classifier,
-            config_space=config_space if config_space is not None else ConfigSpace(),
+            config_space=(
+                config_space
+                if config_space is not None
+                else next(iter(characterizations[0].measurements))
+                .descriptor.config_space()
+            ),
         )
 
     # -- online stage ------------------------------------------------------------

@@ -30,14 +30,12 @@ from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 import numpy as np
 
 from repro.core.frontier import ParetoFrontier
-from repro.core.sample_configs import CPU_SAMPLE, GPU_SAMPLE
 from repro.faults import (
     SampleRunError,
     measurement_is_finite,
     sanitize_measurement,
 )
 from repro.hardware.apu import Measurement
-from repro.hardware.backend import sample_configs_of_space
 from repro.hardware.config import Configuration
 from repro.profiling.library import ProfilingLibrary
 from repro.telemetry import counter, get_logger, log_event, trace_span
@@ -339,7 +337,7 @@ class OnlinePredictor:
         default cluster.  Without faults this path is byte-identical to
         the clean protocol.
         """
-        cpu_sample, gpu_sample = self._sample_configs()
+        cpu_sample, gpu_sample = self.model.config_space.descriptor.sample_configs()
         with trace_span("online/sample"):
             cpu_m = self._sample(kernel, cpu_sample)
             gpu_m = self._sample(kernel, gpu_sample)
@@ -365,14 +363,6 @@ class OnlinePredictor:
                 with_uncertainty=with_uncertainty,
                 cluster=cluster,
             )
-
-    def _sample_configs(self) -> tuple:
-        """The machine's sample-configuration pair (Trinity's Table II
-        anchors for a model without a configuration space)."""
-        space = getattr(self.model, "config_space", None)
-        if space is None:
-            return (CPU_SAMPLE, GPU_SAMPLE)
-        return sample_configs_of_space(space)
 
     def _sample(self, kernel, config: Configuration) -> Measurement:
         """One sample run, retried on injected failure; falls back to a

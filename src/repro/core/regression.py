@@ -61,7 +61,6 @@ from repro.core.features import (
     design_row,
     power_design_row,
 )
-from repro.hardware.backend import descriptor_of_config
 from repro.hardware.config import Configuration, Device
 from repro.stats.ols import GramStats, OLSModel, fit_ols, fit_ols_from_gram
 from repro.telemetry import counter
@@ -262,7 +261,7 @@ def _kernel_design(
         if cfg.device is device:
             cfgs.append(cfg)
             ms.append(m)
-    table = _design_table(descriptor_of_config(next(iter(char.measurements))))
+    table = _design_table(next(iter(char.measurements)).descriptor)
     rows = table.rows_for(cfgs)
     if device is Device.GPU:
         rows -= table.n_cpu

@@ -480,7 +480,9 @@ class Scheduler:
         prediction:
             Whole-space model prediction for the kernel.
         power_cap_w:
-            The imposed power constraint (watts).
+            The imposed power constraint (watts); any real number
+            ``float()`` accepts (a ``Decimal``, a numpy scalar), as
+            :meth:`select_many` accepts any array of them.
         risk_margin:
             Fraction in ``[0, 1)`` by which to tighten the cap during
             selection, guarding against under-predicted power
@@ -501,6 +503,7 @@ class Scheduler:
             If no candidate is runnable at any cap — an empty candidate
             set, or a full quarantine under ``strict_quarantine=True``.
         """
+        power_cap_w = float(power_cap_w)
         if not power_cap_w > 0:
             raise ValueError(f"power_cap_w must be positive, got {power_cap_w!r}")
         risk_margin = self._resolve_margin(risk_margin)

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.model import AdaptiveModel
-from repro.core.sample_configs import sample_configs_for
 from repro.evaluation.loocv import resolve_n_jobs
 from repro.profiling.library import ProfilingLibrary
 from repro.profiling.store import CharacterizationStore
@@ -125,7 +124,7 @@ def evaluate_prediction_accuracy(
         store = CharacterizationStore.shared(suite, seed=seed, backend=backend)
     apu = store.apu
     # Table II anchors of whatever machine the store profiles on.
-    cpu_sample, gpu_sample = sample_configs_for(apu.config_space)
+    cpu_sample, gpu_sample = apu.descriptor.sample_configs()
     store.characterize(list(suite))
     benchmarks = list(suite.benchmarks())
     fold_streams = np.random.SeedSequence(

@@ -41,7 +41,6 @@ import numpy as np
 from repro.constants import respects_cap
 from repro.core.model import AdaptiveModel
 from repro.core.predictor import KernelPrediction
-from repro.core.sample_configs import sample_configs_for
 from repro.core.scheduler import Scheduler
 from repro.hardware.backend import HardwareBackend, create_backend
 from repro.methods.oracle import Oracle
@@ -95,7 +94,7 @@ def recalibration_configs(space, k: int) -> tuple[tuple, tuple]:
     if k < 0:
         raise ValueError("k must be non-negative")
     configs = tuple(space)
-    samples = set(sample_configs_for(space))
+    samples = set(space.descriptor.sample_configs())
     blocks = (
         [c for c in configs if not c.is_gpu and c not in samples],
         [c for c in configs if c.is_gpu and c not in samples],
@@ -429,7 +428,7 @@ def run_transfer(
             base = transferred.predict_kernel(
                 chars.cpu_sample, chars.gpu_sample, kernel_uid=kernel.uid
             )
-            s_cpu, s_gpu = sample_configs_for(apu_b.config_space)
+            s_cpu, s_gpu = apu_b.descriptor.sample_configs()
             anchors = {s_cpu: chars.cpu_sample, s_gpu: chars.gpu_sample}
             for k in ks:
                 cpu_cfgs, gpu_cfgs = recal_blocks[k]

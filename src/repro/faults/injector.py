@@ -93,10 +93,7 @@ def _event_targets_run(event: FaultEvent, cfg) -> bool:
 
 def _host_ladder(cfg) -> tuple[float, ...]:
     """The rungs ``cfg.cpu_freq_ghz`` may take on its own machine."""
-    # Imported here: repro.hardware imports this package.
-    from repro.hardware.backend import descriptor_of_config
-
-    d = descriptor_of_config(cfg)
+    d = cfg.descriptor
     return d.host_freqs_ghz() if cfg.is_gpu else d.primary.freqs_ghz
 
 
@@ -111,7 +108,7 @@ def _substitute_pstates(cfg, events: tuple[FaultEvent, ...]):
     """The configuration the hardware executes under P-state faults.
 
     P-states resolve on the configuration's own ladders, and the result
-    is rebuilt from its own class; with no P-state event ``cfg`` comes
+    is rebuilt by its own descriptor; with no P-state event ``cfg`` comes
     back untouched.  Events apply in plan order.  ``device`` scoping:
     ``"cpu"`` targets the primary ladder (the host's for secondary
     rows), ``"gpu"`` the secondary ladder of secondary rows, ``None``
@@ -119,11 +116,9 @@ def _substitute_pstates(cfg, events: tuple[FaultEvent, ...]):
     """
     if not events:
         return cfg
-    from repro.hardware.backend import descriptor_of_config
-
     ladders = {"cpu_freq_ghz": _host_ladder(cfg)}
     if cfg.is_gpu:
-        ladders["gpu_freq_ghz"] = descriptor_of_config(cfg).secondary.freqs_ghz
+        ladders["gpu_freq_ghz"] = cfg.descriptor.secondary.freqs_ghz
     index = {axis: _rung(freqs, getattr(cfg, axis)) for axis, freqs in ladders.items()}
     for ev in events:
         target_gpu = ev.device == "gpu" or (ev.device is None and cfg.is_gpu)
@@ -133,7 +128,7 @@ def _substitute_pstates(cfg, events: tuple[FaultEvent, ...]):
         depth = len(ladders[axis])
         idx = min(ev.pstate_index, depth - 1)
         index[axis] = _apply_pstate_fault(ev.kind, index[axis], idx, depth)
-    return replace(cfg, **{axis: ladders[axis][i] for axis, i in index.items()})
+    return cfg.replace(**{axis: ladders[axis][i] for axis, i in index.items()})
 
 
 def _apply_pstate_fault(kind: str, current: int, idx: int, depth: int) -> int:

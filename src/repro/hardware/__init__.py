@@ -7,8 +7,9 @@ replaces that silicon with an analytical simulator (see DESIGN.md §2 and
 
 * :mod:`~repro.hardware.pstates` — CPU/GPU P-state tables and voltage
   curves;
-* :mod:`~repro.hardware.config` — the 42-point configuration space
-  (device × frequency × threads);
+* :mod:`~repro.hardware.config` — :class:`Configuration`, the one
+  configuration record of every machine (device × frequencies ×
+  units);
 * :mod:`~repro.hardware.kernelmodel` — latent kernel characteristics and
   the ground-truth timing model (Amdahl × roofline on the CPU, offload +
   launch overhead on the GPU);
@@ -19,7 +20,8 @@ replaces that silicon with an analytical simulator (see DESIGN.md §2 and
 * :mod:`~repro.hardware.noise` — measurement-noise models;
 * :mod:`~repro.hardware.backend` — the machine interface and its one
   implementation, ``AnalyticalBackend``, separating oracle-only ground
-  truth from noisy measurements;
+  truth from noisy measurements, and the descriptors that build and
+  enumerate each machine's configurations (Trinity's 42 points);
 * :mod:`~repro.hardware.apu` — :class:`TrinityAPU`, the paper's machine
   as one such backend, and ``trinity_physics``, the one array
   evaluation of its timing and power models;
@@ -28,7 +30,7 @@ replaces that silicon with an analytical simulator (see DESIGN.md §2 and
 """
 
 from repro.hardware.apu import Measurement, TrinityAPU
-from repro.hardware.config import Configuration, ConfigSpace, Device
+from repro.hardware.config import Configuration, Device
 from repro.hardware.counters import COUNTER_NAMES, synthesize_counters
 from repro.hardware.kernelmodel import KernelCharacteristics
 from repro.hardware.noise import NoiseModel
@@ -54,7 +56,6 @@ __all__ = [
     "CPU_MAX_FREQ_GHZ",
     "CPU_MIN_FREQ_GHZ",
     "Configuration",
-    "ConfigSpace",
     "Device",
     "FrequencyLimiter",
     "GPU_FREQS_GHZ",

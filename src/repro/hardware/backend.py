@@ -21,8 +21,10 @@ Four ingredients live here:
 * :class:`BackendDescriptor` / :class:`BlockDescriptor` — the static
   description of a machine's two device blocks (P-state ladders,
   thread counts, voltage curves, sample configurations, design-row
-  features) that lets :mod:`repro.core` build design matrices and
-  sample anchors without knowing the machine;
+  features) that builds, validates and enumerates the machine's
+  :class:`~repro.hardware.config.Configuration`\\ s and lets
+  :mod:`repro.core` build design matrices and sample anchors without
+  knowing the machine;
 * the registry — ``register_backend`` / :func:`create_backend` /
   :func:`descriptor_for`, mapping names (``"trinity"``,
   ``"biglittle"``, ``"mpsoc"``) to factories so evaluation drivers and
@@ -56,7 +58,7 @@ import numpy as np
 
 from repro.faults.errors import SampleRunError
 from repro.hardware import pstates
-from repro.hardware.config import ConfigSpace, Configuration, Device
+from repro.hardware.config import Configuration, Device
 from repro.hardware.kernelmodel import KernelCharacteristics
 from repro.hardware.noise import NoiseModel
 from repro.hardware.power import PowerBreakdown
@@ -66,7 +68,6 @@ __all__ = [
     "Measurement",
     "BlockDescriptor",
     "BackendDescriptor",
-    "BlockConfig",
     "BlockConfigSpace",
     "HardwareBackend",
     "AnalyticalBackend",
@@ -148,7 +149,10 @@ class BlockDescriptor:
     active-unit counts, and affine voltage curve ``v = v0 + v1 * f``.
 
     ``label`` names the block in human-readable output (``"cpu"``,
-    ``"little"``, ``"serial"``, ...).
+    ``"little"``, ``"serial"``, ...).  ``host_axis`` marks a secondary
+    block whose second axis is the host (primary) ladder rather than a
+    unit count: Trinity's GPU rows keep one host thread and vary the
+    host CPU's P-state.
     """
 
     label: str
@@ -156,6 +160,7 @@ class BlockDescriptor:
     thread_counts: tuple[int, ...]
     v0: float
     v1: float
+    host_axis: bool = False
 
     def __post_init__(self) -> None:
         if not self.freqs_ghz or list(self.freqs_ghz) != sorted(self.freqs_ghz):
@@ -170,6 +175,8 @@ class BlockDescriptor:
             n < 1 for n in self.thread_counts
         ):
             raise ValueError(f"{self.label}: ladder values must be positive")
+        if self.host_axis and len(self.thread_counts) != 1:
+            raise ValueError(f"{self.label}: a host-ladder block has one unit count")
 
     @property
     def max_freq_ghz(self) -> float:
@@ -197,66 +204,12 @@ class BlockDescriptor:
         )
 
 
-@dataclass(frozen=True, order=True)
-class BlockConfig:
-    """A configuration of a non-Trinity backend.
-
-    Duck-types :class:`~repro.hardware.config.Configuration`: the same
-    field names with the same roles (``device`` selects the block;
-    ``cpu_freq_ghz`` is the primary block's frequency domain — the
-    *host* anchor on secondary-block rows; ``gpu_freq_ghz`` the
-    secondary block's), so every container, cache, and design-matrix
-    consumer downstream handles both classes uniformly.  ``arch`` (the
-    owning backend's registry name) leads the field order so configs of
-    different backends never compare equal and never collide in
-    process-wide caches.
-    """
-
-    arch: str
-    device: Device
-    cpu_freq_ghz: float
-    n_threads: int
-    gpu_freq_ghz: float
-
-    def __post_init__(self) -> None:
-        key = (self.arch, self.device, self.cpu_freq_ghz, self.n_threads)
-        object.__setattr__(self, "_hash", hash(key + (self.gpu_freq_ghz,)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        del state["_hash"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        for k, v in state.items():
-            object.__setattr__(self, k, v)
-        self.__post_init__()
-
-    @property
-    def is_gpu(self) -> bool:
-        """Whether this configuration runs on the secondary block."""
-        return self.device is Device.GPU
-
-    def label(self) -> str:
-        desc = descriptor_for(self.arch)
-        if self.is_gpu:
-            block = desc.secondary
-            return (
-                f"{block.label} {self.gpu_freq_ghz:.2f}GHz "
-                f"x{self.n_threads}"
-            )
-        return f"{desc.primary.label} {self.cpu_freq_ghz:.2f}GHz x{self.n_threads}"
-
-
 @dataclass(frozen=True)
 class BackendDescriptor:
     """Static description of a backend's two device blocks.
 
-    Provides everything :mod:`repro.core` historically pulled from the
-    Trinity modules directly: configuration enumeration, sample
+    Provides everything :mod:`repro.core` needs without knowing the
+    machine: configuration construction and enumeration, sample
     configurations (the paper's Table II anchors, generalized to "both
     blocks fully powered"), and the per-block design rows.  The design
     rows follow one shared convention so regression coefficients are
@@ -266,60 +219,93 @@ class BackendDescriptor:
       count, normalized to block maxima);
     * primary power — ``[f, n, f*n, v^2, n*f*v^2]``;
     * secondary performance — ``[g, h, g*h]`` where ``h`` is the
-      block's second factor (host frequency on Trinity, active-unit
-      count elsewhere);
-    * secondary power — ``[g, h, g*h, vg^2, g*vg^2, h*vh^2]``.
+      block's second factor: host frequency over host maximum on a
+      host-ladder block, active-unit count over its maximum elsewhere;
+    * secondary power — ``[g, h, g*h, vg^2, g*vg^2, h*vh^2]``, where
+      ``vh`` is the host's voltage on a host-ladder block and the
+      block's own (``vg``) elsewhere.
     """
 
     name: str
     primary: BlockDescriptor
     secondary: BlockDescriptor
 
-    # -- configuration enumeration -----------------------------------------
+    def __post_init__(self) -> None:
+        if self.primary.host_axis:
+            raise ValueError(f"{self.name}: only the secondary block has a host")
 
-    def enumerate_configs(self) -> tuple[BlockConfig, ...]:
+    # -- configurations -----------------------------------------------------
+
+    @functools.cache
+    def enumerate_configs(self) -> tuple[Configuration, ...]:
         """All configurations in deterministic order: the primary block
-        (by frequency, then unit count), then the secondary block."""
-        primary = [
-            BlockConfig(
-                arch=self.name,
-                device=Device.CPU,
-                cpu_freq_ghz=f,
-                n_threads=n,
-                gpu_freq_ghz=self.secondary.min_freq_ghz,
-            )
-            for f in self.primary.freqs_ghz
-            for n in self.primary.thread_counts
-        ]
-        secondary = [
-            BlockConfig(
-                arch=self.name,
-                device=Device.GPU,
-                cpu_freq_ghz=self.host_freq_ghz(),
-                n_threads=m,
-                gpu_freq_ghz=g,
-            )
-            for g in self.secondary.freqs_ghz
-            for m in self.secondary.thread_counts
-        ]
-        return tuple(primary + secondary)
+        (by frequency, then unit count), then the secondary block (by
+        frequency, then host frequency, then unit count)."""
+        p, s = self.primary, self.secondary
+        return tuple(
+            [
+                Configuration(self.name, Device.CPU, f, n, s.min_freq_ghz)
+                for f in p.freqs_ghz
+                for n in p.thread_counts
+            ]
+            + [
+                Configuration(self.name, Device.GPU, h, m, g)
+                for g in s.freqs_ghz
+                for h in self.host_freqs_ghz()
+                for m in s.thread_counts
+            ]
+        )
 
-    def host_freq_ghz(self) -> float:
-        """Primary-block frequency recorded on secondary-block rows (the
-        host/orchestrating domain; its idle-governed maximum here)."""
-        return self.primary.max_freq_ghz
+    @functools.cache
+    def _rungs(self) -> dict[Configuration, Configuration]:
+        """``{config: config}`` over the space, so a built configuration
+        is the space's own instance (memo caches then hit by identity);
+        shared by every caller, so read-only."""
+        return {cfg: cfg for cfg in self.enumerate_configs()}
+
+    def config(
+        self,
+        device: Device,
+        cpu_freq_ghz: float,
+        n_threads: int,
+        gpu_freq_ghz: float,
+    ) -> Configuration:
+        """The configuration with these fields, by one rule for every
+        machine: a frequency within 1e-9 of a rung of its block's ladder
+        snaps to that rung; any other frequency raises
+        :class:`ValueError`, and so does a point the space does not
+        enumerate (a unit count outside its block, a primary row whose
+        secondary is not at its minimum, a host the machine keeps
+        fixed)."""
+        p, s = self.primary, self.secondary
+        cfg = Configuration(
+            self.name,
+            device,
+            p.freqs_ghz[p.index(cpu_freq_ghz)],
+            n_threads,
+            s.freqs_ghz[s.index(gpu_freq_ghz)],
+        )
+        try:
+            return self._rungs()[cfg]
+        except KeyError:
+            raise ValueError(
+                f"{cfg!r} is not a configuration of {self.name!r}"
+            ) from None
 
     def host_freqs_ghz(self) -> tuple[float, ...]:
-        """The host rungs secondary-block rows take, ascending: only
-        :meth:`host_freq_ghz` here, so the frequency limiter and P-state
-        faults leave a secondary run's host alone."""
-        return (self.host_freq_ghz(),)
+        """The host rungs secondary-block rows take, ascending: the whole
+        primary ladder on a host-ladder block, else only its maximum (the
+        idle-governed host), so the frequency limiter and P-state faults
+        leave such a run's host alone."""
+        if self.secondary.host_axis:
+            return self.primary.freqs_ghz
+        return (self.primary.max_freq_ghz,)
 
     def config_space(self) -> "BlockConfigSpace":
         """A fresh configuration space over :meth:`enumerate_configs`."""
         return BlockConfigSpace(self)
 
-    def sample_configs(self) -> tuple[BlockConfig, BlockConfig]:
+    def sample_configs(self) -> tuple[Configuration, Configuration]:
         """The two online sample configurations, primary first: each
         block fully powered, matching the paper's "common execution
         configurations in environments without power constraints"."""
@@ -328,116 +314,65 @@ class BackendDescriptor:
         secondary = [c for c in space if c.is_gpu]
         return (primary[-1], secondary[-1])
 
+    def label(self, cfg: Configuration) -> str:
+        """Compact label of one configuration.  A host-ladder machine
+        names its rows as the paper's Table I does (``CPU 2.4GHz x3``,
+        ``GPU 649MHz (host 1.4GHz)``); elsewhere a row names its block,
+        clock and unit count (``big 2.20GHz x4``)."""
+        if self.secondary.host_axis:
+            if cfg.is_gpu:
+                return (
+                    f"GPU {cfg.gpu_freq_ghz * 1000:.0f}MHz "
+                    f"(host {cfg.cpu_freq_ghz:.1f}GHz)"
+                )
+            return f"CPU {cfg.cpu_freq_ghz:.1f}GHz x{cfg.n_threads}"
+        if cfg.is_gpu:
+            return f"{self.secondary.label} {cfg.gpu_freq_ghz:.2f}GHz x{cfg.n_threads}"
+        return f"{self.primary.label} {cfg.cpu_freq_ghz:.2f}GHz x{cfg.n_threads}"
+
     # -- design rows --------------------------------------------------------
 
-    def perf_row(self, cfg) -> np.ndarray:
+    def _second_factor(self, cfg: Configuration) -> float:
+        """``h`` of a secondary-block row (see the class docstring)."""
+        if self.secondary.host_axis:
+            return cfg.cpu_freq_ghz / self.primary.max_freq_ghz
+        return cfg.n_threads / self.secondary.max_threads
+
+    def perf_row(self, cfg: Configuration) -> np.ndarray:
         """Performance regressors of one configuration (width 3)."""
         if cfg.is_gpu:
             g = cfg.gpu_freq_ghz / self.secondary.max_freq_ghz
-            h = cfg.n_threads / self.secondary.max_threads
+            h = self._second_factor(cfg)
             return np.array([g, h, g * h])
         f = cfg.cpu_freq_ghz / self.primary.max_freq_ghz
         n = cfg.n_threads / self.primary.max_threads
         return np.array([f, n, f * n])
 
-    def power_row(self, cfg) -> np.ndarray:
+    def power_row(self, cfg: Configuration) -> np.ndarray:
         """Power regressors of one configuration (width 5 primary /
-        6 secondary, voltage-aware like the Trinity rows)."""
+        6 secondary, voltage-aware)."""
+        p, s = self.primary, self.secondary
         if cfg.is_gpu:
-            g = cfg.gpu_freq_ghz / self.secondary.max_freq_ghz
-            h = cfg.n_threads / self.secondary.max_threads
-            vg = self.secondary.voltage(cfg.gpu_freq_ghz) / self.secondary.voltage(
-                self.secondary.max_freq_ghz
+            g = cfg.gpu_freq_ghz / s.max_freq_ghz
+            h = self._second_factor(cfg)
+            vg = s.voltage(cfg.gpu_freq_ghz) / s.voltage(s.max_freq_ghz)
+            vh = (
+                p.voltage(cfg.cpu_freq_ghz) / p.voltage(p.max_freq_ghz)
+                if s.host_axis
+                else vg
             )
             vg2 = vg * vg
-            return np.array([g, h, g * h, vg2, g * vg2, h * vg2])
-        f = cfg.cpu_freq_ghz / self.primary.max_freq_ghz
-        n = cfg.n_threads / self.primary.max_threads
-        v = self.primary.voltage(cfg.cpu_freq_ghz) / self.primary.voltage(
-            self.primary.max_freq_ghz
-        )
+            return np.array([g, h, g * h, vg2, g * vg2, h * (vh * vh)])
+        f = cfg.cpu_freq_ghz / p.max_freq_ghz
+        n = cfg.n_threads / p.max_threads
+        v = p.voltage(cfg.cpu_freq_ghz) / p.voltage(p.max_freq_ghz)
         v2 = v * v
         return np.array([f, n, f * n, v2, n * f * v2])
 
-    # -- validation ---------------------------------------------------------
 
-    def validate(self, cfg) -> None:
-        """Raise if ``cfg`` is not a point of this backend's space."""
-        if getattr(cfg, "arch", None) != self.name:
-            raise ValueError(f"{cfg!r} does not belong to backend {self.name!r}")
-        block = self.secondary if cfg.is_gpu else self.primary
-        freq = cfg.gpu_freq_ghz if cfg.is_gpu else cfg.cpu_freq_ghz
-        block.index(freq)  # validates the ladder frequency
-        if cfg.n_threads not in block.thread_counts:
-            raise ValueError(
-                f"{cfg.n_threads} active units outside {block.label} "
-                f"counts {block.thread_counts}"
-            )
-
-
-class _TrinityDescriptor(BackendDescriptor):
-    """The Trinity APU expressed as a descriptor.
-
-    Enumeration, samples, and design rows delegate to the original
-    Trinity definitions so descriptor consumers see exactly the
-    configurations (and float-identical feature rows) the pre-extraction
-    code produced.  Trinity's secondary block varies the *host* CPU
-    frequency rather than a unit count, so the generic second factor is
-    overridden accordingly.
-    """
-
-    def enumerate_configs(self) -> tuple[Configuration, ...]:
-        return tuple(ConfigSpace())
-
-    def host_freqs_ghz(self) -> tuple[float, ...]:
-        return self.primary.freqs_ghz
-
-    def config_space(self) -> ConfigSpace:
-        return ConfigSpace()
-
-    def sample_configs(self) -> tuple[Configuration, Configuration]:
-        return (
-            Configuration.cpu(pstates.CPU_MAX_FREQ_GHZ, pstates.N_CORES),
-            Configuration.gpu(pstates.GPU_MAX_FREQ_GHZ, pstates.CPU_MAX_FREQ_GHZ),
-        )
-
-    def perf_row(self, cfg) -> np.ndarray:
-        if cfg.is_gpu:
-            g = cfg.gpu_freq_ghz / pstates.GPU_MAX_FREQ_GHZ
-            h = cfg.cpu_freq_ghz / pstates.CPU_MAX_FREQ_GHZ
-            return np.array([g, h, g * h])
-        f = cfg.cpu_freq_ghz / pstates.CPU_MAX_FREQ_GHZ
-        n = cfg.n_threads / pstates.N_CORES
-        return np.array([f, n, f * n])
-
-    def power_row(self, cfg) -> np.ndarray:
-        if cfg.is_gpu:
-            g = cfg.gpu_freq_ghz / pstates.GPU_MAX_FREQ_GHZ
-            h = cfg.cpu_freq_ghz / pstates.CPU_MAX_FREQ_GHZ
-            vg = pstates.gpu_voltage(cfg.gpu_freq_ghz) / pstates.gpu_voltage(
-                pstates.GPU_MAX_FREQ_GHZ
-            )
-            vh = pstates.cpu_voltage(cfg.cpu_freq_ghz) / pstates.cpu_voltage(
-                pstates.CPU_MAX_FREQ_GHZ
-            )
-            vg2, vh2 = vg * vg, vh * vh
-            return np.array([g, h, g * h, vg2, g * vg2, h * vh2])
-        f = cfg.cpu_freq_ghz / pstates.CPU_MAX_FREQ_GHZ
-        n = cfg.n_threads / pstates.N_CORES
-        v = pstates.cpu_voltage(cfg.cpu_freq_ghz) / pstates.cpu_voltage(
-            pstates.CPU_MAX_FREQ_GHZ
-        )
-        v2 = v * v
-        return np.array([f, n, f * n, v2, n * f * v2])
-
-    def validate(self, cfg) -> None:
-        if not isinstance(cfg, Configuration):
-            raise ValueError(f"{cfg!r} does not belong to backend {self.name!r}")
-        # Configuration.__post_init__ already validated the ladders.
-
-
-#: Descriptor of the paper's machine (registered as ``"trinity"``).
-TRINITY_DESCRIPTOR = _TrinityDescriptor(
+#: Descriptor of the paper's machine (registered as ``"trinity"``): GPU
+#: rows keep one host thread and vary the host CPU's P-state.
+TRINITY_DESCRIPTOR = BackendDescriptor(
     name="trinity",
     primary=BlockDescriptor(
         label="cpu",
@@ -452,18 +387,17 @@ TRINITY_DESCRIPTOR = _TrinityDescriptor(
         thread_counts=(1,),
         v0=pstates._GPU_V0,
         v1=pstates._GPU_V1,
+        host_axis=True,
     ),
 )
 
 
 class BlockConfigSpace:
-    """Enumerable configuration space of a descriptor-defined backend.
+    """Enumerable configuration space of a machine.
 
-    Satisfies the same container protocol as
-    :class:`~repro.hardware.config.ConfigSpace` (deterministic order:
-    the primary block, then the secondary block) and carries its
-    :attr:`descriptor` so downstream layers can recover sample
-    configurations and ladders without backend-specific imports.
+    Deterministic order: the primary block, then the secondary block.
+    Carries its :attr:`descriptor` so downstream layers can recover
+    sample configurations and ladders without backend-specific imports.
     """
 
     def __init__(self, descriptor: BackendDescriptor) -> None:
@@ -471,7 +405,7 @@ class BlockConfigSpace:
         self._configs = descriptor.enumerate_configs()
         self._index = {cfg: i for i, cfg in enumerate(self._configs)}
 
-    def __iter__(self) -> Iterator:
+    def __iter__(self) -> Iterator[Configuration]:
         return iter(self._configs)
 
     def __len__(self) -> int:
@@ -480,25 +414,25 @@ class BlockConfigSpace:
     def __contains__(self, cfg) -> bool:
         return cfg in self._index
 
-    def __getitem__(self, i: int):
+    def __getitem__(self, i: int) -> Configuration:
         return self._configs[i]
 
-    def index(self, cfg) -> int:
+    def index(self, cfg: Configuration) -> int:
         """Position of ``cfg`` in the deterministic enumeration order."""
         try:
             return self._index[cfg]
         except KeyError:
             raise ValueError(f"{cfg} is not in the configuration space") from None
 
-    def cpu_configs(self) -> list:
+    def cpu_configs(self) -> list[Configuration]:
         """All primary-block configurations."""
         return [c for c in self._configs if not c.is_gpu]
 
-    def gpu_configs(self) -> list:
+    def gpu_configs(self) -> list[Configuration]:
         """All secondary-block configurations."""
         return [c for c in self._configs if c.is_gpu]
 
-    def for_device(self, device: Device) -> list:
+    def for_device(self, device: Device) -> list[Configuration]:
         """All configurations executing on ``device``'s block."""
         return [c for c in self._configs if c.device is device]
 
@@ -1080,24 +1014,3 @@ def backend_names() -> list[str]:
     """Names of every registered backend, sorted."""
     _ensure_builtins()
     return sorted(_REGISTRY)
-
-
-def descriptor_of_config(cfg) -> BackendDescriptor:
-    """The descriptor owning a configuration (Trinity for
-    :class:`~repro.hardware.config.Configuration`, registry lookup for
-    :class:`BlockConfig`)."""
-    if isinstance(cfg, Configuration):
-        return TRINITY_DESCRIPTOR
-    return descriptor_for(cfg.arch)
-
-
-def sample_configs_of_space(space) -> tuple:
-    """The two sample configurations of any configuration space (its
-    descriptor's: Trinity's Table II anchors for
-    :class:`~repro.hardware.config.ConfigSpace`)."""
-    descriptor = getattr(space, "descriptor", None)
-    if descriptor is None:
-        raise TypeError(
-            f"cannot derive sample configurations from {type(space).__name__}"
-        )
-    return descriptor.sample_configs()

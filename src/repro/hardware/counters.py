@@ -23,7 +23,6 @@ the profiling layer, not here.
 
 from __future__ import annotations
 
-from repro.hardware.backend import descriptor_of_config
 from repro.hardware.config import Device
 from repro.hardware.kernelmodel import (
     KernelCharacteristics,
@@ -58,7 +57,7 @@ def synthesize_counters(k: KernelCharacteristics, cfg) -> dict[str, float]:
     normalize to the primary block's ladder maxima (Trinity's 3.7 GHz
     and four cores).
     """
-    primary = descriptor_of_config(cfg).primary
+    primary = cfg.descriptor.primary
     max_freq_ghz = primary.max_freq_ghz
     max_units = primary.max_threads
     if cfg.device is Device.CPU:

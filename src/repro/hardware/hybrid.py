@@ -31,9 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.constants import respects_cap
-from repro.hardware import pstates
 from repro.hardware.apu import trinity_physics
-from repro.hardware.config import Configuration
+from repro.hardware.backend import TRINITY_DESCRIPTOR
+from repro.hardware.config import Configuration, Device
 from repro.hardware.kernelmodel import KernelCharacteristics
 from repro.hardware.power import PowerModelConstants
 from repro.telemetry import counter, gauge
@@ -127,9 +127,10 @@ def _hybrid_points(
     if not 0.0 < efficiency <= 1.0:
         raise ValueError("efficiency must be in (0, 1]")
     c = constants if constants is not None else PowerModelConstants()
-    configs = [Configuration.cpu(f, n) for f, n, _ in triples] + [
-        Configuration.gpu(g, f) for f, _, g in triples
-    ]
+    d = TRINITY_DESCRIPTOR
+    configs = [
+        d.config(Device.CPU, f, n, d.secondary.min_freq_ghz) for f, n, _ in triples
+    ] + [d.config(Device.GPU, f, 1, g) for f, _, g in triples]
     t, cpu_w, nbgpu_w = (
         column.tolist()
         for column in trinity_physics(
@@ -197,9 +198,9 @@ def enumerate_hybrid_points(
                 k,
                 [
                     (f, n, g)
-                    for f in pstates.CPU_FREQS_GHZ
-                    for n in range(1, pstates.N_CORES + 1)
-                    for g in pstates.GPU_FREQS_GHZ
+                    for f in TRINITY_DESCRIPTOR.primary.freqs_ghz
+                    for n in TRINITY_DESCRIPTOR.primary.thread_counts
+                    for g in TRINITY_DESCRIPTOR.secondary.freqs_ghz
                 ],
                 efficiency,
                 c,

@@ -1,4 +1,6 @@
-"""P-state tables and voltage curves for the simulated Trinity APU.
+"""P-state ladders and voltage curves of the simulated Trinity APU (data
+only: :data:`~repro.hardware.backend.TRINITY_DESCRIPTOR` builds the
+machine's blocks, and validates configurations, from it).
 
 The paper's test machine is an AMD A10-5800K "Trinity" APU (Section IV-A):
 
@@ -27,10 +29,6 @@ __all__ = [
     "GPU_MAX_FREQ_GHZ",
     "GPU_MIN_FREQ_GHZ",
     "N_CORES",
-    "cpu_pstate_index",
-    "cpu_voltage",
-    "gpu_pstate_index",
-    "gpu_voltage",
 ]
 
 #: Software-visible CPU P-state frequencies (GHz), ascending.
@@ -47,60 +45,9 @@ GPU_MAX_FREQ_GHZ: float = GPU_FREQS_GHZ[-1]
 #: Four CPU cores (two dual-core PileDriver modules).
 N_CORES: int = 4
 
-# Affine voltage/frequency curves (volts as a function of GHz).
+# Affine voltage/frequency curves (volts as a function of GHz), read by
+# the Trinity descriptor's blocks and the array physics.  The CPU
+# compute units share a voltage plane, so the curve takes the *maximum*
+# frequency across active CUs (Section IV-A); the GPU has its own plane.
 _CPU_V0, _CPU_V1 = 0.70, 0.16
 _GPU_V0, _GPU_V1 = 0.80, 0.45
-
-
-def cpu_voltage(freq_ghz: float) -> float:
-    """Core voltage (V) at a CPU frequency.
-
-    The CPU compute units share a voltage plane, so callers must pass the
-    *maximum* frequency across active CUs (Section IV-A).
-    """
-    _require_cpu_freq(freq_ghz)
-    return _CPU_V0 + _CPU_V1 * freq_ghz
-
-
-def gpu_voltage(freq_ghz: float) -> float:
-    """GPU voltage (V) at a GPU frequency (separate power plane)."""
-    _require_gpu_freq(freq_ghz)
-    return _GPU_V0 + _GPU_V1 * freq_ghz
-
-
-# Exact-value index tables: the hot path (every Configuration build and
-# power evaluation validates its frequency) hits these dicts; the
-# tolerance scan below only runs for values that are not bit-identical
-# to a table entry.
-_CPU_INDEX: dict[float, int] = {f: i for i, f in enumerate(CPU_FREQS_GHZ)}
-_GPU_INDEX: dict[float, int] = {f: i for i, f in enumerate(GPU_FREQS_GHZ)}
-
-
-def _lookup(
-    freq_ghz: float, table: dict[float, int], freqs: tuple[float, ...], kind: str
-) -> int:
-    idx = table.get(freq_ghz)
-    if idx is not None:
-        return idx
-    for i, f in enumerate(freqs):
-        if abs(freq_ghz - f) < 1e-9:
-            return i
-    raise ValueError(f"{freq_ghz} GHz is not a {kind} P-state; valid: {freqs}")
-
-
-def cpu_pstate_index(freq_ghz: float) -> int:
-    """Index of a CPU frequency in :data:`CPU_FREQS_GHZ` (0 = slowest)."""
-    return _lookup(freq_ghz, _CPU_INDEX, CPU_FREQS_GHZ, "CPU")
-
-
-def gpu_pstate_index(freq_ghz: float) -> int:
-    """Index of a GPU frequency in :data:`GPU_FREQS_GHZ` (0 = slowest)."""
-    return _lookup(freq_ghz, _GPU_INDEX, GPU_FREQS_GHZ, "GPU")
-
-
-def _require_cpu_freq(freq_ghz: float) -> None:
-    _lookup(freq_ghz, _CPU_INDEX, CPU_FREQS_GHZ, "CPU")
-
-
-def _require_gpu_freq(freq_ghz: float) -> None:
-    _lookup(freq_ghz, _GPU_INDEX, GPU_FREQS_GHZ, "GPU")

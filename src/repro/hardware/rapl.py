@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 
 import numpy as np
@@ -39,7 +39,6 @@ from repro.hardware.backend import (
     HardwareBackend,
     Measurement,
     characteristics_of,
-    descriptor_of_config,
 )
 from repro.hardware.config import Configuration
 from repro.hardware.kernelmodel import KernelCharacteristics
@@ -105,14 +104,6 @@ def _failed_measurement(cfg: Configuration) -> Measurement:
     )
 
 
-@cache
-def _rungs(descriptor) -> dict:
-    """``{config: config}`` over a descriptor's space: looking a built
-    configuration up returns the space's own instance, so ladder steps
-    hit the memo caches by identity."""
-    return {cfg: cfg for cfg in descriptor.enumerate_configs()}
-
-
 def _below(freqs: tuple[float, ...], f: float) -> list[float]:
     """Rungs of ascending ``freqs`` strictly below ``f``, descending."""
     return [g for g in reversed(freqs) if g < f - 1e-9]
@@ -123,7 +114,8 @@ def _ladder(start, down: bool) -> tuple:
     """The configurations a walk from ``start`` measures, in order.
 
     Built from the configuration's own descriptor, visiting only rungs
-    of its space.  Going down: ``start`` itself, then every lower
+    of its space (each step is the space's own instance, so the memo
+    caches hit by identity).  Going down: ``start`` itself, then every lower
     P-state — the primary ladder at ``start``'s unit count on a
     primary-block run; on a secondary-block run the secondary ladder
     first, then the host ladder (which only Trinity's space varies).
@@ -132,22 +124,21 @@ def _ladder(start, down: bool) -> tuple:
     noise, only where the walk stops does, so it is memoized
     process-wide.
     """
-    d = descriptor_of_config(start)
-    rungs = _rungs(d)
+    d = start.descriptor
     host = d.host_freqs_ghz() if start.is_gpu else d.primary.freqs_ghz
     f = start.cpu_freq_ghz
     if not down:
         return tuple(
-            rungs[replace(start, cpu_freq_ghz=h)] for h in host if h > f + 1e-9
+            start.replace(cpu_freq_ghz=h) for h in host if h > f + 1e-9
         )
     steps = [start]
     if start.is_gpu:
         steps += [
-            rungs[replace(start, gpu_freq_ghz=g)]
+            start.replace(gpu_freq_ghz=g)
             for g in _below(d.secondary.freqs_ghz, start.gpu_freq_ghz)
         ]
     return tuple(steps) + tuple(
-        rungs[replace(steps[-1], cpu_freq_ghz=h)] for h in _below(host, f)
+        steps[-1].replace(cpu_freq_ghz=h) for h in _below(host, f)
     )
 
 
@@ -166,9 +157,7 @@ class FrequencyLimiter:
         d = apu.descriptor
         primary, secondary = d.sample_configs()
         self._cpu_start = primary
-        self._gpu_start = _rungs(d)[
-            replace(secondary, cpu_freq_ghz=d.host_freqs_ghz()[0])
-        ]
+        self._gpu_start = secondary.replace(cpu_freq_ghz=d.host_freqs_ghz()[0])
 
     def _walk(
         self,

@@ -7,18 +7,19 @@ baselines make the comparison concrete:
 * :class:`ExhaustiveSearch` — measure the kernel on *every*
   configuration, then pick the best measured configuration under the
   cap.  Decision quality approaches the oracle's (limited only by
-  measurement noise), but each kernel pays 42 online iterations at
-  mostly suboptimal (sometimes cap-violating) operating points before
-  the decision lands.
+  measurement noise), but each kernel pays one online iteration per
+  configuration (42 on Trinity), mostly at suboptimal (sometimes
+  cap-violating) operating points, before the decision lands.
 * :class:`HillClimbing` — greedy local search over the configuration
   neighbourhood graph (change one knob at a time: device, CPU P-state,
-  thread count, GPU P-state), starting from the CPU sample
-  configuration.  Far fewer iterations than exhaustive, but it gets
+  thread count, GPU P-state, or the GPU's second axis — host P-state
+  on Trinity, unit count elsewhere), starting from the machine's CPU
+  sample configuration.  Far fewer iterations than exhaustive, but it gets
   stuck in local optima — notably on kernels whose frontier jumps
   devices (LU Small's cliff).
 
 Both respect the measurement-only discipline: they see the machine
-through :meth:`TrinityAPU.run`, never ground truth.
+through :meth:`HardwareBackend.run`, never ground truth.
 """
 
 from __future__ import annotations
@@ -26,9 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.constants import respects_cap
-from repro.core.sample_configs import CPU_SAMPLE
-from repro.hardware import pstates
-from repro.hardware.apu import TrinityAPU
+from repro.hardware.backend import HardwareBackend
 from repro.hardware.config import Configuration, Device
 from repro.methods.base import MethodDecision, PowerLimitMethod
 
@@ -45,7 +44,7 @@ class ExhaustiveSearch(PowerLimitMethod):
 
     name = "Exhaustive"
 
-    def __init__(self, apu: TrinityAPU, *, seed: int = 0) -> None:
+    def __init__(self, apu: HardwareBackend, *, seed: int = 0) -> None:
         self.apu = apu
         self._rng = np.random.default_rng(seed)
         self._tables: dict[str, dict[Configuration, tuple[float, float]]] = {}
@@ -80,44 +79,46 @@ class ExhaustiveSearch(PowerLimitMethod):
         )
 
 
+def _steps(ladder: tuple, value) -> list:
+    """The rungs of ``ladder`` one step below and above ``value``."""
+    i = ladder.index(value)
+    return [ladder[j] for j in (i - 1, i + 1) if 0 <= j < len(ladder)]
+
+
 def _neighbours(cfg: Configuration) -> list[Configuration]:
-    """Single-knob moves from a configuration (the search graph)."""
-    out: list[Configuration] = []
-    ci = pstates.cpu_pstate_index(cfg.cpu_freq_ghz)
+    """Single-knob moves from a configuration (the search graph), along
+    the ladders of its own machine."""
+    d = cfg.descriptor
+    p, s = d.primary, d.secondary
     if cfg.device is Device.CPU:
-        for di in (-1, 1):
-            if 0 <= ci + di < len(pstates.CPU_FREQS_GHZ):
-                out.append(
-                    Configuration.cpu(
-                        pstates.CPU_FREQS_GHZ[ci + di], cfg.n_threads
-                    )
-                )
-        for dn in (-1, 1):
-            n = cfg.n_threads + dn
-            if 1 <= n <= pstates.N_CORES:
-                out.append(Configuration.cpu(cfg.cpu_freq_ghz, n))
-        # Device switch: hop to the GPU at its lowest P-state.
-        out.append(
-            Configuration.gpu(pstates.GPU_MIN_FREQ_GHZ, cfg.cpu_freq_ghz)
-        )
+        out = [
+            cfg.replace(cpu_freq_ghz=f) for f in _steps(p.freqs_ghz, cfg.cpu_freq_ghz)
+        ]
+        out += [
+            cfg.replace(n_threads=n) for n in _steps(p.thread_counts, cfg.n_threads)
+        ]
+        # Device switch: hop to the secondary block's lowest rung (at
+        # this host frequency where the machine varies the host).
+        host = cfg.cpu_freq_ghz if s.host_axis else d.host_freqs_ghz()[0]
+        out.append(d.config(Device.GPU, host, s.thread_counts[0], s.min_freq_ghz))
+        return out
+    out = [
+        cfg.replace(gpu_freq_ghz=g) for g in _steps(s.freqs_ghz, cfg.gpu_freq_ghz)
+    ]
+    # The secondary block's second axis: the host ladder or unit counts.
+    if s.host_axis:
+        out += [
+            cfg.replace(cpu_freq_ghz=h)
+            for h in _steps(d.host_freqs_ghz(), cfg.cpu_freq_ghz)
+        ]
     else:
-        gi = pstates.gpu_pstate_index(cfg.gpu_freq_ghz)
-        for dg in (-1, 1):
-            if 0 <= gi + dg < len(pstates.GPU_FREQS_GHZ):
-                out.append(
-                    Configuration.gpu(
-                        pstates.GPU_FREQS_GHZ[gi + dg], cfg.cpu_freq_ghz
-                    )
-                )
-        for di in (-1, 1):
-            if 0 <= ci + di < len(pstates.CPU_FREQS_GHZ):
-                out.append(
-                    Configuration.gpu(
-                        cfg.gpu_freq_ghz, pstates.CPU_FREQS_GHZ[ci + di]
-                    )
-                )
-        # Device switch: hop back to the CPU at one thread.
-        out.append(Configuration.cpu(cfg.cpu_freq_ghz, 1))
+        out += [
+            cfg.replace(n_threads=n) for n in _steps(s.thread_counts, cfg.n_threads)
+        ]
+    # Device switch: hop back to the primary block at one unit.
+    out.append(
+        d.config(Device.CPU, cfg.cpu_freq_ghz, p.thread_counts[0], s.min_freq_ghz)
+    )
     return out
 
 
@@ -133,7 +134,7 @@ class HillClimbing(PowerLimitMethod):
     name = "HillClimb"
 
     def __init__(
-        self, apu: TrinityAPU, *, seed: int = 0, max_steps: int = 12
+        self, apu: HardwareBackend, *, seed: int = 0, max_steps: int = 12
     ) -> None:
         self.apu = apu
         self.max_steps = max_steps
@@ -151,9 +152,10 @@ class HillClimbing(PowerLimitMethod):
     def decide(self, kernel, power_cap_w: float) -> MethodDecision:
         """Greedy ascent on measured performance within the cap."""
         runs = 0
-        (pw, perf), fresh = self._measure(kernel, CPU_SAMPLE)
+        start = self.apu.descriptor.sample_configs()[0]
+        (pw, perf), fresh = self._measure(kernel, start)
         runs += fresh
-        current, current_perf = CPU_SAMPLE, perf
+        current, current_perf = start, perf
         current_feasible = respects_cap(pw, power_cap_w)
 
         best_feasible: tuple[Configuration, float] | None = (

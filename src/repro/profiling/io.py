@@ -12,28 +12,14 @@ from pathlib import Path
 from typing import Any
 
 from repro.hardware.apu import Measurement
-from repro.hardware.config import Configuration, Device
+from repro.hardware.config import Configuration
 from repro.profiling.records import KernelProfile, ProfileDatabase
 
 __all__ = ["database_to_json", "database_from_json", "save_database", "load_database"]
 
 
-def _config_to_dict(cfg: Configuration) -> dict[str, Any]:
-    return {
-        "device": cfg.device.value,
-        "cpu_freq_ghz": cfg.cpu_freq_ghz,
-        "n_threads": cfg.n_threads,
-        "gpu_freq_ghz": cfg.gpu_freq_ghz,
-    }
-
-
-def _config_from_dict(d: dict[str, Any]) -> Configuration:
-    return Configuration(
-        device=Device(d["device"]),
-        cpu_freq_ghz=float(d["cpu_freq_ghz"]),
-        n_threads=int(d["n_threads"]),
-        gpu_freq_ghz=float(d["gpu_freq_ghz"]),
-    )
+#: Version 2 writes each configuration's machine (``"arch"``).
+_VERSION = 2
 
 
 def _profile_to_dict(p: KernelProfile) -> dict[str, Any]:
@@ -42,7 +28,7 @@ def _profile_to_dict(p: KernelProfile) -> dict[str, Any]:
         "kernel_uid": p.kernel_uid,
         "iteration": p.iteration,
         "sampling_overhead_s": p.sampling_overhead_s,
-        "config": _config_to_dict(m.config),
+        "config": m.config.to_dict(),
         "time_s": m.time_s,
         "cpu_plane_w": m.cpu_plane_w,
         "nbgpu_plane_w": m.nbgpu_plane_w,
@@ -53,7 +39,7 @@ def _profile_to_dict(p: KernelProfile) -> dict[str, Any]:
 def database_to_json(db: ProfileDatabase) -> str:
     """Serialize a profile database to a JSON string."""
     return json.dumps(
-        {"version": 1, "profiles": [_profile_to_dict(p) for p in db]},
+        {"version": _VERSION, "profiles": [_profile_to_dict(p) for p in db]},
         indent=2,
         sort_keys=True,
     )
@@ -66,12 +52,12 @@ def database_from_json(text: str) -> ProfileDatabase:
     the saved order for databases produced by this package.
     """
     data = json.loads(text)
-    if data.get("version") != 1:
+    if data.get("version") != _VERSION:
         raise ValueError(f"unsupported profile database version: {data.get('version')!r}")
     db = ProfileDatabase()
     for d in data["profiles"]:
         m = Measurement(
-            config=_config_from_dict(d["config"]),
+            config=Configuration.from_dict(d["config"]),
             time_s=float(d["time_s"]),
             cpu_plane_w=float(d["cpu_plane_w"]),
             nbgpu_plane_w=float(d["nbgpu_plane_w"]),

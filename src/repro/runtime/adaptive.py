@@ -35,7 +35,6 @@ from typing import Callable
 from repro.constants import respects_cap
 from repro.core.model import AdaptiveModel
 from repro.core.predictor import KernelPrediction
-from repro.core.sample_configs import CPU_SAMPLE, GPU_SAMPLE
 from repro.core.scheduler import Scheduler
 from repro.faults import SampleRunError, measurement_is_finite, sanitize_measurement
 from repro.hardware.config import Configuration
@@ -146,6 +145,7 @@ class AdaptiveRuntime:
         self.backoff_cap_s = backoff_cap_s
         self.quarantine_stuck = quarantine_stuck
         self._predictions: dict[str, KernelPrediction] = {}
+        self._samples = library.apu.descriptor.sample_configs()
         self._limiter = (
             FrequencyLimiter(library.apu) if frequency_limiter else None
         )
@@ -171,9 +171,9 @@ class AdaptiveRuntime:
     def _invoke(self, kernel: Kernel, timestep: int, cap: float) -> KernelExecution:
         seen = self.library.database.iterations(kernel.uid)
         if seen == 0:
-            cfg, phase = CPU_SAMPLE, "sample-cpu"
+            cfg, phase = self._samples[0], "sample-cpu"
         elif seen == 1:
-            cfg, phase = GPU_SAMPLE, "sample-gpu"
+            cfg, phase = self._samples[1], "sample-gpu"
         else:
             prediction = self._prediction_for(kernel)
             decision = self.scheduler.select(
@@ -304,12 +304,13 @@ class AdaptiveRuntime:
             # protocol order.  Match by configuration when possible; a
             # P-state fault during sampling substitutes the executed
             # configuration, in which case fall back to record order.
+            cpu_sample, gpu_sample = self._samples
             cpu_m = next(
-                (p.measurement for p in history if p.config == CPU_SAMPLE),
+                (p.measurement for p in history if p.config == cpu_sample),
                 history[0].measurement,
             )
             gpu_m = next(
-                (p.measurement for p in history if p.config == GPU_SAMPLE),
+                (p.measurement for p in history if p.config == gpu_sample),
                 history[1].measurement,
             )
             cluster = None

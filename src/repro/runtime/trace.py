@@ -15,9 +15,13 @@ from pathlib import Path
 from typing import TextIO
 
 from repro.constants import respects_cap
-from repro.hardware.config import Configuration, Device
+from repro.hardware.config import Configuration
 
 __all__ = ["KernelExecution", "ApplicationTrace"]
+
+#: Version 2 writes each configuration's machine (``"arch"``); the
+#: header of a version-1 file, which did not, carries no version.
+_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -55,12 +59,7 @@ class KernelExecution:
         return {
             "timestep": self.timestep,
             "kernel_uid": self.kernel_uid,
-            "config": {
-                "device": self.config.device.value,
-                "cpu_freq_ghz": self.config.cpu_freq_ghz,
-                "n_threads": self.config.n_threads,
-                "gpu_freq_ghz": self.config.gpu_freq_ghz,
-            },
+            "config": self.config.to_dict(),
             "time_s": self.time_s,
             "power_w": self.power_w,
             "power_cap_w": self.power_cap_w,
@@ -70,16 +69,10 @@ class KernelExecution:
     @classmethod
     def from_dict(cls, d: dict) -> "KernelExecution":
         """Rebuild an execution from :meth:`to_dict` output."""
-        c = d["config"]
         return cls(
             timestep=d["timestep"],
             kernel_uid=d["kernel_uid"],
-            config=Configuration(
-                device=Device(c["device"]),
-                cpu_freq_ghz=c["cpu_freq_ghz"],
-                n_threads=c["n_threads"],
-                gpu_freq_ghz=c["gpu_freq_ghz"],
-            ),
+            config=Configuration.from_dict(d["config"]),
             time_s=d["time_s"],
             power_w=d["power_w"],
             power_cap_w=d["power_cap_w"],
@@ -105,9 +98,10 @@ class ApplicationTrace:
 
     def to_jsonl(self, path: str | Path | TextIO) -> None:
         """Write the trace as JSON lines: a header line
-        ``{"application": ...}`` followed by one line per execution, in
-        execution order (inverse of :meth:`from_jsonl`)."""
-        lines = [json.dumps({"application": self.application}, sort_keys=True)]
+        ``{"application": ..., "version": 2}`` followed by one line per
+        execution, in execution order (inverse of :meth:`from_jsonl`)."""
+        header = {"application": self.application, "version": _VERSION}
+        lines = [json.dumps(header, sort_keys=True)]
         lines.extend(
             json.dumps(e.to_dict(), sort_keys=True) for e in self.executions
         )
@@ -130,6 +124,8 @@ class ApplicationTrace:
         header = json.loads(lines[0])
         if "application" not in header:
             raise ValueError("trace file missing application header line")
+        if header.get("version") != _VERSION:
+            raise ValueError(f"unsupported trace version: {header.get('version')!r}")
         trace = cls(application=header["application"])
         for line in lines[1:]:
             trace.record(KernelExecution.from_dict(json.loads(line)))

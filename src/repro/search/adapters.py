@@ -41,16 +41,16 @@ def archive_to_prediction(
 
     The sample measurements — mandatory anchors of a prediction — are
     the same deterministic conservative synthetics the fault path uses
-    when real sample runs are exhausted, attributed to the standard
-    sample configurations.
+    when real sample runs are exhausted, attributed to the sample
+    configurations of the archived configurations' machine.
     """
     from repro.core.predictor import KernelPrediction
-    from repro.core.sample_configs import CPU_SAMPLE, GPU_SAMPLE
     from repro.faults import conservative_measurement
 
     if not len(archive):
         raise ValueError("archive is empty")
     configs = tuple(archive.configs())
+    cpu_sample, gpu_sample = configs[0].descriptor.sample_configs()
     return KernelPrediction.from_arrays(
         kernel_uid=kernel_uid,
         cluster=SEARCH_CLUSTER_ID,
@@ -58,8 +58,8 @@ def archive_to_prediction(
         index={cfg: i for i, cfg in enumerate(configs)},
         power_w=archive.powers.copy(),
         performance=archive.performances.copy(),
-        cpu_sample=conservative_measurement(CPU_SAMPLE),
-        gpu_sample=conservative_measurement(GPU_SAMPLE),
+        cpu_sample=conservative_measurement(cpu_sample),
+        gpu_sample=conservative_measurement(gpu_sample),
     )
 
 

@@ -351,106 +351,38 @@ class GeneratedConfigSpace:
         return frontier
 
 
-# -- the paper space (42-point Trinity, exactly the enumerated machine) --------
-
-
-class _TrinityModel:
-    """Batch evaluation over the simulated Trinity APU's real physics.
-
-    Decoded rows are bit-identical to
-    ``TrinityAPU.true_performance`` / ``true_total_power_w`` (boost
-    off): both read the machine's one physics hook, and canonical
-    genomes map one-to-one onto the 42 valid
-    :class:`~repro.hardware.config.Configuration` objects.
-    """
-
-    def __init__(self, constants=None) -> None:
-        from repro.hardware.apu import TrinityAPU
-
-        self.machine = TrinityAPU(power_constants=constants)
-        self.key = ("trinity", self.machine.power_constants)
-
-    def canonicalize(self, space, genomes: np.ndarray) -> np.ndarray:
-        g = genomes.copy()
-        is_gpu = g[:, 0] == 1
-        # GPU configs pin one host thread; CPU configs park the GPU at
-        # its minimum P-state — same collapse Configuration enforces.
-        g[is_gpu, 2] = 0
-        g[~is_gpu, 3] = 0
-        return g
-
-    def evaluate(self, chars, columns):
-        return self.machine.batch_rate_power(
-            chars,
-            columns["device"] == 1.0,
-            columns["cpu_freq_ghz"],
-            columns["n_threads"],
-            columns["gpu_freq_ghz"],
-        )
-
-    def payloads(self, space, genomes: np.ndarray) -> list:
-        from repro.hardware.config import Configuration
-
-        cols = space.decode_columns(genomes)
-        out = []
-        for dev, f, n, fg in zip(
-            cols["device"],
-            cols["cpu_freq_ghz"],
-            cols["n_threads"],
-            cols["gpu_freq_ghz"],
-        ):
-            if dev == 1.0:
-                out.append(Configuration.gpu(float(fg), float(f)))
-            else:
-                out.append(Configuration.cpu(float(f), int(n)))
-        return out
-
-
-def paper_space(constants=None) -> GeneratedConfigSpace:
-    """The paper's Trinity space as a generated space (144 genomes, 42
-    canonical points) — the validation anchor: its exact frontier equals
-    the oracle's ground-truth frontier bit for bit."""
-    from repro.hardware import pstates
-
-    axes = (
-        FactorAxis("device", (0.0, 1.0)),
-        FactorAxis("cpu_freq_ghz", pstates.CPU_FREQS_GHZ),
-        FactorAxis(
-            "n_threads", tuple(float(n) for n in range(1, pstates.N_CORES + 1))
-        ),
-        FactorAxis("gpu_freq_ghz", pstates.GPU_FREQS_GHZ),
-    )
-    return GeneratedConfigSpace("trinity", axes, _TrinityModel(constants))
-
-
 # -- registered-backend spaces (search over any HardwareBackend) ---------------
 
 
 class _BackendModel:
     """Vectorized truth for a registered :class:`HardwareBackend`.
 
-    The genome carries both blocks' knobs; canonicalization collapses
-    the inactive block exactly like the descriptor's enumeration does
-    (primary configs park the secondary at its minimum frequency with
-    one unit; secondary configs pin the host at the descriptor's host
-    frequency), so canonical genomes map one-to-one onto
+    Decoded rows are bit-identical to the machine's ``true_table``
+    (boost off): both read its one physics hook.  The genome carries
+    both blocks' knobs; canonicalization collapses the inactive block
+    exactly like the descriptor's enumeration does (primary configs
+    park the secondary at its minimum frequency with one unit;
+    secondary configs pin the host at the descriptor's fixed host
+    frequency unless the machine varies it, as Trinity does), so
+    canonical genomes map one-to-one onto
     ``descriptor.enumerate_configs()``.
     """
 
     def __init__(self, name: str) -> None:
-        from repro.hardware.backend import create_backend, descriptor_for
+        from repro.hardware.backend import create_backend
 
         self.backend = create_backend(name)
-        self.descriptor = descriptor_for(name)
+        self.descriptor = self.backend.descriptor
         self.key = ("backend", name)
 
     def canonicalize(self, space, genomes: np.ndarray) -> np.ndarray:
         g = genomes.copy()
         is_gpu = g[:, 0] == 1
         # Axis order: device, cpu_freq_ghz, n_threads, gpu_freq_ghz,
-        # gpu_units.  Host frequency is the primary block's maximum —
-        # the last level of its ladder.
-        g[is_gpu, 1] = len(self.descriptor.primary.freqs_ghz) - 1
+        # gpu_units.  A fixed host is the primary block's maximum — the
+        # last level of its ladder.
+        if not self.descriptor.secondary.host_axis:
+            g[is_gpu, 1] = len(self.descriptor.primary.freqs_ghz) - 1
         g[is_gpu, 2] = 0
         g[~is_gpu, 3] = 0
         g[~is_gpu, 4] = 0
@@ -468,50 +400,30 @@ class _BackendModel:
         )
 
     def payloads(self, space, genomes: np.ndarray) -> list:
-        from repro.hardware.backend import BlockConfig
         from repro.hardware.config import Device
 
         d = self.descriptor
         cols = space.decode_columns(genomes)
-        out = []
-        for dev, f, n, fg, units in zip(
-            cols["device"],
-            cols["cpu_freq_ghz"],
-            cols["n_threads"],
-            cols["gpu_freq_ghz"],
-            cols["gpu_units"],
-        ):
-            if dev == 1.0:
-                out.append(
-                    BlockConfig(
-                        arch=d.name,
-                        device=Device.GPU,
-                        cpu_freq_ghz=d.host_freq_ghz(),
-                        n_threads=int(units),
-                        gpu_freq_ghz=float(fg),
-                    )
-                )
-            else:
-                out.append(
-                    BlockConfig(
-                        arch=d.name,
-                        device=Device.CPU,
-                        cpu_freq_ghz=float(f),
-                        n_threads=int(n),
-                        gpu_freq_ghz=d.secondary.min_freq_ghz,
-                    )
-                )
-        return out
+        return [
+            d.config(Device.GPU, float(f), int(units), float(fg))
+            if dev == 1.0
+            else d.config(Device.CPU, float(f), int(n), float(fg))
+            for dev, f, n, fg, units in zip(
+                cols["device"],
+                cols["cpu_freq_ghz"],
+                cols["n_threads"],
+                cols["gpu_freq_ghz"],
+                cols["gpu_units"],
+            )
+        ]
 
 
 def backend_space(name: str) -> GeneratedConfigSpace:
     """A registered backend's two-block space as a generated space.
 
-    Small enough for exact validation (like :func:`paper_space`), and
-    the bridge that lets the search engine drive any backend in the
-    registry.  Use :func:`paper_space` for ``"trinity"``: its space
-    sweeps the *host* frequency of GPU configurations too, which the
-    generic two-block genome deliberately collapses.
+    Small enough for exact validation, and the bridge that lets the
+    search engine drive any backend in the registry.  Its exact
+    frontier equals the oracle's ground-truth frontier bit for bit.
     """
     model = _BackendModel(name)
     d = model.descriptor
@@ -527,6 +439,13 @@ def backend_space(name: str) -> GeneratedConfigSpace:
         ),
     )
     return GeneratedConfigSpace(name, axes, model)
+
+
+def paper_space() -> GeneratedConfigSpace:
+    """The paper's Trinity space as a generated space (144 genomes, 42
+    canonical points) — the validation anchor: its exact frontier equals
+    the oracle's ground-truth frontier bit for bit."""
+    return backend_space("trinity")
 
 
 # -- the demo space (>1M points, enumeration-infeasible by design) -------------

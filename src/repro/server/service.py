@@ -334,11 +334,7 @@ class DecisionService:
             snap = self._snapshot
             prediction = snap.predictions[request.kernel_uid]
             try:
-                # float(), as the batch path's float64 array does, so a
-                # Decimal or numpy cap is answered the same on both.
-                decision = snap.scheduler.select(
-                    prediction, float(request.power_cap_w)
-                )
+                decision = snap.scheduler.select(prediction, request.power_cap_w)
             except NoFeasibleConfigError:
                 _ERRORS.inc()
                 return _error_result(request, ERROR_NO_FEASIBLE_CONFIG)

@@ -10,6 +10,20 @@ from repro.hardware import (
     TrinityAPU,
 )
 from repro.hardware.apu import trinity_physics
+from repro.hardware.backend import TRINITY_DESCRIPTOR
+from repro.hardware.config import Configuration, Device
+
+
+def cpu_config(freq_ghz: float, n_threads: int) -> Configuration:
+    """A Trinity CPU configuration (the GPU idles at its minimum)."""
+    return TRINITY_DESCRIPTOR.config(
+        Device.CPU, freq_ghz, n_threads, TRINITY_DESCRIPTOR.secondary.min_freq_ghz
+    )
+
+
+def gpu_config(gpu_freq_ghz: float, host_freq_ghz: float) -> Configuration:
+    """A Trinity GPU configuration with one host thread at a P-state."""
+    return TRINITY_DESCRIPTOR.config(Device.GPU, host_freq_ghz, 1, gpu_freq_ghz)
 
 
 def make_kernel(**overrides) -> KernelCharacteristics:

@@ -20,6 +20,7 @@ from repro.hardware import pstates
 from repro.hardware.apu import Measurement
 from repro.hardware.config import Configuration, Device
 from repro.telemetry import counter
+from tests.conftest import cpu_config, gpu_config
 
 _WORST_CASE_READS = counter("faults.limiter.worst_case_reads")
 _FAILED_RUNS = counter("faults.limiter.failed_runs")
@@ -34,30 +35,30 @@ class ReferenceResult:
 
 
 def _step_down_cpu(cfg):
-    i = pstates.cpu_pstate_index(cfg.cpu_freq_ghz)
+    i = pstates.CPU_FREQS_GHZ.index(cfg.cpu_freq_ghz)
     if i == 0:
         return None
     f = pstates.CPU_FREQS_GHZ[i - 1]
     if cfg.device is Device.CPU:
-        return Configuration.cpu(f, cfg.n_threads)
-    return Configuration.gpu(cfg.gpu_freq_ghz, f)
+        return cpu_config(f, cfg.n_threads)
+    return gpu_config(cfg.gpu_freq_ghz, f)
 
 
 def _step_up_cpu(cfg):
-    i = pstates.cpu_pstate_index(cfg.cpu_freq_ghz)
+    i = pstates.CPU_FREQS_GHZ.index(cfg.cpu_freq_ghz)
     if i == len(pstates.CPU_FREQS_GHZ) - 1:
         return None
     f = pstates.CPU_FREQS_GHZ[i + 1]
     if cfg.device is Device.CPU:
-        return Configuration.cpu(f, cfg.n_threads)
-    return Configuration.gpu(cfg.gpu_freq_ghz, f)
+        return cpu_config(f, cfg.n_threads)
+    return gpu_config(cfg.gpu_freq_ghz, f)
 
 
 def _step_down_gpu(cfg):
-    i = pstates.gpu_pstate_index(cfg.gpu_freq_ghz)
+    i = pstates.GPU_FREQS_GHZ.index(cfg.gpu_freq_ghz)
     if i == 0:
         return None
-    return Configuration.gpu(pstates.GPU_FREQS_GHZ[i - 1], cfg.cpu_freq_ghz)
+    return gpu_config(pstates.GPU_FREQS_GHZ[i - 1], cfg.cpu_freq_ghz)
 
 
 class ReferenceLimiter:
@@ -113,7 +114,7 @@ class ReferenceLimiter:
         )
 
     def limit_gpu_with_headroom(self, kernel, power_cap_w, *, rng=None):
-        start = Configuration.gpu(pstates.GPU_MAX_FREQ_GHZ, pstates.CPU_MIN_FREQ_GHZ)
+        start = gpu_config(pstates.GPU_MAX_FREQ_GHZ, pstates.CPU_MIN_FREQ_GHZ)
         result = self.limit(kernel, start, power_cap_w, rng=rng)
         if not result.met_cap:
             return result
@@ -133,5 +134,5 @@ class ReferenceLimiter:
         )
 
     def limit_cpu_all_cores(self, kernel, power_cap_w, *, rng=None):
-        start = Configuration.cpu(pstates.CPU_MAX_FREQ_GHZ, pstates.N_CORES)
+        start = cpu_config(pstates.CPU_MAX_FREQ_GHZ, pstates.N_CORES)
         return self.limit(kernel, start, power_cap_w, rng=rng)

@@ -18,6 +18,7 @@ compares time and both power planes with ``==``.
 from __future__ import annotations
 
 from repro.hardware import pstates
+from repro.hardware.backend import TRINITY_DESCRIPTOR
 from repro.hardware.biglittle import (
     BIG_BW_CONTENTION,
     BIG_IPC,
@@ -44,6 +45,7 @@ from repro.hardware.mpsoc import (
     MPSoC,
 )
 from repro.hardware.power import PowerBreakdown, PowerModelConstants
+from tests.conftest import cpu_config, gpu_config
 
 __all__ = [
     "cpu_time_s",
@@ -103,7 +105,7 @@ def true_time_s(k: KernelCharacteristics, cfg: Configuration) -> float:
 def _cpu_plane_w(
     k: KernelCharacteristics, cfg: Configuration, c: PowerModelConstants
 ) -> float:
-    v = pstates.cpu_voltage(cfg.cpu_freq_ghz)
+    v = TRINITY_DESCRIPTOR.primary.voltage(cfg.cpu_freq_ghz)
     static = c.cpu_static_base + c.cpu_static_v2 * v * v
     if cfg.device is Device.CPU:
         # Vector-dense kernels switch more silicon per cycle.
@@ -137,7 +139,7 @@ def _gpu_w(
 ) -> float:
     if cfg.device is Device.CPU:
         return c.gpu_idle_w
-    vg = pstates.gpu_voltage(cfg.gpu_freq_ghz)
+    vg = TRINITY_DESCRIPTOR.secondary.voltage(cfg.gpu_freq_ghz)
     static = c.gpu_static_base + c.gpu_static_v2 * vg * vg
     busy = gpu_busy_fraction(k, cfg.gpu_freq_ghz)
     dynamic = c.gpu_dyn * k.gpu_activity * cfg.gpu_freq_ghz * vg * vg * busy
@@ -394,8 +396,8 @@ def hybrid_execution(
         raise ValueError("efficiency must be in (0, 1]")
     c = constants if constants is not None else PowerModelConstants()
 
-    cpu_cfg = Configuration.cpu(cpu_freq_ghz, n_threads)
-    gpu_cfg = Configuration.gpu(gpu_freq_ghz, cpu_freq_ghz)
+    cpu_cfg = cpu_config(cpu_freq_ghz, n_threads)
+    gpu_cfg = gpu_config(gpu_freq_ghz, cpu_freq_ghz)
 
     t_cpu = cpu_time_s(k, cpu_freq_ghz, n_threads)
     t_gpu = gpu_time_s(k, gpu_freq_ghz, cpu_freq_ghz)

@@ -35,7 +35,6 @@ from repro.hardware.backend import (
     AnalyticalBackend,
     backend_names,
     create_backend,
-    descriptor_of_config,
 )
 from repro.hardware.counters import synthesize_counters
 from repro.profiling import ProfilingLibrary
@@ -142,7 +141,7 @@ def _down_walk_is_monotone(trace) -> None:
 
 
 def _at_floor(cfg) -> bool:
-    d = descriptor_of_config(cfg)
+    d = cfg.descriptor
     if cfg.is_gpu:
         return (
             cfg.gpu_freq_ghz == d.secondary.min_freq_ghz

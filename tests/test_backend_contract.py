@@ -25,18 +25,27 @@ import numpy as np
 import pytest
 
 from repro.core.frontier import ParetoFrontier
-from repro.core.sample_configs import CPU_SAMPLE, GPU_SAMPLE, sample_configs_for
 from repro.faults import FaultPlan
 from repro.hardware.backend import (
+    TRINITY_DESCRIPTOR,
     backend_names,
     create_backend,
     descriptor_for,
-    descriptor_of_config,
 )
-from repro.hardware.config import ConfigSpace
+from repro.hardware.mpsoc import MPSoC
 from repro.workloads import build_suite
 
 BACKENDS = ("trinity", "biglittle", "mpsoc")
+#: Every registered backend plus one variant whose descriptor is only
+#: registered (the 45 nm MPSoC).
+MACHINES = BACKENDS + ("mpsoc45",)
+
+
+def make_machine(name: str, seed: int = 0):
+    """A machine of any name in :data:`MACHINES`."""
+    if name == "mpsoc45":
+        return MPSoC(tech_nm=45, seed=seed)
+    return create_backend(name, seed=seed)
 
 
 @pytest.fixture(scope="module")
@@ -50,9 +59,9 @@ def kernels():
     )]
 
 
-@pytest.fixture(params=BACKENDS)
+@pytest.fixture(params=MACHINES)
 def backend(request):
-    return create_backend(request.param, seed=0)
+    return make_machine(request.param, seed=0)
 
 
 def test_registry_contains_all_builtin_backends():
@@ -73,7 +82,7 @@ def test_registry_imports_builtins_once(monkeypatch):
 class TestEnumeration:
     def test_enumeration_is_deterministic(self, backend):
         a = tuple(backend.config_space)
-        b = tuple(create_backend(backend.name, seed=1).config_space)
+        b = tuple(make_machine(backend.descriptor.name, seed=1).config_space)
         assert a == b
 
     def test_enumeration_is_duplicate_free(self, backend):
@@ -81,9 +90,13 @@ class TestEnumeration:
         assert len(configs) == len(set(configs))
 
     def test_every_config_validates_against_its_descriptor(self, backend):
-        descriptor = descriptor_for(backend.name)
+        descriptor = descriptor_for(backend.descriptor.name)
         for cfg in backend.config_space:
-            descriptor.validate(cfg)
+            assert cfg.arch == descriptor.name
+            rebuilt = descriptor.config(
+                cfg.device, cfg.cpu_freq_ghz, cfg.n_threads, cfg.gpu_freq_ghz
+            )
+            assert rebuilt is cfg
 
     def test_space_has_both_device_blocks(self, backend):
         configs = tuple(backend.config_space)
@@ -137,14 +150,14 @@ class TestGroundTruth:
 
 class TestMeasurement:
     def test_measurements_are_deterministic_per_seed(self, backend, kernels):
-        twin = create_backend(backend.name, seed=0)
+        twin = make_machine(backend.descriptor.name, seed=0)
         cfg = tuple(backend.config_space)[0]
         a = backend.run(kernels[0], cfg)
         b = twin.run(kernels[0], cfg)
         assert a == b
 
     def test_empty_fault_plan_is_bit_identical(self, backend, kernels):
-        faulty = create_backend(backend.name, seed=0)
+        faulty = make_machine(backend.descriptor.name, seed=0)
         faulty.inject_faults(FaultPlan(name="empty"))
         for kernel in kernels:
             for cfg in tuple(backend.config_space)[:5]:
@@ -164,28 +177,32 @@ class TestDescriptorDispatch:
     behind backend descriptors."""
 
     def test_sample_configs_for_trinity_is_table_ii(self):
-        assert sample_configs_for(ConfigSpace()) == (CPU_SAMPLE, GPU_SAMPLE)
+        cpu_sample, gpu_sample = TRINITY_DESCRIPTOR.sample_configs()
+        assert (cpu_sample.cpu_freq_ghz, cpu_sample.n_threads) == (3.7, 4)
+        assert cpu_sample.gpu_freq_ghz == 0.311 and not cpu_sample.is_gpu
+        assert (gpu_sample.cpu_freq_ghz, gpu_sample.n_threads) == (3.7, 1)
+        assert gpu_sample.gpu_freq_ghz == 0.819 and gpu_sample.is_gpu
 
     def test_sample_configs_are_in_space_and_one_per_block(self, backend):
         space = backend.config_space
-        cpu_sample, gpu_sample = sample_configs_for(space)
+        cpu_sample, gpu_sample = space.descriptor.sample_configs()
         configs = set(space)
         assert cpu_sample in configs and gpu_sample in configs
         assert not cpu_sample.is_gpu and gpu_sample.is_gpu
 
     def test_trinity_configspace_exposes_its_descriptor(self):
-        space = ConfigSpace()
+        space = TRINITY_DESCRIPTOR.config_space()
         assert space.descriptor is descriptor_for("trinity")
 
     def test_descriptor_of_config_round_trips(self, backend):
         for cfg in tuple(backend.config_space)[:3]:
-            descriptor = descriptor_of_config(cfg)
-            assert descriptor is descriptor_for(backend.name)
+            descriptor = cfg.descriptor
+            assert descriptor is backend.descriptor
 
     def test_design_rows_share_the_portable_convention(self, backend):
         from repro.core.features import design_row, power_design_row
 
-        cpu_sample, gpu_sample = sample_configs_for(backend.config_space)
+        cpu_sample, gpu_sample = backend.config_space.descriptor.sample_configs()
         assert design_row(cpu_sample).shape == (3,)
         assert design_row(gpu_sample).shape == (3,)
         assert power_design_row(cpu_sample).shape == (5,)
@@ -196,7 +213,7 @@ class TestDescriptorDispatch:
         from repro.workloads import build_suite
 
         kernel = build_suite().get("LU/Small/LUDecomposition")
-        cpu_sample, _ = sample_configs_for(backend.config_space)
+        cpu_sample, _ = backend.config_space.descriptor.sample_configs()
         counters = synthesize_counters(kernel.characteristics, cpu_sample)
         assert counters and all(
             math.isfinite(v) for v in counters.values()

@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 
 from repro.core import ParetoFrontier
 from repro.core.frontier import FrontierPoint
-from repro.hardware import Configuration, Measurement, NoiseModel, TrinityAPU
+from repro.hardware import Measurement, NoiseModel, TrinityAPU
 from repro.workloads import build_suite
+from tests.conftest import cpu_config
 
 
 def _point(power, perf, cfg=None):
     return FrontierPoint(
-        config=cfg or Configuration.cpu(1.4, 1), power_w=power, performance=perf
+        config=cfg or cpu_config(1.4, 1), power_w=power, performance=perf
     )
 
 

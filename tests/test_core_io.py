@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    CPU_SAMPLE,
-    GPU_SAMPLE,
     load_model,
     model_from_json,
     model_to_json,
@@ -15,6 +13,9 @@ from repro.core import (
 from repro.hardware import TrinityAPU
 from repro.profiling import ProfilingLibrary
 from repro.workloads import build_suite
+from repro.hardware.backend import TRINITY_DESCRIPTOR
+
+CPU_SAMPLE, GPU_SAMPLE = TRINITY_DESCRIPTOR.sample_configs()
 
 
 @pytest.fixture(scope="module")

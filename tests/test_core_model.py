@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    CPU_SAMPLE,
-    GPU_SAMPLE,
     AdaptiveModel,
     ClusterClassifier,
     OnlinePredictor,
@@ -18,6 +16,9 @@ from repro.core.classifier import SAMPLE_FEATURE_NAMES
 from repro.hardware import NoiseModel, TrinityAPU
 from repro.profiling import ProfilingLibrary
 from repro.workloads import build_suite
+from repro.hardware.backend import TRINITY_DESCRIPTOR
+
+CPU_SAMPLE, GPU_SAMPLE = TRINITY_DESCRIPTOR.sample_configs()
 
 
 @pytest.fixture(scope="module")

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    CPU_SAMPLE,
-    GPU_SAMPLE,
     KernelCharacterization,
     characterization_from_database,
     characterize_kernel,
@@ -14,9 +12,13 @@ from repro.core import (
     fit_cluster_models,
 )
 from repro.core.features import power_design_row
-from repro.hardware import Configuration, Device, NoiseModel, TrinityAPU
+from repro.hardware import Device, NoiseModel, TrinityAPU
 from repro.profiling import ProfilingLibrary
 from repro.workloads import build_suite
+from repro.hardware.backend import TRINITY_DESCRIPTOR
+from tests.conftest import cpu_config, gpu_config
+
+CPU_SAMPLE, GPU_SAMPLE = TRINITY_DESCRIPTOR.sample_configs()
 
 
 @pytest.fixture(scope="module")
@@ -33,35 +35,35 @@ def characterizations(library):
 
 class TestFeatures:
     def test_cpu_design_row_normalized(self):
-        row = design_row(Configuration.cpu(3.7, 4))
+        row = design_row(cpu_config(3.7, 4))
         np.testing.assert_allclose(row, [1.0, 1.0, 1.0])
-        row = design_row(Configuration.cpu(1.4, 1))
+        row = design_row(cpu_config(1.4, 1))
         assert row[0] == pytest.approx(1.4 / 3.7)
         assert row[1] == pytest.approx(0.25)
         assert row[2] == pytest.approx(row[0] * row[1])
 
     def test_gpu_design_row(self):
-        row = design_row(Configuration.gpu(0.819, 3.7))
+        row = design_row(gpu_config(0.819, 3.7))
         np.testing.assert_allclose(row, [1.0, 1.0, 1.0])
-        row = design_row(Configuration.gpu(0.311, 1.4))
+        row = design_row(gpu_config(0.311, 1.4))
         assert row[0] == pytest.approx(0.311 / 0.819)
 
     def test_power_design_row_widths(self):
-        assert power_design_row(Configuration.cpu(2.4, 2)).shape == (5,)
-        assert power_design_row(Configuration.gpu(0.649, 2.4)).shape == (6,)
+        assert power_design_row(cpu_config(2.4, 2)).shape == (5,)
+        assert power_design_row(gpu_config(0.649, 2.4)).shape == (6,)
 
     def test_power_design_row_voltage_terms_max_one(self):
-        row = power_design_row(Configuration.cpu(3.7, 4))
+        row = power_design_row(cpu_config(3.7, 4))
         np.testing.assert_allclose(row, np.ones(5))
-        row = power_design_row(Configuration.gpu(0.819, 3.7))
+        row = power_design_row(gpu_config(0.819, 3.7))
         np.testing.assert_allclose(row, np.ones(6))
 
     def test_design_matrix_single_device_only(self):
         with pytest.raises(ValueError):
-            design_matrix([Configuration.cpu(1.4, 1), Configuration.gpu(0.819, 1.4)])
+            design_matrix([cpu_config(1.4, 1), gpu_config(0.819, 1.4)])
         with pytest.raises(ValueError):
             design_matrix([])
-        M = design_matrix([Configuration.cpu(1.4, 1), Configuration.cpu(3.7, 4)])
+        M = design_matrix([cpu_config(1.4, 1), cpu_config(3.7, 4)])
         assert M.shape == (2, 3)
 
 
@@ -74,8 +76,8 @@ class TestCharacterization:
         c = characterizations[0]
         assert c.cpu_sample.config == CPU_SAMPLE
         assert c.gpu_sample.config == GPU_SAMPLE
-        assert c.sample_for(Configuration.cpu(1.4, 1)) is c.cpu_sample
-        assert c.sample_for(Configuration.gpu(0.311, 1.4)) is c.gpu_sample
+        assert c.sample_for(cpu_config(1.4, 1)) is c.cpu_sample
+        assert c.sample_for(gpu_config(0.311, 1.4)) is c.gpu_sample
 
     def test_frontier_derivable(self, characterizations):
         f = characterizations[0].frontier()
@@ -145,13 +147,13 @@ class TestClusterModels:
 
     def test_device_mismatch_rejected(self, models):
         with pytest.raises(ValueError):
-            models.cpu.predict_performance(Configuration.gpu(0.819, 3.7), 1.0)
+            models.cpu.predict_performance(gpu_config(0.819, 3.7), 1.0)
         with pytest.raises(ValueError):
-            models.gpu.predict_power(Configuration.cpu(1.4, 1), 20.0)
+            models.gpu.predict_power(cpu_config(1.4, 1), 20.0)
 
     def test_predict_combined(self, models, characterizations):
         c = characterizations[0]
-        cfg = Configuration.gpu(0.649, 2.4)
+        cfg = gpu_config(0.649, 2.4)
         pw, pf = models.predict(
             cfg,
             sample_perf_cpu=c.cpu_sample.performance,
@@ -164,7 +166,7 @@ class TestClusterModels:
 
     def test_log_transform_predictions_positive(self, characterizations):
         models = fit_cluster_models(characterizations, transform="log")
-        for cfg in (Configuration.cpu(1.4, 1), Configuration.gpu(0.311, 1.4)):
+        for cfg in (cpu_config(1.4, 1), gpu_config(0.311, 1.4)):
             c = characterizations[0]
             pw, pf = models.predict(
                 cfg,
@@ -177,7 +179,7 @@ class TestClusterModels:
 
     def test_no_anchor_variant_fits(self, characterizations):
         models = fit_cluster_models(characterizations, power_anchor=False)
-        pred = models.cpu.predict_power(Configuration.cpu(2.4, 2), 999.0)
+        pred = models.cpu.predict_power(cpu_config(2.4, 2), 999.0)
         # Without anchoring, the sample power argument is ignored.
-        also = models.cpu.predict_power(Configuration.cpu(2.4, 2), 1.0)
+        also = models.cpu.predict_power(cpu_config(2.4, 2), 1.0)
         assert pred == pytest.approx(also)

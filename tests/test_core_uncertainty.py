@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    CPU_SAMPLE,
-    GPU_SAMPLE,
     Scheduler,
     train_model,
 )
@@ -13,6 +11,9 @@ from repro.hardware import TrinityAPU
 from repro.profiling import ProfilingLibrary
 from repro.stats import fit_ols
 from repro.workloads import build_suite
+from repro.hardware.backend import TRINITY_DESCRIPTOR
+
+CPU_SAMPLE, GPU_SAMPLE = TRINITY_DESCRIPTOR.sample_configs()
 
 
 class TestOLSPredictionStd:

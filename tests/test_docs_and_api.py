@@ -47,7 +47,6 @@ MODULES = [
     "repro.core.model",
     "repro.core.predictor",
     "repro.core.regression",
-    "repro.core.sample_configs",
     "repro.core.scheduler",
     "repro.evaluation.accuracy",
     "repro.evaluation.experiments",

@@ -16,9 +16,10 @@ from repro.evaluation import (
     summarize,
     summarize_by_group,
 )
-from repro.hardware import Configuration, NoiseModel, TrinityAPU
+from repro.hardware import NoiseModel, TrinityAPU
 from repro.methods import CpuFrequencyLimiting, GpuFrequencyLimiting, Oracle
 from repro.workloads import build_suite
+from tests.conftest import cpu_config
 
 
 def _record(
@@ -39,10 +40,10 @@ def _record(
         time_weight=weight,
         method=method,
         power_cap_w=cap,
-        config=Configuration.cpu(1.4, 1),
+        config=cpu_config(1.4, 1),
         power_w=power,
         performance=perf,
-        oracle_config=Configuration.cpu(1.4, 1),
+        oracle_config=cpu_config(1.4, 1),
         oracle_power_w=o_power,
         oracle_performance=o_perf,
     )

@@ -42,10 +42,8 @@ class TestRecalibrationConfigs:
         assert recalibration_configs(space, 0) == ((), ())
 
     def test_picks_k_per_block_excluding_samples(self):
-        from repro.core.sample_configs import sample_configs_for
-
         space = create_backend("biglittle").config_space
-        samples = set(sample_configs_for(space))
+        samples = set(space.descriptor.sample_configs())
         for k in (1, 3, 5):
             cpu_cfgs, gpu_cfgs = recalibration_configs(space, k)
             assert len(cpu_cfgs) == k and len(gpu_cfgs) == k

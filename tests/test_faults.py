@@ -28,7 +28,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.telemetry as telemetry
-from repro.core import CPU_SAMPLE, GPU_SAMPLE, Scheduler, train_model
+from repro.core import Scheduler, train_model
 from repro.evaluation import records_digest, run_loocv
 from repro.faults import (
     FALLBACK_CPU_PLANE_W,
@@ -44,7 +44,6 @@ from repro.faults import (
     sanitize_measurement,
 )
 from repro.hardware import (
-    Configuration,
     FrequencyLimiter,
     NoiseModel,
     TrinityAPU,
@@ -55,6 +54,10 @@ from repro.profiling.sampler import PowerSampler
 from repro.runtime import AdaptiveRuntime, Application
 from repro.workloads import build_suite
 from tests.conftest import make_kernel
+from repro.hardware.backend import TRINITY_DESCRIPTOR
+from tests.conftest import cpu_config, gpu_config
+
+CPU_SAMPLE, GPU_SAMPLE = TRINITY_DESCRIPTOR.sample_configs()
 
 PLAN_DIR = Path(__file__).parent / "fault_plans"
 CANNED_PLANS = sorted(PLAN_DIR.glob("*.json"))
@@ -149,8 +152,8 @@ class TestFaultPlan:
 # Injector mechanics
 # ---------------------------------------------------------------------------
 
-CPU_MAX = Configuration.cpu(3.7, 4)
-GPU_MAX = Configuration.gpu(0.819, 3.7)
+CPU_MAX = cpu_config(3.7, 4)
+GPU_MAX = gpu_config(0.819, 3.7)
 
 
 class TestInjector:
@@ -188,14 +191,14 @@ class TestInjector:
     @pytest.mark.parametrize(
         "kind,index,requested,expected",
         [
-            ("pstate_stuck", 0, CPU_MAX, Configuration.cpu(1.4, 4)),
-            ("thermal_throttle", 2, CPU_MAX, Configuration.cpu(2.4, 4)),
+            ("pstate_stuck", 0, CPU_MAX, cpu_config(1.4, 4)),
+            ("thermal_throttle", 2, CPU_MAX, cpu_config(2.4, 4)),
             # Throttle never *raises* the frequency.
-            ("thermal_throttle", 4, Configuration.cpu(1.9, 2), Configuration.cpu(1.9, 2)),
+            ("thermal_throttle", 4, cpu_config(1.9, 2), cpu_config(1.9, 2)),
             # Unavailable state: governor falls back one state down.
-            ("pstate_unavailable", 5, CPU_MAX, Configuration.cpu(3.3, 4)),
+            ("pstate_unavailable", 5, CPU_MAX, cpu_config(3.3, 4)),
             # ... and up at the ladder floor.
-            ("pstate_unavailable", 0, Configuration.cpu(1.4, 1), Configuration.cpu(1.9, 1)),
+            ("pstate_unavailable", 0, cpu_config(1.4, 1), cpu_config(1.9, 1)),
         ],
     )
     def test_cpu_pstate_substitution(self, kind, index, requested, expected):
@@ -215,7 +218,7 @@ class TestInjector:
             )
         )
         ctx = FaultInjector(plan).begin_run(GPU_MAX)
-        assert ctx.config == Configuration.gpu(pstates.GPU_FREQS_GHZ[0], 3.7)
+        assert ctx.config == gpu_config(pstates.GPU_FREQS_GHZ[0], 3.7)
 
     def test_cpu_scoped_stuck_hits_gpu_host_frequency(self):
         plan = FaultPlan(
@@ -224,7 +227,7 @@ class TestInjector:
             )
         )
         ctx = FaultInjector(plan).begin_run(GPU_MAX)
-        assert ctx.config == Configuration.gpu(0.819, pstates.CPU_FREQS_GHZ[0])
+        assert ctx.config == gpu_config(0.819, pstates.CPU_FREQS_GHZ[0])
 
     def test_sensor_bias_scoped_to_plane(self, exact_apu, kernel):
         m = exact_apu.run(kernel, CPU_MAX)
@@ -318,7 +321,7 @@ class TestAPUIntegration:
         clean = TrinityAPU(seed=0)
         faulted = TrinityAPU(seed=0)
         faulted.inject_faults(FaultPlan(name="empty"))
-        for cfg in (CPU_MAX, GPU_MAX, Configuration.cpu(1.4, 1)):
+        for cfg in (CPU_MAX, GPU_MAX, cpu_config(1.4, 1)):
             assert faulted.run(kernel, cfg) == clean.run(kernel, cfg)
 
     def test_dropout_reaches_apu_measurement(self, kernel):
@@ -547,7 +550,7 @@ class TestLimiterDegradation:
         )
         reads_before = counter_value("faults.limiter.worst_case_reads")
         result = FrequencyLimiter(apu).limit(make_kernel(), CPU_MAX, 30.0)
-        assert result.final_config == Configuration.cpu(1.4, 4)  # floor
+        assert result.final_config == cpu_config(1.4, 4)  # floor
         assert not result.met_cap
         assert all(obs == math.inf for _, obs in result.trace)
         assert (

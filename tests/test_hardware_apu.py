@@ -5,18 +5,18 @@ import pytest
 
 from repro.hardware import (
     COUNTER_NAMES,
-    Configuration,
     Measurement,
     NoiseModel,
     TrinityAPU,
     synthesize_counters,
 )
 from tests.conftest import make_kernel
+from tests.conftest import cpu_config, gpu_config
 
 
 def test_measurement_derived_quantities():
     m = Measurement(
-        config=Configuration.cpu(2.4, 2),
+        config=cpu_config(2.4, 2),
         time_s=0.5,
         cpu_plane_w=10.0,
         nbgpu_plane_w=5.0,
@@ -27,7 +27,7 @@ def test_measurement_derived_quantities():
 
 
 def test_exact_apu_measurements_equal_ground_truth(exact_apu, kernel):
-    cfg = Configuration.cpu(2.4, 3)
+    cfg = cpu_config(2.4, 3)
     m = exact_apu.run(kernel, cfg)
     assert m.time_s == pytest.approx(exact_apu.true_time_s(kernel, cfg))
     assert m.total_power_w == pytest.approx(
@@ -37,7 +37,7 @@ def test_exact_apu_measurements_equal_ground_truth(exact_apu, kernel):
 
 def test_noisy_measurements_differ_but_are_close(kernel):
     apu = TrinityAPU(seed=42)
-    cfg = Configuration.cpu(2.4, 3)
+    cfg = cpu_config(2.4, 3)
     truth = apu.true_time_s(kernel, cfg)
     samples = [apu.run(kernel, cfg).time_s for _ in range(50)]
     assert any(abs(s - truth) > 1e-9 for s in samples)
@@ -46,7 +46,7 @@ def test_noisy_measurements_differ_but_are_close(kernel):
 
 
 def test_noise_is_reproducible_from_seed(kernel):
-    cfg = Configuration.gpu(0.649, 1.9)
+    cfg = gpu_config(0.649, 1.9)
     a = TrinityAPU(seed=7).run(kernel, cfg)
     b = TrinityAPU(seed=7).run(kernel, cfg)
     assert a.time_s == b.time_s
@@ -63,7 +63,7 @@ def test_run_accepts_wrapper_objects(exact_apu, kernel):
     class Wrapper:
         characteristics = kernel
 
-    cfg = Configuration.cpu(1.4, 1)
+    cfg = cpu_config(1.4, 1)
     assert exact_apu.run(Wrapper(), cfg).time_s == pytest.approx(
         exact_apu.run(kernel, cfg).time_s
     )
@@ -71,7 +71,7 @@ def test_run_accepts_wrapper_objects(exact_apu, kernel):
 
 def test_run_rejects_non_kernel(exact_apu):
     with pytest.raises(TypeError):
-        exact_apu.run("not a kernel", Configuration.cpu(1.4, 1))
+        exact_apu.run("not a kernel", cpu_config(1.4, 1))
 
 
 def test_run_all_configs_covers_space(exact_apu, kernel):
@@ -81,7 +81,7 @@ def test_run_all_configs_covers_space(exact_apu, kernel):
 
 
 def test_counters_complete_and_finite(kernel):
-    for cfg in (Configuration.cpu(2.4, 4), Configuration.gpu(0.819, 1.4)):
+    for cfg in (cpu_config(2.4, 4), gpu_config(0.819, 1.4)):
         c = synthesize_counters(kernel, cfg)
         assert set(c) == set(COUNTER_NAMES)
         assert all(np.isfinite(v) and v >= 0 for v in c.values())
@@ -90,7 +90,7 @@ def test_counters_complete_and_finite(kernel):
 def test_counters_reflect_memory_boundedness():
     mem = make_kernel(mem_fraction=0.9)
     comp = make_kernel(mem_fraction=0.05)
-    cfg = Configuration.cpu(3.7, 4)
+    cfg = cpu_config(3.7, 4)
     assert (
         synthesize_counters(mem, cfg)["stall_frac"]
         > synthesize_counters(comp, cfg)["stall_frac"]
@@ -101,14 +101,14 @@ def test_counters_reflect_memory_boundedness():
 
 
 def test_counters_l2_rises_with_thread_sharing(kernel):
-    one = synthesize_counters(kernel, Configuration.cpu(2.4, 1))
-    four = synthesize_counters(kernel, Configuration.cpu(2.4, 4))
+    one = synthesize_counters(kernel, cpu_config(2.4, 1))
+    four = synthesize_counters(kernel, cpu_config(2.4, 4))
     assert four["l2_miss_per_inst"] > one["l2_miss_per_inst"]
 
 
 def test_counters_distinguish_devices(kernel):
-    cpu = synthesize_counters(kernel, Configuration.cpu(3.7, 1))
-    gpu = synthesize_counters(kernel, Configuration.gpu(0.819, 3.7))
+    cpu = synthesize_counters(kernel, cpu_config(3.7, 1))
+    gpu = synthesize_counters(kernel, gpu_config(0.819, 3.7))
     assert gpu["vector_per_inst"] < cpu["vector_per_inst"]
     assert gpu["interrupts_per_mcycle"] > cpu["interrupts_per_mcycle"]
 

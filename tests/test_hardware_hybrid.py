@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.hardware import Configuration, NoiseModel, TrinityAPU
+from repro.hardware import NoiseModel, TrinityAPU
 from repro.hardware.hybrid import best_hybrid_under_cap, hybrid_execution
 from tests.conftest import make_kernel
+from tests.conftest import cpu_config, gpu_config
 
 
 @pytest.fixture(scope="module")
@@ -16,8 +17,8 @@ class TestHybridExecution:
     def test_perfect_balance_finishes_together(self, apu):
         k = make_kernel()
         point = hybrid_execution(k, 3.7, 4, 0.819)
-        t_cpu = apu.true_time_s(k, Configuration.cpu(3.7, 4))
-        t_gpu = apu.true_time_s(k, Configuration.gpu(0.819, 3.7))
+        t_cpu = apu.true_time_s(k, cpu_config(3.7, 4))
+        t_gpu = apu.true_time_s(k, gpu_config(0.819, 3.7))
         # Both sides take the same time on their shares.
         assert point.cpu_share * t_cpu == pytest.approx(
             (1 - point.cpu_share) * t_gpu
@@ -27,14 +28,14 @@ class TestHybridExecution:
     def test_ideal_hybrid_faster_than_either_device(self, apu):
         k = make_kernel()
         point = hybrid_execution(k, 3.7, 4, 0.819)
-        assert point.time_s < apu.true_time_s(k, Configuration.cpu(3.7, 4))
-        assert point.time_s < apu.true_time_s(k, Configuration.gpu(0.819, 3.7))
+        assert point.time_s < apu.true_time_s(k, cpu_config(3.7, 4))
+        assert point.time_s < apu.true_time_s(k, gpu_config(0.819, 3.7))
 
     def test_hybrid_power_exceeds_both_devices(self, apu):
         k = make_kernel()
         point = hybrid_execution(k, 3.7, 4, 0.819)
-        p_cpu = apu.true_total_power_w(k, Configuration.cpu(3.7, 4))
-        p_gpu = apu.true_total_power_w(k, Configuration.gpu(0.819, 3.7))
+        p_cpu = apu.true_total_power_w(k, cpu_config(3.7, 4))
+        p_gpu = apu.true_total_power_w(k, gpu_config(0.819, 3.7))
         assert point.power_w > p_cpu
         assert point.power_w > p_gpu
 

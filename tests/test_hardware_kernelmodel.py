@@ -12,22 +12,21 @@ from hypothesis import strategies as st
 from repro.hardware import (
     CPU_FREQS_GHZ,
     GPU_FREQS_GHZ,
-    Configuration,
     NoiseModel,
     PowerModelConstants,
     TrinityAPU,
 )
 from repro.hardware import kernelmodel as km
-from repro.hardware.pstates import gpu_voltage
-from tests.conftest import make_kernel, trinity_truth
+from repro.hardware.backend import TRINITY_DESCRIPTOR
+from tests.conftest import cpu_config, gpu_config, make_kernel, trinity_truth
 
 
 def cpu_time_s(k, freq_ghz, n_threads):
-    return trinity_truth(k, Configuration.cpu(freq_ghz, n_threads))[0]
+    return trinity_truth(k, cpu_config(freq_ghz, n_threads))[0]
 
 
 def gpu_time_s(k, gpu_freq_ghz, host_cpu_freq_ghz):
-    return trinity_truth(k, Configuration.gpu(gpu_freq_ghz, host_cpu_freq_ghz))[0]
+    return trinity_truth(k, gpu_config(gpu_freq_ghz, host_cpu_freq_ghz))[0]
 
 
 #: Constants that reduce the NB+GPU plane of a GPU run (GPU activity 1)
@@ -43,9 +42,9 @@ _BUSY_ONLY = PowerModelConstants(
 
 def gpu_busy_fraction(k, gpu_freq_ghz):
     """The GPU busy factor, read back out of the NB+GPU plane."""
-    cfg = Configuration.gpu(gpu_freq_ghz, 3.7)
+    cfg = gpu_config(gpu_freq_ghz, 3.7)
     nbgpu = trinity_truth(replace(k, gpu_activity=1.0), cfg, _BUSY_ONLY)[2]
-    vg = gpu_voltage(gpu_freq_ghz)
+    vg = TRINITY_DESCRIPTOR.secondary.voltage(gpu_freq_ghz)
     return nbgpu / (gpu_freq_ghz * vg * vg)
 
 
@@ -165,8 +164,8 @@ def test_gpu_affinity_divides_device_time():
 
 def test_true_time_dispatches_by_device():
     k = make_kernel()
-    c_cpu = Configuration.cpu(2.4, 2)
-    c_gpu = Configuration.gpu(0.649, 2.4)
+    c_cpu = cpu_config(2.4, 2)
+    c_gpu = gpu_config(0.649, 2.4)
     apu = TrinityAPU(noise=NoiseModel.exact())
     assert apu.true_time_s(k, c_cpu) == pytest.approx(cpu_time_s(k, 2.4, 2))
     assert apu.true_time_s(k, c_gpu) == pytest.approx(gpu_time_s(k, 0.649, 2.4))

@@ -15,11 +15,11 @@ from hypothesis import strategies as st
 from repro.hardware import (
     CPU_FREQS_GHZ,
     GPU_FREQS_GHZ,
-    Configuration,
     PowerBreakdown,
     PowerModelConstants,
 )
 from tests.conftest import make_kernel, trinity_truth
+from tests.conftest import cpu_config, gpu_config
 
 
 TYPICAL = make_kernel()
@@ -35,22 +35,22 @@ def total(k, cfg):
 
 
 def test_cpu_floor_near_12_watts():
-    p = total(TYPICAL, Configuration.cpu(1.4, 1))
+    p = total(TYPICAL, cpu_config(1.4, 1))
     assert 9.0 <= p <= 15.0
 
 
 def test_cpu_4threads_24ghz_near_24_watts():
-    p = total(TYPICAL, Configuration.cpu(2.4, 4))
+    p = total(TYPICAL, cpu_config(2.4, 4))
     assert 20.0 <= p <= 29.0
 
 
 def test_gpu_floor_near_24_watts():
-    p = total(TYPICAL, Configuration.gpu(0.311, 1.4))
+    p = total(TYPICAL, gpu_config(0.311, 1.4))
     assert 19.0 <= p <= 27.0
 
 
 def test_gpu_ceiling_below_40_watts():
-    p = total(TYPICAL, Configuration.gpu(0.819, 3.7))
+    p = total(TYPICAL, gpu_config(0.819, 3.7))
     assert 28.0 <= p <= 40.0
 
 
@@ -58,40 +58,40 @@ def test_gpu_floor_above_cpu_floor():
     """The key behavioural property behind Figures 6-9: the GPU-active
     power floor is far above the lowest CPU configurations, so
     GPU-resident strategies cannot meet low power caps."""
-    gpu_floor = total(TYPICAL, Configuration.gpu(0.311, 1.4))
-    cpu_floor = total(TYPICAL, Configuration.cpu(1.4, 1))
+    gpu_floor = total(TYPICAL, gpu_config(0.311, 1.4))
+    cpu_floor = total(TYPICAL, cpu_config(1.4, 1))
     assert gpu_floor > cpu_floor + 5.0
 
 
 def test_hot_kernel_can_exceed_50_watts():
     hot = make_kernel(activity=1.5, vector_fraction=0.9, dram_intensity=0.9)
-    assert total(hot, Configuration.cpu(3.7, 4)) > 45.0
+    assert total(hot, cpu_config(3.7, 4)) > 45.0
 
 
 def test_cool_kernel_best_config_below_25_watts():
     cool = make_kernel(activity=0.4, dram_intensity=0.1)
-    assert total(cool, Configuration.cpu(3.7, 4)) < 30.0
+    assert total(cool, cpu_config(3.7, 4)) < 30.0
 
 
 def test_power_monotone_in_threads():
-    powers = [total(TYPICAL, Configuration.cpu(2.4, n)) for n in range(1, 5)]
+    powers = [total(TYPICAL, cpu_config(2.4, n)) for n in range(1, 5)]
     assert powers == sorted(powers)
 
 
 def test_power_monotone_in_cpu_frequency():
     for n in (1, 4):
-        powers = [total(TYPICAL, Configuration.cpu(f, n)) for f in CPU_FREQS_GHZ]
+        powers = [total(TYPICAL, cpu_config(f, n)) for f in CPU_FREQS_GHZ]
         assert powers == sorted(powers)
 
 
 def test_power_monotone_in_gpu_frequency():
-    powers = [total(TYPICAL, Configuration.gpu(g, 1.4)) for g in GPU_FREQS_GHZ]
+    powers = [total(TYPICAL, gpu_config(g, 1.4)) for g in GPU_FREQS_GHZ]
     assert powers == sorted(powers)
 
 
 def test_host_frequency_adds_modest_power_on_gpu_configs():
-    lo = total(TYPICAL, Configuration.gpu(0.649, 1.4))
-    hi = total(TYPICAL, Configuration.gpu(0.649, 3.7))
+    lo = total(TYPICAL, gpu_config(0.649, 1.4))
+    hi = total(TYPICAL, gpu_config(0.649, 3.7))
     assert 1.0 < hi - lo < 8.0  # Table I: ~4.6 W across the host range
 
 
@@ -100,29 +100,29 @@ def test_memory_bound_gpu_kernel_has_flat_gpu_power_ladder():
     steep = make_kernel(gpu_mem_fraction=0.05)
 
     def spread(k):
-        return total(k, Configuration.gpu(0.819, 1.4)) - total(
-            k, Configuration.gpu(0.311, 1.4)
+        return total(k, gpu_config(0.819, 1.4)) - total(
+            k, gpu_config(0.311, 1.4)
         )
 
     assert spread(flat) < spread(steep)
 
 
 def test_both_planes_positive_and_breakdown_sums():
-    pb = power_w(TYPICAL, Configuration.gpu(0.649, 2.4))
+    pb = power_w(TYPICAL, gpu_config(0.649, 2.4))
     assert pb.cpu_plane_w > 0 and pb.nbgpu_plane_w > 0
     assert pb.total_w == pytest.approx(pb.cpu_plane_w + pb.nbgpu_plane_w)
 
 
 def test_custom_constants_respected():
     consts = PowerModelConstants(nb_static=10.0)
-    base = power_w(TYPICAL, Configuration.cpu(1.4, 1)).nbgpu_plane_w
-    raised = power_w(TYPICAL, Configuration.cpu(1.4, 1), consts).nbgpu_plane_w
+    base = power_w(TYPICAL, cpu_config(1.4, 1)).nbgpu_plane_w
+    raised = power_w(TYPICAL, cpu_config(1.4, 1), consts).nbgpu_plane_w
     assert raised == pytest.approx(base + 7.5)  # default nb_static = 2.5
 
 
 def test_gpu_idle_power_charged_on_cpu_configs():
     # NB+GPU plane on a CPU config includes the idle GPU.
-    pb = power_w(make_kernel(dram_intensity=0.0), Configuration.cpu(1.4, 1))
+    pb = power_w(make_kernel(dram_intensity=0.0), cpu_config(1.4, 1))
     consts = PowerModelConstants()
     assert pb.nbgpu_plane_w == pytest.approx(consts.nb_static + consts.gpu_idle_w)
 
@@ -136,7 +136,7 @@ def test_gpu_idle_power_charged_on_cpu_configs():
 )
 def test_property_power_positive_and_bounded(act, dram, n, f):
     k = make_kernel(activity=act, dram_intensity=dram)
-    p = total(k, Configuration.cpu(f, n))
+    p = total(k, cpu_config(f, n))
     assert 5.0 < p < 100.0
 
 
@@ -149,5 +149,5 @@ def test_property_power_positive_and_bounded(act, dram, n, f):
 )
 def test_property_gpu_power_positive_and_bounded(act, beta_g, g, f):
     k = make_kernel(gpu_activity=act, gpu_mem_fraction=beta_g)
-    p = total(k, Configuration.gpu(g, f))
+    p = total(k, gpu_config(g, f))
     assert 10.0 < p < 70.0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hardware import Configuration, NoiseModel
+from repro.hardware import NoiseModel
 from repro.hardware.presets import (
     MACHINE_PRESETS,
     efficient_apu,
@@ -10,6 +10,7 @@ from repro.hardware.presets import (
     trinity,
 )
 from tests.conftest import make_kernel
+from tests.conftest import cpu_config, gpu_config
 
 
 def test_registry_complete():
@@ -21,7 +22,7 @@ def test_registry_complete():
 
 def test_presets_share_pstates_but_differ_in_power():
     k = make_kernel()
-    cfg = Configuration.cpu(2.4, 4)
+    cfg = cpu_config(2.4, 4)
     powers = {
         name: factory(noise=NoiseModel.exact()).true_total_power_w(k, cfg)
         for name, factory in MACHINE_PRESETS.items()
@@ -33,7 +34,7 @@ def test_timing_is_machine_independent():
     """Presets change the power calibration only; the timing model (and
     therefore performance) is identical across them."""
     k = make_kernel()
-    cfg = Configuration.gpu(0.649, 2.4)
+    cfg = gpu_config(0.649, 2.4)
     t = {
         name: factory(noise=NoiseModel.exact()).true_time_s(k, cfg)
         for name, factory in MACHINE_PRESETS.items()
@@ -44,7 +45,7 @@ def test_timing_is_machine_independent():
 
 def test_efficient_apu_lowers_gpu_floor():
     k = make_kernel()
-    floor_cfg = Configuration.gpu(0.311, 1.4)
+    floor_cfg = gpu_config(0.311, 1.4)
     base = trinity(noise=NoiseModel.exact()).true_total_power_w(k, floor_cfg)
     eff = efficient_apu(noise=NoiseModel.exact()).true_total_power_w(
         k, floor_cfg
@@ -54,7 +55,7 @@ def test_efficient_apu_lowers_gpu_floor():
 
 def test_leaky_apu_raises_idle_cost():
     k = make_kernel(activity=0.3, dram_intensity=0.1)
-    idle_cfg = Configuration.cpu(1.4, 1)
+    idle_cfg = cpu_config(1.4, 1)
     base = trinity(noise=NoiseModel.exact()).true_total_power_w(k, idle_cfg)
     leaky = leaky_apu(noise=NoiseModel.exact()).true_total_power_w(k, idle_cfg)
     assert leaky > base + 4.0
@@ -64,7 +65,7 @@ def test_seed_and_noise_forwarded():
     a = trinity(seed=5)
     b = trinity(seed=5)
     k = make_kernel()
-    cfg = Configuration.cpu(2.4, 2)
+    cfg = cpu_config(2.4, 2)
     assert a.run(k, cfg).time_s == b.run(k, cfg).time_s
     exact = trinity(noise=NoiseModel.exact())
     assert exact.run(k, cfg).time_s == exact.true_time_s(k, cfg)

@@ -4,12 +4,12 @@ import pytest
 
 from repro.hardware import (
     BoostPolicy,
-    Configuration,
     NoiseModel,
     ThermalModel,
     TrinityAPU,
 )
 from tests.conftest import make_kernel
+from tests.conftest import cpu_config, gpu_config
 
 
 class TestThermalModel:
@@ -100,11 +100,11 @@ class TestBoostOnMachine:
         base, boosted = self._apus()
         k = make_kernel(mem_fraction=0.1, activity=0.6)
         # Top CPU P-state: boosted machine is faster and hungrier.
-        top = Configuration.cpu(3.7, 4)
+        top = cpu_config(3.7, 4)
         assert boosted.true_time_s(k, top) < base.true_time_s(k, top)
         assert boosted.true_total_power_w(k, top) > base.true_total_power_w(k, top)
         # Lower P-states and GPU configs are untouched.
-        for cfg in (Configuration.cpu(2.4, 4), Configuration.gpu(0.819, 3.7)):
+        for cfg in (cpu_config(2.4, 4), gpu_config(0.819, 3.7)):
             assert boosted.true_time_s(k, cfg) == pytest.approx(
                 base.true_time_s(k, cfg)
             )
@@ -115,7 +115,7 @@ class TestBoostOnMachine:
     def test_hot_kernel_does_not_boost(self):
         base, boosted = self._apus()
         hot = make_kernel(activity=1.5, vector_fraction=0.9, dram_intensity=0.9)
-        top = Configuration.cpu(3.7, 4)
+        top = cpu_config(3.7, 4)
         assert boosted.true_time_s(hot, top) == pytest.approx(
             base.true_time_s(hot, top)
         )
@@ -125,7 +125,7 @@ class TestBoostOnMachine:
         cool = make_kernel(activity=0.4, mem_fraction=0.1)
         # Warm: close enough to the thermal limit for a partial duty cycle.
         warm = make_kernel(activity=0.55, mem_fraction=0.1)
-        top = Configuration.cpu(3.7, 4)
+        top = cpu_config(3.7, 4)
 
         def speedup(k):
             return base.true_time_s(k, top) / boosted.true_time_s(k, top)
@@ -135,7 +135,7 @@ class TestBoostOnMachine:
     def test_boost_visible_in_measurements(self):
         base, boosted = self._apus()
         k = make_kernel(mem_fraction=0.1, activity=0.6)
-        top = Configuration.cpu(3.7, 4)
+        top = cpu_config(3.7, 4)
         m_base = base.run(k, top)
         m_boost = boosted.run(k, top)
         assert m_boost.time_s < m_base.time_s

@@ -25,7 +25,6 @@ from repro.faults import FaultEvent, FaultPlan
 from repro.faults.errors import SampleRunError
 from repro.hardware import (
     BoostPolicy,
-    ConfigSpace,
     Configuration,
     FrequencyLimiter,
     NoiseModel,
@@ -35,10 +34,11 @@ from repro.hardware.backend import _lognormal
 from repro.hardware.counters import synthesize_counters
 from tests.conftest import make_kernel
 from tests.limiter_reference import ReferenceLimiter
+from repro.hardware.backend import TRINITY_DESCRIPTOR
 
 PLAN_DIR = Path(__file__).parent / "fault_plans"
 PLANS = (None,) + tuple(sorted(p.name for p in PLAN_DIR.glob("*.json")))
-CONFIGS = tuple(ConfigSpace())
+CONFIGS = tuple(TRINITY_DESCRIPTOR.config_space())
 NOISE = {
     "vector": NoiseModel(),
     "exact": NoiseModel.exact(),

@@ -29,7 +29,6 @@ from repro.hardware.backend import (
     backend_names,
     create_backend,
     descriptor_for,
-    descriptor_of_config,
 )
 from repro.hardware.biglittle import BigLittleSoC, HMPConstants
 from repro.hardware.hybrid import enumerate_hybrid_points
@@ -131,7 +130,7 @@ def test_mpsoc_measures_at_every_node(nm):
     table = machine.true_table(k)
     assert list(table) == list(machine.config_space)
     for cfg in machine.config_space:
-        assert descriptor_of_config(cfg) is machine.descriptor
+        assert cfg.descriptor is machine.descriptor
         m = machine.run(k, cfg)
         assert (m.total_power_w, m.performance) == table[cfg]
         assert set(m.counters) and cfg.label()

@@ -17,15 +17,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import CPU_SAMPLE, GPU_SAMPLE, Scheduler, train_model
+from repro.core import Scheduler, train_model
 from repro.core.frontier import ParetoFrontier
 from repro.core.scheduler import SchedulerDecision, _objective
-from repro.hardware import ConfigSpace, NoiseModel, TrinityAPU
+from repro.hardware import NoiseModel, TrinityAPU
 from repro.methods import Oracle
 from repro.profiling import ProfilingLibrary
 from repro.workloads import build_suite
+from repro.hardware.backend import TRINITY_DESCRIPTOR
 
-_SPACE = list(ConfigSpace())
+CPU_SAMPLE, GPU_SAMPLE = TRINITY_DESCRIPTOR.sample_configs()
+
+_SPACE = list(TRINITY_DESCRIPTOR.config_space())
 
 
 # -- legacy reference implementations (pre-vectorization, verbatim) -----------

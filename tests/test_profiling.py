@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hardware import Configuration, Measurement, NoiseModel, TrinityAPU
+from repro.hardware import Measurement, NoiseModel, TrinityAPU
 from repro.profiling import (
     ProfileDatabase,
     ProfilingLibrary,
@@ -17,6 +17,7 @@ from repro.profiling import (
 )
 from repro.workloads import build_suite
 from tests.conftest import make_kernel
+from tests.conftest import cpu_config, gpu_config
 
 
 class TestPowerSampler:
@@ -116,7 +117,7 @@ class TestPowerSampler:
 class TestProfileDatabase:
     def _measurement(self, cfg=None):
         return Measurement(
-            config=cfg or Configuration.cpu(2.4, 2),
+            config=cfg or cpu_config(2.4, 2),
             time_s=0.5,
             cpu_plane_w=10.0,
             nbgpu_plane_w=5.0,
@@ -133,11 +134,11 @@ class TestProfileDatabase:
 
     def test_lookup_returns_most_recent(self):
         db = ProfileDatabase()
-        cfg = Configuration.cpu(1.4, 1)
+        cfg = cpu_config(1.4, 1)
         db.record("k", self._measurement(cfg))
         newer = db.record("k", self._measurement(cfg))
         assert db.lookup("k", cfg) is newer
-        assert db.lookup("k", Configuration.cpu(3.7, 4)) is None
+        assert db.lookup("k", cpu_config(3.7, 4)) is None
 
     def test_kernels_in_first_seen_order(self):
         db = ProfileDatabase()
@@ -167,7 +168,7 @@ class TestProfilingLibrary:
     def test_profile_records_into_database(self):
         lib = self._library()
         k = build_suite().get("CoMD/Small/LJForce")
-        p = lib.profile(k, Configuration.cpu(2.4, 4))
+        p = lib.profile(k, cpu_config(2.4, 4))
         assert len(lib.database) == 1
         assert p.kernel_uid == k.uid
         assert p.measurement.total_power_w > 0
@@ -175,7 +176,7 @@ class TestProfilingLibrary:
     def test_power_estimate_near_ground_truth(self):
         lib = self._library()
         k = build_suite().get("SMC/Ref/ChemTerm")
-        cfg = Configuration.gpu(0.819, 3.7)
+        cfg = gpu_config(0.819, 3.7)
         p = lib.profile(k, cfg)
         truth = lib.apu.true_total_power_w(k, cfg)
         assert p.measurement.total_power_w == pytest.approx(truth, rel=0.1)
@@ -183,7 +184,7 @@ class TestProfilingLibrary:
     def test_measured_time_includes_overhead(self):
         lib = self._library()
         k = build_suite().get("CoMD/Small/LJForce")
-        cfg = Configuration.cpu(3.7, 4)
+        cfg = cpu_config(3.7, 4)
         p = lib.profile(k, cfg)
         assert p.measurement.time_s > lib.apu.true_time_s(k, cfg)
         assert p.overhead_fraction < 0.10  # paper's bound
@@ -191,9 +192,9 @@ class TestProfilingLibrary:
     def test_raw_characteristics_need_uid(self):
         lib = self._library()
         with pytest.raises(ValueError):
-            lib.profile(make_kernel(), Configuration.cpu(1.4, 1))
+            lib.profile(make_kernel(), cpu_config(1.4, 1))
         p = lib.profile(
-            make_kernel(), Configuration.cpu(1.4, 1), kernel_uid="raw/k"
+            make_kernel(), cpu_config(1.4, 1), kernel_uid="raw/k"
         )
         assert p.kernel_uid == "raw/k"
 
@@ -206,7 +207,7 @@ class TestProfilingLibrary:
 
     def test_deterministic_given_seed(self):
         k = build_suite().get("CoMD/Small/LJForce")
-        cfg = Configuration.cpu(2.4, 2)
+        cfg = cpu_config(2.4, 2)
         a = self._library(seed=5).profile(k, cfg)
         b = self._library(seed=5).profile(k, cfg)
         assert a.measurement.time_s == b.measurement.time_s
@@ -217,7 +218,7 @@ class TestIO:
     def test_json_roundtrip(self, tmp_path):
         lib = ProfilingLibrary(TrinityAPU(seed=0), seed=0)
         suite = build_suite()
-        for cfg in (Configuration.cpu(1.4, 1), Configuration.gpu(0.819, 3.7)):
+        for cfg in (cpu_config(1.4, 1), gpu_config(0.819, 3.7)):
             lib.profile(suite.get("LU/Small/LUDecomposition"), cfg)
         text = database_to_json(lib.database)
         restored = database_from_json(text)
@@ -233,7 +234,7 @@ class TestIO:
     def test_file_roundtrip(self, tmp_path):
         lib = ProfilingLibrary(TrinityAPU(seed=1), seed=1)
         lib.profile(
-            build_suite().get("SMC/Ref/HypTerm"), Configuration.cpu(2.9, 3)
+            build_suite().get("SMC/Ref/HypTerm"), cpu_config(2.9, 3)
         )
         path = tmp_path / "profiles.json"
         save_database(lib.database, path)

@@ -21,9 +21,10 @@ from repro.cluster import (
 )
 from repro.core import KernelPrediction, Scheduler
 from repro.evaluation import CapEvaluation, summarize
-from repro.hardware import Configuration, ConfigSpace, Measurement
+from repro.hardware import Measurement
+from repro.hardware.backend import TRINITY_DESCRIPTOR
 
-_SPACE = list(ConfigSpace())
+_SPACE = list(TRINITY_DESCRIPTOR.config_space())
 
 
 # -- strategies ----------------------------------------------------------------

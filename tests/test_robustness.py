@@ -12,8 +12,6 @@ from hypothesis import strategies as st
 
 from repro.constants import respects_cap
 from repro.core import (
-    CPU_SAMPLE,
-    GPU_SAMPLE,
     AdaptiveModel,
     ParetoFrontier,
     Scheduler,
@@ -23,7 +21,6 @@ from repro.core import (
 )
 from repro.core.frontier import FrontierPoint
 from repro.hardware import (
-    Configuration,
     FrequencyLimiter,
     NoiseModel,
     TrinityAPU,
@@ -33,6 +30,10 @@ from repro.profiling import ProfilingLibrary
 from repro.stats import kendall_tau
 from repro.workloads import build_suite
 from tests.conftest import make_kernel
+from repro.hardware.backend import TRINITY_DESCRIPTOR
+from tests.conftest import cpu_config, gpu_config
+
+CPU_SAMPLE, GPU_SAMPLE = TRINITY_DESCRIPTOR.sample_configs()
 
 
 class TestHeavyNoise:
@@ -145,7 +146,7 @@ class TestPathologicalKernels:
         assert span < 4.0  # barely configuration-sensitive
 
     def test_single_point_frontier_dissimilarity(self):
-        cfg = Configuration.cpu(1.4, 1)
+        cfg = cpu_config(1.4, 1)
         single = ParetoFrontier(
             [FrontierPoint(config=cfg, power_w=10.0, performance=1.0)]
         )
@@ -170,7 +171,7 @@ class TestLimiterUnderNoise:
         apu = TrinityAPU(noise=noise, seed=2)
         fl = FrequencyLimiter(apu)
         k = make_kernel()
-        res = fl.limit(k, Configuration.gpu(0.819, 3.7), 25.0)
+        res = fl.limit(k, gpu_config(0.819, 3.7), 25.0)
         assert res.final_config.device.value in ("cpu", "gpu")
 
 
@@ -190,7 +191,7 @@ class TestLimiterProperties:
         """The loop can only walk *down* from the start P-state: at most
         ``ci`` steps, then it must stop — whatever the noise does."""
         apu = TrinityAPU(seed=0)
-        start = Configuration.cpu(pstates.CPU_FREQS_GHZ[ci], n_threads)
+        start = cpu_config(pstates.CPU_FREQS_GHZ[ci], n_threads)
         res = FrequencyLimiter(apu).limit(
             make_kernel(), start, cap, rng=np.random.default_rng(seed)
         )
@@ -207,7 +208,7 @@ class TestLimiterProperties:
     )
     def test_gpu_limit_terminates_within_both_ladders(self, cap, seed, gi, ci):
         apu = TrinityAPU(seed=0)
-        start = Configuration.gpu(
+        start = gpu_config(
             pstates.GPU_FREQS_GHZ[gi], pstates.CPU_FREQS_GHZ[ci]
         )
         res = FrequencyLimiter(apu).limit(
@@ -242,7 +243,7 @@ class TestLimiterProperties:
         so ``met_cap`` means the settled configuration genuinely
         respects the cap — and a miss means the ladder floor."""
         apu = TrinityAPU(noise=NoiseModel.exact(), seed=0)
-        start = Configuration.cpu(pstates.CPU_FREQS_GHZ[ci], n_threads)
+        start = cpu_config(pstates.CPU_FREQS_GHZ[ci], n_threads)
         res = FrequencyLimiter(apu).limit(make_kernel(), start, cap)
         if res.met_cap:
             assert respects_cap(res.final_measurement.total_power_w, cap)
@@ -257,7 +258,7 @@ class TestLimiterProperties:
     )
     def test_deterministic_for_fixed_generator_seed(self, cap, seed, ci):
         k = make_kernel()
-        start = Configuration.cpu(pstates.CPU_FREQS_GHZ[ci], 4)
+        start = cpu_config(pstates.CPU_FREQS_GHZ[ci], 4)
         results = [
             FrequencyLimiter(TrinityAPU(seed=0)).limit(
                 k, start, cap, rng=np.random.default_rng(seed)

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core import CPU_SAMPLE, GPU_SAMPLE, train_model
-from repro.hardware import Configuration, TrinityAPU
+from repro.core import train_model
+from repro.hardware import TrinityAPU
 from repro.profiling import ProfilingLibrary
 from repro.runtime import (
     AdaptiveRuntime,
@@ -14,6 +14,10 @@ from repro.runtime import (
     StaticRuntime,
 )
 from repro.workloads import build_suite
+from repro.hardware.backend import TRINITY_DESCRIPTOR
+from tests.conftest import cpu_config, gpu_config
+
+CPU_SAMPLE, GPU_SAMPLE = TRINITY_DESCRIPTOR.sample_configs()
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +65,7 @@ class TestTrace:
         return KernelExecution(
             timestep=t,
             kernel_uid=uid,
-            config=Configuration.cpu(1.4, 1),
+            config=cpu_config(1.4, 1),
             time_s=time,
             power_w=power,
             power_cap_w=cap,
@@ -121,7 +125,7 @@ class TestTrace:
         gpu_exec = KernelExecution(
             timestep=1,
             kernel_uid="z",
-            config=Configuration.gpu(0.649, 1.4),
+            config=gpu_config(0.649, 1.4),
             time_s=0.25,
             power_w=18.0,
             power_cap_w=20.0,
@@ -267,7 +271,7 @@ class TestAdaptiveRuntime:
 class TestBaselines:
     def test_static_runtime_never_changes_config(self, trained, app):
         apu, _ = trained
-        cfg = Configuration.cpu(3.7, 4)
+        cfg = cpu_config(3.7, 4)
         runtime = StaticRuntime(ProfilingLibrary(apu, seed=12), cfg)
         trace = runtime.run(app, n_timesteps=4, power_cap_w=20.0)
         assert all(e.config == cfg for e in trace.executions)
@@ -293,6 +297,6 @@ class TestBaselines:
             app, 12, cap
         )
         static = StaticRuntime(
-            ProfilingLibrary(apu, seed=16), Configuration.cpu(1.4, 4)
+            ProfilingLibrary(apu, seed=16), cpu_config(1.4, 4)
         ).run(app, 12, cap)
         assert adaptive.speedup_vs(static) > 1.2

@@ -2,11 +2,14 @@
 
 import pytest
 
-from repro.core import CPU_SAMPLE, GPU_SAMPLE, train_model
+from repro.core import train_model
 from repro.hardware import NoiseModel, TrinityAPU
 from repro.profiling import ProfilingLibrary
 from repro.runtime import optimize_energy_budget
 from repro.workloads import build_suite
+from repro.hardware.backend import TRINITY_DESCRIPTOR
+
+CPU_SAMPLE, GPU_SAMPLE = TRINITY_DESCRIPTOR.sample_configs()
 
 
 @pytest.fixture(scope="module")

@@ -20,6 +20,7 @@ from repro.workloads import build_suite
 
 from .conftest import make_kernel
 from .physics_reference import cpu_time_s, gpu_time_s, power_w
+from tests.conftest import cpu_config, gpu_config
 
 
 @pytest.fixture(scope="module")
@@ -108,7 +109,7 @@ class TestBatchBitIdentity:
         assert t[0] == cpu_time_s(k, 1.4, 1)
         assert t[1] == gpu_time_s(k, 0.819, 3.7)
         for i, cfg in enumerate(
-            (Configuration.cpu(1.4, 1), Configuration.gpu(0.819, 3.7))
+            (cpu_config(1.4, 1), gpu_config(0.819, 3.7))
         ):
             pb = power_w(k, cfg)
             assert (cpu_w[i], nbgpu_w[i]) == (pb.cpu_plane_w, pb.nbgpu_plane_w)
@@ -122,15 +123,17 @@ class TestBatchBitIdentity:
 class TestPaperSpace:
     def test_shape(self):
         sp = paper_space()
-        assert sp.size == 2 * 6 * 4 * 3
-        assert sp.n_axes == 4
-        assert list(sp.radices) == [2, 6, 4, 3]
+        # device, CPU P-state, threads, GPU P-state, GPU units (one).
+        assert sp.size == 2 * 6 * 4 * 3 * 1
+        assert sp.n_axes == 5
+        assert list(sp.radices) == [2, 6, 4, 3, 1]
 
     def test_canonicalize_collapses_dont_care_axes(self):
         sp = paper_space()
-        g = np.array([[1, 2, 3, 1], [0, 2, 3, 2]])
+        g = np.array([[1, 2, 3, 1, 0], [0, 2, 3, 2, 0]])
         canon = sp.canonicalize(g)
         assert canon[0, 2] == 0  # GPU row: one host thread
+        assert canon[0, 1] == 2  # GPU row: the host P-state is an axis
         assert canon[1, 3] == 0  # CPU row: GPU parked at min P-state
         assert np.array_equal(sp.canonicalize(canon), canon)  # idempotent
 
@@ -143,7 +146,7 @@ class TestPaperSpace:
     def test_sample_genomes_in_bounds_and_canonical(self, kernel):
         sp = paper_space()
         g = sp.sample_genomes(np.random.default_rng(0), 200)
-        assert g.shape == (200, 4)
+        assert g.shape == (200, 5)
         assert g.min() >= 0 and np.all(g < sp.radices)
         assert np.array_equal(sp.canonicalize(g), g)
 
@@ -173,7 +176,7 @@ class TestPaperSpace:
         with pytest.raises(ValueError, match="must be"):
             sp.validate_genomes(np.zeros((3, 2), dtype=np.int64))
         with pytest.raises(ValueError, match="out of axis bounds"):
-            sp.validate_genomes(np.array([[0, 9, 0, 0]]))
+            sp.validate_genomes(np.array([[0, 9, 0, 0, 0]]))
 
 
 # ---------------------------------------------------------------------------

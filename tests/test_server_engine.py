@@ -33,7 +33,7 @@ from repro.core import (
     NoFeasibleConfigError,
     Scheduler,
 )
-from repro.hardware import ConfigSpace, Measurement
+from repro.hardware import Measurement
 from repro.server import DecisionRequest, build_default_service, decide_batch
 from repro.server.engine import DecisionIndex
 from repro.server.service import (
@@ -41,13 +41,14 @@ from repro.server.service import (
     ERROR_UNKNOWN_KERNEL,
     DecisionResult,
 )
+from repro.hardware.backend import TRINITY_DESCRIPTOR
 
 _FIELDS = (
     "kernel_uid", "power_cap_w", "config", "predicted_power_w",
     "predicted_performance", "feasible", "error",
 )
 
-_SPACE = list(ConfigSpace())
+_SPACE = list(TRINITY_DESCRIPTOR.config_space())
 #: Few distinct values, so thresholds tie within and across segments.
 _TIES = (-0.0, 0.0, 5.0, 10.0, 10.0, 12.5, 20.0, 40.0, math.inf, math.nan)
 _SCALES = (1.0, 0.8)  # risk margins 0 and 0.2

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import characterize_kernel, fit_cluster_models, AdaptiveModel
-from repro.hardware import Configuration, NoiseModel, TrinityAPU
+from repro.hardware import NoiseModel, TrinityAPU
 from repro.profiling import ProfilingLibrary
 from repro.stats import fit_ols
 from repro.workloads import build_suite
+from tests.conftest import cpu_config
 
 
 class TestRidgeOLS:
@@ -86,7 +87,7 @@ class TestRidgePlumbing:
             plain.cpu.perf_ratio.coef
         ) + 1e-9
         # Predictions still sane.
-        p = shrunk.cpu.predict_power(Configuration.cpu(2.4, 2), 25.0)
+        p = shrunk.cpu.predict_power(cpu_config(2.4, 2), 25.0)
         assert 5.0 < p < 60.0
 
     def test_adaptive_model_accepts_ridge(self, chars):

@@ -30,6 +30,9 @@ from repro.evaluation.loocv import resolve_n_jobs
 from repro.hardware import Device, NoiseModel, TrinityAPU
 from repro.profiling import CharacterizationStore, ProfilingLibrary
 from repro.workloads import build_suite
+from repro.hardware.backend import TRINITY_DESCRIPTOR
+
+CPU_SAMPLE, GPU_SAMPLE = TRINITY_DESCRIPTOR.sample_configs()
 
 
 @pytest.fixture(scope="module")
@@ -228,7 +231,6 @@ class TestWarmTrainingInvariance:
             return inv[members]
 
         online = ProfilingLibrary(store.apu, seed=1)
-        from repro.core import CPU_SAMPLE, GPU_SAMPLE
 
         for kernel in suite.for_benchmark("LU"):
             cpu = online.profile(kernel, CPU_SAMPLE).measurement
