@@ -13,7 +13,6 @@ Gives the paper's workflow a shell-level surface::
     repro transfer --eval-backend mpsoc  # cross-architecture model transfer
     repro serve --rate 20000             # the concurrent decision server
     repro serve --monitor-port 9109      # ... with live /metrics + SLO alerts
-    repro bench-serve                    # offered-load admission benchmark
     repro telemetry t.json               # pretty-print a saved report
     repro telemetry --diff a.json b.json # compare two reports
     repro top 127.0.0.1:9109             # ops view of a running monitor
@@ -50,6 +49,7 @@ from repro.evaluation import (
 from repro.hardware import NoiseModel, TrinityAPU
 from repro.hardware.backend import create_backend
 from repro.profiling import ProfilingLibrary
+from repro.server.config import DEFAULT_MAX_BATCH, DEFAULT_MAX_DELAY_US
 from repro.telemetry import (
     configure_logging,
     get_logger,
@@ -333,15 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_search.add_argument("--telemetry-out", default=None, help=telemetry_help)
 
-    batching_help = (
-        "requests coalesced into one grouped sweep (default: "
-        "$REPRO_SERVER_MAX_BATCH or 1024)"
-    )
-    delay_help = (
-        "batching window in microseconds (default: "
-        "$REPRO_SERVER_MAX_DELAY_US or 200)"
-    )
-
     p_serve = sub.add_parser(
         "serve",
         help="run the concurrent decision server over a Poisson "
@@ -362,9 +353,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--backend", choices=backends, default="trinity", help=backend_help
     )
-    p_serve.add_argument("--max-batch", type=int, default=None, help=batching_help)
     p_serve.add_argument(
-        "--max-delay-us", type=float, default=None, help=delay_help
+        "--max-batch",
+        type=int,
+        default=DEFAULT_MAX_BATCH,
+        help="requests coalesced into one grouped sweep "
+        f"(default {DEFAULT_MAX_BATCH})",
+    )
+    p_serve.add_argument(
+        "--max-delay-us",
+        type=float,
+        default=DEFAULT_MAX_DELAY_US,
+        help="batching window in microseconds "
+        f"(default {DEFAULT_MAX_DELAY_US:g})",
     )
     p_serve.add_argument(
         "--fault-plan",
@@ -408,36 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSON list of SLO specs to alert on (default: the server's "
         "built-in latency/shed/error/degradation objectives); implies "
         "monitoring",
-    )
-
-    p_bserve = sub.add_parser(
-        "bench-serve",
-        help="admission benchmark: offered load vs sustained "
-        "throughput and latency",
-    )
-    p_bserve.add_argument(
-        "--rates",
-        default="2000,20000,60000",
-        help="comma-separated offered loads in requests/s "
-        "(default 2000,20000,60000)",
-    )
-    p_bserve.add_argument(
-        "--duration",
-        type=float,
-        default=0.5,
-        help="seconds per offered load (default 0.5)",
-    )
-    p_bserve.add_argument(
-        "--max-batch", type=int, default=None, help=batching_help
-    )
-    p_bserve.add_argument(
-        "--max-delay-us", type=float, default=None, help=delay_help
-    )
-    p_bserve.add_argument(
-        "-o",
-        "--output",
-        default=None,
-        help="also write the benchmark results as JSON to this path",
     )
 
     p_transfer = sub.add_parser(
@@ -834,6 +805,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.rate <= 0:
         print("error: --rate must be positive", file=sys.stderr)
         return 2
+    try:
+        config = ServerConfig(
+            max_batch=args.max_batch, max_delay_us=args.max_delay_us
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     log_event(
         _log,
         logging.INFO,
@@ -882,9 +860,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         seed=args.seed, fault_plan=args.fault_plan, backend=args.backend
     )
     warm_errors = service.warm()
-    config = ServerConfig.resolve(
-        max_batch=args.max_batch, max_delay_us=args.max_delay_us
-    )
     pool = request_pool(service.kernel_uids, seed=args.seed)
     requests_before = counter("server.requests").value
     batches_before = counter("server.batches").value
@@ -940,53 +915,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.telemetry_out is not None:
         write_telemetry(args.telemetry_out)
         log_event(_log, logging.INFO, "telemetry-written", path=args.telemetry_out)
-    return 0
-
-
-def _cmd_bench_serve(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.server import (
-        ServerConfig,
-        admission_benchmark,
-        build_default_service,
-        render_reports,
-        request_pool,
-    )
-
-    try:
-        rates = [float(r) for r in args.rates.split(",") if r.strip()]
-    except ValueError:
-        print(f"error: bad --rates {args.rates!r}", file=sys.stderr)
-        return 2
-    if not rates or any(r <= 0 for r in rates):
-        print("error: --rates must be positive numbers", file=sys.stderr)
-        return 2
-    if args.duration <= 0:
-        print("error: --duration must be positive", file=sys.stderr)
-        return 2
-    log_event(_log, logging.INFO, "bench-serve-start", rates=rates)
-    service = build_default_service(seed=args.seed)
-    service.warm()
-    config = ServerConfig.resolve(
-        max_batch=args.max_batch, max_delay_us=args.max_delay_us
-    )
-    pool = request_pool(service.kernel_uids, seed=args.seed)
-    reports = admission_benchmark(
-        service, pool, rates, args.duration, config=config, seed=args.seed
-    )
-    print(render_reports(reports))
-    if args.output is not None:
-        payload = {
-            "config": {
-                "max_batch": config.max_batch,
-                "max_delay_us": config.max_delay_us,
-            },
-            "loads": [vars(r) for r in reports],
-        }
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-        print(f"wrote {args.output}")
     return 0
 
 
@@ -1317,7 +1245,6 @@ _COMMANDS = {
     "search": _cmd_search,
     "serve": _cmd_serve,
     "transfer": _cmd_transfer,
-    "bench-serve": _cmd_bench_serve,
     "telemetry": _cmd_telemetry,
     "top": _cmd_top,
 }

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.constants import CAP_EPSILON
 from repro.core.model import AdaptiveModel
-from repro.core.predictor import KernelPrediction
+from repro.core.predictor import KernelPrediction, OnlinePredictor
 from repro.hardware.apu import TrinityAPU
 from repro.hardware.backend import HardwareBackend
 from repro.profiling.library import ProfilingLibrary
@@ -163,14 +163,13 @@ class ClusterNode:
         first scheduled timestep)."""
         if self._predictions is not None:
             return
-        predictions: dict[str, KernelPrediction] = {}
-        cpu_sample, gpu_sample = self.apu.descriptor.sample_configs()
-        for kernel in self.application.kernels:
-            cpu_m = self.library.profile(kernel, cpu_sample).measurement
-            gpu_m = self.library.profile(kernel, gpu_sample).measurement
-            predictions[kernel.uid] = self.model.predict_kernel(
-                cpu_m, gpu_m, kernel_uid=kernel.uid
-            )
+        # The online stage's own protocol: failed sample runs are
+        # retried, corrupt readings sanitised.
+        predictor = OnlinePredictor(self.model, self.library)
+        predictions = {
+            kernel.uid: predictor.predict(kernel)
+            for kernel in self.application.kernels
+        }
         self._predictions = predictions
         # Share the sample runs with the runtime's own protocol.
         self.runtime._predictions.update(predictions)

@@ -30,24 +30,48 @@ def _fmt(x: float, width: int = 6, decimals: int = 0) -> str:
 
 
 def render_frontier_table(frontier: ParetoFrontier, title: str = "") -> str:
-    """Table I-style rendering of a Pareto frontier: device, GPU
-    frequency, threads, CPU frequency, power, normalized performance."""
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append(
-        f"{'Device':<7} {'GPU f.':>8} {'Threads':>8} {'CPU f.':>8} "
-        f"{'Power':>8} {'Perf.*':>7}"
-    )
-    for cfg, power, norm in frontier.normalized():
+    """Table I-style rendering of a Pareto frontier.
+
+    A host-ladder machine (Trinity) prints the paper's columns: device,
+    GPU frequency, threads, CPU frequency, power, normalized
+    performance.  Any other machine prints each row's block, clock and
+    unit count as :meth:`Configuration.label` names them, then power
+    and normalized performance.
+    """
+    rows = frontier.normalized()
+    lines = [title] if title else []
+    if not rows or rows[0][0].descriptor.secondary.host_axis:
         lines.append(
-            f"{str(cfg.device):<7} "
-            f"{cfg.gpu_freq_ghz:>6.3f}G "
-            f"{cfg.n_threads:>8d} "
-            f"{cfg.cpu_freq_ghz:>6.1f}G "
-            f"{power:>6.1f} w "
-            f"{norm:>7.2f}"
+            f"{'Device':<7} {'GPU f.':>8} {'Threads':>8} {'CPU f.':>8} "
+            f"{'Power':>8} {'Perf.*':>7}"
         )
+        for cfg, power, norm in rows:
+            lines.append(
+                f"{str(cfg.device):<7} "
+                f"{cfg.gpu_freq_ghz:>6.3f}G "
+                f"{cfg.n_threads:>8d} "
+                f"{cfg.cpu_freq_ghz:>6.1f}G "
+                f"{power:>6.1f} w "
+                f"{norm:>7.2f}"
+            )
+    else:
+        lines.append(
+            f"{'Block':<7} {'Clock':>8} {'Units':>8} {'Power':>8} {'Perf.*':>7}"
+        )
+        for cfg, power, norm in rows:
+            d = cfg.descriptor
+            block, freq = (
+                (d.secondary, cfg.gpu_freq_ghz)
+                if cfg.is_gpu
+                else (d.primary, cfg.cpu_freq_ghz)
+            )
+            lines.append(
+                f"{block.label:<7} "
+                f"{freq:>5.2f}GHz "
+                f"{cfg.n_threads:>8d} "
+                f"{power:>6.1f} w "
+                f"{norm:>7.2f}"
+            )
     lines.append("*Normalized performance")
     return "\n".join(lines)
 

@@ -12,16 +12,16 @@ concurrent stream.  This package turns the array engine's batched
 * :mod:`repro.server.service` — :class:`DecisionService`, the facade
   owning immutable engine state published atomically via snapshot
   swap, with per-request error degradation;
-* :mod:`repro.server.batching` — :class:`DecisionServer` (threads) and
-  :class:`AsyncDecisionServer` (asyncio), coalescing concurrent
-  arrivals within a bounded ``max_batch``/``max_delay_us`` window into
-  one grouped sweep, bounded-queue admission with explicit shed;
-* :mod:`repro.server.config` — :class:`ServerConfig` with
-  ``REPRO_SERVER_MAX_BATCH`` / ``REPRO_SERVER_MAX_DELAY_US``
-  environment defaults;
-* :mod:`repro.server.loadgen` — open-loop Poisson load generation and
-  the admission benchmark behind ``repro serve`` / ``repro
-  bench-serve`` and ``BENCH_server.json``.
+* :mod:`repro.server.batching` — :class:`DecisionServer`, whose one
+  dispatcher thread coalesces concurrent arrivals within a bounded
+  ``max_batch``/``max_delay_us`` window into one grouped sweep, with
+  bounded-queue admission and explicit shed, and
+  :class:`AsyncDecisionServer`, an asyncio interface over it;
+* :mod:`repro.server.config` — :class:`ServerConfig`, the batching
+  knobs;
+* :mod:`repro.server.loadgen` — open-loop Poisson load generation
+  behind ``repro serve``, and the admission benchmark behind
+  ``BENCH_server.json``.
 
 See ``docs/SERVER.md`` for the architecture, batching semantics, and
 the ``server.*`` telemetry catalogue.

@@ -1,18 +1,18 @@
-"""Batching front ends: coalesce concurrent arrivals into one sweep.
+"""Batching front end: coalesce concurrent arrivals into one sweep.
 
-Two variants over the same :class:`~repro.server.service.DecisionService`:
+:class:`DecisionServer` is the one coalescing core over a
+:class:`~repro.server.service.DecisionService`.  ``submit`` enqueues a
+request under a condition variable and returns a
+:class:`concurrent.futures.Future`; one dispatcher thread drains the
+bounded queue, waits up to ``max_delay_us`` for co-batchees (skipped
+the moment the batch is full — the window adapts to queue depth),
+answers the whole batch with one grouped ``decide_batch`` sweep, and
+demultiplexes results into the per-request futures.
 
-* :class:`DecisionServer` — a thread-based server for synchronous
-  callers.  ``submit`` enqueues a request under a condition variable
-  and returns a :class:`concurrent.futures.Future`; dispatcher threads
-  drain the bounded queue, wait up to ``max_delay_us`` for
-  co-batchees (skipped the moment the batch is full — the window
-  adapts to queue depth), answer the whole batch with one grouped
-  ``decide_batch`` sweep, and demultiplex results into the per-request
-  futures.
-* :class:`AsyncDecisionServer` — the same loop as an asyncio task for
-  event-loop callers; ``await server.decide(request)`` resolves when
-  the request's batch completes.
+:class:`AsyncDecisionServer` is an asyncio interface over a
+:class:`DecisionServer`: ``await server.decide(request)`` awaits the
+request's future, so batches run on the dispatcher thread, not on the
+event loop.
 
 Admission control is a bounded queue: arrivals beyond ``max_queue``
 are shed immediately with :class:`ServerOverloadError` (counted under
@@ -56,8 +56,6 @@ __all__ = [
 _SHED = counter("server.shed")
 _QUEUE_DEPTH = gauge("server.queue_depth")
 _LATENCY = histogram("server.latency_s")
-
-_STOP = object()
 
 
 @functools.cache
@@ -122,11 +120,11 @@ class DecisionServer:
         self, service: DecisionService, config: ServerConfig | None = None
     ) -> None:
         self._service = service
-        self.config = config if config is not None else ServerConfig.resolve()
+        self.config = config if config is not None else ServerConfig()
         self._entries: deque[tuple[DecisionRequest, Future, float]] = deque()
         self._wake = threading.Condition()
         self._closed = True
-        self._threads: list[threading.Thread] = []
+        self._thread: threading.Thread | None = None
 
     def __enter__(self) -> "DecisionServer":
         self.start()
@@ -136,31 +134,26 @@ class DecisionServer:
         self.stop()
 
     def start(self) -> None:
-        """Spawn the dispatcher threads and begin accepting requests."""
+        """Spawn the dispatcher thread and begin accepting requests."""
         _freeze_heap()
         with self._wake:
-            if self._threads:
+            if self._thread is not None:
                 raise RuntimeError("server already started")
             self._closed = False
-            self._threads = [
-                threading.Thread(
-                    target=self._dispatch_loop,
-                    name=f"repro-server-{i}",
-                    daemon=True,
-                )
-                for i in range(self.config.n_workers)
-            ]
-        for thread in self._threads:
-            thread.start()
+            self._thread = threading.Thread(
+                target=self._dispatch_loop, name="repro-server", daemon=True
+            )
+        self._thread.start()
 
     def stop(self) -> None:
-        """Stop accepting requests, drain the queue, join the workers."""
+        """Stop accepting requests, drain the queue, join the dispatcher."""
         with self._wake:
             self._closed = True
             self._wake.notify_all()
-        for thread in self._threads:
+        thread = self._thread
+        if thread is not None:
             thread.join()
-        self._threads = []
+            self._thread = None
 
     def submit(self, request: DecisionRequest) -> Future:
         """Enqueue a request; the Future resolves to a
@@ -252,22 +245,20 @@ class DecisionServer:
 
 
 class AsyncDecisionServer:
-    """Asyncio batching server: the same coalescing loop as a task.
+    """Asyncio interface over a :class:`DecisionServer`.
 
     Use as an async context manager or call ``await start()`` /
-    ``await stop()``.  ``decide`` is a coroutine resolving when the
-    request's batch is answered; the underlying grouped sweep runs on
-    the event-loop thread (the engine's array math holds the loop for
-    microseconds per thousand requests).
+    ``await stop()``.  ``decide`` awaits the request's future; its
+    batch is answered on the dispatcher thread.  Cancelling the
+    awaiting task cancels the future, and the dispatcher drops the
+    request.
     """
 
     def __init__(
         self, service: DecisionService, config: ServerConfig | None = None
     ) -> None:
-        self._service = service
-        self.config = config if config is not None else ServerConfig.resolve()
-        self._queue: asyncio.Queue | None = None
-        self._task: asyncio.Task | None = None
+        self._server = DecisionServer(service, config)
+        self.config = self._server.config
 
     async def __aenter__(self) -> "AsyncDecisionServer":
         await self.start()
@@ -277,87 +268,13 @@ class AsyncDecisionServer:
         await self.stop()
 
     async def start(self) -> None:
-        """Start the dispatcher task on the running loop."""
-        if self._task is not None:
-            raise RuntimeError("server already started")
-        _freeze_heap()
-        self._queue = asyncio.Queue(maxsize=self.config.max_queue)
-        self._task = asyncio.get_running_loop().create_task(
-            self._dispatch_loop()
-        )
+        """Start the dispatcher thread."""
+        self._server.start()
 
     async def stop(self) -> None:
-        """Drain the queue and stop the dispatcher task."""
-        if self._task is None:
-            return
-        await self._queue.put(_STOP)
-        await self._task
-        self._task = None
-        self._queue = None
+        """Drain the queue and join the dispatcher off the event loop."""
+        await asyncio.to_thread(self._server.stop)
 
     async def decide(self, request: DecisionRequest) -> DecisionResult:
         """Submit a request and await its result."""
-        if self._task is None:
-            raise ServerClosedError("decision server is not running")
-        future = asyncio.get_running_loop().create_future()
-        try:
-            self._queue.put_nowait((request, future, time.perf_counter()))
-        except asyncio.QueueFull:
-            _SHED.inc()
-            record_shed(request.kernel_uid, request.power_cap_w)
-            raise ServerOverloadError(
-                f"admission queue full ({self.config.max_queue} pending)"
-            ) from None
-        _QUEUE_DEPTH.set(float(self._queue.qsize()))
-        return await future
-
-    async def _dispatch_loop(self) -> None:
-        cfg = self.config
-        delay_s = cfg.max_delay_s
-        stopping = False
-        while not stopping:
-            first = await self._queue.get()
-            if first is _STOP:
-                return
-            batch = [first]
-            deadline = time.perf_counter() + delay_s
-            while len(batch) < cfg.max_batch:
-                try:
-                    entry = self._queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    remaining = deadline - time.perf_counter()
-                    if remaining <= 0.0:
-                        break
-                    try:
-                        entry = await asyncio.wait_for(
-                            self._queue.get(), remaining
-                        )
-                    except asyncio.TimeoutError:
-                        break
-                if entry is _STOP:
-                    stopping = True
-                    break
-                batch.append(entry)
-            self._answer(batch)
-
-    def _answer(self, batch) -> None:
-        live = [entry for entry in batch if not entry[1].cancelled()]
-        if not live:
-            return
-        t_decide = time.perf_counter()
-        try:
-            results = self._service.decide_batch(
-                [request for request, _, _ in live]
-            )
-        except BaseException as exc:  # pragma: no cover - defensive
-            for _, future, _ in live:
-                if not future.cancelled():
-                    future.set_exception(exc)
-            return
-        now = time.perf_counter()
-        for (_, future, enqueued), result in zip(live, results):
-            if not future.cancelled():
-                _LATENCY.observe(now - enqueued)
-                future.set_result(result)
-        if active_store() is not None:
-            _record_batch_exemplars(live, results, t_decide, now)
+        return await asyncio.wrap_future(self._server.submit(request))

@@ -1,79 +1,28 @@
-"""Server tuning knobs with environment-variable defaults.
+"""Server tuning knobs.
 
-The batching window is controlled by two knobs resolved through the
-same pattern as ``REPRO_NJOBS`` (see
-:func:`repro.evaluation.loocv.resolve_n_jobs`): an explicit value wins,
-otherwise the environment variable, otherwise the baked-in default.
-CLI flags (``repro serve --max-batch/--max-delay-us``) pass their
-values straight into :meth:`ServerConfig.resolve`, so the precedence
-is flag > environment > default.
-
-* ``REPRO_SERVER_MAX_BATCH`` — most requests coalesced into one grouped
-  sweep (positive integer).
-* ``REPRO_SERVER_MAX_DELAY_US`` — longest a request may wait for
-  co-batchees before the batch is dispatched anyway (non-negative
-  microseconds; ``0`` disables coalescing-by-waiting entirely).
+The batching window is set by constructor arguments only; ``repro
+serve --max-batch/--max-delay-us`` pass their values straight into
+:class:`ServerConfig`.
 """
 
 from __future__ import annotations
 
-import os
+import math
 from dataclasses import dataclass
 
 __all__ = [
     "DEFAULT_MAX_BATCH",
     "DEFAULT_MAX_DELAY_US",
     "DEFAULT_QUEUE_FACTOR",
-    "MAX_BATCH_ENV_VAR",
-    "MAX_DELAY_ENV_VAR",
     "ServerConfig",
-    "resolve_max_batch",
-    "resolve_max_delay_us",
 ]
-
-MAX_BATCH_ENV_VAR = "REPRO_SERVER_MAX_BATCH"
-MAX_DELAY_ENV_VAR = "REPRO_SERVER_MAX_DELAY_US"
 
 DEFAULT_MAX_BATCH = 1024
 DEFAULT_MAX_DELAY_US = 200.0
 # Admission queue bound, as a multiple of max_batch: enough backlog to
-# keep the worker saturated without unbounded memory growth under
+# keep the dispatcher saturated without unbounded memory growth under
 # overload (excess arrivals shed with ServerOverloadError).
 DEFAULT_QUEUE_FACTOR = 8
-
-
-def _env_value(var: str, convert, kind: str):
-    raw = os.environ.get(var, "").strip()
-    if not raw:
-        return None
-    try:
-        return convert(raw)
-    except ValueError:
-        raise ValueError(f"{var} must be {kind}, got {raw!r}") from None
-
-
-def resolve_max_batch(value: int | None = None) -> int:
-    """Resolve the batch-size ceiling: explicit value, else
-    ``REPRO_SERVER_MAX_BATCH``, else :data:`DEFAULT_MAX_BATCH`."""
-    if value is None:
-        value = _env_value(MAX_BATCH_ENV_VAR, int, "an integer")
-        if value is None:
-            value = DEFAULT_MAX_BATCH
-    if value < 1:
-        raise ValueError(f"max_batch must be >= 1, got {value}")
-    return int(value)
-
-
-def resolve_max_delay_us(value: float | None = None) -> float:
-    """Resolve the batching window: explicit value, else
-    ``REPRO_SERVER_MAX_DELAY_US``, else :data:`DEFAULT_MAX_DELAY_US`."""
-    if value is None:
-        value = _env_value(MAX_DELAY_ENV_VAR, float, "a number")
-        if value is None:
-            value = DEFAULT_MAX_DELAY_US
-    if value < 0:
-        raise ValueError(f"max_delay_us must be >= 0, got {value}")
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -86,53 +35,34 @@ class ServerConfig:
         Most requests dispatched as one grouped sweep.  A full batch is
         dispatched immediately without waiting out the window.
     max_delay_us:
-        Longest a dequeued request waits for co-batchees (microseconds).
+        Longest a dequeued request waits for co-batchees (microseconds;
+        ``0`` disables coalescing-by-waiting entirely).
     max_queue:
         Admission-queue bound; arrivals beyond it are shed with
-        :class:`repro.server.batching.ServerOverloadError`.
-    n_workers:
-        Dispatcher threads draining the queue (thread variant only).
+        :class:`repro.server.batching.ServerOverloadError`.  Defaults to
+        :data:`DEFAULT_QUEUE_FACTOR` × ``max_batch``.
     """
 
     max_batch: int = DEFAULT_MAX_BATCH
     max_delay_us: float = DEFAULT_MAX_DELAY_US
-    max_queue: int = DEFAULT_MAX_BATCH * DEFAULT_QUEUE_FACTOR
-    n_workers: int = 1
+    max_queue: int | None = None
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.max_delay_us < 0:
+        # NaN and inf windows would leave a lone request waiting forever.
+        if not 0 <= self.max_delay_us < math.inf:
             raise ValueError(
-                f"max_delay_us must be >= 0, got {self.max_delay_us}"
+                f"max_delay_us must be finite and >= 0, got {self.max_delay_us}"
+            )
+        if self.max_queue is None:
+            object.__setattr__(
+                self, "max_queue", self.max_batch * DEFAULT_QUEUE_FACTOR
             )
         if self.max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {self.max_queue}")
-        if self.n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
 
     @property
     def max_delay_s(self) -> float:
         """The batching window in seconds."""
         return self.max_delay_us * 1e-6
-
-    @classmethod
-    def resolve(
-        cls,
-        *,
-        max_batch: int | None = None,
-        max_delay_us: float | None = None,
-        max_queue: int | None = None,
-        n_workers: int | None = None,
-    ) -> "ServerConfig":
-        """Build a config with explicit > environment > default
-        precedence for the batching knobs."""
-        batch = resolve_max_batch(max_batch)
-        return cls(
-            max_batch=batch,
-            max_delay_us=resolve_max_delay_us(max_delay_us),
-            max_queue=(
-                batch * DEFAULT_QUEUE_FACTOR if max_queue is None else max_queue
-            ),
-            n_workers=1 if n_workers is None else n_workers,
-        )

@@ -11,9 +11,9 @@ standard coordinated-omission-free methodology.
 DecisionServer` at one offered rate; :func:`admission_benchmark` sweeps
 several rates with a fresh server each and returns one
 :class:`LoadReport` per rate (sustained decisions/s, shed count, and
-p50/p99/p999 latency).  These helpers back both
-``benchmarks/test_bench_server_throughput.py`` and the
-``repro serve`` / ``repro bench-serve`` CLI.
+p50/p99/p999 latency).  :func:`run_open_loop` backs ``repro serve``;
+the benchmarks under ``benchmarks/`` call :func:`admission_benchmark`
+and :func:`render_reports`.
 """
 
 from __future__ import annotations

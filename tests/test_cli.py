@@ -318,34 +318,21 @@ class TestServeCommand:
         spans = {n["name"] for n in data["spans"]}
         assert "server/batch" in spans and "server/warm" in spans
 
-    def test_bad_arguments_fail_cleanly(self, capsys):
+    def test_bad_arguments_fail_cleanly(self, capsys, monkeypatch):
+        def must_not_build(**kwargs):
+            raise AssertionError("bad flags must fail before training")
+
+        monkeypatch.setattr(
+            "repro.server.build_default_service", must_not_build
+        )
         assert main(["-q", "serve", "--requests", "0"]) == 2
         assert "error" in capsys.readouterr().err
         assert main(["-q", "serve", "--rate", "-5"]) == 2
         assert "error" in capsys.readouterr().err
-
-
-class TestBenchServeCommand:
-    def test_admission_table_and_json(self, tmp_path, capsys):
-        out_path = tmp_path / "bench_serve.json"
-        rc = main(
-            ["-q", "bench-serve", "--rates", "4000,20000",
-             "--duration", "0.15", "-o", str(out_path)]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "offered/s" in out and "p99 us" in out
-        assert len(out.strip().splitlines()) >= 3  # header + 2 rates
-        data = json.loads(out_path.read_text())
-        assert [r["offered_rps"] for r in data["loads"]] == [4000.0, 20000.0]
-        assert all(r["completed"] > 0 for r in data["loads"])
-        assert data["config"]["max_batch"] >= 1
-
-    def test_bad_rates_fail_cleanly(self, capsys):
-        assert main(["-q", "bench-serve", "--rates", "fast"]) == 2
-        assert "error" in capsys.readouterr().err
-        assert main(["-q", "bench-serve", "--rates", "-3"]) == 2
-        assert "error" in capsys.readouterr().err
+        assert main(["-q", "serve", "--max-batch", "0"]) == 2
+        assert "error: max_batch" in capsys.readouterr().err
+        assert main(["-q", "serve", "--max-delay-us", "-1"]) == 2
+        assert "error: max_delay_us" in capsys.readouterr().err
 
 
 class TestSearchCommand:

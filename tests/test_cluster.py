@@ -1,5 +1,6 @@
 """Tests for repro.cluster (nodes, allocation, manager)."""
 
+import numpy as np
 import pytest
 
 from repro.cluster import (
@@ -13,6 +14,7 @@ from repro.cluster import (
     uniform_allocation,
 )
 from repro.core import train_model
+from repro.faults import FaultEvent, FaultPlan
 from repro.hardware import TrinityAPU
 from repro.profiling import ProfilingLibrary
 from repro.runtime import Application
@@ -217,6 +219,39 @@ class TestClusterNode:
         node.warm_up()
         for kernel in node.application.kernels:
             assert node.library.database.iterations(kernel.uid) == 2
+
+    def test_warmup_retries_failed_sample_runs(self, trained):
+        suite, model = trained
+        node = ClusterNode(
+            "n", Application.from_suite(suite, "LU Small"), model, seed=9
+        )
+        node.apu.inject_faults(
+            FaultPlan(
+                events=(FaultEvent(kind="run_failure", start=0, duration=2),)
+            )
+        )
+        node.warm_up()
+        for pred in node.predictions().values():
+            assert np.isfinite(pred.power_array).all()
+        assert len(node.frontier()) >= 1
+
+    def test_warmup_sanitises_power_dropout(self, trained):
+        suite, model = trained
+        node = ClusterNode(
+            "n", Application.from_suite(suite, "LU Small"), model, seed=9
+        )
+        node.apu.inject_faults(
+            FaultPlan(
+                events=(FaultEvent(kind="power_dropout", start=0, duration=2),)
+            )
+        )
+        node.warm_up()
+        first = node.application.kernels[0].uid
+        assert node.predictions()[first].cluster == model.default_cluster
+        for pred in node.predictions().values():
+            assert np.isfinite(pred.power_array).all()
+        # The runtime reuses the warm-up's predictions.
+        assert node.runtime._predictions[first] is node.predictions()[first]
 
     def test_frontier_properties(self, nodes):
         f = nodes[0].frontier()

@@ -173,6 +173,41 @@ class TestReporting:
         assert text.count("\n") >= len(f)
         assert "Normalized performance" in text
 
+    def test_trinity_frontier_table_keeps_table_i_layout(self):
+        apu = TrinityAPU(noise=NoiseModel.exact())
+        k = build_suite().get("LU/Small/LUDecomposition")
+        from repro.core import ParetoFrontier
+
+        ms = apu.run_all_configs(k)
+        cfgs = ParetoFrontier.from_measurements(ms).configs()
+        keep = {cfgs[0], cfgs[len(cfgs) // 2], cfgs[-1]}
+        f = ParetoFrontier.from_measurements(
+            [m for m in ms if m.config in keep]
+        )
+        assert render_frontier_table(f, title="T") == (
+            "T\n"
+            "Device    GPU f.  Threads   CPU f.    Power  Perf.*\n"
+            "CPU      0.311G        1    1.4G    9.7 w    0.06\n"
+            "GPU      0.311G        1    1.4G   19.3 w    0.64\n"
+            "GPU      0.819G        1    3.7G   27.8 w    1.00\n"
+            "*Normalized performance"
+        )
+
+    def test_biglittle_frontier_table_names_blocks(self):
+        from repro.core import ParetoFrontier
+        from repro.hardware.backend import create_backend
+
+        apu = create_backend("biglittle", noise=NoiseModel.exact())
+        k = build_suite().get("LU/Small/LUDecomposition")
+        f = ParetoFrontier.from_measurements(apu.run_all_configs(k))
+        lines = render_frontier_table(f).splitlines()
+        assert lines[0].split() == ["Block", "Clock", "Units", "Power", "Perf.*"]
+        assert len(lines) == len(f) + 2
+        for cfg, line in zip(f.configs(), lines[1:]):
+            block, clock, units = line.split()[:3]
+            assert f"{block} {clock} x{units}" == cfg.label()
+        assert {line.split()[0] for line in lines[1:-1]} == {"big", "little"}
+
     def test_fig4_scatter_marks_methods(self):
         records = [_record(method="Model", power=10.0)]
         text = render_fig4_scatter(summarize(records), title="Fig4")

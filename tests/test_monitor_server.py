@@ -98,7 +98,7 @@ class TestServerExemplars:
                 return self._inner.decide_batch(requests)
 
         mon = Monitor()
-        config = ServerConfig(max_queue=1, n_workers=1, max_delay_us=0.0)
+        config = ServerConfig(max_queue=1, max_delay_us=0.0)
         try:
             with DecisionServer(SlowService(service), config) as server:
                 shed = 0

@@ -2,8 +2,8 @@
 
 Four layers:
 
-* **config** — explicit > environment > default resolution of the
-  batching knobs, with typed errors on bad values;
+* **config** — the batching knobs' defaults, the derived queue bound,
+  and typed errors on bad values;
 * **engine** — ``decide_batch`` is element-identical to per-request
   ``Scheduler.select`` for any mix of kernels and caps, preserves
   request order, and rejects malformed batches;
@@ -42,10 +42,6 @@ from repro.server.config import (
     DEFAULT_MAX_BATCH,
     DEFAULT_MAX_DELAY_US,
     DEFAULT_QUEUE_FACTOR,
-    MAX_BATCH_ENV_VAR,
-    MAX_DELAY_ENV_VAR,
-    resolve_max_batch,
-    resolve_max_delay_us,
 )
 from repro.server.service import (
     ERROR_INVALID_CAP,
@@ -94,55 +90,29 @@ def warm_service(trained, suite):
 
 
 # ---------------------------------------------------------------------------
-# Config resolution
+# Config
 # ---------------------------------------------------------------------------
 
 
 class TestServerConfig:
-    def test_defaults(self, monkeypatch):
-        monkeypatch.delenv(MAX_BATCH_ENV_VAR, raising=False)
-        monkeypatch.delenv(MAX_DELAY_ENV_VAR, raising=False)
-        cfg = ServerConfig.resolve()
+    def test_defaults(self):
+        cfg = ServerConfig()
         assert cfg.max_batch == DEFAULT_MAX_BATCH
         assert cfg.max_delay_us == DEFAULT_MAX_DELAY_US
         assert cfg.max_queue == DEFAULT_MAX_BATCH * DEFAULT_QUEUE_FACTOR
-        assert cfg.n_workers == 1
 
-    def test_environment_defaults(self, monkeypatch):
-        monkeypatch.setenv(MAX_BATCH_ENV_VAR, "64")
-        monkeypatch.setenv(MAX_DELAY_ENV_VAR, "750")
-        cfg = ServerConfig.resolve()
-        assert cfg.max_batch == 64
-        assert cfg.max_delay_us == 750.0
-        assert cfg.max_queue == 64 * DEFAULT_QUEUE_FACTOR
+    def test_queue_bound_follows_max_batch(self):
+        assert ServerConfig(max_batch=64).max_queue == 64 * DEFAULT_QUEUE_FACTOR
+        assert ServerConfig(max_batch=64, max_queue=5).max_queue == 5
 
-    def test_explicit_beats_environment(self, monkeypatch):
-        monkeypatch.setenv(MAX_BATCH_ENV_VAR, "64")
-        monkeypatch.setenv(MAX_DELAY_ENV_VAR, "750")
-        cfg = ServerConfig.resolve(max_batch=8, max_delay_us=0.0)
-        assert cfg.max_batch == 8
-        assert cfg.max_delay_us == 0.0
-
-    @pytest.mark.parametrize(
-        "var, value",
-        [(MAX_BATCH_ENV_VAR, "not-a-number"), (MAX_DELAY_ENV_VAR, "soon")],
-    )
-    def test_unparseable_environment_raises(self, monkeypatch, var, value):
-        monkeypatch.setenv(var, value)
-        with pytest.raises(ValueError, match=var):
-            ServerConfig.resolve()
-
-    def test_out_of_range_values_raise(self, monkeypatch):
-        monkeypatch.delenv(MAX_BATCH_ENV_VAR, raising=False)
-        monkeypatch.delenv(MAX_DELAY_ENV_VAR, raising=False)
+    def test_out_of_range_values_raise(self):
         with pytest.raises(ValueError):
-            resolve_max_batch(0)
-        with pytest.raises(ValueError):
-            resolve_max_delay_us(-1.0)
+            ServerConfig(max_batch=0)
+        for window in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                ServerConfig(max_delay_us=window)
         with pytest.raises(ValueError):
             ServerConfig(max_queue=0)
-        with pytest.raises(ValueError):
-            ServerConfig(n_workers=0)
 
     def test_max_delay_s(self):
         assert ServerConfig(max_delay_us=250.0).max_delay_s == pytest.approx(

@@ -127,9 +127,7 @@ class TestCoalescing:
 class TestOrderingFairness:
     def test_single_worker_completes_fifo(self, service, pool):
         completed = []
-        config = ServerConfig(
-            max_batch=8, max_delay_us=500.0, max_queue=10_000, n_workers=1
-        )
+        config = ServerConfig(max_batch=8, max_delay_us=500.0, max_queue=10_000)
         with DecisionServer(service, config) as server:
             futures = []
             for i, request in enumerate(pool[:128]):
@@ -312,8 +310,8 @@ class TestAsyncServer:
             config = ServerConfig(max_batch=2, max_delay_us=0.0, max_queue=2)
             server = AsyncDecisionServer(service, config)
             await server.start()
-            # Fill the queue without letting the dispatcher run (no
-            # awaits between put_nowait calls), then expect a shed.
+            # Eight submissions against a queue of two: whichever the
+            # dispatcher thread has not drained yet are shed.
             pending = []
             shed = 0
             for request in pool[:8]:
@@ -338,6 +336,25 @@ class TestAsyncServer:
 
         shed, oks = asyncio.run(scenario())
         assert oks > 0  # admitted requests were all answered
+
+    def test_cancelled_decide_is_dropped(self, service, pool):
+        slow = SlowService(service, delay_s=0.1)
+
+        async def scenario():
+            config = ServerConfig(max_batch=1, max_delay_us=0.0)
+            async with AsyncDecisionServer(slow, config) as server:
+                first = asyncio.create_task(server.decide(pool[0]))
+                await asyncio.sleep(0.01)  # the dispatcher holds `first`
+                second = asyncio.create_task(server.decide(pool[1]))
+                await asyncio.sleep(0)  # `second` is queued behind it
+                second.cancel()
+                await asyncio.gather(second, return_exceptions=True)
+                return await first, second
+
+        result, second = asyncio.run(scenario())
+        assert result.ok and second.cancelled()
+        # The cancelled request never reached the service.
+        assert slow.batches == 1
 
     def test_stop_is_idempotent(self, service):
         async def scenario():
