@@ -11,8 +11,8 @@ under-limit and over-limit cases.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import cycle, repeat
+from typing import Iterable, NamedTuple, Sequence
 
 from repro.constants import respects_cap
 from repro.hardware.config import Configuration
@@ -26,13 +26,13 @@ __all__ = ["CapEvaluation", "evaluate_kernel", "evaluate_suite"]
 _log = get_logger(__name__)
 
 
-@dataclass(frozen=True)
-class CapEvaluation:
+class CapEvaluation(NamedTuple):
     """One (kernel, power cap, method) evaluation record.
 
     Power and performance are ground truth at the committed
     configuration (the oracle is judged on ground truth, so methods are
-    too).
+    too).  A named tuple, so a kernel's records are built from columns
+    by one C-level ``map``.
     """
 
     kernel_uid: str
@@ -96,6 +96,8 @@ def evaluate_kernel(
     cap_list = list(caps) if caps is not None else oracle.caps_for(kernel)
     if not cap_list:
         raise ValueError("no power caps to evaluate")
+    if not methods:
+        return []
 
     with trace_span("online/evaluate"):
         for method in methods:
@@ -104,57 +106,47 @@ def evaluate_kernel(
         # Batched cap selection: each method answers the whole sweep at
         # once (model-based methods through the shared batched decision
         # kernel, repro.server.engine.decide_batch — the same path the
-        # decision server takes — stateful baselines via their
-        # sequential default).  Per-method decision sequences are
-        # identical to the historical per-cap loop — each method still
-        # sees its caps in order on its own noise stream — so the
-        # records below are bit-identical, merely gathered per method
-        # first and then laid out cap-major as before.
+        # decision server takes — and the limiter methods through one
+        # FrequencyLimiter.limit_many pass).  Per-method decision
+        # sequences are identical to a per-cap loop — each method still
+        # sees its caps in order on its own noise stream.
         oracle_decisions = oracle.decide_many(kernel, cap_list)
         method_decisions = [
             method.decide_many(kernel, cap_list) for method in methods
         ]
 
+        # Records are laid out cap-major (methods in order within a
+        # cap) and built from columns by one C-level map.
         truth = apu.true_table(kernel)
-        records: list[CapEvaluation] = []
-        violations: dict[str, int] = {m.name: 0 for m in methods}
+        names = [method.name for method in methods]
+        configs, runs = zip(*[d for row in zip(*method_decisions) for d in row])
+        powers, perfs = zip(*map(truth.__getitem__, configs))
+        record_caps, oracle_cfgs, oracle_powers, oracle_perfs = zip(*[
+            (cap, decision.config, *truth[decision.config])
+            for cap, decision in zip(cap_list, oracle_decisions)
+            for _ in names
+        ])
+        records = list(map(tuple.__new__, repeat(CapEvaluation), zip(
+            repeat(kernel.uid), repeat(kernel.benchmark), repeat(kernel.group),
+            repeat(kernel.time_weight), cycle(names), record_caps, configs,
+            powers, perfs, oracle_cfgs, oracle_powers, oracle_perfs, runs,
+        )))
+        violations = dict.fromkeys(names, 0)
         log_debug = _log.isEnabledFor(logging.DEBUG)
-        for ci, cap in enumerate(cap_list):
-            oracle_cfg = oracle_decisions[ci].config
-            o_power, o_perf = truth[oracle_cfg]
-            for method, decisions in zip(methods, method_decisions):
-                decision = decisions[ci]
-                cfg = decision.config
-                power_w, performance = truth[cfg]
-                if not respects_cap(power_w, cap):
-                    violations[method.name] += 1
-                    if log_debug:
-                        log_event(
-                            _log,
-                            logging.DEBUG,
-                            "cap-violation",
-                            kernel=kernel.uid,
-                            method=method.name,
-                            cap_w=round(cap, 3),
-                            power_w=round(power_w, 3),
-                            config=cfg.label(),
-                        )
-                records.append(
-                    CapEvaluation(
-                        kernel_uid=kernel.uid,
-                        benchmark=kernel.benchmark,
-                        group=kernel.group,
-                        time_weight=kernel.time_weight,
-                        method=method.name,
-                        power_cap_w=cap,
-                        config=cfg,
-                        power_w=power_w,
-                        performance=performance,
-                        oracle_config=oracle_cfg,
-                        oracle_power_w=o_power,
-                        oracle_performance=o_perf,
-                        online_runs=decision.online_runs,
-                    )
+        for record, ok in zip(records, map(respects_cap, powers, record_caps)):
+            if ok:
+                continue
+            violations[record.method] += 1
+            if log_debug:
+                log_event(
+                    _log,
+                    logging.DEBUG,
+                    "cap-violation",
+                    kernel=kernel.uid,
+                    method=record.method,
+                    cap_w=round(record.power_cap_w, 3),
+                    power_w=round(record.power_w, 3),
+                    config=record.config.label(),
                 )
         # Per-method selection and cap-violation accounting (the
         # telemetry view behind the paper's %-under-limit columns),

@@ -24,8 +24,6 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.hardware import pstates
-
 __all__ = ["FAULT_KINDS", "SENSOR_FAULT_KINDS", "PSTATE_FAULT_KINDS", "FaultEvent", "FaultPlan"]
 
 #: Schema version of the fault-plan JSON format.
@@ -102,7 +100,10 @@ class FaultEvent:
             raise ValueError(f"device must be one of {_DEVICES}, got {self.device!r}")
         if not isfinite(self.magnitude) or self.magnitude <= 0:
             raise ValueError("magnitude must be finite and positive")
-        max_depth = len(pstates.CPU_FREQS_GHZ)
+        # Imported here: repro.hardware.backend imports this package.
+        from repro.hardware.backend import max_ladder_depth
+
+        max_depth = max_ladder_depth()
         if not 0 <= self.pstate_index < max_depth:
             raise ValueError(f"pstate_index must be in [0, {max_depth})")
 
@@ -198,13 +199,21 @@ class FaultPlan:
         max_duration: int = 50,
         kinds: Iterable[str] = FAULT_KINDS,
         name: str | None = None,
+        descriptor=None,
     ) -> "FaultPlan":
         """A deterministic pseudo-random plan (chaos-test generator).
 
         Pure function of its arguments: the same seed always yields the
         same plan, so any failure a chaos sweep finds is replayable from
-        the seed alone.
+        the seed alone.  P-state indices span the ladders of the machine
+        ``descriptor`` (default Trinity's): secondary for ``"gpu"``
+        events, primary for ``"cpu"``, the deeper for unscoped ones.
         """
+        from repro.hardware.backend import TRINITY_DESCRIPTOR
+
+        d = TRINITY_DESCRIPTOR if descriptor is None else descriptor
+        depths = {"cpu": len(d.primary.freqs_ghz), "gpu": len(d.secondary.freqs_ghz)}
+        depths[None] = max(depths.values())
         kinds = tuple(kinds)
         if not kinds:
             raise ValueError("kinds must be non-empty")
@@ -218,11 +227,6 @@ class FaultPlan:
         for _ in range(n_events):
             kind = kinds[int(rng.integers(len(kinds)))]
             device = _DEVICES[int(rng.integers(len(_DEVICES)))]
-            max_index = (
-                len(pstates.GPU_FREQS_GHZ)
-                if device == "gpu"
-                else len(pstates.CPU_FREQS_GHZ)
-            )
             events.append(
                 FaultEvent(
                     kind=kind,
@@ -232,7 +236,7 @@ class FaultPlan:
                     # Log-uniform in [1/4, 4): covers both optimistic and
                     # pessimistic sensor bias.
                     magnitude=float(4.0 ** rng.uniform(-1.0, 1.0)),
-                    pstate_index=int(rng.integers(max_index)),
+                    pstate_index=int(rng.integers(depths[device])),
                 )
             )
         return cls(

@@ -16,8 +16,8 @@ Four ingredients live here:
   vectorized batch evaluation);
 * :class:`AnalyticalBackend` — its one implementation: memoized
   ground truth, the noisy measurement path and the limiter's
-  ``observe``, so a machine is a descriptor plus one array physics
-  hook;
+  :class:`NoiseBlock`, so a machine is a descriptor plus one array
+  physics hook;
 * :class:`BackendDescriptor` / :class:`BlockDescriptor` — the static
   description of a machine's two device blocks (P-state ladders,
   thread counts, voltage curves, sample configurations, design-row
@@ -71,6 +71,7 @@ __all__ = [
     "BlockConfigSpace",
     "HardwareBackend",
     "AnalyticalBackend",
+    "NoiseBlock",
     "TRINITY_DESCRIPTOR",
     "register_backend",
     "register_descriptor",
@@ -78,6 +79,7 @@ __all__ = [
     "descriptor_for",
     "backend_names",
     "characteristics_of",
+    "max_ladder_depth",
 ]
 
 
@@ -448,9 +450,9 @@ class HardwareBackend(abc.ABC):
     * deterministic ground truth (:meth:`truth`, :meth:`true_time_s`,
       :meth:`true_power`, :meth:`true_table`, :meth:`true_counters`) —
       oracle-only, apart from the profiling library that measures it;
-    * noisy measured executions (:meth:`run`, and :meth:`observe` for
-      control loops that read only each step's total power) — the only
-      view the modeling pipeline sees.
+    * noisy measured executions (:meth:`run`, and :meth:`noise_block`
+      or :meth:`observe` for control loops that read only each step's
+      total power) — the only view the modeling pipeline sees.
 
     Instances carry ``descriptor``, ``config_space``, ``noise``,
     ``power_constants`` (a frozen, hashable calibration record keying
@@ -514,7 +516,8 @@ class HardwareBackend(abc.ABC):
         """Measure ``kernel`` on each configuration of ``ladder`` in turn,
         yielding ``(config, measured total power, reading)`` per run.
 
-        The frequency limiter's primitive.  :meth:`measurement` turns a
+        The frequency limiter's per-step primitive, for machines without
+        a :meth:`noise_block`.  :meth:`measurement` turns a
         step's ``reading`` into the :class:`Measurement` :meth:`run`
         returned; a failed run yields a NaN power and a ``None``
         reading.  Stop iterating whenever the walk is done: no step is
@@ -532,6 +535,11 @@ class HardwareBackend(abc.ABC):
         """The full :class:`Measurement` of one :meth:`observe` step on
         ``cfg`` (``reading`` must not be ``None``)."""
         return reading
+
+    def noise_block(self, kernel: object, *, rng=None, steps: int = 0):
+        """A :class:`NoiseBlock` for one limiter sweep of about ``steps``
+        steps, or ``None``: step through :meth:`observe` (the default)."""
+        return None
 
     # -- batch evaluation ---------------------------------------------------
 
@@ -614,6 +622,68 @@ def _lognormal(mean: float, sigma: float, z: float) -> float:
     return math.exp(mean + sigma * z)
 
 
+class NoiseBlock:
+    """One limiter sweep's steps on a clean template machine.
+
+    :meth:`read` measures a step's total power from its template and the
+    next noise row of one block of standard normals drawn ahead from the
+    stream.  :meth:`close` rewinds the stream and redraws exactly the
+    rows read: ``standard_normal`` fills sequentially, so rows and final
+    stream equal one draw per step bit for bit.  Template reads count
+    one per step, as :meth:`AnalyticalBackend.run` counts them.
+    """
+
+    __slots__ = ("_apu", "_chars", "_tpls", "_rng", "_state", "_z", "_pos", "_steps", "_hits")
+
+    def __init__(self, apu, chars: KernelCharacteristics, rng, steps: int) -> None:
+        self._apu, self._chars, self._tpls = apu, chars, {}  # templates by config
+        self._rng = rng if apu._noise_mode == "vector" else None
+        self._state = None if self._rng is None else rng.bit_generator.state
+        self._z: list[float] = []
+        self._pos, self._steps, self._hits = 0, max(steps, 1), 0
+
+    def read(self, cfg) -> tuple[object, float, int]:
+        """``(cfg, measured total power, reading)`` of the next step."""
+        tpl = self._tpls.get(cfg)
+        if tpl is None:
+            tpl = self._apu._meas_cache.get((self._chars, cfg))
+            if tpl is None:
+                tpl = self._apu._new_template(self._chars, cfg)
+            else:
+                self._hits += 1
+            self._tpls[cfg] = tpl
+        else:
+            self._hits += 1
+        _, _, cpu_w, nbgpu_w, vals = tpl
+        if self._rng is None:  # exact noise: no draws
+            return cfg, cpu_w + nbgpu_w, 0
+        pos = self._pos
+        row = 3 + len(vals)
+        end = self._pos = pos + row
+        z = self._z
+        if end > len(z):
+            z += self._rng.standard_normal(max(end - len(z), self._steps * row)).tolist()
+        mp, sp = self._apu._ln_power
+        # _lognormal inlined: the same math.exp of the same argument.
+        cpu_factor = math.exp(mp + sp * z[pos + 1])
+        return cfg, cpu_w * cpu_factor + nbgpu_w * math.exp(mp + sp * z[pos + 2]), pos
+
+    def measurement(self, cfg, reading: int) -> Measurement:
+        """The full :class:`Measurement` of the :meth:`read` step on
+        ``cfg`` whose noise row starts at ``reading``."""
+        tpl = self._tpls[cfg]
+        z = self._z[reading : reading + 3 + len(tpl[4])] if self._rng is not None else ()
+        return self._apu._noisy_measurement(tpl, cfg, z)
+
+    def close(self) -> None:
+        """Count the template reads and rewind the stream to the rows read."""
+        _TPL_HITS.inc(self._hits)
+        if self._rng is not None and len(self._z) > self._pos:
+            self._rng.bit_generator.state = self._state
+            if self._pos:
+                self._rng.standard_normal(self._pos)
+
+
 @functools.cache
 def _space_columns(descriptor: BackendDescriptor) -> tuple[tuple, tuple]:
     """A descriptor's configurations and their ``_physics`` columns
@@ -644,7 +714,7 @@ class AnalyticalBackend(HardwareBackend):
     kernel over the whole space and memoized process-wide, the
     vectorized :meth:`batch_rate_power`, the noisy measurement path
     (fused measurement templates, fault-injection plumbing) and the
-    limiter's :meth:`observe` primitive.
+    limiter's :meth:`noise_block` primitive.
 
     ``boost`` (``None`` unless the machine's physics has opportunistic
     overclocking) keeps truth in a per-machine memo keyed by the policy,
@@ -675,9 +745,9 @@ class AnalyticalBackend(HardwareBackend):
         self._boost_truth: dict = {}
         # Fused measurement templates: (counter names, true time, true
         # primary-plane W, true secondary-plane W, true counter values)
-        # per (characteristics, config).  Lets :meth:`run` and
-        # :meth:`observe` replace three cache lookups and four RNG calls
-        # with one lookup and one standard-normal draw.  Only valid when
+        # per (characteristics, config).  Lets :meth:`run` and the
+        # limiter's NoiseBlock replace three cache lookups and four RNG
+        # calls with one lookup and one standard-normal row.  Only valid when
         # every noise axis is nonzero (a zero axis skips its draw in the
         # scalar path, so the fused draw would desynchronize the stream)
         # — ``_noise_mode`` records which regime applies.
@@ -811,55 +881,19 @@ class AnalyticalBackend(HardwareBackend):
         ctx = inj.begin_run(cfg)
         return ctx.apply(self._run_clean(kernel, ctx.config, rng=rng))
 
-    def observe(
-        self, kernel: object, ladder: Iterable, *, rng=None
-    ) -> Iterator[tuple[object, float, object]]:
-        """See :meth:`HardwareBackend.observe`.
-
-        The walk reads only the total power of each step, so the clean
-        template modes draw the step's full noise row (one
-        ``standard_normal`` call, consuming the stream exactly like
-        :meth:`run`) but compute only the two power factors.
-        Fault-injected, boosted and scalar-noise machines delegate each
-        step to :meth:`run`, so fault semantics are unchanged.
-        """
+    def noise_block(self, kernel: object, *, rng=None, steps: int = 0):
+        """See :meth:`HardwareBackend.noise_block`: a :class:`NoiseBlock`
+        on a clean template machine, ``None`` on a fault-injected,
+        boosted or scalar-noise one (each of whose steps runs through
+        :meth:`run`)."""
         if (
             self.fault_injector is not None
             or self.boost is not None
             or self._noise_mode == "scalar"
         ):
-            yield from super().observe(kernel, ladder, rng=rng)
-            return
-        chars = characteristics_of(kernel)
-        cache = self._meas_cache
+            return None
         r = rng if rng is not None else self._rng
-        noisy = self._noise_mode == "vector"
-        mp, sp = self._ln_power
-        hits = 0  # template reads are counted once per walk, not per step
-        try:
-            for cfg in ladder:
-                tpl = cache.get((chars, cfg))
-                if tpl is None:
-                    tpl = self._new_template(chars, cfg)
-                else:
-                    hits += 1
-                _, _, cpu_w, nbgpu_w, vals = tpl
-                if noisy:
-                    z = r.standard_normal(3 + len(vals)).tolist()
-                    cpu_factor = _lognormal(mp, sp, z[1])
-                    power = cpu_w * cpu_factor + nbgpu_w * _lognormal(mp, sp, z[2])
-                else:
-                    z = ()
-                    power = cpu_w + nbgpu_w
-                yield cfg, power, (tpl, z)
-        finally:
-            _TPL_HITS.inc(hits)
-
-    def measurement(self, cfg, reading: object) -> Measurement:
-        if isinstance(reading, Measurement):
-            return reading
-        tpl, z = reading
-        return self._noisy_measurement(tpl, cfg, z)
+        return NoiseBlock(self, characteristics_of(kernel), r, steps)
 
     def _noisy_measurement(self, tpl: tuple, cfg, z) -> Measurement:
         """Apply one step's standard-normal row ``z`` (time, two power
@@ -1008,6 +1042,12 @@ def descriptor_for(name: str) -> BackendDescriptor:
         raise ValueError(
             f"unknown backend {name!r}; available: {backend_names()}"
         ) from None
+
+
+def max_ladder_depth() -> int:
+    """The most rungs any registered descriptor's block ladder has."""
+    _ensure_builtins()
+    return max(len(b.freqs_ghz) for d in _DESCRIPTORS.values() for b in (d.primary, d.secondary))
 
 
 def backend_names() -> list[str]:

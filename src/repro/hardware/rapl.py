@@ -23,14 +23,17 @@ limiter runs on every backend: there the primary block plays the CPU
 and the secondary block the GPU.  Only Trinity's space varies the host
 of a secondary-block run, so elsewhere those walks stay on the
 secondary ladder.
+
+A method walks a kernel's whole cap sweep in one
+:meth:`FrequencyLimiter.limit_many` pass (on a clean machine, on one
+block of noise); the one-cap methods are one-cap sweeps.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cache, cached_property, partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -41,7 +44,6 @@ from repro.hardware.backend import (
     characteristics_of,
 )
 from repro.hardware.config import Configuration
-from repro.hardware.kernelmodel import KernelCharacteristics
 from repro.telemetry import counter
 
 __all__ = ["FrequencyLimiter", "LimiterResult"]
@@ -71,21 +73,15 @@ class LimiterResult:
         Observed power is ``inf`` for a dropped-out or failed reading
         (the worst-case assumption the controller acted on).
     final_measurement:
-        The measurement taken at the final configuration, built on
-        first access.  When that run failed outright (injected fault),
-        a placeholder with NaN readings at the final configuration.
+        The measurement taken at the final configuration.  When that
+        run failed outright (injected fault), a placeholder with NaN
+        readings at the final configuration.
     """
 
     final_config: Configuration
     met_cap: bool
-    trace: tuple[tuple[Configuration, float], ...] = field(default_factory=tuple)
-    _measure: Callable[[], Measurement] = field(
-        default=None, repr=False, compare=False
-    )
-
-    @cached_property
-    def final_measurement(self) -> Measurement:
-        return self._measure()
+    trace: tuple[tuple[Configuration, float], ...] = ()
+    final_measurement: Measurement | None = field(default=None, repr=False, compare=False)
 
     @property
     def steps(self) -> int:
@@ -93,7 +89,7 @@ class LimiterResult:
         return max(0, len(self.trace) - 1)
 
 
-def _failed_measurement(cfg: Configuration) -> Measurement:
+def _failed(cfg: Configuration) -> Measurement:
     """Placeholder for a final run that produced no measurement."""
     return Measurement(
         config=cfg,
@@ -142,6 +138,36 @@ def _ladder(start, down: bool) -> tuple:
     )
 
 
+def _walk(steps, power_cap_w: float, trace: list, settled, *, down: bool):
+    """Measure a ladder's ``(config, power, reading)`` ``steps`` in
+    turn, appending to ``trace``.
+
+    Going down the walk stops at the first cap-compliant reading and
+    settles on the last step visited; going up it stops at the first
+    violating reading and settles on the last compliant step (or keeps
+    ``settled``).  Returns the settled ``(config, reading)``.
+
+    Real RAPL firmware cannot crash because an energy counter glitched
+    — a dropped-out sensor (non-finite power) or a failed run reads as
+    ``inf``, the worst case, so the controller steps down (or backs
+    off) instead of silently accepting an unknown draw.
+    """
+    for cfg, power, reading in steps:
+        if reading is None:
+            _FAILED_RUNS.inc()
+            power = math.inf
+        elif not math.isfinite(power):
+            _WORST_CASE_READS.inc()
+            power = math.inf
+        trace.append((cfg, power))
+        ok = respects_cap(power, power_cap_w)
+        if down or ok:
+            settled = cfg, reading
+        if ok == down:
+            break
+    return settled
+
+
 class FrequencyLimiter:
     """Closed-loop P-state controller enforcing a power cap.
 
@@ -149,56 +175,73 @@ class FrequencyLimiter:
     ----------
     apu:
         The machine to control (any backend).  The limiter only ever
-        sees *measurements*, through :meth:`HardwareBackend.observe`.
+        sees *measurements*: a whole cap sweep through one
+        :meth:`HardwareBackend.noise_block` on a clean machine, else
+        step by step through :meth:`HardwareBackend.observe`.
     """
 
     def __init__(self, apu: HardwareBackend) -> None:
         self.apu = apu
         d = apu.descriptor
         primary, secondary = d.sample_configs()
-        self._cpu_start = primary
-        self._gpu_start = secondary.replace(cpu_freq_ghz=d.host_freqs_ghz()[0])
+        #: CPU+FL's and GPU+FL's starts (see their policies below).
+        self.cpu_start = primary
+        self.gpu_start = secondary.replace(cpu_freq_ghz=d.host_freqs_ghz()[0])
 
-    def _walk(
+    def _sweep(self, kernel, starts, caps, rng, headroom: bool):
+        """``[(config, reading, met_cap, trace)]`` per cap, and the
+        function turning a settled reading into its measurement."""
+        if len(starts) != len(caps):
+            raise ValueError(f"{len(starts)} starts for {len(caps)} caps")
+        for cap in caps:
+            if not (math.isfinite(cap) and cap > 0):
+                raise ValueError(f"power_cap_w must be positive and finite, got {cap}")
+        chars = characteristics_of(kernel)
+        downs = [_ladder(start, True) for start in starts]
+        steps = sum(map(len, downs))
+        if headroom:
+            steps += len(caps) * len(self.apu.descriptor.host_freqs_ghz())
+        block = self.apu.noise_block(chars, rng=rng, steps=steps)
+        if block is None:
+            observe, measurement = partial(self.apu.observe, chars, rng=rng), self.apu.measurement
+        else:
+            observe, measurement = partial(map, block.read), block.measurement
+        results = []
+        try:
+            for ladder, cap in zip(downs, caps):
+                trace: list[tuple[Configuration, float]] = []
+                settled = _walk(observe(ladder), cap, trace, None, down=True)
+                met_cap = respects_cap(trace[-1][1], cap)
+                if headroom and met_cap:
+                    # Exploit headroom: raise the host frequency while
+                    # under the cap.  A worst-case read observes as inf,
+                    # so the step-up backs off like a genuine violation.
+                    up = _ladder(settled[0], False)
+                    settled = _walk(observe(up), cap, trace, settled, down=False)
+                results.append((*settled, met_cap, trace))
+        finally:
+            if block is not None:
+                block.close()
+        return results, measurement
+
+    def limit_many(
         self,
-        chars: KernelCharacteristics,
-        ladder: tuple[Configuration, ...],
-        power_cap_w: float,
-        rng: np.random.Generator | None,
-        trace: list[tuple[Configuration, float]],
-        settled: tuple[Configuration, object] | None,
+        kernel: object,
+        starts,
+        caps,
         *,
-        down: bool,
-    ) -> tuple[Configuration, object]:
-        """Measure ``ladder`` step by step, appending to ``trace``.
-
-        Going down the walk stops at the first cap-compliant reading and
-        settles on the last step visited; going up it stops at the first
-        violating reading and settles on the last compliant step (or
-        keeps ``settled``).  Returns the settled ``(config, reading)``.
-
-        Real RAPL firmware cannot crash because an energy counter
-        glitched — a dropped-out sensor (non-finite power) or a failed
-        run reads as ``inf``, the worst case, so the controller steps
-        down (or backs off) instead of silently accepting an unknown
-        draw.
+        rng: np.random.Generator | None = None,
+        headroom: bool = False,
+    ) -> list[tuple[Configuration, int]]:
+        """Walk cap ``caps[i]`` from ``starts[i]`` for each ``i`` in
+        order, as :meth:`limit` would (with ``headroom``, as
+        :meth:`limit_gpu_with_headroom` would) with the stream left
+        where those walks leave it.  Returns ``(settled configuration,
+        measured runs)`` per cap.  Raises :class:`ValueError` before any
+        run unless the caps are positive and finite, one per start.
         """
-        readings = self.apu.observe(chars, ladder, rng=rng)
-        for cfg, power, reading in readings:
-            if reading is None:
-                _FAILED_RUNS.inc()
-                power = math.inf
-            elif not math.isfinite(power):
-                _WORST_CASE_READS.inc()
-                power = math.inf
-            trace.append((cfg, power))
-            ok = respects_cap(power, power_cap_w)
-            if down or ok:
-                settled = cfg, reading
-            if ok == down:
-                break
-        readings.close()
-        return settled
+        results, _ = self._sweep(kernel, starts, caps, rng, headroom)
+        return [(cfg, len(trace)) for cfg, _, _, trace in results]
 
     def _limit(
         self,
@@ -209,38 +252,13 @@ class FrequencyLimiter:
         *,
         headroom: bool,
     ) -> LimiterResult:
-        if not (math.isfinite(power_cap_w) and power_cap_w > 0):
-            raise ValueError(
-                f"power_cap_w must be positive and finite, got {power_cap_w}"
-            )
-        chars = characteristics_of(kernel)
-        trace: list[tuple[Configuration, float]] = []
-        settled = self._walk(
-            chars, _ladder(start, True), power_cap_w, rng, trace, None, down=True
+        """A one-cap sweep as a :class:`LimiterResult`."""
+        results, measurement = self._sweep(
+            kernel, (start,), (power_cap_w,), rng, headroom
         )
-        met_cap = respects_cap(trace[-1][1], power_cap_w)
-        if headroom and met_cap:
-            # Exploit headroom: raise the host frequency while under the
-            # cap.  A worst-case read observes as inf, so the step-up
-            # backs off exactly like a genuine violation.
-            settled = self._walk(
-                chars,
-                _ladder(settled[0], False),
-                power_cap_w,
-                rng,
-                trace,
-                settled,
-                down=False,
-            )
-        cfg, reading = settled
-        measure = (
-            partial(_failed_measurement, cfg)
-            if reading is None
-            else partial(self.apu.measurement, cfg, reading)
-        )
-        return LimiterResult(
-            final_config=cfg, met_cap=met_cap, trace=tuple(trace), _measure=measure
-        )
+        [(cfg, reading, met_cap, trace)] = results
+        final = _failed(cfg) if reading is None else measurement(cfg, reading)
+        return LimiterResult(cfg, met_cap, tuple(trace), final)
 
     def limit(
         self,
@@ -278,7 +296,7 @@ class FrequencyLimiter:
         the host frequency as far as possible without violating the cap
         (a no-op on machines with a fixed host).
         """
-        return self._limit(kernel, self._gpu_start, power_cap_w, rng, headroom=True)
+        return self._limit(kernel, self.gpu_start, power_cap_w, rng, headroom=True)
 
     def limit_cpu_all_cores(
         self,
@@ -290,4 +308,4 @@ class FrequencyLimiter:
         """The paper's CPU+FL policy (Section V-A): the primary sample
         configuration (all cores at maximum frequency, GPU at minimum),
         CPU P-state lowered to meet the cap."""
-        return self.limit(kernel, self._cpu_start, power_cap_w, rng=rng)
+        return self.limit(kernel, self.cpu_start, power_cap_w, rng=rng)

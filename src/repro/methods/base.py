@@ -14,21 +14,20 @@ sample iterations once per kernel, not once per cap), managed through
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from repro.hardware.config import Configuration
 
 __all__ = ["MethodDecision", "PowerLimitMethod"]
 
 
-@dataclass(frozen=True)
-class MethodDecision:
+class MethodDecision(NamedTuple):
     """A method's committed configuration for one (kernel, cap) pair.
 
     ``online_runs`` counts kernel executions the method spent reaching
     the decision (sample iterations, limiter steps) — the adaptation
-    cost the paper argues must stay small.
+    cost the paper argues must stay small.  A named tuple, so a sweep's
+    decisions are built by one C-level ``map``.
     """
 
     config: Configuration
@@ -59,11 +58,10 @@ class PowerLimitMethod(abc.ABC):
         """Commit to a configuration per cap of a sweep, in cap order.
 
         Semantically identical to calling :meth:`decide` per cap in the
-        given order (the default does exactly that, so stateful methods
-        — e.g. the frequency-limiting baselines' measurement-noise
-        streams — observe the same call sequence).  Model-based methods
+        given order (the default does exactly that).  The model methods
         override this to answer the whole sweep from one pass over
-        their cached prediction arrays.
+        their cached prediction arrays, and the frequency-limiting
+        methods to walk it in one limiter pass on their noise stream.
         """
         return [self.decide(kernel, cap) for cap in power_caps_w]
 

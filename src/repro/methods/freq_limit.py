@@ -19,6 +19,8 @@ limitation the paper's model overcomes.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 import numpy as np
 
 from repro.hardware.backend import HardwareBackend
@@ -28,43 +30,42 @@ from repro.methods.base import MethodDecision, PowerLimitMethod
 __all__ = ["CpuFrequencyLimiting", "GpuFrequencyLimiting"]
 
 
-class CpuFrequencyLimiting(PowerLimitMethod):
-    """The paper's ``CPU+FL`` baseline."""
+class _FrequencyLimiting(PowerLimitMethod):
+    """A baseline that starts every cap at one configuration and lets
+    the limiter walk its frequency: a kernel's whole cap sweep is one
+    :meth:`FrequencyLimiter.limit_many` pass on the method's stream."""
+
+    #: Whether the policy raises the host into headroom (GPU+FL).
+    headroom = False
+
+    def __init__(
+        self, apu: HardwareBackend, *, seed: int | np.random.SeedSequence = 0
+    ) -> None:
+        self.limiter = FrequencyLimiter(apu)
+        self._rng = np.random.default_rng(seed)
+
+    def decide(self, kernel, power_cap_w: float) -> MethodDecision:
+        return self.decide_many(kernel, (power_cap_w,))[0]
+
+    def decide_many(self, kernel, power_caps_w) -> list[MethodDecision]:
+        start = self.limiter.gpu_start if self.headroom else self.limiter.cpu_start
+        sweep = self.limiter.limit_many(
+            kernel, [start] * len(power_caps_w), power_caps_w,
+            rng=self._rng, headroom=self.headroom,
+        )
+        return list(map(tuple.__new__, repeat(MethodDecision), sweep))
+
+
+class CpuFrequencyLimiting(_FrequencyLimiting):
+    """The paper's ``CPU+FL`` baseline: all cores on, CPU P-state
+    limited to the cap."""
 
     name = "CPU+FL"
 
-    def __init__(
-        self, apu: HardwareBackend, *, seed: int | np.random.SeedSequence = 0
-    ) -> None:
-        self.limiter = FrequencyLimiter(apu)
-        self._rng = np.random.default_rng(seed)
 
-    def decide(self, kernel, power_cap_w: float) -> MethodDecision:
-        """All cores on, CPU P-state limited to the cap."""
-        result = self.limiter.limit_cpu_all_cores(
-            kernel, power_cap_w, rng=self._rng
-        )
-        return MethodDecision(
-            config=result.final_config, online_runs=len(result.trace)
-        )
-
-
-class GpuFrequencyLimiting(PowerLimitMethod):
-    """The paper's ``GPU+FL`` baseline."""
+class GpuFrequencyLimiting(_FrequencyLimiting):
+    """The paper's ``GPU+FL`` baseline: GPU maxed then limited; host CPU
+    raised into headroom."""
 
     name = "GPU+FL"
-
-    def __init__(
-        self, apu: HardwareBackend, *, seed: int | np.random.SeedSequence = 0
-    ) -> None:
-        self.limiter = FrequencyLimiter(apu)
-        self._rng = np.random.default_rng(seed)
-
-    def decide(self, kernel, power_cap_w: float) -> MethodDecision:
-        """GPU maxed then limited; host CPU raised into headroom."""
-        result = self.limiter.limit_gpu_with_headroom(
-            kernel, power_cap_w, rng=self._rng
-        )
-        return MethodDecision(
-            config=result.final_config, online_runs=len(result.trace)
-        )
+    headroom = True

@@ -127,17 +127,10 @@ class ModelPlusFL(PowerLimitMethod):
         )
 
     def decide_many(self, kernel, power_caps_w) -> list[MethodDecision]:
-        """Batched model selection, then the limiter walk per cap (the
-        limiter is a measurement feedback loop and stays sequential;
-        caps are visited in order so its noise stream is unchanged)."""
-        starts = self._model_method.decide_many(kernel, power_caps_w)
-        decisions = []
-        for cap, start in zip(power_caps_w, starts):
-            result = self.limiter.limit(kernel, start.config, cap, rng=self._rng)
-            decisions.append(
-                MethodDecision(
-                    config=result.final_config,
-                    online_runs=2 + len(result.trace),
-                )
-            )
-        return decisions
+        """Batched model selection, then one limiter pass over the whole
+        sweep (the limiter is a measurement feedback loop: caps are
+        walked in order, so its noise stream is unchanged)."""
+        picks = self._model_method.decide_many(kernel, power_caps_w)
+        starts = [pick.config for pick in picks]
+        sweep = self.limiter.limit_many(kernel, starts, power_caps_w, rng=self._rng)
+        return [MethodDecision(cfg, 2 + runs) for cfg, runs in sweep]

@@ -1,12 +1,13 @@
 """Step-by-step reference for :class:`repro.hardware.FrequencyLimiter`.
 
-The limiter walks a memoized P-state ladder through
-:meth:`TrinityAPU.observe`, which draws only what each step's total
-power needs.  This module keeps the straightforward control loop it
-replaced — one full :meth:`TrinityAPU.run` per step, the next P-state
-derived from the current one — as the oracle the ladder walk must
-reproduce bit for bit: same trace, same settled configuration and
-measurement, same generator state afterwards, same telemetry.
+The limiter walks a memoized P-state ladder, and on a clean machine a
+whole cap sweep on one block of noise drawn ahead from the stream.  This
+module keeps the straightforward control loop it replaced — one full
+``run`` per step, the next P-state derived from the current one on the
+configuration's own descriptor ladders — as the oracle the limiter must
+reproduce bit for bit on every backend: same trace, same settled
+configuration and measurement, same generator state afterwards, same
+telemetry.
 """
 
 from __future__ import annotations
@@ -16,11 +17,9 @@ from dataclasses import dataclass
 
 from repro.constants import respects_cap
 from repro.faults.errors import SampleRunError
-from repro.hardware import pstates
-from repro.hardware.apu import Measurement
-from repro.hardware.config import Configuration, Device
+from repro.hardware.backend import Measurement
+from repro.hardware.config import Configuration
 from repro.telemetry import counter
-from tests.conftest import cpu_config, gpu_config
 
 _WORST_CASE_READS = counter("faults.limiter.worst_case_reads")
 _FAILED_RUNS = counter("faults.limiter.failed_runs")
@@ -34,31 +33,31 @@ class ReferenceResult:
     trace: tuple[tuple[Configuration, float], ...]
 
 
-def _step_down_cpu(cfg):
-    i = pstates.CPU_FREQS_GHZ.index(cfg.cpu_freq_ghz)
-    if i == 0:
-        return None
-    f = pstates.CPU_FREQS_GHZ[i - 1]
-    if cfg.device is Device.CPU:
-        return cpu_config(f, cfg.n_threads)
-    return gpu_config(cfg.gpu_freq_ghz, f)
+def _host_ladder(cfg):
+    """The ladder the limiter moves ``cfg``'s host frequency along: the
+    primary ladder on a CPU row, the host rungs on a GPU row."""
+    d = cfg.descriptor
+    return d.host_freqs_ghz() if cfg.is_gpu else d.primary.freqs_ghz
 
 
-def _step_up_cpu(cfg):
-    i = pstates.CPU_FREQS_GHZ.index(cfg.cpu_freq_ghz)
-    if i == len(pstates.CPU_FREQS_GHZ) - 1:
+def _rung(ladder, f) -> int:
+    return min(range(len(ladder)), key=lambda i: abs(ladder[i] - f))
+
+
+def _step_cpu(cfg, delta: int):
+    ladder = _host_ladder(cfg)
+    i = _rung(ladder, cfg.cpu_freq_ghz) + delta
+    if not 0 <= i < len(ladder):
         return None
-    f = pstates.CPU_FREQS_GHZ[i + 1]
-    if cfg.device is Device.CPU:
-        return cpu_config(f, cfg.n_threads)
-    return gpu_config(cfg.gpu_freq_ghz, f)
+    return cfg.replace(cpu_freq_ghz=ladder[i])
 
 
 def _step_down_gpu(cfg):
-    i = pstates.GPU_FREQS_GHZ.index(cfg.gpu_freq_ghz)
+    ladder = cfg.descriptor.secondary.freqs_ghz
+    i = _rung(ladder, cfg.gpu_freq_ghz)
     if i == 0:
         return None
-    return gpu_config(pstates.GPU_FREQS_GHZ[i - 1], cfg.cpu_freq_ghz)
+    return cfg.replace(gpu_freq_ghz=ladder[i - 1])
 
 
 class ReferenceLimiter:
@@ -91,48 +90,45 @@ class ReferenceLimiter:
             counters={},
         )
 
-    def limit(self, kernel, start, power_cap_w, *, rng=None):
+    def limit(self, kernel, start, power_cap_w, *, rng=None, headroom=False):
         trace = []
         cfg = start
         m, observed = self._observe(kernel, cfg, rng)
         trace.append((cfg, observed))
         while not respects_cap(observed, power_cap_w):
-            if cfg.device is Device.GPU:
-                nxt = _step_down_gpu(cfg) or _step_down_cpu(cfg)
+            if cfg.is_gpu:
+                nxt = _step_down_gpu(cfg) or _step_cpu(cfg, -1)
             else:
-                nxt = _step_down_cpu(cfg)
+                nxt = _step_cpu(cfg, -1)
             if nxt is None:
                 break
             cfg = nxt
             m, observed = self._observe(kernel, cfg, rng)
             trace.append((cfg, observed))
+        met_cap = respects_cap(observed, power_cap_w)
+        final = self._final_measurement(m, cfg)
+        if headroom and met_cap:
+            while True:
+                nxt = _step_cpu(cfg, +1)
+                if nxt is None:
+                    break
+                m_next, observed = self._observe(kernel, nxt, rng)
+                trace.append((nxt, observed))
+                if not respects_cap(observed, power_cap_w):
+                    break
+                cfg, final = nxt, m_next
         return ReferenceResult(
             final_config=cfg,
-            final_measurement=self._final_measurement(m, cfg),
-            met_cap=respects_cap(observed, power_cap_w),
+            final_measurement=final,
+            met_cap=met_cap,
             trace=tuple(trace),
         )
 
     def limit_gpu_with_headroom(self, kernel, power_cap_w, *, rng=None):
-        start = gpu_config(pstates.GPU_MAX_FREQ_GHZ, pstates.CPU_MIN_FREQ_GHZ)
-        result = self.limit(kernel, start, power_cap_w, rng=rng)
-        if not result.met_cap:
-            return result
-        trace = list(result.trace)
-        cfg, m = result.final_config, result.final_measurement
-        while True:
-            nxt = _step_up_cpu(cfg)
-            if nxt is None:
-                break
-            m_next, observed = self._observe(kernel, nxt, rng)
-            trace.append((nxt, observed))
-            if not respects_cap(observed, power_cap_w):
-                break
-            cfg, m = nxt, m_next
-        return ReferenceResult(
-            final_config=cfg, final_measurement=m, met_cap=True, trace=tuple(trace)
-        )
+        d = self.apu.descriptor
+        start = d.sample_configs()[1].replace(cpu_freq_ghz=d.host_freqs_ghz()[0])
+        return self.limit(kernel, start, power_cap_w, rng=rng, headroom=True)
 
     def limit_cpu_all_cores(self, kernel, power_cap_w, *, rng=None):
-        start = cpu_config(pstates.CPU_MAX_FREQ_GHZ, pstates.N_CORES)
+        start = self.apu.descriptor.sample_configs()[0]
         return self.limit(kernel, start, power_cap_w, rng=rng)

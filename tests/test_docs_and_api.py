@@ -119,7 +119,51 @@ class TestPublicAPI:
         assert mod.__doc__, f"{name} lacks a module docstring"
 
 
+#: Top-level markdown that describes the code as it stands. The other
+#: top-level documents (change log, roadmap, plans) may name what no
+#: longer, or does not yet, exist.
+TOP_LEVEL_DOCS = ["DESIGN.md", "EXPERIMENTS.md", "PAPER.md", "PAPERS.md",
+                  "README.md", "SNIPPETS.md"]
+DOCS = sorted(
+    TOP_LEVEL_DOCS
+    + [
+        str(p.relative_to(REPO))
+        for p in REPO.glob("*/**/*.md")
+        if not any(part.startswith(".") for part in p.relative_to(REPO).parts)
+    ]
+)
+
+
+def _resolves(dotted: str) -> bool:
+    """Whether ``dotted`` names a module, or an attribute path inside
+    the longest importable module prefix."""
+    parts = dotted.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ImportError:
+            continue
+        try:
+            for attr in parts[i:]:
+                obj = getattr(obj, attr)
+        except AttributeError:
+            return False
+        return True
+    return False
+
+
 class TestDocIntegrity:
+    @pytest.mark.parametrize("doc", DOCS)
+    def test_quoted_repro_names_resolve(self, doc):
+        text = (REPO / doc).read_text(encoding="utf-8")
+        names = {
+            name
+            for span in re.findall(r"`([^`\n]+)`", text)
+            for name in re.findall(r"\brepro(?:\.[A-Za-z_]\w*)+", span)
+        }
+        missing = sorted(name for name in names if not _resolves(name))
+        assert not missing, f"{doc} quotes names that do not resolve: {missing}"
+
     def _referenced_paths(self, markdown: str) -> set[str]:
         """File paths mentioned in backticks or markdown links."""
         paths = set()

@@ -20,6 +20,8 @@ CI fault-matrix inputs; the LOOCV tests here replay each one end to end.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 from pathlib import Path
 
@@ -54,7 +56,7 @@ from repro.profiling.sampler import PowerSampler
 from repro.runtime import AdaptiveRuntime, Application
 from repro.workloads import build_suite
 from tests.conftest import make_kernel
-from repro.hardware.backend import TRINITY_DESCRIPTOR
+from repro.hardware.backend import TRINITY_DESCRIPTOR, descriptor_for
 from tests.conftest import cpu_config, gpu_config
 
 CPU_SAMPLE, GPU_SAMPLE = TRINITY_DESCRIPTOR.sample_configs()
@@ -129,6 +131,34 @@ class TestFaultPlan:
     def test_random_is_deterministic(self):
         assert FaultPlan.random(3) == FaultPlan.random(3)
         assert FaultPlan.random(3) != FaultPlan.random(4)
+
+    def test_random_trinity_plans_are_unchanged(self):
+        """Seeded plans keep their bytes: the digest of seeds 0-20 was
+        computed before plans were sized from a descriptor."""
+        digest = hashlib.sha256()
+        for seed in range(21):
+            plan = FaultPlan.random(seed)
+            assert plan == FaultPlan.random(seed, descriptor=TRINITY_DESCRIPTOR)
+            digest.update(json.dumps(plan.to_dict(), sort_keys=True).encode())
+        assert digest.hexdigest() == (
+            "0729f4efa0f6bf799e26c85ec0af6188d7407d519ca1db55673072b995d42be9"
+        )
+
+    @pytest.mark.parametrize("backend", ["biglittle", "mpsoc"])
+    def test_random_plans_reach_every_rung_of_the_machine(self, backend):
+        d = descriptor_for(backend)
+        reached = {"cpu": set(), "gpu": set()}
+        for seed in range(40):
+            for ev in FaultPlan.random(seed, n_events=20, descriptor=d):
+                if ev.device is not None:
+                    reached[ev.device].add(ev.pstate_index)
+        assert reached["gpu"] == set(range(len(d.secondary.freqs_ghz)))
+        assert reached["cpu"] == set(range(len(d.primary.freqs_ghz)))
+
+    def test_pstate_index_bound_is_the_deepest_registered_ladder(self):
+        FaultEvent(kind="pstate_stuck", start=0, pstate_index=5)
+        with pytest.raises(ValueError, match=r"\[0, 6\)"):
+            FaultEvent(kind="pstate_stuck", start=0, pstate_index=6)
 
     def test_random_respects_kind_subset(self):
         plan = FaultPlan.random(0, n_events=20, kinds=("run_failure",))

@@ -1,6 +1,7 @@
 """Golden-record regression: ``run_loocv(seed=0)`` is bit-frozen.
 
-The digest committed at ``tests/golden/loocv_seed0.sha256`` is the
+The digest committed at ``tests/golden/loocv_seed0.sha256`` (Trinity;
+big.LITTLE and MPSoC beside it as ``loocv_<backend>_seed0.sha256``) is the
 SHA-256 of the canonicalized record sequence (floats rendered via
 ``float.hex``, so a match means every bit of every float is identical).
 Any change that perturbs the pipeline's numerical results — noise
@@ -27,11 +28,13 @@ import pytest
 from repro.evaluation import canonical_record, record_lines, records_digest, run_loocv
 from repro.faults import FaultPlan
 
-GOLDEN_PATH = Path(__file__).parent / "golden" / "loocv_seed0.sha256"
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN_PATH = GOLDEN_DIR / "loocv_seed0.sha256"
 
 
-def golden_digest() -> str:
-    return GOLDEN_PATH.read_text().strip()
+def golden_digest(backend: str = "trinity") -> str:
+    name = "loocv_seed0" if backend == "trinity" else f"loocv_{backend}_seed0"
+    return (GOLDEN_DIR / f"{name}.sha256").read_text().strip()
 
 
 @pytest.fixture(scope="module")
@@ -52,13 +55,11 @@ class TestCanonicalization:
         assert reversed_digest != records_digest(seed0_records[:4])
 
     def test_digest_sensitive_to_single_bit(self, seed0_records) -> None:
-        import dataclasses
-
         base = seed0_records[:4]
         nudged = list(base)
         record = nudged[0]
-        nudged[0] = dataclasses.replace(
-            record, power_w=record.power_w + record.power_w * 2.0**-52
+        nudged[0] = record._replace(
+            power_w=record.power_w + record.power_w * 2.0**-52
         )
         assert records_digest(nudged) != records_digest(base)
 
@@ -75,3 +76,8 @@ class TestGoldenRecord:
     def test_empty_fault_plan_matches_golden(self) -> None:
         report = run_loocv(seed=0, fault_plan=FaultPlan(name="empty"))
         assert records_digest(report.records) == golden_digest()
+
+    @pytest.mark.parametrize("backend", ["biglittle", "mpsoc"])
+    def test_seed0_matches_golden_on_other_backends(self, backend) -> None:
+        report = run_loocv(seed=0, backend=backend)
+        assert records_digest(report.records) == golden_digest(backend)

@@ -1,11 +1,13 @@
 """The frequency limiter's ladder walk against the step-by-step loop.
 
 :class:`~repro.hardware.FrequencyLimiter` walks a memoized P-state
-ladder through :meth:`TrinityAPU.observe`, drawing each step's noise in
-one ``standard_normal`` call and building the settled measurement only
-when asked.  These tests pin that it is an optimisation and nothing
-more: against :class:`tests.limiter_reference.ReferenceLimiter` every
-result, every generator state and every counter agrees, under every
+ladder; on a clean machine a whole cap sweep reads its steps from one
+block of standard normals (:meth:`AnalyticalBackend.noise_block`), and
+fault-injected, boosted and scalar-noise machines step through
+:meth:`observe`.  The settled measurement is built only when asked.
+These tests pin that it is an optimisation and nothing more: against
+:class:`tests.limiter_reference.ReferenceLimiter` every result, every
+generator state and every counter agrees, on every backend, under every
 noise mode, boost, and each committed fault plan.
 """
 
@@ -30,15 +32,17 @@ from repro.hardware import (
     NoiseModel,
     TrinityAPU,
 )
-from repro.hardware.backend import _lognormal
+from repro.hardware.backend import TRINITY_DESCRIPTOR, _lognormal, create_backend
 from repro.hardware.counters import synthesize_counters
+from repro.hardware.rapl import _ladder
 from tests.conftest import make_kernel
 from tests.limiter_reference import ReferenceLimiter
-from repro.hardware.backend import TRINITY_DESCRIPTOR
 
 PLAN_DIR = Path(__file__).parent / "fault_plans"
 PLANS = (None,) + tuple(sorted(p.name for p in PLAN_DIR.glob("*.json")))
 CONFIGS = tuple(TRINITY_DESCRIPTOR.config_space())
+BACKENDS = ("trinity", "biglittle", "mpsoc")
+SPACES = {name: tuple(create_backend(name).config_space) for name in BACKENDS}
 NOISE = {
     "vector": NoiseModel(),
     "exact": NoiseModel.exact(),
@@ -87,6 +91,11 @@ def _stream_state(apu: TrinityAPU, rng) -> dict:
 
 def _counter_values() -> dict[str, int]:
     return {name: telemetry.counter(name).value for name in COUNTERS}
+
+
+def _delta(before: dict[str, int]) -> dict[str, int]:
+    after = _counter_values()
+    return {k: after[k] - before[k] for k in COUNTERS}
 
 
 def _forget_templates(apu: TrinityAPU, kernel) -> None:
@@ -159,6 +168,156 @@ class TestLadderWalkMatchesReference:
             assert got.met_cap == ref.met_cap
             assert_same_measurement(got.final_measurement, ref.final_measurement)
             assert _stream_state(apu, None) == _stream_state(ref_apu, None)
+
+
+def _backend_machine(backend: str, noise: str, plan: str | None, boost: bool, seed: int):
+    """A machine of ``backend``; boost exists on Trinity only."""
+    if backend == "trinity":
+        return _machine(noise, plan, boost, seed)
+    apu = create_backend(backend, seed=seed, noise=NOISE[noise])
+    if plan is not None:
+        apu.inject_faults(FaultPlan.from_file(PLAN_DIR / plan))
+    return apu
+
+
+CAP_KINDS = ("below-floor", "above-start", "on-rung", "between")
+
+
+def _cap(apu, kernel, start: Configuration, kind: str, frac: float) -> float:
+    """A cap of ``kind`` for a walk from ``start``: below every rung's
+    true power, above all of them, exactly one rung's true power (of the
+    walk's own ladders, down and up), or anywhere in between."""
+    rungs = _ladder(start, True) + _ladder(start, False)
+    powers = [apu.true_total_power_w(kernel, cfg) for cfg in rungs]
+    lo, hi = min(powers), max(powers)
+    if kind == "below-floor":
+        return lo * (0.2 + 0.75 * frac)
+    if kind == "above-start":
+        return hi * (1.01 + frac)
+    if kind == "on-rung":
+        return powers[min(int(frac * len(powers)), len(powers) - 1)]
+    return lo + frac * (hi - lo)
+
+
+kernels = st.builds(
+    make_kernel,
+    work_s=st.floats(min_value=0.01, max_value=5.0),
+    parallel_fraction=st.floats(min_value=0.0, max_value=1.0),
+    mem_fraction=st.floats(min_value=0.0, max_value=0.9),
+    gpu_affinity=st.floats(min_value=0.1, max_value=20.0),
+    activity=st.floats(min_value=0.1, max_value=2.0),
+    gpu_activity=st.floats(min_value=0.1, max_value=2.0),
+    dram_intensity=st.floats(min_value=0.0, max_value=1.0),
+)
+
+
+class TestSweepMatchesReference:
+    """``limit_many`` against one reference walk per cap, in order, on
+    each backend's own ladders.  Clean machines (vector or exact noise,
+    no fault plan, no boost) take the one-block sweep; fault-injected,
+    boosted and scalar-noise machines step through ``observe``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        backend=st.sampled_from(BACKENDS),
+        noise=st.sampled_from(sorted(NOISE)),
+        plan=st.sampled_from(PLANS),
+        boost=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**16),
+        pass_rng=st.booleans(),
+        headroom=st.booleans(),
+        warmup=st.integers(min_value=0, max_value=300),
+        kernel=kernels,
+        walks=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=10**6),
+                st.sampled_from(CAP_KINDS),
+                st.floats(min_value=0.0, max_value=1.0),
+            ),
+            min_size=1,
+            max_size=16,
+        ),
+    )
+    def test_configs_runs_stream_and_counters_match(
+        self, backend, noise, plan, boost, seed, pass_rng, headroom, warmup,
+        kernel, walks,
+    ):
+        space = SPACES[backend]
+        ref_apu, apu = (
+            _backend_machine(backend, noise, plan, boost, seed) for _ in range(2)
+        )
+        if plan is not None:
+            # Advance both fault clocks into the plan's event windows.
+            for machine in (ref_apu, apu):
+                for i in range(warmup):
+                    try:
+                        machine.run(kernel, space[i % len(space)])
+                    except SampleRunError:
+                        pass
+        starts = [space[i % len(space)] for i, _, _ in walks]
+        caps = [
+            _cap(ref_apu, kernel, start, kind, frac)
+            for start, (_, kind, frac) in zip(starts, walks)
+        ]
+        ref_rng, rng = (
+            (np.random.default_rng(seed), np.random.default_rng(seed))
+            if pass_rng
+            else (None, None)
+        )
+
+        _forget_templates(ref_apu, kernel)  # both sweeps start cold
+        before = _counter_values()
+        reference = ReferenceLimiter(ref_apu)
+        refs = [
+            reference.limit(kernel, start, cap, rng=ref_rng, headroom=headroom)
+            for start, cap in zip(starts, caps)
+        ]
+        ref_delta = _delta(before)
+
+        _forget_templates(apu, kernel)
+        before = _counter_values()
+        got = FrequencyLimiter(apu).limit_many(
+            kernel, starts, caps, rng=rng, headroom=headroom
+        )
+        assert _delta(before) == ref_delta
+        assert got == [(ref.final_config, len(ref.trace)) for ref in refs]
+        assert _stream_state(apu, rng) == _stream_state(ref_apu, ref_rng)
+
+    @pytest.mark.parametrize("noise", sorted(NOISE))
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_every_start_config(self, backend, noise):
+        """One-cap sweeps return the reference's trace and settled
+        measurement from every start, with and without headroom."""
+        kernel = make_kernel(work_s=0.377)
+        ref_apu, apu = (
+            _backend_machine(backend, noise, None, False, 8) for _ in range(2)
+        )
+        limiter, reference = FrequencyLimiter(apu), ReferenceLimiter(ref_apu)
+        cases = itertools.product(
+            SPACES[backend],
+            (("below-floor", 0.5), ("on-rung", 0.4), ("between", 0.7)),
+            (False, True),
+        )
+        for start, (kind, frac), headroom in cases:
+            cap = _cap(ref_apu, kernel, start, kind, frac)
+            ref = reference.limit(kernel, start, cap, headroom=headroom)
+            got = limiter._limit(kernel, start, cap, None, headroom=headroom)
+            assert got.trace == ref.trace
+            assert got.final_config == ref.final_config
+            assert got.met_cap == ref.met_cap
+            assert_same_measurement(got.final_measurement, ref.final_measurement)
+            assert _stream_state(apu, None) == _stream_state(ref_apu, None)
+
+    def test_caps_are_validated_before_any_run(self):
+        apu = TrinityAPU(seed=0)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        limiter = FrequencyLimiter(apu)
+        with pytest.raises(ValueError, match="power_cap_w"):
+            limiter.limit_many(
+                make_kernel(), [limiter.cpu_start] * 2, [30.0, math.nan], rng=rng
+            )
+        assert rng.bit_generator.state == state
 
 
 class TestTelemetryParity:
