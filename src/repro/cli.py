@@ -1091,7 +1091,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     )
     print(
         f"archive: {len(archive)} points, power "
-        f"[{archive.min_power_w:.2f}, {float(archive.powers[-1]):.2f}] W, "
+        f"[{float(archive.powers[0]):.2f}, {float(archive.powers[-1]):.2f}] W, "
         f"hypervolume {result.hypervolume:.4f} "
         f"(ref {result.hypervolume_ref_w:.2f} W)"
     )

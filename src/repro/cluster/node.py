@@ -107,14 +107,6 @@ class NodeFrontier:
         idx = bisect_right(self._caps, thresh) - 1
         return self.points[idx if idx >= 0 else 0]
 
-    def steps(self) -> list[tuple[float, float, float]]:
-        """Successive frontier increments as ``(extra_power_w,
-        extra_rate, cap_w)`` triples — the allocator's marginal menu."""
-        out = []
-        for a, b in zip(self.points, self.points[1:]):
-            out.append((b.cap_w - a.cap_w, b.rate - a.rate, b.cap_w))
-        return out
-
 
 class ClusterNode:
     """One node of the simulated cluster.

@@ -12,8 +12,10 @@ CSR-style ``offsets`` marking where each node's segment starts.
 On top of that layout:
 
 * :meth:`FrontierPool.at_caps` answers "best operating point under this
-  cap" for *every* node with one vectorized binary search (the scalar
-  :meth:`~repro.cluster.node.NodeFrontier.at_cap` loop, batched);
+  cap" for *every* node with one segmented cap search (the scalar
+  :meth:`~repro.cluster.node.NodeFrontier.at_cap` loop, batched, through
+  the same :class:`~repro.core.frontier.CapSweepTable` the scheduler
+  uses);
 * the allocation kernels (:mod:`repro.cluster.allocation`) read the
   pool's precomputed *step* arrays — marginal ``(extra power, extra
   rate)`` increments — and sorted consumption orders, turning
@@ -39,6 +41,7 @@ import numpy as np
 
 from repro.cluster.node import NodeFrontier, NodeFrontierPoint
 from repro.constants import CAP_EPSILON
+from repro.core.frontier import CapSweepTable
 
 __all__ = ["FrontierPool"]
 
@@ -141,7 +144,7 @@ class _PoolView:
 
     Holds the flat point arrays plus every derived structure the
     allocation kernels need — step arrays, per-policy sorted consumption
-    orders with prefix sums, and the shifted key array behind
+    orders with prefix sums, and the per-node cap table behind
     :meth:`at_caps_indices`.  All derived pieces are computed lazily and
     cached; the owning pool throws the whole view away when membership
     changes.
@@ -158,9 +161,7 @@ class _PoolView:
         "_steps",
         "_orders",
         "_batches",
-        "_keys",
-        "_cap_max",
-        "_shift",
+        "_table",
     )
 
     def __init__(
@@ -189,9 +190,7 @@ class _PoolView:
         self._steps: tuple[np.ndarray, ...] | None = None
         self._orders: dict[str, tuple] = {}
         self._batches: dict[str, StepBatch] = {}
-        self._keys: np.ndarray | None = None
-        self._cap_max = 0.0
-        self._shift = 1.0
+        self._table: CapSweepTable | None = None
 
     @property
     def n_nodes(self) -> int:
@@ -309,31 +308,30 @@ class _PoolView:
     def at_caps_indices(self, caps_w: np.ndarray) -> np.ndarray:
         """Flat point index of the best operating point per node.
 
-        Vectorized equivalent of calling
-        :meth:`NodeFrontier.at_cap` once per node: one global
-        ``searchsorted`` over a shifted key array in which node ``i``'s
-        caps live in the band ``[i*shift, i*shift + cap_max]``.  Queries
-        below a node's floor clamp to the floor (a node cannot turn
-        off), exactly like the scalar fallback.
+        Vectorized equivalent of calling :meth:`NodeFrontier.at_cap`
+        once per node: one :class:`~repro.core.frontier.CapSweepTable`
+        lookup with a segment per node, whose thresholds are the node's
+        caps scaled by ``respects_cap``'s tolerance.  Queries below a
+        node's floor fall back to the floor (a node cannot turn off),
+        exactly like the scalar bisection.
         """
         if caps_w.shape != (self.n_nodes,):
             raise ValueError(
                 f"expected one cap per active node "
                 f"({self.n_nodes}), got shape {caps_w.shape}"
             )
-        if self._keys is None:
-            self._cap_max = float(self.caps.max()) if self.caps.size else 0.0
-            self._shift = max(1.0, self._cap_max * 1.001)
-            self._keys = self.caps + self._shift * self.point_node
-        thresh = caps_w * (1.0 + CAP_EPSILON)
+        if self._table is None:
+            self._table = CapSweepTable(
+                sorted_power_w=self.caps,
+                best_at=np.arange(self.caps.size),
+                offsets=self.offsets,
+                fallback_index=self.offsets[:-1],
+                cap_scale=np.full(self.n_nodes, 1.0 + CAP_EPSILON),
+            )
         # NaN caps behave like the scalar scan: nothing is feasible, so
-        # the floor wins.  Clip from above so huge budgets stay inside
-        # the node's key band.
-        thresh = np.where(np.isnan(thresh), -np.inf, thresh)
-        thresh = np.minimum(thresh, self._cap_max)
-        q = thresh + self._shift * np.arange(self.n_nodes)
-        idx = np.searchsorted(self._keys, q, side="right") - 1
-        return np.maximum(idx, self.offsets[:-1])
+        # the floor wins.
+        caps_w = np.where(np.isnan(caps_w), -np.inf, caps_w)
+        return self._table.lookup(caps_w, np.arange(self.n_nodes))[0]
 
 
 class FrontierPool:

@@ -40,7 +40,7 @@ from repro.core.features import (
     design_matrix,
     design_row,
 )
-from repro.core.frontier import FrontierPoint, ParetoFrontier
+from repro.core.frontier import CapSweepTable, FrontierPoint, ParetoFrontier
 from repro.core.io import load_model, model_from_json, model_to_json, save_model
 from repro.core.model import AdaptiveModel, train_model
 from repro.core.predictor import KernelPrediction, OnlinePredictor
@@ -51,7 +51,6 @@ from repro.core.regression import (
     fit_cluster_models,
 )
 from repro.core.scheduler import (
-    CapSweepTable,
     NoFeasibleConfigError,
     Scheduler,
     SchedulerDecision,

@@ -18,24 +18,30 @@ Construction is array-shaped: candidates are stable-lexsorted by
 (power, -performance) and swept with a running performance maximum —
 O(n log n) with the Python loop replaced by :func:`numpy.maximum.
 accumulate`.  The kept points' power levels are strictly increasing, so
-``best_under_cap``/``dominates`` bisect the stored power array, and a
-whole cap sweep is one :func:`numpy.searchsorted` call over
+``best_under_cap`` bisects the stored power array, and a whole cap
+sweep is one :func:`numpy.searchsorted` call over
 :attr:`ParetoFrontier.powers`.  :class:`FrontierPoint` objects are
 materialized lazily — hot paths (scheduling, node-frontier assembly)
 read the arrays and never build them.
+
+Many frontiers laid back to back answer their cap queries through one
+:class:`CapSweepTable`: the scheduler's per-prediction sweeps, the
+decision server's stacked tables and the fleet pool's per-node
+operating points all resolve "last threshold <= scaled cap, else the
+segment's fallback" with the same exact search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro.hardware.apu import Measurement
 from repro.hardware.config import Configuration
 
-__all__ = ["FrontierPoint", "ParetoFrontier"]
+__all__ = ["CapSweepTable", "FrontierPoint", "ParetoFrontier"]
 
 
 @dataclass(frozen=True)
@@ -65,35 +71,29 @@ class ParetoFrontier:
 
     __slots__ = ("_cfgs", "_powers", "_perfs", "_points")
 
-    def __init__(self, points: Iterable[FrontierPoint]) -> None:
-        pts = list(points)
-        self._init_from_arrays(
-            [p.config for p in pts],
-            np.array([p.power_w for p in pts], dtype=np.float64),
-            np.array([p.performance for p in pts], dtype=np.float64),
-            validate=False,  # FrontierPoint already validated positivity
-        )
-
-    def _init_from_arrays(
-        self,
+    @classmethod
+    def from_arrays(
+        cls,
         configs: Sequence[Configuration],
         powers: np.ndarray,
         perfs: np.ndarray,
-        *,
-        validate: bool,
-    ) -> None:
+    ) -> "ParetoFrontier":
+        """Derive a frontier from parallel arrays, one entry per
+        candidate configuration (:class:`FrontierPoint` objects are not
+        materialized)."""
+        powers = np.asarray(powers, dtype=np.float64)
+        perfs = np.asarray(perfs, dtype=np.float64)
         n = len(configs)
         if n == 0:
             raise ValueError("frontier needs at least one point")
         if powers.shape != (n,) or perfs.shape != (n,):
             raise ValueError("powers/performances must match configs in length")
-        if validate:
-            if np.any(powers <= 0):
-                bad = float(powers[powers <= 0][0])
-                raise ValueError(f"power_w={bad} must be positive")
-            if np.any(perfs <= 0):
-                bad = float(perfs[perfs <= 0][0])
-                raise ValueError(f"performance={bad} must be positive")
+        if np.any(powers <= 0):
+            bad = float(powers[powers <= 0][0])
+            raise ValueError(f"power_w={bad} must be positive")
+        if np.any(perfs <= 0):
+            bad = float(perfs[perfs <= 0][0])
+            raise ValueError(f"performance={bad} must be positive")
         # Stable sort by (power, -performance): identical ordering to
         # sorted(points, key=lambda p: (p.power_w, -p.performance)).
         order = np.lexsort((-perfs, powers))
@@ -106,31 +106,13 @@ class ParetoFrontier:
         if n > 1:
             keep[1:] = perfs[1:] > np.maximum.accumulate(perfs)[:-1]
         kept = np.flatnonzero(keep)
+        self = cls.__new__(cls)
         self._cfgs: tuple[Configuration, ...] = tuple(
             configs[order[i]] for i in kept
         )
         self._powers: np.ndarray = powers[kept]
         self._perfs: np.ndarray = perfs[kept]
         self._points: tuple[FrontierPoint, ...] | None = None
-
-    # -- constructors ----------------------------------------------------------
-
-    @classmethod
-    def from_arrays(
-        cls,
-        configs: Sequence[Configuration],
-        powers: np.ndarray,
-        perfs: np.ndarray,
-    ) -> "ParetoFrontier":
-        """Derive a frontier from parallel arrays without materializing
-        :class:`FrontierPoint` objects (the prediction hot path)."""
-        self = cls.__new__(cls)
-        self._init_from_arrays(
-            configs,
-            np.asarray(powers, dtype=np.float64),
-            np.asarray(perfs, dtype=np.float64),
-            validate=True,
-        )
         return self
 
     @staticmethod
@@ -140,19 +122,6 @@ class ParetoFrontier:
             [m.config for m in measurements],
             np.array([m.total_power_w for m in measurements], dtype=np.float64),
             np.array([m.performance for m in measurements], dtype=np.float64),
-        )
-
-    @staticmethod
-    def from_predictions(
-        predictions: Mapping[Configuration, tuple[float, float]],
-    ) -> "ParetoFrontier":
-        """Derive a frontier from ``{config: (power_w, performance)}``."""
-        cfgs = list(predictions)
-        pairs = list(predictions.values())
-        return ParetoFrontier.from_arrays(
-            cfgs,
-            np.array([pw for pw, _ in pairs], dtype=np.float64),
-            np.array([perf for _, perf in pairs], dtype=np.float64),
         )
 
     # -- container protocol -----------------------------------------------------
@@ -230,15 +199,107 @@ class ParetoFrontier:
             for c, pw, pf in zip(self._cfgs, self._powers, self._perfs)
         ]
 
-    def dominates(self, power_w: float, performance: float) -> bool:
-        """Whether some frontier point weakly dominates the given point
-        (no more power, at least the performance, better in one)."""
-        # Bisect to the last frontier point with power <= power_w; since
-        # performance is strictly increasing it is the only candidate:
-        # any earlier point has strictly less performance than it.
-        i = int(np.searchsorted(self._powers, power_w, side="right"))
-        if i == 0:
-            return False
-        pw = self._powers[i - 1]
-        pf = self._perfs[i - 1]
-        return pf > performance or (pf == performance and pw < power_w)
+
+@dataclass(frozen=True)
+class CapSweepTable:
+    """Precomputed cap-sweep answers, one CSR segment per frontier.
+
+    Each segment holds ascending thresholds; a cap resolves to the
+    answer at the segment's last threshold ``<= cap * cap_scale``, or to
+    the segment's fallback when none is.  :meth:`lookup` runs that
+    search for a whole vector of (cap, segment) pairs at once, with two
+    binary searches over exact integer keys.
+
+    Two layouts build tables.  :meth:`Scheduler.sweep_table
+    <repro.core.scheduler.Scheduler.sweep_table>` makes one segment per
+    prediction (and :meth:`stack` concatenates many for the decision
+    server); such a table bakes in the scheduler's goal, risk settings
+    and quarantine state at build time, so consumers holding stale
+    tables (see ``repro.server``'s snapshot swap) must rebuild after a
+    quarantine.  The fleet pool (:mod:`repro.cluster.pool`) makes one
+    segment per node, with the node's frontier caps as thresholds and
+    ``cap_scale = 1 + CAP_EPSILON``, the tolerance of
+    :func:`~repro.constants.respects_cap`.
+
+    Attributes
+    ----------
+    sorted_power_w:
+        Thresholds (watts), ascending (stable order) per segment.
+    best_at:
+        ``best_at[p]`` — the answer once the segment's thresholds up to
+        position ``p`` are admitted (a prediction index, or a flat
+        point index).
+    offsets:
+        Segment ``s`` holds positions ``offsets[s]:offsets[s + 1]``.
+    fallback_index, cap_scale:
+        Per segment: the answer when a cap admits nothing, and the
+        factor applied to a cap before the search.
+    """
+
+    sorted_power_w: np.ndarray
+    best_at: np.ndarray
+    offsets: np.ndarray
+    fallback_index: np.ndarray
+    cap_scale: np.ndarray
+
+    def __post_init__(self) -> None:
+        # Rank every threshold among the sorted unique thresholds U and
+        # key it segment * (|U| + 1) + rank + 1: keys ascend across the
+        # whole table, and a cap keyed segment * (|U| + 1) + #(U <= cap)
+        # lands after exactly the segment's thresholds <= cap (NaN sorts
+        # last in U, so it is never <= a cap, as in a plain search).
+        uniq = np.unique(self.sorted_power_w)
+        segment = np.repeat(
+            np.arange(self.offsets.size - 1), np.diff(self.offsets)
+        )
+        rank = np.searchsorted(uniq, self.sorted_power_w)
+        object.__setattr__(self, "_thresholds", uniq)
+        object.__setattr__(self, "_keys", segment * (uniq.size + 1) + rank + 1)
+
+    @classmethod
+    def stack(cls, tables: Sequence["CapSweepTable"]) -> "CapSweepTable":
+        """Concatenate tables into one, segments in argument order."""
+        if len(tables) == 1:
+            return tables[0]
+
+        def cat(name: str, dtype: type) -> np.ndarray:
+            parts = [getattr(t, name) for t in tables]
+            return np.concatenate(parts) if parts else np.empty(0, dtype)
+
+        sizes = [t.sorted_power_w.size for t in tables]
+        return cls(
+            sorted_power_w=cat("sorted_power_w", np.float64),
+            best_at=cat("best_at", np.intp),
+            offsets=np.concatenate(([0], np.cumsum(sizes, dtype=np.intp))),
+            fallback_index=cat("fallback_index", np.intp),
+            cap_scale=cat("cap_scale", np.float64),
+        )
+
+    def lookup(
+        self,
+        power_caps_w: Sequence[float] | np.ndarray,
+        segments: np.ndarray | int = 0,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Resolve caps, each in its segment, to ``(index, feasible)``
+        arrays: the answer (``best_at`` entry or fallback) per cap, and
+        whether any of the segment's thresholds admitted it.
+
+        ``found - start`` is exactly the count of the segment's
+        thresholds ``<= cap * cap_scale``, as one search per segment
+        would give; zero means no threshold meets the cap.  A NaN cap
+        admits every threshold, so callers that need "NaN admits
+        nothing" map it to ``-inf`` first.
+        """
+        caps = np.asarray(power_caps_w, dtype=np.float64)
+        seg = np.asarray(segments, dtype=np.intp)
+        uniq = self._thresholds
+        below = np.searchsorted(uniq, caps * self.cap_scale[seg], side="right")
+        found = np.searchsorted(
+            self._keys, seg * (uniq.size + 1) + below, side="right"
+        )
+        start = self.offsets[seg]
+        feasible = found > start
+        index = self.best_at[np.maximum(found - 1, start)]
+        if not feasible.all():
+            index = np.where(feasible, index, self.fallback_index[seg])
+        return index, feasible

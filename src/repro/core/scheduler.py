@@ -21,7 +21,8 @@ resolves with one :func:`numpy.searchsorted` lookup.  Ties break
 exactly as the historical scalar loop did: the earliest configuration
 in prediction order wins.
 
-The prefix scan itself is reified as a :class:`CapSweepTable`, which
+The prefix scan itself is reified as a
+:class:`~repro.core.frontier.CapSweepTable`, which
 :meth:`Scheduler.sweep_table` builds and :meth:`Scheduler.select_many`
 wraps.  Tables stack into one CSR table, so the decision server in
 :mod:`repro.server` answers a whole mixed batch with one lookup.
@@ -41,12 +42,12 @@ from typing import Literal, Sequence
 
 import numpy as np
 
+from repro.core.frontier import CapSweepTable
 from repro.core.predictor import KernelPrediction
 from repro.hardware.config import Configuration
 from repro.telemetry import counter, get_logger, log_event, trace_span
 
 __all__ = [
-    "CapSweepTable",
     "NoFeasibleConfigError",
     "Scheduler",
     "SchedulerDecision",
@@ -174,97 +175,6 @@ def _prefix_best(order: np.ndarray, scores: np.ndarray) -> np.ndarray:
         np.where(key == running, np.arange(n), 0)
     )
     return order[best_pos].astype(np.intp, copy=False)
-
-
-@dataclass(frozen=True)
-class CapSweepTable:
-    """Precomputed cap-sweep answers, one CSR segment per prediction.
-
-    :meth:`Scheduler.sweep_table` builds a one-segment table and
-    :meth:`stack` concatenates many; either way a cap vector resolves
-    with two binary searches.  Tables bake in the scheduler's goal, risk
-    settings and quarantine state at build time — consumers holding
-    stale tables (see ``repro.server``'s snapshot swap) must rebuild
-    after a quarantine.
-
-    Attributes
-    ----------
-    sorted_power_w:
-        Bounded predicted power, ascending (stable order) per segment.
-    best_at:
-        ``best_at[p]`` — prediction index of the winner among the
-        segment's lowest-power configurations up to position ``p``.
-    offsets:
-        Segment ``s`` holds positions ``offsets[s]:offsets[s + 1]``.
-    fallback_index, cap_scale:
-        Per segment: the lowest-bounded-power configuration, chosen
-        when a cap admits nothing, and ``1 - risk_margin``.
-    """
-
-    sorted_power_w: np.ndarray
-    best_at: np.ndarray
-    offsets: np.ndarray
-    fallback_index: np.ndarray
-    cap_scale: np.ndarray
-
-    def __post_init__(self) -> None:
-        # Rank every threshold among the sorted unique thresholds U and
-        # key it segment * (|U| + 1) + rank + 1: keys ascend across the
-        # whole table, and a cap keyed segment * (|U| + 1) + #(U <= cap)
-        # lands after exactly the segment's thresholds <= cap (NaN sorts
-        # last in U, so it is never <= a cap, as in a plain search).
-        uniq = np.unique(self.sorted_power_w)
-        segment = np.repeat(
-            np.arange(self.offsets.size - 1), np.diff(self.offsets)
-        )
-        rank = np.searchsorted(uniq, self.sorted_power_w)
-        object.__setattr__(self, "_thresholds", uniq)
-        object.__setattr__(self, "_keys", segment * (uniq.size + 1) + rank + 1)
-
-    @classmethod
-    def stack(cls, tables: Sequence["CapSweepTable"]) -> "CapSweepTable":
-        """Concatenate tables into one, segments in argument order."""
-        if len(tables) == 1:
-            return tables[0]
-
-        def cat(name: str, dtype: type) -> np.ndarray:
-            parts = [getattr(t, name) for t in tables]
-            return np.concatenate(parts) if parts else np.empty(0, dtype)
-
-        sizes = [t.sorted_power_w.size for t in tables]
-        return cls(
-            sorted_power_w=cat("sorted_power_w", np.float64),
-            best_at=cat("best_at", np.intp),
-            offsets=np.concatenate(([0], np.cumsum(sizes, dtype=np.intp))),
-            fallback_index=cat("fallback_index", np.intp),
-            cap_scale=cat("cap_scale", np.float64),
-        )
-
-    def lookup(
-        self,
-        power_caps_w: Sequence[float] | np.ndarray,
-        segments: np.ndarray | int = 0,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Resolve caps, each in its segment, to ``(config_index,
-        predicted_feasible)`` arrays.
-
-        ``found - start`` is exactly the count of the segment's
-        thresholds ``<= cap * cap_scale``, as one search per segment
-        would give; zero means no configuration meets the cap.
-        """
-        caps = np.asarray(power_caps_w, dtype=np.float64)
-        seg = np.asarray(segments, dtype=np.intp)
-        uniq = self._thresholds
-        below = np.searchsorted(uniq, caps * self.cap_scale[seg], side="right")
-        found = np.searchsorted(
-            self._keys, seg * (uniq.size + 1) + below, side="right"
-        )
-        start = self.offsets[seg]
-        feasible = found > start
-        index = self.best_at[np.maximum(found - 1, start)]
-        if not feasible.all():
-            index = np.where(feasible, index, self.fallback_index[seg])
-        return index, feasible
 
 
 class Scheduler:

@@ -307,6 +307,7 @@ class BackendDescriptor:
         """A fresh configuration space over :meth:`enumerate_configs`."""
         return BlockConfigSpace(self)
 
+    @functools.cache
     def sample_configs(self) -> tuple[Configuration, Configuration]:
         """The two online sample configurations, primary first: each
         block fully powered, matching the paper's "common execution

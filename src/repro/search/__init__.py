@@ -12,7 +12,6 @@ discovered frontier into the scheduler/cluster/server stack
 """
 
 from repro.search.adapters import (
-    archive_to_node_frontier,
     archive_to_prediction,
     pool_from_archives,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "SearchResult",
     "SpaceTooLargeError",
     "ValidationReport",
-    "archive_to_node_frontier",
     "archive_to_prediction",
     "backend_space",
     "demo_space",

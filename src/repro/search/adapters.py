@@ -1,8 +1,10 @@
 """Adapters: discovered archives into the online/cluster/server stack.
 
-A search archive already speaks the :class:`~repro.core.frontier.
-ParetoFrontier` query language; these helpers package it into the
-*owner* types of each layer so discovered frontiers are drop-in:
+A search archive's ``powers`` / ``performances`` arrays are strictly
+increasing, like a :class:`~repro.core.frontier.ParetoFrontier`'s (and
+:meth:`~repro.search.archive.EpsilonArchive.to_frontier` makes it one);
+these helpers package them into the *owner* types of each layer so
+discovered frontiers are drop-in:
 
 * :func:`archive_to_prediction` — a real :class:`~repro.core.predictor.
   KernelPrediction` (array-backed, with conservative synthetic sample
@@ -10,21 +12,19 @@ ParetoFrontier` query language; these helpers package it into the
   ``select`` / ``select_many`` / ``sweep_table`` and publishable into a
   :class:`~repro.server.service.DecisionService` via
   ``publish_predictions``;
-* :func:`archive_to_node_frontier` — a :class:`~repro.cluster.node.
-  NodeFrontier` whose operating points are the archive's, for
-  :class:`~repro.cluster.pool.FrontierPool.from_frontiers` and the
-  fleet allocators;
-* :func:`pool_from_archives` — the one-call version for a whole fleet.
+* :func:`pool_from_archives` — a :class:`~repro.cluster.pool.
+  FrontierPool` with one node per archive, for the fleet allocators.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
+import numpy as np
+
 from repro.search.archive import EpsilonArchive
 
 __all__ = [
-    "archive_to_node_frontier",
     "archive_to_prediction",
     "pool_from_archives",
 ]
@@ -63,33 +63,25 @@ def archive_to_prediction(
     )
 
 
-def archive_to_node_frontier(archive: EpsilonArchive) -> "NodeFrontier":
-    """Package an archive as a node rate-vs-cap frontier.
+def pool_from_archives(
+    archives: Mapping[str, EpsilonArchive],
+) -> "FrontierPool":
+    """A fleet frontier pool with one node per named archive.
 
     Each archived point becomes an operating point whose cap and
     expected power are its power level — the same identification the
     per-kernel frontier uses when a node runs one kernel steady-state.
+    Archives are strictly increasing in both power and rate, so their
+    arrays are already valid node segments.
     """
-    from repro.cluster.node import NodeFrontier, NodeFrontierPoint
-
-    if not len(archive):
-        raise ValueError("archive is empty")
-    return NodeFrontier(
-        [
-            NodeFrontierPoint(
-                cap_w=float(pw), expected_power_w=float(pw), rate=float(rt)
-            )
-            for pw, rt in zip(archive.powers, archive.performances)
-        ]
-    )
-
-
-def pool_from_archives(
-    archives: Mapping[str, EpsilonArchive],
-) -> "FrontierPool":
-    """A fleet frontier pool with one node per named archive."""
     from repro.cluster.pool import FrontierPool
 
-    return FrontierPool.from_frontiers(
-        {name: archive_to_node_frontier(a) for name, a in archives.items()}
+    parts = list(archives.values())
+    caps = np.concatenate([np.empty(0)] + [a.powers for a in parts])
+    return FrontierPool(
+        list(archives),
+        caps,
+        np.concatenate([np.empty(0)] + [a.performances for a in parts]),
+        caps,
+        np.cumsum([0] + [len(a) for a in parts]),
     )

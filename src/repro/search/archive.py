@@ -3,11 +3,10 @@
 The archive is the search engine's answer store: every genome the
 engine ever evaluates streams through :meth:`EpsilonArchive.insert`,
 and what survives is a bounded, non-dominated approximation of the
-space's Pareto frontier that speaks the same query language as
-:class:`~repro.core.frontier.ParetoFrontier` (``best_under_cap``,
-``indices_under_caps``, ``powers`` / ``performances`` arrays with the
-same strictly-increasing invariants), so schedulers and adapters can
-consume it unchanged.
+space's Pareto frontier.  Its ``powers`` / ``performances`` arrays keep
+:class:`~repro.core.frontier.ParetoFrontier`'s strictly-increasing
+invariants, so adapters pack them straight into the other layers'
+types; cap queries go through :meth:`EpsilonArchive.to_frontier`.
 
 ε-dominance (Laumanns et al.): objective space is cut into geometric
 boxes of width ``(1+ε)`` — box index ``floor(ln v / ln(1+ε))`` per
@@ -122,7 +121,7 @@ class EpsilonArchive:
         self._rates = np.ascontiguousarray(rt[kept])
         return len(kept)
 
-    # -- invariant views (ParetoFrontier-compatible surface) -------------------
+    # -- invariant views -------------------------------------------------------
 
     def __len__(self) -> int:
         return len(self._powers)
@@ -141,37 +140,6 @@ class EpsilonArchive:
     def performances(self) -> np.ndarray:
         """Archived rates, strictly increasing (with powers)."""
         return self._rates
-
-    @property
-    def max_performance(self) -> float:
-        return float(self._rates[-1])
-
-    @property
-    def min_power_w(self) -> float:
-        return float(self._powers[0])
-
-    def best_under_cap(self, power_cap_w: float):
-        """Highest-rate archived point with power <= the cap, as a
-        :class:`~repro.core.frontier.FrontierPoint` (config payload
-        decoded from the genome), or ``None`` if infeasible."""
-        from repro.core.frontier import FrontierPoint
-
-        i = int(np.searchsorted(self._powers, power_cap_w, side="right"))
-        if i == 0:
-            return None
-        payload = self.space.payloads(self._genomes[i - 1 : i])[0]
-        return FrontierPoint(
-            config=payload,
-            power_w=float(self._powers[i - 1]),
-            performance=float(self._rates[i - 1]),
-        )
-
-    def indices_under_caps(self, caps: np.ndarray) -> np.ndarray:
-        """Vectorized cap sweep; ``-1`` where even the cheapest archived
-        point exceeds the cap (same contract as ``ParetoFrontier``)."""
-        return (
-            np.searchsorted(self._powers, np.asarray(caps), side="right") - 1
-        )
 
     # -- exports ---------------------------------------------------------------
 

@@ -1,7 +1,7 @@
 """Lazily-described combinatorial configuration spaces.
 
 Every layer built before this one — :class:`~repro.core.frontier.
-ParetoFrontier`, :class:`~repro.core.scheduler.CapSweepTable`,
+ParetoFrontier`, :class:`~repro.core.frontier.CapSweepTable`,
 :class:`~repro.cluster.pool.FrontierPool` — assumes the configuration
 space is small enough to materialize and evaluate exhaustively (the
 paper's Trinity space: 42 points).  Production spaces are combinatorial:

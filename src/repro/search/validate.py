@@ -70,12 +70,13 @@ def validate_against_exact(
     ratio = hv_archive / hv_exact if hv_exact > 0 else 0.0
 
     sweep = exact.powers if caps is None else np.asarray(caps, dtype=np.float64)
-    e_idx = exact.indices_under_caps(sweep)
-    a_idx = archive.indices_under_caps(sweep)
-    e_rates = np.where(e_idx >= 0, exact.performances[np.maximum(e_idx, 0)], 0.0)
-    a_rates = np.where(
-        a_idx >= 0, archive.performances[np.maximum(a_idx, 0)], 0.0
-    )
+
+    def rates_under(frontier) -> np.ndarray:
+        idx = frontier.indices_under_caps(sweep)
+        return np.where(idx >= 0, frontier.performances[np.maximum(idx, 0)], 0.0)
+
+    e_rates = rates_under(exact)
+    a_rates = rates_under(archive.to_frontier())
     # Regret only where the exact frontier is feasible at all; an
     # archive that misses a feasible cap entirely scores full regret.
     feasible = e_rates > 0

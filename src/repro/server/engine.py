@@ -2,7 +2,7 @@
 
 :func:`decide_batch` is the single selection path for heterogeneous
 ``(kernel, cap)`` request batches.  A :class:`DecisionIndex` stacks the
-kernels' :class:`~repro.core.scheduler.CapSweepTable` segments into one
+kernels' :class:`~repro.core.frontier.CapSweepTable` segments into one
 table, so a batch of any size and kernel mix costs the same fixed
 sequence of array operations: encode uids to segments, one segmented
 lookup, one gather of the predicted power/performance, returned as a
@@ -30,8 +30,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from repro.core.frontier import CapSweepTable
 from repro.core.predictor import KernelPrediction
-from repro.core.scheduler import CapSweepTable, Scheduler, SchedulerDecision
+from repro.core.scheduler import Scheduler, SchedulerDecision
 from repro.core.scheduler import require_positive_caps
 from repro.hardware.config import Configuration
 from repro.telemetry import counter, trace_span

@@ -3,7 +3,7 @@
 :class:`DecisionService` owns the shared read-only state of a serving
 process — the trained :class:`~repro.core.model.AdaptiveModel`, the
 per-kernel whole-space predictions, the memoized
-:class:`~repro.core.scheduler.CapSweepTable` per kernel and their
+:class:`~repro.core.frontier.CapSweepTable` per kernel and their
 stacked :class:`~repro.server.engine.DecisionIndex` — published
 atomically as an :class:`EngineSnapshot`.  Writers (warming a new
 kernel, quarantining a configuration) copy, extend, and swap the
@@ -29,9 +29,10 @@ from itertools import compress, repeat
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
+from repro.core.frontier import CapSweepTable
 from repro.core.model import AdaptiveModel
 from repro.core.predictor import KernelPrediction, OnlinePredictor
-from repro.core.scheduler import CapSweepTable, NoFeasibleConfigError, Scheduler
+from repro.core.scheduler import NoFeasibleConfigError, Scheduler
 from repro.faults import SampleRunError
 from repro.hardware.apu import TrinityAPU
 from repro.hardware.config import Configuration

@@ -14,7 +14,18 @@ from typing import Mapping
 from repro.cluster.allocation import _check_budget
 from repro.cluster.node import NodeFrontier
 
-__all__ = ["greedy_marginal_allocation_reference", "maxmin_allocation_reference"]
+__all__ = [
+    "frontier_steps",
+    "greedy_marginal_allocation_reference",
+    "maxmin_allocation_reference",
+]
+
+
+def frontier_steps(frontier: NodeFrontier) -> list[tuple[float, float, float]]:
+    """Successive frontier increments as ``(extra_power_w, extra_rate,
+    cap_w)`` triples — the allocator's marginal menu."""
+    pts = frontier.points
+    return [(b.cap_w - a.cap_w, b.rate - a.rate, b.cap_w) for a, b in zip(pts, pts[1:])]
 
 
 def greedy_marginal_allocation_reference(
@@ -32,7 +43,7 @@ def greedy_marginal_allocation_reference(
     # best-marginal order via a heap.  Steps within one node must be
     # taken in order (caps only grow), which the per-node cursor
     # guarantees.
-    step_lists = {name: f.steps() for name, f in frontiers.items()}
+    step_lists = {name: frontier_steps(f) for name, f in frontiers.items()}
     cursors = {name: 0 for name in frontiers}
     heap: list[tuple[float, str]] = []
 
@@ -77,7 +88,7 @@ def maxmin_allocation_reference(
         scale = budget_w / spent
         return {name: cap * scale for name, cap in caps.items()}
 
-    step_lists = {name: f.steps() for name, f in frontiers.items()}
+    step_lists = {name: frontier_steps(f) for name, f in frontiers.items()}
     cursors = {name: 0 for name in frontiers}
     rates = {name: f.points[0].rate for name, f in frontiers.items()}
     remaining = budget_w - spent

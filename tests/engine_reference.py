@@ -7,7 +7,7 @@ with its own table's binary search, scatter the answers back into
 request order — as the oracle the engine must reproduce element for
 element.  :func:`reference_lookup` is the one-table search itself,
 written against the table's arrays so it shares no code with
-:meth:`repro.core.scheduler.CapSweepTable.lookup`.
+:meth:`repro.core.frontier.CapSweepTable.lookup`.
 """
 
 from __future__ import annotations

@@ -190,6 +190,17 @@ class TestDescriptorDispatch:
         assert cpu_sample in configs and gpu_sample in configs
         assert not cpu_sample.is_gpu and gpu_sample.is_gpu
 
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_sample_configs_cached_last_row_of_each_block(self, name):
+        descriptor = descriptor_for(name)
+        first = descriptor.sample_configs()
+        assert descriptor.sample_configs() is first
+        space = descriptor.enumerate_configs()
+        assert first == (
+            [c for c in space if not c.is_gpu][-1],
+            [c for c in space if c.is_gpu][-1],
+        )
+
     def test_trinity_configspace_exposes_its_descriptor(self):
         space = TRINITY_DESCRIPTOR.config_space()
         assert space.descriptor is descriptor_for("trinity")

@@ -6,6 +6,7 @@ import pytest
 from repro.cluster import (
     ClusterNode,
     ClusterPowerManager,
+    FrontierPool,
     NodeFrontier,
     NodeFrontierPoint,
     allocation_summary,
@@ -69,11 +70,15 @@ class TestNodeFrontier:
         assert f.at_cap(5.0).rate == 1.0  # floor: node cannot power off
 
     def test_steps(self):
+        # The allocator's marginal menu is the pool view's step arrays.
         f = _frontier([(10.0, 9.0, 1.0), (20.0, 19.0, 2.0)])
-        ((dp, dr, cap),) = f.steps()
-        assert dp == pytest.approx(10.0)
-        assert dr == pytest.approx(1.0)
-        assert cap == pytest.approx(20.0)
+        view = FrontierPool.from_frontiers({"n": f}).view()
+        node, dp, dr, pre_rate, rank = view.steps()
+        assert node.tolist() == [0] and rank.tolist() == [0]
+        assert dp.tolist() == [pytest.approx(10.0)]
+        assert dr.tolist() == [pytest.approx(1.0)]
+        assert pre_rate.tolist() == [1.0]
+        assert view.caps.tolist() == [10.0, 20.0]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -19,6 +19,7 @@ from repro.cluster import (
     pool_allocation_summary,
     uniform_allocation,
 )
+from repro.constants import CAP_EPSILON
 from tests.allocation_reference import (
     greedy_marginal_allocation_reference,
     maxmin_allocation_reference,
@@ -134,6 +135,62 @@ class TestFrontierPool:
             assert point_caps[i] == p.cap_w
             assert powers[i] == p.expected_power_w
             assert rates[i] == p.rate
+
+    def test_at_caps_one_ulp_under_a_threshold_beside_a_huge_node(self):
+        # Regression: the pool once keyed node i's caps as cap + i * band
+        # in floats, with the band sized by the largest cap in the pool.
+        # Beside node a's 1 MW point that sum rounds, and a cap one ulp
+        # under b's 16 W threshold picked b's 16 W point.
+        fr = {
+            "a": _frontier([(10.0, 10.0, 1.0), (1e6, 1e6, 2.0)]),
+            "b": _frontier([(10.0, 10.0, 1.0), (16.0, 16.0, 2.0)]),
+        }
+        pool = FrontierPool.from_frontiers(fr)
+        cap = np.nextafter(16.0 / (1.0 + CAP_EPSILON), 0.0)
+        assert cap == 15.999999983999997
+        point_caps, _, _ = pool.at_caps(np.array([20.0, cap]))
+        assert fr["b"].at_cap(cap).cap_w == 10.0
+        assert point_caps.tolist() == [10.0, 10.0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(frontier_dicts(), st.floats(1e5, 1e7), st.data())
+    def test_property_at_caps_matches_at_cap_near_thresholds(
+        self, fr, top_w, data
+    ):
+        # One node reaches at least 1e5 W, so caps near every other
+        # node's thresholds sit far below the pool's largest cap.
+        stretched = data.draw(st.sampled_from(sorted(fr)))
+        last = fr[stretched].points[-1]
+        fr[stretched] = NodeFrontier(
+            list(fr[stretched].points)
+            + [NodeFrontierPoint(top_w, top_w * 0.95, last.rate + 1.0)]
+        )
+        pool = FrontierPool.from_frontiers(fr)
+        names = pool.active_names()
+        # Each point's threshold under respects_cap, and one ulp either side.
+        queries = sorted(
+            {
+                float(q)
+                for f in fr.values()
+                for p in f
+                for t in [p.cap_w / (1.0 + CAP_EPSILON)]
+                for q in (np.nextafter(t, -np.inf), t, np.nextafter(t, np.inf))
+            }
+        )
+        mixed = data.draw(
+            st.lists(
+                st.sampled_from(queries), min_size=len(names), max_size=len(names)
+            )
+        )
+        for caps in [[q] * len(names) for q in queries] + [mixed]:
+            got = pool.at_caps(np.array(caps))
+            for i, (name, cap) in enumerate(zip(names, caps)):
+                p = fr[name].at_cap(cap)
+                assert (got[0][i], got[1][i], got[2][i]) == (
+                    p.cap_w,
+                    p.expected_power_w,
+                    p.rate,
+                ), (name, cap)
 
     def test_membership_cycle(self):
         pool = FrontierPool.from_frontiers(_two_frontiers())

@@ -9,16 +9,13 @@ from repro.core import (
     dissimilarity_matrix,
     frontier_dissimilarity,
 )
-from repro.core.frontier import FrontierPoint
 from repro.hardware import NoiseModel, TrinityAPU
 from repro.workloads import build_suite
 
 
 def _frontier(points):
     """points: list of (config, power, perf)."""
-    return ParetoFrontier(
-        FrontierPoint(config=c, power_w=pw, performance=pf) for c, pw, pf in points
-    )
+    return ParetoFrontier.from_arrays(*zip(*points))
 
 
 @pytest.fixture(scope="module")

@@ -18,6 +18,15 @@ def _point(power, perf, cfg=None):
     )
 
 
+def _frontier(points):
+    """A frontier over FrontierPoint-shaped candidates."""
+    return ParetoFrontier.from_arrays(
+        [p.config for p in points],
+        [p.power_w for p in points],
+        [p.performance for p in points],
+    )
+
+
 def _configs(n):
     """n distinct configurations."""
     space = list(TrinityAPU().config_space)
@@ -31,21 +40,21 @@ def test_dominated_points_removed():
         _point(12.0, 0.5, cfgs[1]),  # dominated: more power, less perf
         _point(15.0, 2.0, cfgs[2]),
     ]
-    f = ParetoFrontier(pts)
+    f = _frontier(pts)
     assert len(f) == 2
     assert f[0].power_w == 10.0 and f[1].power_w == 15.0
 
 
 def test_equal_perf_higher_power_dominated():
     cfgs = _configs(2)
-    f = ParetoFrontier([_point(10.0, 1.0, cfgs[0]), _point(12.0, 1.0, cfgs[1])])
+    f = _frontier([_point(10.0, 1.0, cfgs[0]), _point(12.0, 1.0, cfgs[1])])
     assert len(f) == 1
     assert f[0].power_w == 10.0
 
 
 def test_equal_power_keeps_best_perf():
     cfgs = _configs(2)
-    f = ParetoFrontier([_point(10.0, 1.0, cfgs[0]), _point(10.0, 2.0, cfgs[1])])
+    f = _frontier([_point(10.0, 1.0, cfgs[0]), _point(10.0, 2.0, cfgs[1])])
     assert len(f) == 1
     assert f[0].performance == 2.0
 
@@ -63,7 +72,7 @@ def test_frontier_sorted_and_strictly_increasing():
 
 def test_best_under_cap():
     cfgs = _configs(3)
-    f = ParetoFrontier(
+    f = _frontier(
         [_point(10.0, 1.0, cfgs[0]), _point(20.0, 2.0, cfgs[1]),
          _point(30.0, 3.0, cfgs[2])]
     )
@@ -75,23 +84,15 @@ def test_best_under_cap():
 
 def test_normalized_presentation():
     cfgs = _configs(2)
-    f = ParetoFrontier([_point(10.0, 2.0, cfgs[0]), _point(20.0, 4.0, cfgs[1])])
+    f = _frontier([_point(10.0, 2.0, cfgs[0]), _point(20.0, 4.0, cfgs[1])])
     norm = f.normalized()
     assert norm[0][2] == pytest.approx(0.5)
     assert norm[-1][2] == pytest.approx(1.0)
 
 
-def test_dominates_query():
-    cfgs = _configs(2)
-    f = ParetoFrontier([_point(10.0, 1.0, cfgs[0]), _point(20.0, 2.0, cfgs[1])])
-    assert f.dominates(15.0, 0.5)  # (10, 1.0) dominates it
-    assert not f.dominates(9.0, 0.9)  # cheaper than any frontier point
-    assert not f.dominates(10.0, 1.0)  # equal to a frontier point, not dominated
-
-
 def test_empty_frontier_rejected():
-    with pytest.raises(ValueError):
-        ParetoFrontier([])
+    with pytest.raises(ValueError, match="at least one"):
+        ParetoFrontier.from_arrays([], np.empty(0), np.empty(0))
 
 
 def test_invalid_point_rejected():
@@ -99,22 +100,40 @@ def test_invalid_point_rejected():
         _point(0.0, 1.0)
     with pytest.raises(ValueError):
         _point(1.0, -1.0)
+    cfgs = _configs(2)
+    with pytest.raises(ValueError, match="power_w=0.0"):
+        ParetoFrontier.from_arrays(cfgs, [10.0, 0.0], [1.0, 2.0])
+    with pytest.raises(ValueError, match="performance=-1.0"):
+        ParetoFrontier.from_arrays(cfgs, [10.0, 20.0], [1.0, -1.0])
 
 
 def test_properties():
     cfgs = _configs(2)
-    f = ParetoFrontier([_point(10.0, 1.0, cfgs[0]), _point(20.0, 2.0, cfgs[1])])
+    f = _frontier([_point(10.0, 1.0, cfgs[0]), _point(20.0, 2.0, cfgs[1])])
     assert f.min_power_w == 10.0
     assert f.max_performance == 2.0
     assert f.configs() == [cfgs[0], cfgs[1]]
 
 
 def test_from_predictions():
+    # A prediction's frontier drops the dominated configurations.
+    from repro.core import KernelPrediction
+    from repro.faults import conservative_measurement
+
     cfgs = _configs(3)
-    f = ParetoFrontier.from_predictions(
-        {cfgs[0]: (10.0, 1.0), cfgs[1]: (20.0, 0.5), cfgs[2]: (15.0, 2.0)}
+    prediction = KernelPrediction.from_arrays(
+        kernel_uid="k",
+        cluster=0,
+        configs=tuple(cfgs),
+        index={c: i for i, c in enumerate(cfgs)},
+        power_w=np.array([10.0, 20.0, 15.0]),
+        performance=np.array([1.0, 0.5, 2.0]),
+        cpu_sample=conservative_measurement(cfgs[0]),
+        gpu_sample=conservative_measurement(cfgs[1]),
     )
+    f = prediction.predicted_frontier()
     assert len(f) == 2  # cfgs[1] dominated by cfgs[2]
+    assert f.configs() == [cfgs[0], cfgs[2]]
 
 
 @settings(max_examples=60, deadline=None)
@@ -133,7 +152,7 @@ def test_property_frontier_invariants(raw):
     pts = [
         _point(pw, pf, space[i % len(space)]) for i, (pw, pf) in enumerate(raw)
     ]
-    f = ParetoFrontier(pts)
+    f = _frontier(pts)
     powers = [p.power_w for p in f]
     perfs = [p.performance for p in f]
     # Invariant 1: sorted by power, strictly increasing performance.
@@ -167,7 +186,7 @@ class TestTieHandling:
         a = _point(10.0, 1.0, cfgs[0])
         b = _point(10.0, 2.0, cfgs[1])
         for pts in ([a, b], [b, a]):
-            f = ParetoFrontier(pts)
+            f = _frontier(pts)
             assert len(f) == 1
             assert f[0].performance == 2.0
             assert f[0].config == cfgs[1]
@@ -177,7 +196,7 @@ class TestTieHandling:
         a = _point(10.0, 1.0, cfgs[0])
         b = _point(12.0, 1.0, cfgs[1])
         for pts in ([a, b], [b, a]):
-            f = ParetoFrontier(pts)
+            f = _frontier(pts)
             assert len(f) == 1
             assert f[0].power_w == 10.0
             assert f[0].config == cfgs[0]
@@ -186,10 +205,10 @@ class TestTieHandling:
         cfgs = _configs(2)
         a = _point(10.0, 1.0, cfgs[0])
         b = _point(10.0, 1.0, cfgs[1])
-        f = ParetoFrontier([a, b])
+        f = _frontier([a, b])
         assert len(f) == 1
         assert f[0].config == cfgs[0]  # stable sort: first input wins
-        g = ParetoFrontier([b, a])
+        g = _frontier([b, a])
         assert g[0].config == cfgs[1]
 
     def test_three_way_tie_column(self):
@@ -199,23 +218,6 @@ class TestTieHandling:
             _point(10.0, 3.0, cfgs[1]),
             _point(10.0, 2.0, cfgs[2]),
         ]
-        f = ParetoFrontier(pts)
+        f = _frontier(pts)
         assert len(f) == 1
         assert f[0].performance == 3.0
-
-    def test_from_arrays_tie_handling_matches_point_path(self):
-        cfgs = _configs(4)
-        powers = np.array([10.0, 10.0, 12.0, 12.0])
-        perfs = np.array([1.0, 2.0, 2.0, 3.0])
-        via_arrays = ParetoFrontier.from_arrays(cfgs, powers, perfs)
-        via_points = ParetoFrontier(
-            [
-                _point(pw, pf, c)
-                for c, pw, pf in zip(cfgs, powers, perfs)
-            ]
-        )
-        assert np.array_equal(via_arrays.powers, via_points.powers)
-        assert np.array_equal(via_arrays.performances, via_points.performances)
-        assert via_arrays.configs() == via_points.configs()
-        assert [p.power_w for p in via_arrays] == [10.0, 12.0]
-        assert [p.performance for p in via_arrays] == [2.0, 3.0]

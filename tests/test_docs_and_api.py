@@ -173,12 +173,7 @@ class TestDocIntegrity:
             paths.add(match)
         return paths
 
-    @pytest.mark.parametrize(
-        "doc",
-        ["README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/PAPER_MAPPING.md",
-         "docs/ARCHITECTURE.md", "docs/OBSERVABILITY.md", "docs/CLUSTER.md",
-         "docs/SERVER.md", "examples/README.md"],
-    )
+    @pytest.mark.parametrize("doc", DOCS)
     def test_referenced_files_exist(self, doc):
         doc_path = REPO / doc
         text = doc_path.read_text(encoding="utf-8")

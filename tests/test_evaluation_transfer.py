@@ -155,6 +155,53 @@ class TestRunTransfer:
             assert p.top_config_share_pct > 90.0, p.k
         assert r.native.top_config != label
 
+    def test_biglittle_compliance_is_the_cpu_sample_compliance(self):
+        # Pins the trinity -> big.LITTLE anomaly: the transplanted model
+        # predicts the CPU sample configuration as the lowest-power one
+        # for every kernel, and zero-shot compliance equals the share of
+        # oracle caps that the CPU sample's true power respects.  A fix
+        # for the transplanted slope must change this test on purpose.
+        import numpy as np
+
+        from repro.constants import respects_cap
+        from repro.core import AdaptiveModel
+        from repro.evaluation.transfer import _transplant
+        from repro.methods import Oracle
+        from repro.profiling import CharacterizationStore
+
+        r = run_transfer("trinity", "biglittle", ks=(0,), seed=0)
+        kernels = list(build_suite())
+        source = create_backend("trinity", seed=0)
+        target = create_backend("biglittle", seed=0)
+        store_a = CharacterizationStore.shared(kernels, seed=0, backend="trinity")
+        store_b = CharacterizationStore.shared(
+            kernels, seed=0, backend="biglittle"
+        )
+        model = _transplant(
+            AdaptiveModel.train(
+                store_a.characterize(kernels), config_space=source.config_space
+            ),
+            target.config_space,
+        )
+        cpu_sample, _ = target.descriptor.sample_configs()
+        assert cpu_sample.label() == "little 1.60GHz x4"
+        oracle = Oracle(target)
+        under = cases = 0
+        for kernel in kernels:
+            chars = store_b.characterization(kernel)
+            pred = model.predict_kernel(
+                chars.cpu_sample, chars.gpu_sample, kernel_uid=kernel.uid
+            )
+            assert pred.config_at(int(np.argmin(pred.power_array))) == cpu_sample
+            power = target.true_total_power_w(kernel, cpu_sample)
+            for cap in oracle.caps_for(kernel):
+                cases += 1
+                under += respects_cap(power, cap)
+        assert len(kernels) == 65
+        assert (under, cases) == (388, 1357)
+        assert r.transferred[0].n_cases == cases
+        assert r.transferred[0].pct_under_limit == 100.0 * under / cases
+
     def test_deterministic_given_seed(self, small_suite):
         a = run_transfer("trinity", "mpsoc", ks=(0, 1), seed=3, suite=small_suite)
         b = run_transfer("trinity", "mpsoc", ks=(0, 1), seed=3, suite=small_suite)

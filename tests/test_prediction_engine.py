@@ -5,7 +5,7 @@ the argsort/running-max :class:`~repro.core.frontier.ParetoFrontier`,
 and :meth:`Scheduler.select_many` — replaced per-``Configuration`` dict
 loops.  These tests pin the new code to the legacy scalar semantics:
 same frontier points in the same order under ties, same
-``best_under_cap``/``dominates`` answers, and decisions identical to
+``best_under_cap`` answers, and decisions identical to
 per-cap :meth:`Scheduler.select` across the paper's fig5/fig6 cap
 sweep, including the risk-averse branch.  The reference implementations
 below are verbatim ports of the pre-vectorization code.
@@ -45,17 +45,6 @@ def _legacy_frontier(points):
             frontier.append(p)
             best_perf = p[2]
     return frontier
-
-
-def _legacy_dominates(frontier_points, power_w, performance):
-    """The legacy linear scan replaced by the bisect in
-    :meth:`ParetoFrontier.dominates`."""
-    for _, pw, perf in frontier_points:
-        if pw > power_w:
-            break
-        if perf >= performance and (pw < power_w or perf > performance):
-            return True
-    return False
 
 
 def _legacy_select(
@@ -128,9 +117,7 @@ class TestFrontierMatchesLegacyLoop:
     @settings(max_examples=300, deadline=None)
     def test_same_points_same_order_same_ties(self, points):
         expected = _legacy_frontier(points)
-        frontier = ParetoFrontier.from_predictions(
-            {cfg: (pw, perf) for cfg, pw, perf in points}
-        )
+        frontier = ParetoFrontier.from_arrays(*zip(*points))
         got = [(p.config, p.power_w, p.performance) for p in frontier]
         assert got == expected
 
@@ -145,29 +132,12 @@ class TestFrontierMatchesLegacyLoop:
                 legacy_best = p
             else:
                 break
-        frontier = ParetoFrontier.from_predictions(
-            {cfg: (pw, perf) for cfg, pw, perf in points}
-        )
+        frontier = ParetoFrontier.from_arrays(*zip(*points))
         best = frontier.best_under_cap(cap)
         if legacy_best is None:
             assert best is None
         else:
             assert (best.config, best.power_w, best.performance) == legacy_best
-
-    @given(
-        points=frontier_points(),
-        q_power=st.integers(1, 13),
-        q_perf=st.integers(1, 13),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_dominates_matches_legacy_scan(self, points, q_power, q_perf):
-        power_w = q_power * 5.5
-        performance = q_perf * 0.25
-        frontier = ParetoFrontier.from_predictions(
-            {cfg: (pw, perf) for cfg, pw, perf in points}
-        )
-        expected = _legacy_dominates(_legacy_frontier(points), power_w, performance)
-        assert frontier.dominates(power_w, performance) == expected
 
 
 # -- scheduler equivalence over the fig5/fig6 sweep ---------------------------

@@ -23,6 +23,7 @@ from repro.core import KernelPrediction, Scheduler
 from repro.evaluation import CapEvaluation, summarize
 from repro.hardware import Measurement
 from repro.hardware.backend import TRINITY_DESCRIPTOR
+from tests.allocation_reference import frontier_steps
 
 _SPACE = list(TRINITY_DESCRIPTOR.config_space())
 
@@ -276,7 +277,7 @@ def test_greedy_within_one_step_of_uniform_on_concave_frontiers(
     if not floors_ok:
         return
     max_step_gain = max(
-        (dr for f in frontiers.values() for _, dr, _ in f.steps()),
+        (dr for f in frontiers.values() for _, dr, _ in frontier_steps(f)),
         default=0.0,
     )
     assert total_rate(greedy) >= total_rate(uniform) - max_step_gain - 1e-9

@@ -19,7 +19,6 @@ from repro.core import (
     frontier_dissimilarity,
     train_model,
 )
-from repro.core.frontier import FrontierPoint
 from repro.hardware import (
     FrequencyLimiter,
     NoiseModel,
@@ -147,9 +146,7 @@ class TestPathologicalKernels:
 
     def test_single_point_frontier_dissimilarity(self):
         cfg = cpu_config(1.4, 1)
-        single = ParetoFrontier(
-            [FrontierPoint(config=cfg, power_w=10.0, performance=1.0)]
-        )
+        single = ParetoFrontier.from_arrays([cfg], [10.0], [1.0])
         # Against itself: identical composition, no order info.
         d = frontier_dissimilarity(single, single)
         assert 0.0 <= d <= 1.0

@@ -47,7 +47,7 @@ class TestInvariants:
     def test_empty_archive(self, space):
         a = EpsilonArchive(space)
         assert len(a) == 0
-        assert a.best_under_cap(100.0) is None
+        assert a.powers.size == a.performances.size == 0
         assert a.insert(
             np.empty((0, space.n_axes), dtype=np.int64),
             np.empty(0),
@@ -95,8 +95,6 @@ class TestInvariants:
         assert len(a) > 0
         assert np.all(np.diff(a.powers) > 0)
         assert np.all(np.diff(a.performances) > 0)
-        assert a.min_power_w == a.powers[0]
-        assert a.max_performance == a.performances[-1]
 
     def test_exact_mode_keeps_exactly_the_nondominated_set(self, space):
         k = make_kernel()
@@ -113,15 +111,17 @@ class TestInvariants:
         a = EpsilonArchive(space)
         g, pw, rt = _evaluated(space, k, seed=2, n=120)
         a.insert(g, pw, rt)
-        below = a.best_under_cap(a.min_power_w - 1e-9)
+        f = a.to_frontier()
+        below = f.best_under_cap(float(a.powers[0]) - 1e-9)
         assert below is None
         mid_cap = float(a.powers[len(a) // 2])
-        pt = a.best_under_cap(mid_cap)
+        pt = f.best_under_cap(mid_cap)
         assert isinstance(pt, FrontierPoint)
         assert pt.power_w <= mid_cap
         assert pt.performance == a.performances[len(a) // 2]
-        idx = a.indices_under_caps(
-            np.array([a.min_power_w - 1.0, mid_cap, a.powers[-1] + 1.0])
+        assert pt.config == a.configs()[len(a) // 2]
+        idx = f.indices_under_caps(
+            np.array([a.powers[0] - 1.0, mid_cap, a.powers[-1] + 1.0])
         )
         assert idx[0] == -1
         assert idx[1] == len(a) // 2
@@ -242,7 +242,7 @@ class TestProperties:
         g, pw, rt = _evaluated(sp, make_kernel(), seed=seed, n=n)
         a = EpsilonArchive(sp, epsilon=epsilon)
         a.insert(g, pw, rt)
-        pt = a.best_under_cap(cap)
+        pt = a.to_frontier().best_under_cap(cap)
         if pt is not None:
             assert pt.power_w <= cap
 

@@ -18,7 +18,6 @@ from repro.hardware import TrinityAPU
 from repro.profiling import CharacterizationStore, ProfilingLibrary
 from repro.search import (
     SearchConfig,
-    archive_to_node_frontier,
     archive_to_prediction,
     nsga2_search,
     paper_space,
@@ -84,9 +83,10 @@ class TestSchedulerConsumesArchive:
     def test_select_picks_best_under_cap(self, space, kernel, archive):
         prediction = archive_to_prediction(archive, "search/LU")
         scheduler = Scheduler(risk_margin=0.0)
+        frontier = archive.to_frontier()
         for cap in (15.0, 25.0, 40.0, 60.0):
             decision = scheduler.select(prediction, cap)
-            best = archive.best_under_cap(cap)
+            best = frontier.best_under_cap(cap)
             if best is None:
                 assert not decision.predicted_feasible
             else:
@@ -118,8 +118,8 @@ class TestSchedulerConsumesArchive:
         empty = EpsilonArchive(space)
         with pytest.raises(ValueError, match="empty"):
             archive_to_prediction(empty, "search/empty")
-        with pytest.raises(ValueError, match="empty"):
-            archive_to_node_frontier(empty)
+        with pytest.raises(ValueError, match="at least one frontier point"):
+            pool_from_archives({"empty": empty})
 
 
 class TestServicePublishesArchive:
@@ -143,7 +143,8 @@ class TestServicePublishesArchive:
 
         result = service.decide(DecisionRequest(uid, 30.0))
         assert result.error is None
-        best = archive.best_under_cap(30.0)  # default scheduler: no margin
+        # default scheduler: no margin
+        best = archive.to_frontier().best_under_cap(30.0)
         assert result.config == best.config
 
         batch = service.decide_batch(
@@ -172,19 +173,46 @@ class TestFleetConsumesArchives:
         caps = allocate_pool(pool, 120.0, policy="greedy")
         assert caps.shape == (3,)
         assert float(caps.sum()) <= 120.0 + 1e-9
-        floors = np.array(
-            [archive_to_node_frontier(a).min_cap_w for a in archives.values()]
-        )
+        floors = np.array([a.powers[0] for a in archives.values()])
         order = [f"node-{k.uid}" for k in list(suite)[:3]]
         assert pool.active_names() == sorted(order) or set(
             pool.active_names()
         ) == set(order)
         assert np.all(caps >= floors.min() - 1e-9)
 
+    def test_pool_packs_archives_like_node_frontiers(self, space, archive):
+        from repro.cluster import FrontierPool, NodeFrontier, NodeFrontierPoint
+
+        other = nsga2_search(space, list(build_suite())[3], PAPER_SEARCH).archive
+        archives = {"a": archive, "b": other}
+        packed = pool_from_archives(archives).view()
+        via_nodes = FrontierPool.from_frontiers(
+            {
+                name: NodeFrontier(
+                    [
+                        NodeFrontierPoint(float(pw), float(pw), float(rt))
+                        for pw, rt in zip(a.powers, a.performances)
+                    ]
+                )
+                for name, a in archives.items()
+            }
+        ).view()
+        assert packed.names == via_nodes.names
+        for field in ("caps", "rates", "powers", "offsets"):
+            assert np.array_equal(
+                getattr(packed, field), getattr(via_nodes, field)
+            ), field
+
     def test_node_frontier_monotone(self, archive):
-        nf = archive_to_node_frontier(archive)
+        # Each archive becomes one pool node whose operating points are
+        # the archive's own (cap = expected power = the point's power).
+        pool = pool_from_archives({"n": archive})
+        (nf,) = pool.to_frontiers().values()
         caps = [p.cap_w for p in nf]
         rates = [p.rate for p in nf]
         assert caps == sorted(caps)
         assert rates == sorted(rates)
         assert len(nf) == len(archive)
+        assert caps == archive.powers.tolist()
+        assert rates == archive.performances.tolist()
+        assert [p.expected_power_w for p in nf] == caps
