@@ -23,14 +23,11 @@ def main() -> None:
     clustering = model.clustering
 
     print(f"\n{clustering.n_clusters} clusters "
-          f"(silhouette {clustering.silhouette:.3f}, "
-          f"method {clustering.method}):")
+          f"(PAM k-medoids, silhouette {clustering.silhouette:.3f}):")
     for c in range(clustering.n_clusters):
         members = clustering.members(c)
-        medoid = (
-            clustering.medoid_uids[c] if clustering.medoid_uids else "n/a"
-        )
-        print(f"\ncluster {c}: {len(members)} kernels, medoid = {medoid}")
+        print(f"\ncluster {c}: {len(members)} kernels, "
+              f"medoid = {clustering.medoid_uids[c]}")
         for uid in sorted(members)[:8]:
             print(f"    {uid}")
         if len(members) > 8:

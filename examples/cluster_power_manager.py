@@ -19,7 +19,12 @@ Run:  python examples/cluster_power_manager.py
 """
 
 from repro import ProfilingLibrary, TrinityAPU, build_suite, train_model
-from repro.cluster import ClusterNode, ClusterPowerManager, allocation_summary
+from repro.cluster import (
+    ClusterNode,
+    ClusterPowerManager,
+    FrontierPool,
+    pool_allocation_summary,
+)
 from repro.runtime import Application
 
 BUDGET_W = 72.0       # tight: ~18 W per node, below any GPU floor
@@ -47,7 +52,8 @@ def main() -> None:
     for policy in ("uniform", "greedy", "maxmin"):
         mgr = ClusterPowerManager(build_nodes(suite, model), policy=policy)
         caps = mgr.allocate(BUDGET_W)
-        summary = allocation_summary(caps, mgr.frontiers(), BUDGET_W)
+        pool = FrontierPool.from_frontiers(mgr.frontiers())
+        summary = pool_allocation_summary(pool, list(caps.values()), BUDGET_W)
         print(f"\n=== {policy} allocation of {BUDGET_W:.0f} W ===")
         for name, cap in sorted(caps.items()):
             app = mgr.nodes[name].application.name

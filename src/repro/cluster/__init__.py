@@ -13,31 +13,17 @@ system:
 * :class:`~repro.cluster.pool.FrontierPool` — every frontier of a fleet
   packed into flat structure-of-arrays storage with dynamic membership,
   the substrate the vectorized kernels run on;
-* :mod:`~repro.cluster.allocation` — uniform (state of the practice),
-  greedy marginal water-filling, and max-min fair budget splitting,
-  vectorized from 4 nodes to 100k (validated against pure-Python
-  references kept in ``tests/allocation_reference.py``);
+* :func:`~repro.cluster.allocation.allocate_pool` — uniform (state of
+  the practice), greedy marginal water-filling, and max-min fair budget
+  splitting, vectorized from 4 nodes to 100k (validated against
+  pure-Python references kept in ``tests/allocation_reference.py``);
 * :class:`~repro.cluster.tree.BudgetTree` — hierarchical node → rack →
   row → datacenter budget splitting over aggregated child frontiers;
-* :mod:`~repro.cluster.faults` — epoch-clock fault schedules (dead,
-  leaving, and stale nodes) the manager degrades through gracefully;
 * :class:`~repro.cluster.manager.ClusterPowerManager` — epoch loop:
   allocate, run, account, reallocate when the budget moves.
 """
 
-from repro.cluster.allocation import (
-    allocate_pool,
-    allocation_summary,
-    greedy_marginal_allocation,
-    maxmin_allocation,
-    pool_allocation_summary,
-    uniform_allocation,
-)
-from repro.cluster.faults import (
-    CLUSTER_FAULT_KINDS,
-    ClusterFaultEvent,
-    ClusterFaultPlan,
-)
+from repro.cluster.allocation import allocate_pool, pool_allocation_summary
 from repro.cluster.manager import ClusterPowerManager, ClusterReport, EpochResult
 from repro.cluster.node import ClusterNode, NodeFrontier, NodeFrontierPoint
 from repro.cluster.pool import FrontierPool
@@ -45,9 +31,6 @@ from repro.cluster.tree import BudgetTree
 
 __all__ = [
     "BudgetTree",
-    "CLUSTER_FAULT_KINDS",
-    "ClusterFaultEvent",
-    "ClusterFaultPlan",
     "ClusterNode",
     "ClusterPowerManager",
     "ClusterReport",
@@ -56,9 +39,5 @@ __all__ = [
     "NodeFrontier",
     "NodeFrontierPoint",
     "allocate_pool",
-    "allocation_summary",
-    "greedy_marginal_allocation",
-    "maxmin_allocation",
     "pool_allocation_summary",
-    "uniform_allocation",
 ]

@@ -1,26 +1,27 @@
 """Cluster-level power allocation policies, vectorized for fleet scale.
 
-Given a global power budget and each node's predicted rate-vs-cap
-frontier, an allocation policy splits the budget into per-node caps.
-Three policies are provided:
+Given a global power budget and a :class:`~repro.cluster.pool.
+FrontierPool` of node rate-vs-cap frontiers, :func:`allocate_pool`
+splits the budget into per-node caps under one of three policies:
 
-* :func:`uniform_allocation` — the state of the practice: every node
-  gets ``budget / n`` regardless of what it runs;
-* :func:`greedy_marginal_allocation` — frontier-aware water-filling:
-  start every node at its lowest frontier point, then repeatedly grant
-  the frontier step with the best marginal rate-per-watt until the
-  budget is exhausted.  For concave frontiers this greedy is optimal
-  for the *aggregate throughput* objective; for the mildly non-concave
-  frontiers real kernels produce it is the standard near-optimal
-  heuristic;
-* :func:`maxmin_allocation` — frontier-aware max-min fairness:
-  repeatedly grant the next frontier step to the node with the lowest
-  current predicted rate — the right objective when the cluster's
-  figure of merit is *makespan* (every node must finish).
+* ``"uniform"`` — the state of the practice: every node gets
+  ``budget / n`` regardless of what it runs;
+* ``"greedy"`` — frontier-aware water-filling: start every node at its
+  lowest frontier point, then repeatedly grant the frontier step with
+  the best marginal rate-per-watt until the budget is exhausted.  For
+  concave frontiers this greedy is optimal for the *aggregate
+  throughput* objective; for the mildly non-concave frontiers real
+  kernels produce it is the standard near-optimal heuristic;
+* ``"maxmin"`` — frontier-aware max-min fairness: repeatedly grant the
+  next frontier step to the node with the lowest current predicted
+  rate — the right objective when the cluster's figure of merit is
+  *makespan* (every node must finish).
 
-The public functions keep their original dict-in/dict-out signatures
-but now run on :class:`~repro.cluster.pool.FrontierPool` kernels, so
-the same call that splits 72 W over 4 nodes splits a datacenter budget
+Every node first receives its floor (a node cannot be powered off); if
+even the floors exceed the budget, they are scaled down proportionally
+and all nodes run their floor configurations over-budget — the
+least-bad outcome, reported honestly by :func:`pool_allocation_summary`.
+The same call that splits 72 W over 4 nodes splits a datacenter budget
 over 100k.  The engine:
 
 * **greedy** — one global argsort of the steps' *exposure utility* (the
@@ -52,22 +53,13 @@ allocator never runs a kernel — it only reads predictions.
 from __future__ import annotations
 
 import math
-from typing import Mapping
 
 import numpy as np
 
-from repro.cluster.node import NodeFrontier
 from repro.cluster.pool import FrontierPool, StepBatch
 from repro.telemetry import counter, histogram, trace_span
 
-__all__ = [
-    "uniform_allocation",
-    "greedy_marginal_allocation",
-    "maxmin_allocation",
-    "allocation_summary",
-    "allocate_pool",
-    "pool_allocation_summary",
-]
+__all__ = ["allocate_pool", "pool_allocation_summary"]
 
 _ALLOC_CALLS = {
     policy: counter(f"cluster.alloc.calls.{policy}")
@@ -87,17 +79,6 @@ def _check_budget(budget_w: float, n: int) -> None:
         raise ValueError("budget_w must be finite")
     if budget_w <= 0:
         raise ValueError("budget_w must be positive")
-
-
-def uniform_allocation(
-    budget_w: float, frontiers: Mapping[str, NodeFrontier]
-) -> dict[str, float]:
-    """Split the budget evenly across nodes (cap-blind baseline)."""
-    _check_budget(budget_w, len(frontiers))
-    _ALLOC_CALLS["uniform"].inc()
-    _ALLOC_NODES.inc(len(frontiers))
-    share = budget_w / len(frontiers)
-    return {name: share for name in frontiers}
 
 
 # -- the segmented consumption kernel -----------------------------------------
@@ -209,8 +190,7 @@ def allocate_pool(
 
     The fleet-scale entry point: returns a caps array aligned with
     ``pool.active_names()``.  ``policy`` is ``"uniform"``, ``"greedy"``,
-    or ``"maxmin"`` with exactly the semantics of the dict-level
-    functions.
+    or ``"maxmin"`` (see the module docstring).
     """
     _check_budget(budget_w, pool.n_active)
     if policy not in ("uniform", "greedy", "maxmin"):
@@ -218,88 +198,12 @@ def allocate_pool(
     return allocate_batch(pool.view().step_batch(policy), np.array([budget_w]), policy)
 
 
-def _allocate_dict(
-    budget_w: float, frontiers: Mapping[str, NodeFrontier], policy: str
-) -> dict[str, float]:
-    """Dict-level frontend: bit-identical to the pure-Python references.
-
-    The floor sum runs sequentially in mapping order (matching the
-    references' ``sum()``), so even the infeasible-budget scale factor
-    rounds identically.
-    """
-    _check_budget(budget_w, len(frontiers))
-    pool = FrontierPool.from_frontiers(frontiers)
-    spent = np.array([sum(f.min_cap_w for f in frontiers.values())])
-    batch = pool.view().step_batch(policy)._replace(spent=spent)
-    caps = allocate_batch(batch, np.array([budget_w]), policy)
-    return dict(zip(frontiers, caps.tolist()))
-
-
-def greedy_marginal_allocation(
-    budget_w: float, frontiers: Mapping[str, NodeFrontier]
-) -> dict[str, float]:
-    """Water-filling on predicted node frontiers.
-
-    Every node first receives its minimum frontier cap (a node cannot
-    be powered off; if even the minima exceed the budget, the caps are
-    scaled down proportionally and all nodes run their floor
-    configurations over-budget — the least-bad outcome, reported
-    honestly by :func:`allocation_summary`).  The remaining budget is
-    spent one frontier step at a time, always on the step with the
-    highest marginal rate per watt — computed here by the vectorized
-    kernel, bit-identical to the heap-based reference in
-    ``tests/allocation_reference.py``.
-    """
-    return _allocate_dict(budget_w, frontiers, "greedy")
-
-
-def maxmin_allocation(
-    budget_w: float, frontiers: Mapping[str, NodeFrontier]
-) -> dict[str, float]:
-    """Max-min-fair water-filling: always lift the slowest node.
-
-    Every node starts at its floor (scaled down proportionally if even
-    the floors exceed the budget, as in
-    :func:`greedy_marginal_allocation`); then, while budget remains,
-    the node with the lowest current predicted rate takes its next
-    affordable frontier step.  Ties break deterministically by node
-    name.  Vectorized, bit-identical to the scan-based reference in
-    ``tests/allocation_reference.py``.
-    """
-    return _allocate_dict(budget_w, frontiers, "maxmin")
-
-
-def allocation_summary(
-    caps: Mapping[str, float],
-    frontiers: Mapping[str, NodeFrontier],
-    budget_w: float,
-) -> dict[str, float]:
-    """Predicted cluster outcome of an allocation.
-
-    Returns aggregate predicted rate (sum over nodes), predicted power,
-    budget, and slack.
-    """
-    if set(caps) != set(frontiers):
-        raise ValueError("caps and frontiers must cover the same nodes")
-    rate = 0.0
-    power = 0.0
-    for name, cap in caps.items():
-        point = frontiers[name].at_cap(cap)
-        rate += point.rate
-        power += point.expected_power_w
-    return {
-        "predicted_rate": rate,
-        "predicted_power_w": power,
-        "budget_w": budget_w,
-        "slack_w": budget_w - sum(caps.values()),
-    }
-
-
 def pool_allocation_summary(
     pool: FrontierPool, caps_w: np.ndarray, budget_w: float
 ) -> dict[str, float]:
-    """Vectorized :func:`allocation_summary` over a pool's active nodes
-    (one batched ``at_caps`` instead of a per-node Python loop)."""
+    """Predicted cluster outcome of an allocation over a pool's active
+    nodes: aggregate predicted rate (sum over nodes), predicted power,
+    budget, and slack (one batched ``at_caps``)."""
     _, powers, rates = pool.at_caps(caps_w)
     return {
         "predicted_rate": float(rates.sum()),

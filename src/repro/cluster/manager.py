@@ -14,13 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Literal, Mapping, Sequence
 
-from repro.cluster.allocation import (
-    greedy_marginal_allocation,
-    maxmin_allocation,
-    uniform_allocation,
-)
-from repro.cluster.faults import CLUSTER_FAULT_KINDS, ClusterFaultPlan
+from repro.cluster.allocation import allocate_pool
 from repro.cluster.node import ClusterNode, NodeFrontier
+from repro.cluster.pool import FrontierPool
 from repro.constants import respects_cap
 from repro.runtime.trace import ApplicationTrace
 from repro.telemetry import counter, gauge
@@ -28,12 +24,6 @@ from repro.telemetry import counter, gauge
 __all__ = ["EpochResult", "ClusterReport", "ClusterPowerManager"]
 
 AllocationPolicy = Literal["uniform", "greedy", "maxmin"]
-
-_FAULT_COUNTS = {
-    kind: counter(f"faults.cluster.{kind}") for kind in CLUSTER_FAULT_KINDS
-}
-_FAULT_UNKNOWN = counter("faults.cluster.unknown_node")
-_EPOCHS_DEGRADED = counter("faults.cluster.epochs_degraded")
 
 _EPOCHS = counter("cluster.epochs")
 _EPOCH_BUDGET = gauge("cluster.epoch.budget_w")
@@ -91,7 +81,7 @@ class EpochResult:
     @property
     def makespan_s(self) -> float:
         """Epoch wall time: the slowest node's execution time (zero if
-        every node was lost to faults this epoch)."""
+        no node ran)."""
         return max((t.total_time_s for t in self.traces.values()), default=0.0)
 
 
@@ -107,13 +97,6 @@ class ClusterReport:
         """Cluster wall time: nodes run in parallel, so each epoch costs
         the slowest node's time."""
         return sum(e.makespan_s for e in self.epochs)
-
-    @property
-    def total_node_seconds(self) -> float:
-        """Aggregate busy time across nodes (throughput view)."""
-        return sum(
-            t.total_time_s for e in self.epochs for t in e.traces.values()
-        )
 
     @property
     def total_energy_j(self) -> float:
@@ -147,13 +130,6 @@ class ClusterPowerManager:
         ``"greedy"`` (throughput-maximizing water-filling, default),
         ``"maxmin"`` (makespan-friendly max-min fairness), or
         ``"uniform"``.
-    fault_plan:
-        Optional :class:`~repro.cluster.faults.ClusterFaultPlan`
-        scheduled on the epoch clock: dead/leaving nodes are dropped
-        from allocation and execution (their budget redistributes to
-        the survivors), stale-frontier nodes are allocated from their
-        floor point only.  Every applied event increments a
-        ``faults.cluster.*`` counter.
     """
 
     def __init__(
@@ -161,7 +137,6 @@ class ClusterPowerManager:
         nodes: Sequence[ClusterNode],
         *,
         policy: AllocationPolicy = "greedy",
-        fault_plan: ClusterFaultPlan | None = None,
     ) -> None:
         if not nodes:
             raise ValueError("cluster needs at least one node")
@@ -172,10 +147,8 @@ class ClusterPowerManager:
             raise ValueError(f"unknown allocation policy {policy!r}")
         self.nodes = {n.name: n for n in nodes}
         self.policy = policy
-        self.fault_plan = (
-            fault_plan if fault_plan is not None else ClusterFaultPlan()
-        )
         self._frontiers: dict[str, NodeFrontier] | None = None
+        self._pool: FrontierPool | None = None
 
     def frontiers(self) -> dict[str, NodeFrontier]:
         """Each node's predicted frontier (warmup runs happen here)."""
@@ -185,45 +158,12 @@ class ClusterPowerManager:
             }
         return self._frontiers
 
-    def _effective_frontiers(
-        self, epoch: int
-    ) -> tuple[dict[str, NodeFrontier], set[str]]:
-        """The frontiers the allocator may trust at ``epoch``, after the
-        fault plan: returns ``(frontiers, lost_nodes)`` where lost nodes
-        are dead or departed and must not execute."""
-        frontiers = dict(self.frontiers())
-        lost: set[str] = set()
-        degraded = False
-        for ev in self.fault_plan.active_events(epoch):
-            if ev.node not in self.nodes:
-                _FAULT_UNKNOWN.inc()
-                continue
-            _FAULT_COUNTS[ev.kind].inc()
-            degraded = True
-            if ev.kind in ("node_dead", "node_leave"):
-                frontiers.pop(ev.node, None)
-                lost.add(ev.node)
-            else:  # stale_frontier
-                if ev.node in frontiers:
-                    stale = frontiers[ev.node]
-                    frontiers[ev.node] = NodeFrontier([stale.points[0]])
-        if degraded:
-            _EPOCHS_DEGRADED.inc()
-        return frontiers, lost
-
-    def allocate(
-        self,
-        budget_w: float,
-        frontiers: Mapping[str, NodeFrontier] | None = None,
-    ) -> dict[str, float]:
+    def allocate(self, budget_w: float) -> dict[str, float]:
         """Split the budget into per-node caps under the active policy."""
-        if frontiers is None:
-            frontiers = self.frontiers()
-        if self.policy == "uniform":
-            return uniform_allocation(budget_w, frontiers)
-        if self.policy == "maxmin":
-            return maxmin_allocation(budget_w, frontiers)
-        return greedy_marginal_allocation(budget_w, frontiers)
+        if self._pool is None:
+            self._pool = FrontierPool.from_frontiers(self.frontiers())
+        caps = allocate_pool(self._pool, budget_w, self.policy)
+        return dict(zip(self._pool.active_names(), caps.tolist()))
 
     def run(
         self,
@@ -241,7 +181,7 @@ class ClusterPowerManager:
         ``monitor`` (a :class:`repro.telemetry.monitor.Monitor`) gets
         one tick per epoch on the epoch clock — the simulation analogue
         of the serve CLI's interval thread — so SLOs like budget
-        compliance and degraded-epoch rate are judged per epoch.
+        compliance are judged per epoch.
         """
         if n_epochs < 1 or timesteps_per_epoch < 1:
             raise ValueError("n_epochs and timesteps_per_epoch must be >= 1")
@@ -253,12 +193,10 @@ class ClusterPowerManager:
             budget = float(
                 budgets_w(epoch) if callable(budgets_w) else budgets_w[epoch]
             )
-            frontiers, lost = self._effective_frontiers(epoch)
-            caps = self.allocate(budget, frontiers) if frontiers else {}
+            caps = self.allocate(budget)
             traces = {
-                name: self.nodes[name].run(timesteps_per_epoch, caps[name])
-                for name in caps
-                if name not in lost
+                name: self.nodes[name].run(timesteps_per_epoch, cap)
+                for name, cap in caps.items()
             }
             result = EpochResult(
                 epoch=epoch, budget_w=budget, caps_w=caps, traces=traces

@@ -22,12 +22,10 @@ schedulers.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.constants import CAP_EPSILON
 from repro.core.model import AdaptiveModel
 from repro.core.predictor import KernelPrediction, OnlinePredictor
 from repro.hardware.apu import TrinityAPU
@@ -78,7 +76,6 @@ class NodeFrontier:
                 cleaned.append(p)
                 best = p.rate
         self.points: tuple[NodeFrontierPoint, ...] = tuple(cleaned)
-        self._caps: list[float] = [p.cap_w for p in cleaned]
 
     def __len__(self) -> int:
         return len(self.points)
@@ -90,22 +87,6 @@ class NodeFrontier:
     def min_cap_w(self) -> float:
         """The node's floor: the smallest honourable cap."""
         return self.points[0].cap_w
-
-    def at_cap(self, cap_w: float) -> NodeFrontierPoint:
-        """The best operating point with ``cap_w`` of budget (the lowest
-        point if even that is infeasible — a node cannot turn off).
-
-        O(log n): caps are sorted, and ``respects_cap``'s relative
-        tolerance is a fixed threshold for a given ``cap_w``, so the
-        linear feasibility scan is a single bisection over the caps.
-        A NaN cap admits nothing (as in the original scan) and falls
-        back to the floor.
-        """
-        thresh = cap_w * (1.0 + CAP_EPSILON)
-        if math.isnan(thresh):
-            return self.points[0]
-        idx = bisect_right(self._caps, thresh) - 1
-        return self.points[idx if idx >= 0 else 0]
 
 
 class ClusterNode:

@@ -12,19 +12,16 @@ CSR-style ``offsets`` marking where each node's segment starts.
 On top of that layout:
 
 * :meth:`FrontierPool.at_caps` answers "best operating point under this
-  cap" for *every* node with one segmented cap search (the scalar
-  :meth:`~repro.cluster.node.NodeFrontier.at_cap` loop, batched, through
-  the same :class:`~repro.core.frontier.CapSweepTable` the scheduler
-  uses);
+  cap" for *every* node with one segmented cap search, through the
+  same :class:`~repro.core.frontier.CapSweepTable` the scheduler uses;
 * the allocation kernels (:mod:`repro.cluster.allocation`) read the
   pool's precomputed *step* arrays — marginal ``(extra power, extra
   rate)`` increments — and sorted consumption orders, turning
   water-filling into one argsort plus a prefix-sum budget cut;
-* membership is dynamic: nodes leave (:meth:`FrontierPool.deactivate`),
-  rejoin (:meth:`FrontierPool.activate`), or arrive
-  (:meth:`FrontierPool.add_frontiers`) without rebuilding the packed
-  arrays — derived views are invalidated by a version counter and
-  recomputed lazily on the next allocation.
+* membership is dynamic: nodes leave (:meth:`FrontierPool.deactivate`)
+  or rejoin (:meth:`FrontierPool.activate`) without rebuilding the
+  packed arrays — derived views are invalidated by a version counter
+  and recomputed lazily on the next allocation.
 
 Pools come from real :class:`~repro.cluster.node.NodeFrontier`\\ s
 (:meth:`FrontierPool.from_frontiers`) or are synthesized in bulk for
@@ -303,17 +300,16 @@ class _PoolView:
             batch = self._batches[policy] = step_batch([self], policy)
         return batch
 
-    # -- vectorized at_cap --------------------------------------------------
+    # -- cap lookup ---------------------------------------------------------
 
     def at_caps_indices(self, caps_w: np.ndarray) -> np.ndarray:
         """Flat point index of the best operating point per node.
 
-        Vectorized equivalent of calling :meth:`NodeFrontier.at_cap`
-        once per node: one :class:`~repro.core.frontier.CapSweepTable`
-        lookup with a segment per node, whose thresholds are the node's
-        caps scaled by ``respects_cap``'s tolerance.  Queries below a
-        node's floor fall back to the floor (a node cannot turn off),
-        exactly like the scalar bisection.
+        One :class:`~repro.core.frontier.CapSweepTable` lookup with a
+        segment per node, whose thresholds are the node's caps scaled by
+        ``respects_cap``'s tolerance: each node gets its last point whose
+        cap respects the query.  Queries below a node's floor fall back
+        to the floor (a node cannot turn off).
         """
         if caps_w.shape != (self.n_nodes,):
             raise ValueError(
@@ -474,7 +470,7 @@ class FrontierPool:
 
     @property
     def version(self) -> int:
-        """Membership version; bumps on every join/leave/add."""
+        """Membership version; bumps on every leave/rejoin."""
         return self._version
 
     def active_names(self) -> list[str]:
@@ -517,27 +513,6 @@ class FrontierPool:
             self._active[idx] = True
             self._version += 1
         return changed
-
-    def add_frontiers(self, frontiers: Mapping[str, NodeFrontier]) -> None:
-        """Append newly joined nodes' frontiers to the packed arrays."""
-        if not frontiers:
-            return
-        dupes = [n for n in frontiers if n in self._index]
-        if dupes:
-            raise ValueError(f"nodes already pooled: {dupes}")
-        extra = FrontierPool.from_frontiers(frontiers)
-        base = self._caps.size
-        self._caps = np.concatenate([self._caps, extra._caps])
-        self._rates = np.concatenate([self._rates, extra._rates])
-        self._powers = np.concatenate([self._powers, extra._powers])
-        self._offsets = np.concatenate([self._offsets, extra._offsets[1:] + base])
-        for name in extra._names:
-            self._index[name] = len(self._names)
-            self._names.append(name)
-        self._active = np.concatenate(
-            [self._active, np.ones(len(extra._names), dtype=bool)]
-        )
-        self._version += 1
 
     def subpool(self, names: Iterable[str]) -> "FrontierPool":
         """A new pool holding copies of the named nodes' frontiers, in
@@ -609,8 +584,8 @@ class FrontierPool:
         """Best operating point of every active node under per-node caps.
 
         Returns ``(point_caps, expected_powers, rates)`` arrays aligned
-        with :meth:`active_names` — the batched form of
-        :meth:`NodeFrontier.at_cap`, including the below-floor fallback.
+        with :meth:`active_names`; a cap below a node's floor gets the
+        floor point.
         """
         view = self.view()
         idx = view.at_caps_indices(np.asarray(caps_w, dtype=np.float64))

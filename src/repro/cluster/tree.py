@@ -21,19 +21,15 @@ vectorized allocation kernel at every level:
   at once.
 
 Aggregates are cached per rack and keyed by the rack's active-member
-set, so dynamic membership (nodes dying, leaving, or joining the
-pool) rebuilds only the touched racks — the untouched fleet's sorted
-menus are reused as-is.  Operators can also move watts between racks
-(:meth:`BudgetTree.shift_budget`) without touching the pool at all;
-shifts are zero-sum, so the datacenter total is preserved, and a rack
-pushed below its floor degrades gracefully through the kernels'
-proportional floor scaling.
+set, so dynamic membership (nodes leaving or rejoining the pool)
+rebuilds only the touched racks — the untouched fleet's sorted menus
+are reused as-is.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -45,7 +41,6 @@ __all__ = ["BudgetTree"]
 
 _TREE_CALLS = counter("cluster.alloc.tree.calls")
 _TREE_RACK_REBUILDS = counter("cluster.alloc.tree.rack_rebuilds")
-_TREE_SHIFTS_SKIPPED = counter("cluster.alloc.tree.shifts_skipped")
 
 
 def _aggregate_frontier(
@@ -128,7 +123,6 @@ class BudgetTree:
         self.pool = pool
         self._rack_of = dict(rack_of)
         self._row_of = dict(row_of)
-        self._shifts: list[tuple[str, str, float]] = []
         # Per-rack caches keyed by the rack's active-member tuple.
         self._rack_members: dict[str, tuple[str, ...]] = {}
         self._rack_subpool: dict[str, FrontierPool] = {}
@@ -161,42 +155,6 @@ class BudgetTree:
             rack_of[name] = rack_name
             row_of[rack_name] = f"row{rack // racks_per_row:04d}"
         return cls(pool, rack_of, row_of)
-
-    # -- topology maintenance -----------------------------------------------
-
-    def extend(
-        self,
-        rack_of: Mapping[str, str] | None = None,
-        row_of: Mapping[str, str] | None = None,
-    ) -> None:
-        """Register newly joined nodes' rack assignments (and any new
-        racks' rows) so the next allocation can place them."""
-        if rack_of:
-            self._rack_of.update(rack_of)
-        if row_of:
-            self._row_of.update(row_of)
-        unrowed = sorted(
-            {r for r in self._rack_of.values() if r not in self._row_of}
-        )
-        if unrowed:
-            raise ValueError(f"racks without a row: {unrowed[:5]}")
-
-    def shift_budget(self, from_rack: str, to_rack: str, watts: float) -> None:
-        """Persistently move ``watts`` of every future split from one
-        rack to another (zero-sum: the datacenter total is unchanged).
-        It applies only while both racks have active nodes, else it is
-        skipped whole (``cluster.alloc.tree.shifts_skipped``)."""
-        if not (math.isfinite(watts) and watts >= 0):
-            raise ValueError("watts must be finite and non-negative")
-        known = set(self._row_of)
-        for rack in (from_rack, to_rack):
-            if rack not in known:
-                raise ValueError(f"unknown rack {rack!r}")
-        self._shifts.append((from_rack, to_rack, float(watts)))
-
-    def clear_shifts(self) -> None:
-        """Drop all inter-rack budget shifts."""
-        self._shifts.clear()
 
     # -- structure ----------------------------------------------------------
 
@@ -297,22 +255,7 @@ class BudgetTree:
             assert self._row_pool is not None
             row_budgets = allocate_pool(self._row_pool, budget_w, policy)
             rack_budgets = allocate_batch(self._batch("row", policy), row_budgets, policy)
-            skipped = 0
-            for from_rack, to_rack, watts in self._shifts:
-                if from_rack in self._rack_pos and to_rack in self._rack_pos:
-                    rack_budgets[self._rack_pos[from_rack]] -= watts
-                    rack_budgets[self._rack_pos[to_rack]] += watts
-                else:
-                    skipped += 1
-            _TREE_SHIFTS_SKIPPED.inc(skipped)
             self.last_rack_budgets = dict(zip(self._rack_pos, rack_budgets.tolist()))
-            low = np.nonzero(rack_budgets <= 0)[0]
-            if low.size:
-                rack = list(self._rack_pos)[low[0]]
-                raise ValueError(
-                    f"rack {rack!r} budget driven non-positive "
-                    f"({rack_budgets[low[0]]:.3f} W) — reduce its outgoing shift"
-                )
             out = np.empty(self._out_index.size)
             out[self._out_index] = allocate_batch(self._batch("rack", policy), rack_budgets, policy)
             return out

@@ -25,7 +25,6 @@ from repro.core.configspace import ConfigTable
 from repro.core.clustering import (
     DEFAULT_N_CLUSTERS,
     ClusteringResult,
-    choose_n_clusters,
     cluster_kernels,
     resolve_warm_medoids,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "SchedulingGoal",
     "characterization_from_database",
     "characterize_kernel",
-    "choose_n_clusters",
     "cluster_kernels",
     "design_matrix",
     "design_row",

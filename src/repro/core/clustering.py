@@ -9,27 +9,24 @@ frontiers."  The paper found five clusters optimal for its suite —
 more clusters resulted in over-specialized models" — a trade-off probed
 by the cluster-count ablation benchmark.
 
-Two relational clusterers are offered: PAM k-medoids (default) and
-average-linkage agglomerative.  Both consume only the dissimilarity
-matrix, never coordinates.
+The relational clusterer is PAM k-medoids: it consumes only the
+dissimilarity matrix, never coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Literal, Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
 from repro.core.dissimilarity import dissimilarity_matrix
 from repro.core.frontier import ParetoFrontier
-from repro.stats.agglomerative import average_linkage_labels
 from repro.stats.kmedoids import pam, silhouette_score
 
 __all__ = [
     "ClusteringResult",
     "cluster_kernels",
-    "choose_n_clusters",
     "resolve_warm_medoids",
 ]
 
@@ -50,16 +47,13 @@ class ClusteringResult:
     silhouette:
         Mean silhouette width of the clustering (NaN for one cluster).
     medoid_uids:
-        Medoid kernel per cluster (PAM only; empty for agglomerative).
-    method:
-        Which relational clusterer produced the result.
+        Medoid kernel per cluster.
     """
 
     labels: Mapping[str, int]
     n_clusters: int
     silhouette: float
     medoid_uids: tuple[str, ...]
-    method: str
 
     def members(self, cluster: int) -> list[str]:
         """Kernel uids assigned to one cluster."""
@@ -74,7 +68,6 @@ def cluster_kernels(
     frontiers: Mapping[str, ParetoFrontier] | Sequence[str],
     *,
     n_clusters: int = DEFAULT_N_CLUSTERS,
-    method: Literal["pam", "average"] = "pam",
     composition_weight: float | None = None,
     dissimilarity: np.ndarray | None = None,
     initial_medoid_uids: Sequence[str] | None = None,
@@ -90,8 +83,6 @@ def cluster_kernels(
         values are only ever consumed to build the matrix).
     n_clusters:
         Cluster count (paper default: 5).
-    method:
-        ``"pam"`` (k-medoids, default) or ``"average"`` linkage.
     composition_weight:
         Blend between frontier-composition and frontier-order terms in
         the dissimilarity (see
@@ -137,21 +128,15 @@ def cluster_kernels(
             kwargs["composition_weight"] = composition_weight
         D = dissimilarity_matrix(frontiers, **kwargs)
 
-    if method == "pam":
-        init = None
-        if initial_medoid_uids is not None and len(initial_medoid_uids) == n_clusters:
-            pos = {u: i for i, u in enumerate(uids)}
-            seeds = [pos[u] for u in initial_medoid_uids if u in pos]
-            if len(seeds) == n_clusters and len(set(seeds)) == n_clusters:
-                init = seeds
-        result = pam(D, n_clusters, init_medoids=init)
-        labels = result.labels
-        medoids = tuple(uids[m] for m in result.medoids)
-    elif method == "average":
-        labels = average_linkage_labels(D, n_clusters)
-        medoids = ()
-    else:
-        raise ValueError(f"unknown clustering method {method!r}")
+    init = None
+    if initial_medoid_uids is not None and len(initial_medoid_uids) == n_clusters:
+        pos = {u: i for i, u in enumerate(uids)}
+        seeds = [pos[u] for u in initial_medoid_uids if u in pos]
+        if len(seeds) == n_clusters and len(set(seeds)) == n_clusters:
+            init = seeds
+    result = pam(D, n_clusters, init_medoids=init)
+    labels = result.labels
+    medoids = tuple(uids[m] for m in result.medoids)
 
     sil = silhouette_score(D, labels) if n_clusters > 1 else float("nan")
     return ClusteringResult(
@@ -159,7 +144,6 @@ def cluster_kernels(
         n_clusters=n_clusters,
         silhouette=float(sil) if not np.isnan(sil) else float("nan"),
         medoid_uids=medoids,
-        method=method,
     )
 
 
@@ -205,36 +189,3 @@ def resolve_warm_medoids(
     if len(set(seeds)) != len(seeds):
         return None
     return tuple(seeds)
-
-
-def choose_n_clusters(
-    frontiers: Mapping[str, ParetoFrontier],
-    *,
-    k_range: tuple[int, int] = (2, 8),
-    method: Literal["pam", "average"] = "pam",
-    composition_weight: float | None = None,
-) -> int:
-    """Pick a cluster count by silhouette over a candidate range.
-
-    The paper chose its five clusters "empirically" by predictive
-    ability; silhouette is the standard unsupervised proxy exposed here
-    for users without a validation suite.  Ties break toward fewer
-    clusters (the more general model).
-    """
-    lo, hi = k_range
-    if lo < 2 or hi < lo:
-        raise ValueError(f"invalid k_range {k_range}")
-    hi = min(hi, len(frontiers) - 1)
-    if hi < lo:
-        raise ValueError("too few kernels for the requested k_range")
-    best_k, best_sil = lo, -np.inf
-    for k in range(lo, hi + 1):
-        result = cluster_kernels(
-            frontiers,
-            n_clusters=k,
-            method=method,
-            composition_weight=composition_weight,
-        )
-        if result.silhouette > best_sil + 1e-12:
-            best_k, best_sil = k, result.silhouette
-    return best_k

@@ -163,7 +163,8 @@ def model_to_json(model: AdaptiveModel) -> str:
                 else model.clustering.silhouette
             ),
             "medoid_uids": list(model.clustering.medoid_uids),
-            "method": model.clustering.method,
+            # PAM is the only clusterer; the key keeps the file format.
+            "method": "pam",
         },
         "cluster_models": {
             str(cid): {
@@ -193,7 +194,6 @@ def model_from_json(text: str) -> AdaptiveModel:
             float("nan") if clus["silhouette"] is None else float(clus["silhouette"])
         ),
         medoid_uids=tuple(clus["medoid_uids"]),
-        method=clus["method"],
     )
     cluster_models = {
         int(cid): ClusterModels(

@@ -105,7 +105,6 @@ class AdaptiveModel:
         characterizations: Sequence[KernelCharacterization],
         *,
         n_clusters: int = DEFAULT_N_CLUSTERS,
-        clustering_method: str = "pam",
         composition_weight: float | None = None,
         transform: Transform = "none",
         power_anchor: bool = True,
@@ -120,9 +119,8 @@ class AdaptiveModel:
         """Run the full offline pipeline on training characterizations.
 
         Parameters mirror the paper's knobs: ``n_clusters`` (paper: 5),
-        the relational clustering method, the optional future-work
-        variance-stabilizing ``transform``, the power-anchor extension,
-        and the tree's capacity.  ``dissimilarity`` optionally supplies
+        the optional future-work variance-stabilizing ``transform``, the
+        power-anchor extension, and the tree's capacity.  ``dissimilarity`` optionally supplies
         a precomputed frontier-dissimilarity matrix in
         ``characterizations`` order (e.g. sliced from a
         :class:`~repro.core.dissimilarity.DissimilarityCache`),
@@ -132,10 +130,10 @@ class AdaptiveModel:
 
         The training-engine accelerators (``docs/TRAINING_ENGINE.md``)
         are opt-in and result-preserving: ``initial_medoid_uids``
-        warm-starts PAM from a reference clustering (ignored for
-        non-PAM methods or when seeds are invalid), and ``gram_pool``
-        fits the per-cluster regressions from cached sufficient
-        statistics instead of rebuilt design matrices.
+        warm-starts PAM from a reference clustering (ignored when the
+        seeds are invalid), and ``gram_pool`` fits the per-cluster
+        regressions from cached sufficient statistics instead of rebuilt
+        design matrices.
         """
         if not characterizations:
             raise ValueError("cannot train on zero kernels")
@@ -156,7 +154,6 @@ class AdaptiveModel:
             clustering = cluster_kernels(
                 frontiers_or_uids,
                 n_clusters=n_clusters,
-                method=clustering_method,
                 composition_weight=composition_weight,
                 dissimilarity=dissimilarity,
                 initial_medoid_uids=initial_medoid_uids,

@@ -16,7 +16,6 @@ with no cases anywhere is NaN.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -146,8 +145,3 @@ def summarize_by_group(
     return {
         g: summarize([r for r in records if r.group == g]) for g in groups
     }
-
-
-def is_nan(x: float) -> bool:
-    """NaN check usable on plain floats (re-exported for reporting)."""
-    return math.isnan(x)

@@ -2,57 +2,30 @@
 
 The paper's offline stage "is conducted only once to characterize a new
 system" (Section III) — the model is machine-specific by design.  These
-presets make that concrete: each returns a machine with a different
-power calibration, standing in for distinct parts or platform
+presets make that concrete: each returns a Trinity-class machine with a
+different power calibration, standing in for distinct parts or platform
 generations (the paper's introduction points at Kaveri, Trinity's
-successor).  The Trinity-class presets share P-state tables and vary
-only the power constants — exactly the kind of difference that
-invalidates a transplanted model (see
-``benchmarks/test_bench_cross_machine.py``).
+successor).  They share P-state tables and vary only the power
+constants — exactly the kind of difference that invalidates a
+transplanted model (see ``benchmarks/test_bench_cross_machine.py``).
 
-The presets are *calibration variants* layered over the backend
-registry (:mod:`repro.hardware.backend`): registered backend names are
-presets too, so CLI/experiment enumeration sees one flat namespace of
-machines (``trinity``, ``efficient``, ``leaky``, ``biglittle``,
-``mpsoc``, ...).
+Machines are selected by name through the backend registry
+(:func:`repro.hardware.backend.create_backend`); these presets are
+calibration variants of its ``trinity`` entry.
 """
 
 from __future__ import annotations
 
 from repro.hardware.apu import TrinityAPU
-from repro.hardware.backend import HardwareBackend, backend_names, create_backend
 from repro.hardware.noise import NoiseModel
 from repro.hardware.power import PowerModelConstants
 
-__all__ = [
-    "trinity",
-    "efficient_apu",
-    "leaky_apu",
-    "MACHINE_PRESETS",
-    "machine_preset_names",
-    "create_machine",
-]
+__all__ = ["trinity", "leaky_apu"]
 
 
 def trinity(*, seed: int = 0, noise: NoiseModel | None = None) -> TrinityAPU:
     """The paper's machine: the calibrated A10-5800K model (default)."""
     return TrinityAPU(seed=seed, noise=noise)
-
-
-def efficient_apu(*, seed: int = 0, noise: NoiseModel | None = None) -> TrinityAPU:
-    """A die-shrunk successor: lower static power everywhere, cheaper
-    GPU switching — the GPU becomes attractive at much lower caps."""
-    constants = PowerModelConstants(
-        cpu_static_base=1.8,
-        cpu_static_v2=1.2,
-        cpu_dyn_per_core=1.2,
-        nb_static=1.5,
-        gpu_idle_w=0.8,
-        gpu_static_base=2.2,
-        gpu_static_v2=3.5,
-        gpu_dyn=18.0,
-    )
-    return TrinityAPU(seed=seed, noise=noise, power_constants=constants)
 
 
 def leaky_apu(*, seed: int = 0, noise: NoiseModel | None = None) -> TrinityAPU:
@@ -68,33 +41,3 @@ def leaky_apu(*, seed: int = 0, noise: NoiseModel | None = None) -> TrinityAPU:
         gpu_static_v2=9.0,
     )
     return TrinityAPU(seed=seed, noise=noise, power_constants=constants)
-
-
-#: Name -> factory, for CLI/experiment enumeration (Trinity-class
-#: calibration variants; registered backends are resolved dynamically
-#: by :func:`create_machine`).
-MACHINE_PRESETS = {
-    "trinity": trinity,
-    "efficient": efficient_apu,
-    "leaky": leaky_apu,
-}
-
-
-def machine_preset_names() -> list[str]:
-    """Every selectable machine name: calibration presets plus all
-    registered backends, sorted and de-duplicated."""
-    return sorted(set(MACHINE_PRESETS) | set(backend_names()))
-
-
-def create_machine(
-    name: str, *, seed: int = 0, noise: NoiseModel | None = None
-) -> HardwareBackend:
-    """Instantiate a machine by preset or backend name.
-
-    Calibration presets win on a name collision (``"trinity"`` is
-    both), so historical preset behaviour is unchanged.
-    """
-    factory = MACHINE_PRESETS.get(name)
-    if factory is not None:
-        return factory(seed=seed, noise=noise)
-    return create_backend(name, seed=seed, noise=noise)

@@ -6,15 +6,11 @@ SEARCH.md): describe a combinatorial space lazily
 multi-objective engine (:func:`nsga2_search`, :func:`random_search`),
 collect the result in a deterministic ε-dominance archive
 (:class:`EpsilonArchive`), validate against exact enumeration where
-that is feasible (:func:`validate_against_exact`), and adapt the
-discovered frontier into the scheduler/cluster/server stack
-(:mod:`repro.search.adapters`).
+that is feasible (:func:`validate_against_exact`), and pack discovered
+frontiers into a fleet pool (:func:`pool_from_archives`).
 """
 
-from repro.search.adapters import (
-    archive_to_prediction,
-    pool_from_archives,
-)
+from repro.search.adapters import pool_from_archives
 from repro.search.archive import EpsilonArchive
 from repro.search.engine import (
     SearchConfig,
@@ -45,7 +41,6 @@ __all__ = [
     "SearchResult",
     "SpaceTooLargeError",
     "ValidationReport",
-    "archive_to_prediction",
     "backend_space",
     "demo_space",
     "hypervolume",

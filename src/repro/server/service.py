@@ -251,37 +251,6 @@ class DecisionService:
                 errors[u] = ERROR_NO_FEASIBLE_CONFIG
         return errors
 
-    def publish_predictions(
-        self, predictions: Mapping[str, KernelPrediction]
-    ) -> dict[str, str]:
-        """Publish externally-built predictions (e.g. search-discovered
-        frontiers via :func:`repro.search.adapters.archive_to_prediction`)
-        as servable kernels.
-
-        Each uid is registered in the catalogue and its sweep table is
-        built against the current scheduler (quarantine included), then
-        everything is published in one snapshot swap.  Returns
-        ``{uid: error_code}`` for entries that are warmed but
-        unservable (``no-feasible-config``); servable uids are absent.
-        """
-        errors: dict[str, str] = {}
-        with self._publish_lock:
-            snap = self._snapshot
-            merged = dict(snap.predictions)
-            tables = dict(snap.tables)
-            for uid, prediction in predictions.items():
-                with trace_span("server/publish"):
-                    merged[uid] = prediction
-                    # Register the uid so _ensure does not report it
-                    # unknown; the prediction itself is already here, so
-                    # the predictor never runs for it.
-                    self._kernels.setdefault(uid, None)
-                    tables[uid] = self._table(prediction)
-                    if tables[uid] is None:
-                        errors[uid] = ERROR_NO_FEASIBLE_CONFIG
-            self._publish(merged, tables)
-        return errors
-
     # -- quarantine management --------------------------------------------
 
     def quarantine(self, config: Configuration) -> None:

@@ -19,24 +19,16 @@ faithful NumPy implementations of each building block:
 ``kmedoids``
     Partitioning Around Medoids (PAM) operating directly on a
     dissimilarity matrix — i.e. *relational* clustering — plus silhouette
-    scoring for choosing the cluster count.
-``agglomerative``
-    Average-linkage hierarchical clustering on a dissimilarity matrix, as
-    an alternative relational clusterer.
+    scoring of the result.
 ``cart``
     A CART classification tree (Gini impurity) with a printable structure
     mirroring the paper's Figure 3.
-``crossval``
-    Leave-one-group-out splitting used for the paper's
-    leave-one-benchmark-out cross-validation.
 
 All estimators are deterministic given their inputs (PAM's BUILD phase is
 deterministic; optional random restarts take an explicit seed).
 """
 
-from repro.stats.agglomerative import average_linkage_labels
 from repro.stats.cart import ClassificationTree, TreeNode
-from repro.stats.crossval import leave_one_group_out
 from repro.stats.kendall import kendall_tau
 from repro.stats.kmedoids import KMedoidsResult, pam, silhouette_score
 from repro.stats.ols import GramStats, OLSModel, fit_ols, fit_ols_from_gram
@@ -47,11 +39,9 @@ __all__ = [
     "KMedoidsResult",
     "OLSModel",
     "TreeNode",
-    "average_linkage_labels",
     "fit_ols",
     "fit_ols_from_gram",
     "kendall_tau",
-    "leave_one_group_out",
     "pam",
     "silhouette_score",
 ]

@@ -334,55 +334,6 @@ class ClassificationTree:
             raise RuntimeError("tree is not fitted")
         return _n(self.root)
 
-    # -- pruning -----------------------------------------------------------
-
-    def prune(self, alpha: float) -> "ClassificationTree":
-        """Weakest-link cost-complexity pruning (Breiman et al., ch. 3).
-
-        Collapses every internal node whose per-leaf training-error
-        reduction is worth less than ``alpha`` errors: a subtree rooted
-        at ``t`` survives only if
-
-        .. math::  g(t) = \\frac{R(t) - R(T_t)}{|leaves(T_t)| - 1} > \\alpha
-
-        where :math:`R` counts misclassified training samples.  Applied
-        bottom-up until stable; ``alpha = 0`` removes only splits that
-        buy no training accuracy at all.  Returns ``self``.
-        """
-        if self.root is None:
-            raise RuntimeError("tree is not fitted")
-        if alpha < 0:
-            raise ValueError("alpha must be non-negative")
-
-        def leaf_errors(node: TreeNode) -> int:
-            return node.n_samples - int(node.class_counts.max())
-
-        def subtree_stats(node: TreeNode) -> tuple[int, int]:
-            """(misclassified by subtree's leaves, number of leaves)."""
-            if node.is_leaf:
-                return leaf_errors(node), 1
-            le, ln = subtree_stats(node.left)
-            re, rn = subtree_stats(node.right)
-            return le + re, ln + rn
-
-        def walk(node: TreeNode) -> None:
-            if node.is_leaf:
-                return
-            walk(node.left)
-            walk(node.right)
-            sub_err, n_leaves = subtree_stats(node)
-            if n_leaves <= 1:
-                return
-            g = (leaf_errors(node) - sub_err) / (n_leaves - 1)
-            if g <= alpha:
-                node.feature = None
-                node.threshold = None
-                node.left = None
-                node.right = None
-
-        walk(self.root)
-        return self
-
     # -- reporting ---------------------------------------------------------
 
     def _feature_name(self, f: int) -> str:

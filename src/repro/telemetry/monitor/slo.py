@@ -374,18 +374,12 @@ def default_server_slos(
 def default_cluster_slos(
     *, short_window_s: float = 2.0, long_window_s: float = 10.0
 ) -> list[SLOSpec]:
-    """The fleet manager's default objectives: epochs stay within
-    budget and no epoch runs degraded by node faults."""
+    """The fleet manager's default objective: epochs stay within
+    budget."""
     return [
         parse_slo(
             "cluster.epoch.over_budget_w <= 0",
             name="cluster-over-budget",
-            short_window_s=short_window_s,
-            long_window_s=long_window_s,
-        ),
-        parse_slo(
-            "faults.cluster.epochs_degraded rate == 0",
-            name="cluster-epochs-degraded",
             short_window_s=short_window_s,
             long_window_s=long_window_s,
         ),

@@ -3,7 +3,9 @@
 The vectorized water-filling kernels replaced these implementations;
 they are kept verbatim as the oracle the kernels must reproduce step for
 step (the tests pin bit-identical caps) and as the baseline the
-allocation scale benchmark measures its speedup against.
+allocation scale benchmark measures its speedup against.  The per-node
+feasibility scan is the oracle for
+:meth:`~repro.cluster.pool.FrontierPool.at_caps`.
 """
 
 from __future__ import annotations
@@ -11,14 +13,38 @@ from __future__ import annotations
 import heapq
 from typing import Mapping
 
-from repro.cluster.allocation import _check_budget
-from repro.cluster.node import NodeFrontier
+from repro.cluster.allocation import _check_budget, allocate_pool
+from repro.cluster.node import NodeFrontier, NodeFrontierPoint
+from repro.cluster.pool import FrontierPool
+from repro.constants import respects_cap
 
 __all__ = [
+    "allocate_by_name",
+    "at_cap_reference",
     "frontier_steps",
     "greedy_marginal_allocation_reference",
     "maxmin_allocation_reference",
 ]
+
+
+def allocate_by_name(
+    budget_w: float, frontiers: Mapping[str, NodeFrontier], policy: str
+) -> dict[str, float]:
+    """The engine side of the comparisons: :func:`allocate_pool` over the
+    frontiers, caps keyed by node name like the references'."""
+    caps = allocate_pool(FrontierPool.from_frontiers(frontiers), budget_w, policy)
+    return dict(zip(frontiers, caps.tolist()))
+
+
+def at_cap_reference(frontier: NodeFrontier, cap_w: float) -> NodeFrontierPoint:
+    """The last point whose cap respects ``cap_w`` (one linear scan),
+    else the floor: a node cannot turn off, and a NaN cap admits
+    nothing."""
+    best = frontier.points[0]
+    for p in frontier.points:
+        if respects_cap(p.cap_w, cap_w):
+            best = p
+    return best
 
 
 def frontier_steps(frontier: NodeFrontier) -> list[tuple[float, float, float]]:

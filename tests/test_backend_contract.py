@@ -229,13 +229,3 @@ class TestDescriptorDispatch:
         assert counters and all(
             math.isfinite(v) for v in counters.values()
         )
-
-    def test_presets_include_registered_backends(self):
-        from repro.hardware.presets import create_machine, machine_preset_names
-
-        names = machine_preset_names()
-        assert set(BACKENDS) <= set(names)
-        machine = create_machine("biglittle", seed=3)
-        assert machine.name == "biglittle"
-        # Preset names keep their historical meaning on collision.
-        assert create_machine("trinity", seed=0).name == "trinity"

@@ -9,10 +9,8 @@ from repro.cluster import (
     FrontierPool,
     NodeFrontier,
     NodeFrontierPoint,
-    allocation_summary,
-    greedy_marginal_allocation,
-    maxmin_allocation,
-    uniform_allocation,
+    allocate_pool,
+    pool_allocation_summary,
 )
 from repro.core import train_model
 from repro.faults import FaultEvent, FaultPlan
@@ -20,10 +18,22 @@ from repro.hardware import TrinityAPU
 from repro.profiling import ProfilingLibrary
 from repro.runtime import Application
 from repro.workloads import build_suite
+from tests.allocation_reference import allocate_by_name, at_cap_reference
 
 
 def _frontier(points):
     return NodeFrontier([NodeFrontierPoint(*p) for p in points])
+
+
+def _summary(caps, frontiers, budget):
+    pool = FrontierPool.from_frontiers(frontiers)
+    return pool_allocation_summary(pool, np.array([caps[n] for n in frontiers]), budget)
+
+
+def _rates_at(caps, frontiers):
+    """Each node's predicted rate at its cap (floor below the floor)."""
+    pool = FrontierPool.from_frontiers(frontiers)
+    return pool.at_caps([caps[n] for n in frontiers])[2].tolist()
 
 
 @pytest.fixture(scope="module")
@@ -65,9 +75,10 @@ class TestNodeFrontier:
 
     def test_at_cap(self):
         f = _frontier([(10.0, 9.0, 1.0), (20.0, 19.0, 2.0)])
-        assert f.at_cap(15.0).rate == 1.0
-        assert f.at_cap(25.0).rate == 2.0
-        assert f.at_cap(5.0).rate == 1.0  # floor: node cannot power off
+        pool = FrontierPool.from_frontiers({"a": f, "b": f, "c": f})
+        _, _, rates = pool.at_caps([15.0, 25.0, 5.0])
+        # 5 W is below the floor: a node cannot power off.
+        assert rates.tolist() == [1.0, 2.0, 1.0]
 
     def test_steps(self):
         # The allocator's marginal menu is the pool view's step arrays.
@@ -85,19 +96,8 @@ class TestNodeFrontier:
             NodeFrontier([])
 
     def test_at_cap_matches_linear_scan(self):
-        # Regression for the binary-search rewrite: pin equality to the
-        # original O(n) feasibility scan, below-floor fallback included.
-        from repro.constants import respects_cap
-
-        def linear_scan(frontier, cap_w):
-            best = None
-            for p in frontier.points:
-                if respects_cap(p.cap_w, cap_w):
-                    best = p
-            return best if best is not None else frontier.points[0]
-
-        import numpy as np
-
+        # Pin the pool's cap lookup to the O(n) feasibility scan,
+        # below-floor fallback included.
         rng = np.random.default_rng(123)
         for _ in range(50):
             n_points = int(rng.integers(1, 8))
@@ -119,8 +119,11 @@ class TestNodeFrontier:
                 float(caps[-1]) + 5.0,
                 float(rng.uniform(0.0, caps[-1] + 2.0)),
             ]
-            for q in queries:
-                assert f.at_cap(q) is linear_scan(f, q), q
+            pool = FrontierPool.from_frontiers({str(i): f for i in range(len(queries))})
+            got = zip(*pool.at_caps(queries))
+            for q, (cap, power, rate) in zip(queries, got):
+                want = at_cap_reference(f, q)
+                assert (cap, power, rate) == (want.cap_w, want.expected_power_w, want.rate), q
 
 
 class TestAllocation:
@@ -132,11 +135,11 @@ class TestAllocation:
         return {"a": fa, "b": fb}
 
     def test_uniform_splits_evenly(self):
-        caps = uniform_allocation(40.0, self._two_frontiers())
+        caps = allocate_by_name(40.0, self._two_frontiers(), "uniform")
         assert caps == {"a": 20.0, "b": 20.0}
 
     def test_greedy_prefers_high_marginal_node(self):
-        caps = greedy_marginal_allocation(30.0, self._two_frontiers())
+        caps = allocate_by_name(30.0, self._two_frontiers(), "greedy")
         # 20 W go to the minima; the spare 10 W belong to node a, whose
         # steps buy 0.4 and 0.2 rate/W vs node b's 0.05.
         assert caps["a"] == pytest.approx(20.0)
@@ -145,43 +148,44 @@ class TestAllocation:
     def test_greedy_respects_budget(self):
         fr = self._two_frontiers()
         for budget in (20.0, 25.0, 33.0, 40.0, 100.0):
-            caps = greedy_marginal_allocation(budget, fr)
+            caps = allocate_by_name(budget, fr, "greedy")
             assert sum(caps.values()) <= budget + 1e-9
 
     def test_greedy_beats_uniform_in_predicted_rate(self):
         fr = self._two_frontiers()
         budget = 30.0
-        g = allocation_summary(greedy_marginal_allocation(budget, fr), fr, budget)
-        u = allocation_summary(uniform_allocation(budget, fr), fr, budget)
+        g = _summary(allocate_by_name(budget, fr, "greedy"), fr, budget)
+        u = _summary(allocate_by_name(budget, fr, "uniform"), fr, budget)
         assert g["predicted_rate"] > u["predicted_rate"]
 
     def test_greedy_monotone_in_budget(self):
         fr = self._two_frontiers()
         rates = []
         for budget in (20.0, 25.0, 30.0, 35.0, 40.0):
-            caps = greedy_marginal_allocation(budget, fr)
+            caps = allocate_by_name(budget, fr, "greedy")
             rates.append(
-                allocation_summary(caps, fr, budget)["predicted_rate"]
+                _summary(caps, fr, budget)["predicted_rate"]
             )
         assert rates == sorted(rates)
 
     def test_infeasible_budget_scales_floors(self):
         fr = self._two_frontiers()
-        caps = greedy_marginal_allocation(10.0, fr)  # floors need 20 W
+        caps = allocate_by_name(10.0, fr, "greedy")  # floors need 20 W
         assert sum(caps.values()) == pytest.approx(10.0)
         assert caps["a"] == pytest.approx(5.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            uniform_allocation(10.0, {})
+            allocate_by_name(10.0, {}, "uniform")
         with pytest.raises(ValueError):
-            greedy_marginal_allocation(0.0, self._two_frontiers())
+            allocate_by_name(0.0, self._two_frontiers(), "greedy")
         with pytest.raises(ValueError):
-            allocation_summary({"a": 1.0}, self._two_frontiers(), 10.0)
+            pool = FrontierPool.from_frontiers(self._two_frontiers())
+            pool_allocation_summary(pool, np.array([1.0]), 10.0)
 
     def test_maxmin_lifts_the_slowest_node(self):
         fr = self._two_frontiers()
-        caps = maxmin_allocation(35.0, fr)
+        caps = allocate_by_name(35.0, fr, "maxmin")
         # Both floors give rate 1.0; tie breaks to 'a' (rate 3.0 at
         # 15 W); then 'b' is slowest and takes its 10 W step to rate
         # 1.5; the remaining 5W go to 'a' again (rate 4.0).
@@ -191,23 +195,20 @@ class TestAllocation:
     def test_maxmin_respects_budget(self):
         fr = self._two_frontiers()
         for budget in (20.0, 25.0, 33.0, 50.0):
-            caps = maxmin_allocation(budget, fr)
+            caps = allocate_by_name(budget, fr, "maxmin")
             assert sum(caps.values()) <= budget + 1e-9
 
     def test_maxmin_improves_worst_rate_over_greedy(self):
         fr = self._two_frontiers()
         budget = 35.0
-        greedy = greedy_marginal_allocation(budget, fr)
-        maxmin = maxmin_allocation(budget, fr)
+        greedy = allocate_by_name(budget, fr, "greedy")
+        maxmin = allocate_by_name(budget, fr, "maxmin")
 
-        def worst_rate(caps):
-            return min(fr[n].at_cap(c).rate for n, c in caps.items())
-
-        assert worst_rate(maxmin) >= worst_rate(greedy)
+        assert min(_rates_at(maxmin, fr)) >= min(_rates_at(greedy, fr))
 
     def test_maxmin_infeasible_budget_scales_floors(self):
         fr = self._two_frontiers()
-        caps = maxmin_allocation(12.0, fr)
+        caps = allocate_by_name(12.0, fr, "maxmin")
         assert sum(caps.values()) == pytest.approx(12.0)
 
 
@@ -317,83 +318,15 @@ class TestClusterPowerManager:
 
 class TestClusterFaults:
     def test_dead_node_dropped_and_budget_redistributed(self, nodes):
-        from repro.cluster import ClusterFaultEvent, ClusterFaultPlan
-
-        plan = ClusterFaultPlan(
-            events=(
-                ClusterFaultEvent(kind="node_dead", node="n1", start=0),
-                ClusterFaultEvent(kind="node_dead", node="ghost", start=0),
-            ),
-            name="one-death",
-        )
-        mgr = ClusterPowerManager(nodes, policy="greedy", fault_plan=plan)
-        healthy = ClusterPowerManager(nodes, policy="greedy")
-        report = mgr.run([70.0, 70.0], n_epochs=2, timesteps_per_epoch=2)
-        # Epoch 0: n1 is dead — no cap, no trace; survivors share 70 W.
-        assert set(report.epochs[0].caps_w) == {"n0", "n2"}
-        assert set(report.epochs[0].traces) == {"n0", "n2"}
-        assert sum(report.epochs[0].caps_w.values()) <= 70.0 + 1e-9
-        survivor_caps = {
-            n: c
-            for n, c in healthy.allocate(70.0).items()
-            if n in ("n0", "n2")
-        }
-        assert (
-            report.epochs[0].caps_w["n0"] + report.epochs[0].caps_w["n2"]
-            >= survivor_caps["n0"] + survivor_caps["n2"]
-        )
-        # Epoch 1: the event expired; the node is back.
-        assert set(report.epochs[1].traces) == {"n0", "n1", "n2"}
-
-    def test_stale_frontier_pins_node_to_floor(self, nodes):
-        from repro.cluster import ClusterFaultEvent, ClusterFaultPlan
-
-        plan = ClusterFaultPlan(
-            events=(
-                ClusterFaultEvent(kind="stale_frontier", node="n0", start=0),
-            ),
-        )
-        mgr = ClusterPowerManager(nodes, policy="greedy", fault_plan=plan)
-        report = mgr.run([75.0], n_epochs=1, timesteps_per_epoch=2)
-        floor = mgr.frontiers()["n0"].min_cap_w
-        assert report.epochs[0].caps_w["n0"] == pytest.approx(floor)
-        assert set(report.epochs[0].traces) == {"n0", "n1", "n2"}
-
-    def test_all_nodes_dead_epoch_degrades_gracefully(self, nodes):
-        from repro.cluster import ClusterFaultEvent, ClusterFaultPlan
-
-        plan = ClusterFaultPlan(
-            events=tuple(
-                ClusterFaultEvent(kind="node_leave", node=n, start=0)
-                for n in ("n0", "n1", "n2")
-            ),
-        )
-        mgr = ClusterPowerManager(nodes, policy="greedy", fault_plan=plan)
-        report = mgr.run([60.0], n_epochs=1, timesteps_per_epoch=2)
-        assert report.epochs[0].traces == {}
-        assert report.epochs[0].makespan_s == 0.0
-        assert report.total_time_s == 0.0
-        assert report.epochs[0].within_budget
-
-    def test_fault_counters_increment(self, nodes):
-        from repro.cluster import ClusterFaultEvent, ClusterFaultPlan
-        from repro.telemetry import counter
-
-        plan = ClusterFaultPlan(
-            events=(
-                ClusterFaultEvent(kind="node_dead", node="n1", start=0),
-                ClusterFaultEvent(kind="stale_frontier", node="n2", start=0),
-                ClusterFaultEvent(kind="node_leave", node="missing", start=0),
-            ),
-        )
-        dead = counter("faults.cluster.node_dead")
-        stale = counter("faults.cluster.stale_frontier")
-        unknown = counter("faults.cluster.unknown_node")
-        degraded = counter("faults.cluster.epochs_degraded")
-        before = (dead.value, stale.value, unknown.value, degraded.value)
-        mgr = ClusterPowerManager(nodes, fault_plan=plan)
-        mgr.run([70.0], n_epochs=1, timesteps_per_epoch=2)
-        assert dead.value == before[0] + 1
-        assert stale.value == before[1] + 1
-        assert unknown.value == before[2] + 1
-        assert degraded.value == before[3] + 1
+        # Node churn is pool membership: a dead node leaves the pool and
+        # the survivors share its budget; rejoining restores it.
+        mgr = ClusterPowerManager(nodes, policy="greedy")
+        pool = FrontierPool.from_frontiers(mgr.frontiers())
+        healthy = dict(zip(pool.active_names(), allocate_pool(pool, 70.0).tolist()))
+        pool.deactivate(["n1"])
+        caps = dict(zip(pool.active_names(), allocate_pool(pool, 70.0).tolist()))
+        assert set(caps) == {"n0", "n2"}
+        assert sum(caps.values()) <= 70.0 + 1e-9
+        assert caps["n0"] + caps["n2"] >= healthy["n0"] + healthy["n2"]
+        pool.activate(["n1"])
+        assert allocate_pool(pool, 70.0).tolist() == list(healthy.values())

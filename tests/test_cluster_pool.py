@@ -1,5 +1,4 @@
-"""Tests for the fleet-scale allocation engine (pool, kernels, tree,
-cluster faults)."""
+"""Tests for the fleet-scale allocation engine (pool, kernels, tree)."""
 
 import numpy as np
 import pytest
@@ -8,19 +7,16 @@ from hypothesis import strategies as st
 
 from repro.cluster import (
     BudgetTree,
-    ClusterFaultEvent,
-    ClusterFaultPlan,
     FrontierPool,
     NodeFrontier,
     NodeFrontierPoint,
     allocate_pool,
-    greedy_marginal_allocation,
-    maxmin_allocation,
     pool_allocation_summary,
-    uniform_allocation,
 )
 from repro.constants import CAP_EPSILON
 from tests.allocation_reference import (
+    allocate_by_name,
+    at_cap_reference,
     greedy_marginal_allocation_reference,
     maxmin_allocation_reference,
 )
@@ -131,7 +127,7 @@ class TestFrontierPool:
         queries[0] = np.nan  # scalar scan treats NaN as nothing-feasible
         point_caps, powers, rates = pool.at_caps(queries)
         for i, (name, q) in enumerate(zip(pool.active_names(), queries)):
-            p = fr[name].at_cap(float(q))
+            p = at_cap_reference(fr[name], float(q))
             assert point_caps[i] == p.cap_w
             assert powers[i] == p.expected_power_w
             assert rates[i] == p.rate
@@ -149,7 +145,7 @@ class TestFrontierPool:
         cap = np.nextafter(16.0 / (1.0 + CAP_EPSILON), 0.0)
         assert cap == 15.999999983999997
         point_caps, _, _ = pool.at_caps(np.array([20.0, cap]))
-        assert fr["b"].at_cap(cap).cap_w == 10.0
+        assert at_cap_reference(fr["b"], cap).cap_w == 10.0
         assert point_caps.tolist() == [10.0, 10.0]
 
     @settings(max_examples=60, deadline=None)
@@ -185,7 +181,7 @@ class TestFrontierPool:
         for caps in [[q] * len(names) for q in queries] + [mixed]:
             got = pool.at_caps(np.array(caps))
             for i, (name, cap) in enumerate(zip(names, caps)):
-                p = fr[name].at_cap(cap)
+                p = at_cap_reference(fr[name], cap)
                 assert (got[0][i], got[1][i], got[2][i]) == (
                     p.cap_w,
                     p.expected_power_w,
@@ -204,14 +200,6 @@ class TestFrontierPool:
         assert pool.active_names() == ["a", "b"]
         with pytest.raises(ValueError, match="unknown"):
             pool.deactivate(["nope"])
-
-    def test_add_frontiers(self):
-        pool = FrontierPool.from_frontiers(_two_frontiers())
-        pool.add_frontiers({"c": _frontier([(5.0, 4.8, 0.5)])})
-        assert pool.n_nodes == 3
-        assert pool.active_names() == ["a", "b", "c"]
-        with pytest.raises(ValueError, match="already pooled"):
-            pool.add_frontiers({"a": _frontier([(5.0, 4.8, 0.5)])})
 
     def test_view_cached_per_version(self):
         pool = FrontierPool.from_frontiers(_two_frontiers())
@@ -232,11 +220,12 @@ class TestFrontierPool:
 
 class TestAllocatePool:
     def test_matches_dict_frontend(self):
+        # The dict-level references, keyed by node name.
         fr = _two_frontiers()
         pool = FrontierPool.from_frontiers(fr)
         for policy, dict_fn in (
-            ("greedy", greedy_marginal_allocation),
-            ("maxmin", maxmin_allocation),
+            ("greedy", greedy_marginal_allocation_reference),
+            ("maxmin", maxmin_allocation_reference),
         ):
             caps = allocate_pool(pool, 33.0, policy)
             expect = dict_fn(33.0, fr)
@@ -262,23 +251,15 @@ class TestAllocatePool:
         pool = FrontierPool.synthesize(16, seed=0)
         with pytest.raises(ValueError, match="finite"):
             allocate_pool(pool, bad, policy)
-        frontiers = pool.to_frontiers()
-        dict_api = {
-            "uniform": uniform_allocation,
-            "greedy": greedy_marginal_allocation,
-            "maxmin": maxmin_allocation,
-        }[policy]
-        with pytest.raises(ValueError, match="finite"):
-            dict_api(bad, frontiers)
 
     @pytest.mark.parametrize(
-        "policy, alloc, reference",
+        "policy, reference",
         [
-            ("greedy", greedy_marginal_allocation, greedy_marginal_allocation_reference),
-            ("maxmin", maxmin_allocation, maxmin_allocation_reference),
+            ("greedy", greedy_marginal_allocation_reference),
+            ("maxmin", maxmin_allocation_reference),
         ],
     )
-    def test_fixup_takes_one_candidate_per_round(self, policy, alloc, reference):
+    def test_fixup_takes_one_candidate_per_round(self, policy, reference):
         # After the cut, "a"'s 5 W step no longer fits the 4 W left, while
         # "b" and "c" each fit alone but not together: the reference buys
         # "b" only.
@@ -289,9 +270,7 @@ class TestAllocatePool:
         }
         expect = {"a": 10.0, "b": 13.0, "c": 10.0}
         assert reference(34.0, fr) == expect
-        assert alloc(34.0, fr) == expect
-        caps = allocate_pool(FrontierPool.from_frontiers(fr), 34.0, policy)
-        assert caps.tolist() == list(expect.values())
+        assert allocate_by_name(34.0, fr, policy) == expect
 
     def test_respects_membership(self):
         pool = FrontierPool.from_frontiers(_two_frontiers())
@@ -314,7 +293,7 @@ class TestAllocatePool:
             "b": _frontier([(10.0, 10.0, 1.0)]),
         }
         for budget in (20.0, 20.5):
-            caps = greedy_marginal_allocation(budget, fr)
+            caps = allocate_by_name(budget, fr, "greedy")
             assert caps == greedy_marginal_allocation_reference(budget, fr)
             summary = pool_allocation_summary(
                 FrontierPool.from_frontiers(fr),
@@ -326,19 +305,21 @@ class TestAllocatePool:
     def test_single_node(self):
         fr = {"only": _frontier([(10.0, 9.5, 1.0), (14.0, 13.2, 2.0)])}
         for budget, expected in ((5.0, 5.0), (12.0, 10.0), (40.0, 14.0)):
-            for fn in (greedy_marginal_allocation, maxmin_allocation):
-                assert fn(budget, fr)["only"] == pytest.approx(expected)
+            for policy in ("greedy", "maxmin"):
+                assert allocate_by_name(budget, fr, policy)["only"] == pytest.approx(expected)
 
     def test_pool_allocation_summary_matches_dict(self):
         fr = _two_frontiers()
         pool = FrontierPool.from_frontiers(fr)
         caps = allocate_pool(pool, 33.0, "greedy")
-        from repro.cluster import allocation_summary
-
+        points = [at_cap_reference(fr[n], c) for n, c in zip(fr, caps.tolist())]
+        s_dict = {
+            "predicted_rate": sum(p.rate for p in points),
+            "predicted_power_w": sum(p.expected_power_w for p in points),
+            "budget_w": 33.0,
+            "slack_w": 33.0 - sum(caps.tolist()),
+        }
         s_pool = pool_allocation_summary(pool, caps, 33.0)
-        s_dict = allocation_summary(
-            dict(zip(pool.active_names(), caps.tolist())), fr, 33.0
-        )
         for key in s_dict:
             assert s_pool[key] == pytest.approx(s_dict[key])
 
@@ -349,9 +330,11 @@ class TestAllocatePool:
     ):
         floors = sum(f.min_cap_w for f in fr.values())
         budget = floors * floor_factor + extra
-        greedy = greedy_marginal_allocation(budget, fr)
+        # Bit-identical, floor-scaled budgets included: the pool's floor
+        # sum adds at most six floors, in order, like the references.
+        greedy = allocate_by_name(budget, fr, "greedy")
         assert greedy == greedy_marginal_allocation_reference(budget, fr)
-        maxmin = maxmin_allocation(budget, fr)
+        maxmin = allocate_by_name(budget, fr, "maxmin")
         assert maxmin == maxmin_allocation_reference(budget, fr)
         # Neither policy ever exceeds the budget.
         assert sum(greedy.values()) <= budget + 1e-9
@@ -394,27 +377,6 @@ class TestBudgetTree:
         assert caps.shape == (pool.n_active,)
         assert rebuilds.value - before == 1  # only the victim's rack
 
-    def test_budget_shifts(self):
-        pool, tree = self._tree()
-        budget = float(np.sum(pool.floors())) * 1.3
-        tree.allocate(budget)
-        racks = sorted(tree.last_rack_budgets)
-        baseline = dict(tree.last_rack_budgets)
-        tree.shift_budget(racks[0], racks[1], 3.0)
-        caps = tree.allocate(budget)
-        assert float(np.sum(caps)) <= budget + 1e-6
-        assert tree.last_rack_budgets[racks[0]] == pytest.approx(
-            baseline[racks[0]] - 3.0
-        )
-        assert tree.last_rack_budgets[racks[1]] == pytest.approx(
-            baseline[racks[1]] + 3.0
-        )
-        tree.clear_shifts()
-        tree.allocate(budget)
-        assert tree.last_rack_budgets[racks[0]] == pytest.approx(
-            baseline[racks[0]]
-        )
-
     def test_validation(self):
         pool = FrontierPool.synthesize(4, seed=0)
         names = pool.active_names()
@@ -423,56 +385,5 @@ class TestBudgetTree:
         with pytest.raises(ValueError, match="without a row"):
             BudgetTree(pool, {n: "r0" for n in names}, {})
         tree = BudgetTree.regular(pool, rack_size=2, racks_per_row=1)
-        with pytest.raises(ValueError, match="unknown rack"):
-            tree.shift_budget("rack000000", "nope", 1.0)
         with pytest.raises(ValueError):
             tree.allocate(0.0)
-
-    def test_extend_for_joining_nodes(self):
-        pool, tree = self._tree(n=8, rack_size=4, racks_per_row=1)
-        pool.add_frontiers({"late": _frontier([(9.0, 8.7, 0.7)])})
-        with pytest.raises(ValueError, match="no rack"):
-            tree.allocate(100.0)
-        tree.extend(
-            rack_of={"late": "rack-late"}, row_of={"rack-late": "row0000"}
-        )
-        budget = float(np.sum(pool.floors())) * 1.3
-        caps = tree.allocate(budget)
-        assert caps.shape == (pool.n_active,)
-
-
-class TestClusterFaultPlan:
-    def test_event_validation(self):
-        with pytest.raises(ValueError, match="unknown cluster fault"):
-            ClusterFaultEvent(kind="meteor", node="n0", start=0)
-        with pytest.raises(ValueError, match="node"):
-            ClusterFaultEvent(kind="node_dead", node="", start=0)
-        with pytest.raises(ValueError, match="start"):
-            ClusterFaultEvent(kind="node_dead", node="n0", start=-1)
-        with pytest.raises(ValueError, match="duration"):
-            ClusterFaultEvent(kind="node_dead", node="n0", start=0, duration=0)
-
-    def test_windows(self):
-        ev = ClusterFaultEvent(
-            kind="node_dead", node="n0", start=2, duration=3
-        )
-        assert not ev.active_at(1)
-        assert ev.active_at(2) and ev.active_at(4)
-        assert not ev.active_at(5)
-        plan = ClusterFaultPlan(events=(ev,), name="t")
-        assert plan.horizon == 5
-        assert plan.active_events(3) == (ev,)
-        assert not plan.empty and len(plan) == 1
-
-    def test_json_round_trip(self, tmp_path):
-        plan = ClusterFaultPlan.random(7, ["n0", "n1", "n2"], n_events=5)
-        path = plan.to_file(tmp_path / "plan.json")
-        loaded = ClusterFaultPlan.from_file(path)
-        assert loaded == plan
-        with pytest.raises(ValueError, match="version"):
-            ClusterFaultPlan.from_dict({"version": 99})
-
-    def test_random_deterministic(self):
-        a = ClusterFaultPlan.random(3, ["x", "y"])
-        b = ClusterFaultPlan.random(3, ["x", "y"])
-        assert a == b

@@ -1,5 +1,5 @@
 """The batched :class:`BudgetTree` against its per-level oracle
-(``tests/tree_reference.py``), plus the tree's shift and budget rules."""
+(``tests/tree_reference.py``), plus the tree's budget rules."""
 
 import math
 
@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import BudgetTree, FrontierPool, NodeFrontier, NodeFrontierPoint
+from repro.cluster import BudgetTree, FrontierPool
 from repro.telemetry import counter
 from tests.tree_reference import reference_allocate
 
@@ -81,11 +81,11 @@ def _check(tree: BudgetTree, factor: float, policy: str) -> None:
     assert np.array_equal(after - mid, mid - before)
 
 
-def _churn(rng, pool: FrontierPool, tree: BudgetTree, op: str, serial: list) -> None:
+def _churn(rng, pool: FrontierPool, tree: BudgetTree, op: str) -> None:
     active = pool.active_names()
     if op == "deactivate" and len(active) > 1:
         if rng.random() < 0.5:
-            # Empty a whole rack, so shifts touching it get skipped.
+            # Empty a whole rack.
             rack = tree._rack_of[active[int(rng.integers(len(active)))]]
             victims = [n for n in active if tree._rack_of[n] == rack]
         else:
@@ -96,24 +96,6 @@ def _churn(rng, pool: FrontierPool, tree: BudgetTree, op: str, serial: list) -> 
         idle = [n for n in tree._rack_of if n in pool and not pool.is_active(n)]
         if idle:
             pool.activate(list(rng.choice(idle, min(len(idle), int(rng.integers(1, 4))))))
-    elif op == "add":
-        new = {}
-        for _ in range(int(rng.integers(1, 4))):
-            serial[0] += 1
-            new[f"x{serial[0]:03d}"] = NodeFrontier(
-                [NodeFrontierPoint(*p) for p in _ragged_frontier(rng)]
-            )
-        racks = sorted(tree._row_of)
-        rack = racks[int(rng.integers(len(racks)))] if rng.random() < 0.5 else f"new{serial[0]:03d}"
-        pool.add_frontiers(new)
-        tree.extend(
-            rack_of={name: rack for name in new},
-            row_of=None if rack in tree._row_of else {rack: sorted(set(tree._row_of.values()))[0]},
-        )
-    elif op == "shift":
-        racks = sorted(tree._row_of)
-        a, b = (racks[int(i)] for i in rng.integers(len(racks), size=2))
-        tree.shift_budget(a, b, float(rng.uniform(0.0, 15.0)))
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -125,7 +107,7 @@ def _churn(rng, pool: FrontierPool, tree: BudgetTree, op: str, serial: list) -> 
     n_rows=st.integers(1, 6),
     steps=st.lists(
         st.tuples(
-            st.sampled_from(["none", "deactivate", "activate", "add", "shift"]),
+            st.sampled_from(["none", "deactivate", "activate"]),
             st.sampled_from(["uniform", "greedy", "maxmin"]),
             st.floats(0.3, 3.0),
         ),
@@ -137,41 +119,9 @@ def test_batched_tree_matches_per_level_reference(seed, n, ragged, max_rack, n_r
     rng = np.random.default_rng(seed)
     pool = _pool(rng, n, ragged)
     tree = BudgetTree(pool, *_topology(rng, pool.active_names(), max_rack, n_rows))
-    serial = [0]
     for op, policy, factor in steps:
-        _churn(rng, pool, tree, op, serial)
+        _churn(rng, pool, tree, op)
         _check(tree, factor, policy)
-
-
-def test_shift_into_emptied_rack_is_skipped_whole():
-    pool = FrontierPool.synthesize(16, seed=0)
-    tree = BudgetTree.regular(pool, rack_size=4, racks_per_row=2)
-    names = pool.active_names()
-    pool.deactivate(names[4:8])  # empties rack000001
-    budget = 1.1 * float(np.sum(pool.floors()))
-    base = tree.allocate(budget)
-    base_racks = dict(tree.last_rack_budgets)
-    skipped = counter("cluster.alloc.tree.shifts_skipped")
-    before = skipped.value
-    tree.shift_budget("rack000000", "rack000001", 5.0)
-    caps = tree.allocate(budget)
-    assert float(np.sum(caps)) == float(np.sum(base))
-    assert np.array_equal(caps, base)
-    assert tree.last_rack_budgets == base_racks
-    assert skipped.value - before == 1
-    # Once the rack has members again the shift applies, zero-sum.
-    pool.activate(names[4:8])
-    unshifted = BudgetTree.regular(pool, rack_size=4, racks_per_row=2)
-    unshifted.allocate(budget)
-    tree.allocate(budget)
-    assert skipped.value - before == 1
-    moved = {
-        rack: tree.last_rack_budgets[rack] - share
-        for rack, share in unshifted.last_rack_budgets.items()
-    }
-    assert moved["rack000000"] == pytest.approx(-5.0)
-    assert moved["rack000001"] == pytest.approx(5.0)
-    assert sum(moved.values()) == pytest.approx(0.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -180,5 +130,3 @@ def test_tree_rejects_non_finite_budgets(bad):
     tree = BudgetTree.regular(pool, rack_size=4, racks_per_row=2)
     with pytest.raises(ValueError):
         tree.allocate(bad)
-    with pytest.raises(ValueError):
-        tree.shift_budget("rack000000", "rack000001", bad)

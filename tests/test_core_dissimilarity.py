@@ -171,40 +171,13 @@ class TestClustering:
         for c, uid in enumerate(result.medoid_uids):
             assert result.labels[uid] == c
 
-    def test_average_linkage_method(self, frontiers):
-        result = cluster_kernels(frontiers, method="average")
-        assert result.method == "average"
-        assert result.medoid_uids == ()
-        assert sum(result.sizes()) == len(frontiers)
-
     def test_invalid_arguments(self, frontiers):
         with pytest.raises(ValueError):
             cluster_kernels(frontiers, n_clusters=0)
         with pytest.raises(ValueError):
             cluster_kernels(frontiers, n_clusters=len(frontiers) + 1)
-        with pytest.raises(ValueError):
-            cluster_kernels(frontiers, method="spectral")
 
     def test_deterministic(self, frontiers):
         a = cluster_kernels(frontiers)
         b = cluster_kernels(frontiers)
         assert a.labels == b.labels
-
-    def test_choose_n_clusters_in_range(self, frontiers):
-        from repro.core import choose_n_clusters
-
-        k = choose_n_clusters(frontiers, k_range=(2, 6))
-        assert 2 <= k <= 6
-        # Determinism.
-        assert k == choose_n_clusters(frontiers, k_range=(2, 6))
-
-    def test_choose_n_clusters_validation(self, frontiers):
-        from repro.core import choose_n_clusters
-
-        with pytest.raises(ValueError):
-            choose_n_clusters(frontiers, k_range=(1, 5))
-        with pytest.raises(ValueError):
-            choose_n_clusters(frontiers, k_range=(5, 3))
-        small = dict(list(frontiers.items())[:2])
-        with pytest.raises(ValueError):
-            choose_n_clusters(small, k_range=(2, 8))

@@ -32,7 +32,6 @@ MODULES = [
     "repro.cli",
     "repro.constants",
     "repro.cluster.allocation",
-    "repro.cluster.faults",
     "repro.cluster.manager",
     "repro.cluster.node",
     "repro.cluster.pool",
@@ -84,9 +83,7 @@ MODULES = [
     "repro.server.engine",
     "repro.server.loadgen",
     "repro.server.service",
-    "repro.stats.agglomerative",
     "repro.stats.cart",
-    "repro.stats.crossval",
     "repro.stats.kendall",
     "repro.stats.kmedoids",
     "repro.stats.ols",
@@ -136,19 +133,23 @@ DOCS = sorted(
 
 def _resolves(dotted: str) -> bool:
     """Whether ``dotted`` names a module, or an attribute path inside
-    the longest importable module prefix."""
+    the longest importable module prefix (a class's last step may be an
+    annotated field, such as a dataclass field without a default)."""
     parts = dotted.split(".")
     for i in range(len(parts), 0, -1):
         try:
             obj = importlib.import_module(".".join(parts[:i]))
         except ImportError:
             continue
+        *path, last = parts[i:] or [None]
         try:
-            for attr in parts[i:]:
+            for attr in path:
                 obj = getattr(obj, attr)
         except AttributeError:
             return False
-        return True
+        return last is None or hasattr(obj, last) or (
+            isinstance(obj, type) and last in getattr(obj, "__annotations__", {})
+        )
     return False
 
 
@@ -163,6 +164,21 @@ class TestDocIntegrity:
         }
         missing = sorted(name for name in names if not _resolves(name))
         assert not missing, f"{doc} quotes names that do not resolve: {missing}"
+
+    @pytest.mark.parametrize("doc", DOCS)
+    def test_quoted_src_paths_resolve(self, doc):
+        """Every quoted ``src/…`` path exists, and every ``src/…::name``
+        names an attribute of that module."""
+        text = (REPO / doc).read_text(encoding="utf-8")
+        missing = []
+        for path, name in re.findall(r"`(src/[\w./-]*)(?:::([\w.]+))?(?::\d+)?`", text):
+            if not (REPO / path).exists():
+                missing.append(path)
+            elif name:
+                module = path.removeprefix("src/").removesuffix(".py").replace("/", ".")
+                if not _resolves(f"{module}.{name}"):
+                    missing.append(f"{path}::{name}")
+        assert not missing, f"{doc} quotes src/ paths that do not resolve: {missing}"
 
     def _referenced_paths(self, markdown: str) -> set[str]:
         """File paths mentioned in backticks or markdown links."""

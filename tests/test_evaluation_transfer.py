@@ -202,6 +202,50 @@ class TestRunTransfer:
         assert r.transferred[0].n_cases == cases
         assert r.transferred[0].pct_under_limit == 100.0 * under / cases
 
+    def test_mpsoc_transfer_anti_ranks_power_and_loses_compliance_with_k(self):
+        # Pins the trinity -> MPSoC anomaly: the zero-shot transplanted
+        # model ranks every kernel's configurations backwards in power
+        # (Kendall tau < 0 on all 65 kernels, mean -0.283), and
+        # recalibration makes compliance strictly worse as k grows.  A
+        # fix for the transplanted slope must change this test on purpose.
+        import numpy as np
+
+        from repro.core import AdaptiveModel
+        from repro.evaluation.transfer import _transplant
+        from repro.profiling import CharacterizationStore
+        from repro.stats.kendall import kendall_tau
+
+        r = run_transfer("trinity", "mpsoc", ks=(0, 1, 3, 5), seed=0)
+        kernels = list(build_suite())
+        source = create_backend("trinity", seed=0)
+        target = create_backend("mpsoc", seed=0)
+        store_a = CharacterizationStore.shared(kernels, seed=0, backend="trinity")
+        store_b = CharacterizationStore.shared(kernels, seed=0, backend="mpsoc")
+        model = _transplant(
+            AdaptiveModel.train(
+                store_a.characterize(kernels), config_space=source.config_space
+            ),
+            target.config_space,
+        )
+        taus = []
+        for kernel in kernels:
+            chars = store_b.characterization(kernel)
+            pred = model.predict_kernel(
+                chars.cpu_sample, chars.gpu_sample, kernel_uid=kernel.uid
+            )
+            truth = [target.true_total_power_w(kernel, c) for c in pred.config_tuple]
+            taus.append(kendall_tau(pred.power_array, truth))
+        assert len(taus) == 65
+        assert max(taus) < 0.0
+        assert np.mean(taus) == pytest.approx(-0.283, abs=5e-4)
+        under = [(p.k, round(p.pct_under_limit * p.n_cases / 100.0)) for p in r.transferred]
+        assert under == [(0, 461), (1, 358), (3, 345), (5, 340)]
+        assert {p.n_cases for p in r.transferred} == {789}
+        pcts = [p.pct_under_limit for p in r.transferred]
+        assert pcts == sorted(pcts, reverse=True) and len(set(pcts)) == 4
+        assert pcts[0] == pytest.approx(58.428, abs=5e-4)
+        assert pcts[-1] == pytest.approx(43.093, abs=5e-4)
+
     def test_deterministic_given_seed(self, small_suite):
         a = run_transfer("trinity", "mpsoc", ks=(0, 1), seed=3, suite=small_suite)
         b = run_transfer("trinity", "mpsoc", ks=(0, 1), seed=3, suite=small_suite)

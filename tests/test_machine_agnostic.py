@@ -21,9 +21,6 @@ from repro.methods.search import _neighbours
 from repro.profiling import ProfilingLibrary
 from repro.profiling.io import database_from_json, database_to_json
 from repro.runtime import AdaptiveRuntime, Application, ApplicationTrace
-from repro.search.adapters import archive_to_prediction
-from repro.search.archive import EpsilonArchive
-from repro.search.space import backend_space
 from repro.workloads import build_suite
 
 BACKENDS = ("trinity", "biglittle", "mpsoc")
@@ -169,23 +166,6 @@ class TestPersistence:
             p.measurement for p in library.database
         ]
         assert all(p.config in apu.config_space for p in loaded)
-
-
-class TestSearchAdapters:
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_archive_prediction_anchors_on_the_machine_samples(self, name, suite):
-        space = backend_space(name)
-        kernel = suite.get("LU/Small/LUDecomposition")
-        frontier = space.exact_frontier(kernel)
-        archive = EpsilonArchive(space)
-        genomes = space.all_genomes()
-        rates, powers = space.evaluate(kernel, genomes)
-        archive.insert(genomes, powers, rates)
-        prediction = archive_to_prediction(archive, kernel.uid)
-        cpu_sample, gpu_sample = create_backend(name).descriptor.sample_configs()
-        assert prediction.cpu_sample.config == cpu_sample
-        assert prediction.gpu_sample.config == gpu_sample
-        assert len(prediction.config_tuple) == len(frontier.powers)
 
 
 def test_scheduler_select_coerces_its_cap_with_float(suite):

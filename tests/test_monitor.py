@@ -385,7 +385,7 @@ class TestSLO:
         assert "server-shed" in names
         assert len(names) == len(set(names))
         assert [s.name for s in default_cluster_slos()] == [
-            "cluster-over-budget", "cluster-epochs-degraded",
+            "cluster-over-budget",
         ]
 
 

@@ -12,18 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import (
-    NodeFrontier,
-    NodeFrontierPoint,
-    greedy_marginal_allocation,
-    maxmin_allocation,
-    uniform_allocation,
-)
+from repro.cluster import NodeFrontier, NodeFrontierPoint
 from repro.core import KernelPrediction, Scheduler
 from repro.evaluation import CapEvaluation, summarize
 from repro.hardware import Measurement
 from repro.hardware.backend import TRINITY_DESCRIPTOR
-from tests.allocation_reference import frontier_steps
+from tests.allocation_reference import allocate_by_name, at_cap_reference, frontier_steps
 
 _SPACE = list(TRINITY_DESCRIPTOR.config_space())
 
@@ -210,11 +204,12 @@ def test_scheduler_goal_consistency(pred, cap):
 
 # -- allocation properties -----------------------------------------------------------
 
+
 @settings(max_examples=60, deadline=None)
 @given(node_frontiers(), st.floats(min_value=10.0, max_value=300.0))
 def test_allocations_respect_budget_and_cover_nodes(frontiers, budget):
-    for policy in (uniform_allocation, greedy_marginal_allocation, maxmin_allocation):
-        caps = policy(budget, frontiers)
+    for policy in ("uniform", "greedy", "maxmin"):
+        caps = allocate_by_name(budget, frontiers, policy)
         assert set(caps) == set(frontiers)
         assert sum(caps.values()) <= budget + 1e-6
         assert all(c > 0 for c in caps.values())
@@ -266,12 +261,12 @@ def test_greedy_within_one_step_of_uniform_on_concave_frontiers(
     hence within one step's value of uniform too (uniform <= optimal)."""
 
     def total_rate(caps):
-        return sum(frontiers[n].at_cap(c).rate for n, c in caps.items())
+        return sum(at_cap_reference(frontiers[n], c).rate for n, c in caps.items())
 
-    greedy = greedy_marginal_allocation(budget, frontiers)
-    uniform = uniform_allocation(budget, frontiers)
+    greedy = allocate_by_name(budget, frontiers, "greedy")
+    uniform = allocate_by_name(budget, frontiers, "uniform")
     # Comparison is meaningful only when uniform's share covers every
-    # node's floor (otherwise at_cap clamps uniform up to the floor,
+    # node's floor (otherwise the cap lookup clamps uniform up to the floor,
     # granting it power greedy honestly accounted for).
     floors_ok = all(uniform[n] >= frontiers[n].min_cap_w for n in frontiers)
     if not floors_ok:
@@ -340,8 +335,8 @@ def test_energy_optimizer_monotone_in_budget(pred_list):
 @given(node_frontiers(), st.floats(min_value=30.0, max_value=200.0))
 def test_maxmin_maximizes_worst_node_rate(frontiers, budget):
     def worst(caps):
-        return min(frontiers[n].at_cap(c).rate for n, c in caps.items())
+        return min(at_cap_reference(frontiers[n], c).rate for n, c in caps.items())
 
-    mm = maxmin_allocation(budget, frontiers)
-    gr = greedy_marginal_allocation(budget, frontiers)
+    mm = allocate_by_name(budget, frontiers, "maxmin")
+    gr = allocate_by_name(budget, frontiers, "greedy")
     assert worst(mm) >= worst(gr) - 1e-9

@@ -1,31 +1,25 @@
-"""End-to-end: discovered frontiers driving the whole stack.
+"""End-to-end: discovered frontiers driving the fleet allocator.
 
-The ISSUE's acceptance path: search on the paper space matches the
-exact enumerated frontier to the gates (hypervolume ratio >= 0.99,
-per-cap rate regret <= 1%), and a discovered archive — packaged through
-:mod:`repro.search.adapters` — is consumed unchanged by the
-:class:`~repro.core.scheduler.Scheduler`, the
-:class:`~repro.server.service.DecisionService`, and the fleet
-allocation layer.
+Search on the paper space matches the exact enumerated frontier to the
+gates (hypervolume ratio >= 0.99, per-cap rate regret <= 1%), and
+discovered archives — packed by
+:func:`~repro.search.adapters.pool_from_archives` — are consumed
+unchanged by the fleet allocation layer.
 """
 
 import numpy as np
 import pytest
 
 from repro.cluster.allocation import allocate_pool
-from repro.core import AdaptiveModel, Scheduler
 from repro.hardware import TrinityAPU
-from repro.profiling import CharacterizationStore, ProfilingLibrary
 from repro.search import (
+    EpsilonArchive,
     SearchConfig,
-    archive_to_prediction,
     nsga2_search,
     paper_space,
     pool_from_archives,
     validate_against_exact,
 )
-from repro.server.engine import DecisionRequest
-from repro.server.service import DecisionService
 from repro.workloads import build_suite
 
 #: Tuned for the paper space: exact-match quality (hv ratio 1.0, zero
@@ -79,90 +73,11 @@ class TestPaperSpaceGates:
         assert set(archive.configs()) <= valid
 
 
-class TestSchedulerConsumesArchive:
-    def test_select_picks_best_under_cap(self, space, kernel, archive):
-        prediction = archive_to_prediction(archive, "search/LU")
-        scheduler = Scheduler(risk_margin=0.0)
-        frontier = archive.to_frontier()
-        for cap in (15.0, 25.0, 40.0, 60.0):
-            decision = scheduler.select(prediction, cap)
-            best = frontier.best_under_cap(cap)
-            if best is None:
-                assert not decision.predicted_feasible
-            else:
-                assert decision.predicted_feasible
-                assert decision.config == best.config
-                assert decision.predicted_power_w == best.power_w
-                assert decision.predicted_performance == best.performance
-
-    def test_select_many_matches_select(self, archive):
-        prediction = archive_to_prediction(archive, "search/LU")
-        scheduler = Scheduler(risk_margin=0.0)
-        caps = np.linspace(10.0, 70.0, 25)
-        many = scheduler.select_many(prediction, caps)
-        for cap, d in zip(caps, many):
-            single = scheduler.select(prediction, float(cap))
-            assert d.config == single.config
-            assert d.predicted_feasible == single.predicted_feasible
-
-    def test_sweep_table_builds(self, archive):
-        prediction = archive_to_prediction(archive, "search/LU")
-        table = Scheduler(risk_margin=0.0).sweep_table(prediction)
-        idx, feasible = table.lookup(np.array([5.0, 30.0, 100.0]))
-        assert feasible[2]
-        assert not feasible[0]
-
-    def test_empty_archive_rejected(self, space):
-        from repro.search import EpsilonArchive
-
-        empty = EpsilonArchive(space)
-        with pytest.raises(ValueError, match="empty"):
-            archive_to_prediction(empty, "search/empty")
-        with pytest.raises(ValueError, match="at least one frontier point"):
-            pool_from_archives({"empty": empty})
-
-
-class TestServicePublishesArchive:
-    @pytest.fixture(scope="class")
-    def service(self, suite):
-        kernels = list(suite)[:4]
-        store = CharacterizationStore.shared(suite, seed=0)
-        trained = AdaptiveModel.train(
-            store.characterize(list(suite)),
-            dissimilarity=store.dissimilarity_submatrix(list(suite)),
-        )
-        library = ProfilingLibrary(TrinityAPU(seed=0), seed=0)
-        return DecisionService(trained, library, kernels=kernels)
-
-    def test_published_search_frontier_is_served(
-        self, service, space, kernel, archive
-    ):
-        uid = "search/LU/Small/LUDecomposition"
-        prediction = archive_to_prediction(archive, uid)
-        assert service.publish_predictions({uid: prediction}) == {}
-
-        result = service.decide(DecisionRequest(uid, 30.0))
-        assert result.error is None
-        # default scheduler: no margin
-        best = archive.to_frontier().best_under_cap(30.0)
-        assert result.config == best.config
-
-        batch = service.decide_batch(
-            [DecisionRequest(uid, c) for c in (20.0, 35.0, 50.0)]
-        )
-        assert all(r.error is None for r in batch)
-        singles = [
-            service.decide(DecisionRequest(uid, c)) for c in (20.0, 35.0, 50.0)
-        ]
-        assert [r.config for r in batch] == [r.config for r in singles]
-
-    def test_existing_kernels_unaffected_by_publish(self, service, suite):
-        uid = list(suite)[0].uid
-        before = service.decide(DecisionRequest(uid, 30.0))
-        assert before.error is None
-
-
 class TestFleetConsumesArchives:
+    def test_empty_archive_rejected(self, space):
+        with pytest.raises(ValueError, match="at least one frontier point"):
+            pool_from_archives({"empty": EpsilonArchive(space)})
+
     def test_pool_from_archives_allocates(self, space, suite):
         archives = {}
         for k in list(suite)[:3]:

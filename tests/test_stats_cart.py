@@ -145,64 +145,6 @@ def test_property_training_accuracy_with_unbounded_depth(n, p, k, seed):
     np.testing.assert_array_equal(tree.predict(X), y)
 
 
-class TestPruning:
-    def test_useless_splits_collapse_at_alpha_zero(self):
-        # Pure-noise labels: the tree overfits; alpha=0 keeps only
-        # splits that reduce training error, and collapsing a split
-        # that doesn't must shrink the tree.
-        rng = np.random.default_rng(5)
-        X = rng.normal(size=(40, 2))
-        y = np.array([0] * 36 + [1] * 4)
-        tree = ClassificationTree(max_depth=8).fit(X, rng.permutation(y))
-        before = tree.n_leaves()
-        # Noise splits isolate single samples: one error saved per extra
-        # leaf (g = 1), so alpha = 1 collapses them.
-        tree.prune(alpha=1.0)
-        assert tree.n_leaves() < before
-
-    def test_informative_split_survives(self):
-        X = np.array([[0.1], [0.2], [0.3], [0.7], [0.8], [0.9]])
-        y = np.array([0, 0, 0, 1, 1, 1])
-        tree = ClassificationTree().fit(X, y).prune(alpha=0.5)
-        assert not tree.root.is_leaf  # the perfect split stays
-        np.testing.assert_array_equal(tree.predict(X), y)
-
-    def test_huge_alpha_prunes_to_stump(self):
-        rng = np.random.default_rng(6)
-        X = rng.normal(size=(60, 3))
-        y = (X[:, 0] > 0).astype(int)
-        tree = ClassificationTree(max_depth=6).fit(X, y).prune(alpha=1e9)
-        assert tree.root.is_leaf
-
-    def test_prune_validation(self):
-        tree = ClassificationTree()
-        with pytest.raises(RuntimeError):
-            tree.prune(0.0)
-        tree.fit(np.zeros((2, 1)), np.array([0, 1]))
-        with pytest.raises(ValueError):
-            tree.prune(-1.0)
-
-    def test_pruned_tree_still_predicts(self):
-        rng = np.random.default_rng(7)
-        X = rng.normal(size=(80, 2))
-        y = (X[:, 0] + X[:, 1] > 0).astype(int)
-        tree = ClassificationTree(max_depth=6).fit(X, y).prune(alpha=1.0)
-        acc = np.mean(tree.predict(X) == y)
-        assert acc > 0.8  # pruning trades little training accuracy
-
-    def test_training_error_monotone_in_alpha(self):
-        rng = np.random.default_rng(8)
-        X = rng.normal(size=(100, 3))
-        y = rng.integers(0, 2, size=100)
-
-        def train_error(alpha):
-            t = ClassificationTree(max_depth=10).fit(X, y).prune(alpha)
-            return np.mean(t.predict(X) != y)
-
-        errs = [train_error(a) for a in (0.0, 0.5, 2.0, 1e9)]
-        assert all(errs[i] <= errs[i + 1] + 1e-12 for i in range(len(errs) - 1))
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_property_predictions_are_training_labels(seed):

@@ -139,7 +139,6 @@ class TestResolveWarmMedoids:
             n_clusters=2,
             silhouette=0.5,
             medoid_uids=("k1", "k3"),
-            method="pam",
         )
         rng = np.random.default_rng(0)
         M = rng.uniform(size=(6, 6))

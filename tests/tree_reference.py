@@ -23,8 +23,8 @@ def reference_allocate(
     """``tree.allocate(budget_w, policy)`` one group at a time.
 
     Returns ``(caps, rack_budgets)``: caps aligned with
-    ``tree.pool.active_names()`` and the post-shift rack budgets the
-    tree reports as ``last_rack_budgets``.
+    ``tree.pool.active_names()`` and the rack budgets the tree reports
+    as ``last_rack_budgets``.
     """
     if not (math.isfinite(budget_w) and budget_w > 0):
         raise ValueError("budget_w must be positive and finite")
@@ -35,17 +35,10 @@ def reference_allocate(
         shares = allocate_pool(rack_pool, row_b, policy)
         for rack, share in zip(rack_pool.active_names(), shares.tolist()):
             rack_budget[rack] = share
-    for from_rack, to_rack, watts in tree._shifts:
-        if from_rack in rack_budget and to_rack in rack_budget:
-            rack_budget[from_rack] -= watts
-            rack_budget[to_rack] += watts
     active_index = {name: i for i, name in enumerate(tree.pool.active_names())}
     out = np.empty(len(active_index))
     for rack, members in tree._rack_members.items():
-        b = rack_budget[rack]
-        if b <= 0:
-            raise ValueError(f"rack {rack!r} budget driven non-positive ({b:.3f} W)")
-        caps = allocate_pool(tree._rack_subpool[rack], b, policy)
+        caps = allocate_pool(tree._rack_subpool[rack], rack_budget[rack], policy)
         for name, cap in zip(members, caps.tolist()):
             out[active_index[name]] = cap
     return out, rack_budget
