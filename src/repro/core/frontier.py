@@ -177,10 +177,8 @@ class ParetoFrontier:
     def best_under_cap(self, power_cap_w: float) -> FrontierPoint | None:
         """Highest-performance frontier point with power <= the cap, or
         ``None`` if even the lowest-power point exceeds it."""
-        i = int(np.searchsorted(self._powers, power_cap_w, side="right"))
-        if i == 0:
-            return None
-        return self.points[i - 1]
+        i = int(self.indices_under_caps([power_cap_w])[0])
+        return self.points[i] if i >= 0 else None
 
     def indices_under_caps(self, caps: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`best_under_cap` over a cap sweep: the index

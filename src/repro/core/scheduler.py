@@ -12,14 +12,17 @@ idea (Section VI) of risk-aware selection: with ``risk_margin > 0`` the
 scheduler treats the cap as proportionally tighter, trading expected
 performance for fewer violations when predictions are uncertain.
 
-Selection is array-shaped: one :meth:`Scheduler.select` is a masked
-argmax over the prediction's power/performance vectors (including the
-risk-averse sigma-inflated bounds), and :meth:`Scheduler.select_many`
-answers an entire cap sweep in a single sorted pass — the per-config
-scores are prefix-scanned once in ascending-power order, then every cap
-resolves with one :func:`numpy.searchsorted` lookup.  Ties break
-exactly as the historical scalar loop did: the earliest configuration
-in prediction order wins.
+Selection has one implementation.  :meth:`Scheduler.select_many`
+answers an entire cap sweep in a single sorted pass: the per-config
+scores (on the risk-averse sigma-inflated bounds where asked) are
+prefix-scanned once in ascending-power order, then every cap resolves
+with one binary search.  :meth:`Scheduler.select` is its one-cap case.
+Ties break as the historical scalar loop did: the earliest
+configuration in prediction order wins.  NaN scores follow the scalar
+prefix scan :func:`_prefix_best_reference`, whose comparisons are all
+False on NaN: a NaN-score configuration that is the lowest-power
+candidate wins every cap that admits it, and any other one wins none.
+NaN power is never cap-feasible.
 
 The prefix scan itself is reified as a
 :class:`~repro.core.frontier.CapSweepTable`, which
@@ -91,8 +94,9 @@ class SchedulerDecision:
     predicted_feasible: bool
 
 
-def _objective(goal: SchedulingGoal, power_w: float, perf: float) -> float:
-    """Score to *maximize* for a candidate (power, performance)."""
+def _objective(goal: SchedulingGoal, power_w, perf):
+    """Score to *maximize* for candidate (power, performance) values:
+    floats or elementwise over arrays."""
     if goal == "performance":
         return perf
     if goal == "energy":
@@ -100,19 +104,6 @@ def _objective(goal: SchedulingGoal, power_w: float, perf: float) -> float:
         return -power_w / perf
     if goal == "edp":
         # Energy-delay product = power / throughput^2.
-        return -power_w / (perf * perf)
-    raise ValueError(f"unknown scheduling goal {goal!r}")
-
-
-def _objective_array(
-    goal: SchedulingGoal, power_w: np.ndarray, perf: np.ndarray
-) -> np.ndarray:
-    """Vectorized :func:`_objective` (elementwise-identical scores)."""
-    if goal == "performance":
-        return perf
-    if goal == "energy":
-        return -power_w / perf
-    if goal == "edp":
         return -power_w / (perf * perf)
     raise ValueError(f"unknown scheduling goal {goal!r}")
 
@@ -300,46 +291,6 @@ class Scheduler:
         )
         return pw_bound, perf_bound
 
-    def _decision(
-        self,
-        prediction: KernelPrediction,
-        i: int,
-        feasible: bool,
-    ) -> SchedulerDecision:
-        _SELECTIONS.inc()
-        if not feasible:
-            _FALLBACKS.inc()
-        return self._build_decision(
-            prediction, i, feasible, _log.isEnabledFor(logging.DEBUG)
-        )
-
-    def _build_decision(
-        self,
-        prediction: KernelPrediction,
-        i: int,
-        feasible: bool,
-        log_debug: bool,
-    ) -> SchedulerDecision:
-        decision = SchedulerDecision(
-            config=prediction.config_at(i),
-            predicted_power_w=float(prediction.power_array[i]),
-            predicted_performance=float(prediction.performance_array[i]),
-            predicted_feasible=feasible,
-        )
-        if log_debug:
-            log_event(
-                _log,
-                logging.DEBUG,
-                "scheduler-decision",
-                kernel=prediction.kernel_uid,
-                goal=self.goal,
-                config=decision.config.label(),
-                predicted_power_w=round(decision.predicted_power_w, 3),
-                predicted_performance=round(decision.predicted_performance, 4),
-                feasible=feasible,
-            )
-        return decision
-
     @staticmethod
     def _validate_selection_args(
         prediction: KernelPrediction,
@@ -379,7 +330,8 @@ class Scheduler:
         risk_averse: bool = False,
         confidence_z: float = 1.0,
     ) -> SchedulerDecision:
-        """Pick the best configuration predicted to respect the cap.
+        """Pick the best configuration predicted to respect the cap: the
+        one-cap case of :meth:`select_many`.
 
         If no configuration is predicted feasible, fall back to the one
         with the lowest predicted power (the least-bad violation — a
@@ -391,8 +343,7 @@ class Scheduler:
             Whole-space model prediction for the kernel.
         power_cap_w:
             The imposed power constraint (watts); any real number
-            ``float()`` accepts (a ``Decimal``, a numpy scalar), as
-            :meth:`select_many` accepts any array of them.
+            ``float()`` accepts (a ``Decimal``, a numpy scalar).
         risk_margin:
             Fraction in ``[0, 1)`` by which to tighten the cap during
             selection, guarding against under-predicted power
@@ -413,32 +364,13 @@ class Scheduler:
             If no candidate is runnable at any cap — an empty candidate
             set, or a full quarantine under ``strict_quarantine=True``.
         """
-        power_cap_w = float(power_cap_w)
-        if not power_cap_w > 0:
-            raise ValueError(f"power_cap_w must be positive, got {power_cap_w!r}")
-        risk_margin = self._resolve_margin(risk_margin)
-        self._validate_selection_args(prediction, risk_averse, confidence_z)
-
-        with trace_span("online/select"):
-            effective_cap = power_cap_w * (1.0 - risk_margin)
-            pw_bound, perf_bound = self._bounds(
-                prediction, risk_averse, confidence_z
-            )
-            pw_bound = self._mask_quarantined(prediction, pw_bound)
-            self._require_selectable(pw_bound, prediction)
-            feasible = pw_bound <= effective_cap
-            feasible_idx = np.flatnonzero(feasible)
-            if feasible_idx.size:
-                scores = _objective_array(
-                    self.goal, pw_bound[feasible_idx], perf_bound[feasible_idx]
-                )
-                # argmax returns the first maximum: earliest prediction
-                # order wins ties, like the scalar loop's strict '>'.
-                i = int(feasible_idx[np.argmax(scores)])
-                return self._decision(prediction, i, True)
-            # Fallback: minimize (bounded) predicted power.
-            i = int(np.argmin(pw_bound))
-            return self._decision(prediction, i, False)
+        return self.select_many(
+            prediction,
+            [float(power_cap_w)],
+            risk_margin=risk_margin,
+            risk_averse=risk_averse,
+            confidence_z=confidence_z,
+        )[0]
 
     def sweep_table(
         self,
@@ -466,7 +398,7 @@ class Scheduler:
         pw_bound, perf_bound = self._bounds(prediction, risk_averse, confidence_z)
         pw_bound = self._mask_quarantined(prediction, pw_bound)
         self._require_selectable(pw_bound, prediction)
-        scores = _objective_array(self.goal, pw_bound, perf_bound)
+        scores = _objective(self.goal, pw_bound, perf_bound)
         order = np.argsort(pw_bound, kind="stable")
         return CapSweepTable(
             sorted_power_w=pw_bound[order],
@@ -487,12 +419,12 @@ class Scheduler:
     ) -> list[SchedulerDecision]:
         """Answer an entire cap sweep in one pass.
 
-        Equivalent to ``[self.select(prediction, c, ...) for c in
-        power_caps_w]`` — decision-for-decision, including tie-breaking
-        and the infeasible-cap fallback — but the per-config scores are
-        prefix-scanned once (:meth:`sweep_table`) in ascending
-        bounded-power order, after which every cap costs two binary
-        searches.
+        The per-config scores are prefix-scanned once
+        (:meth:`sweep_table`) in ascending bounded-power order, after
+        which every cap costs two binary searches; caps with no
+        predicted-feasible configuration fall back to the lowest
+        bounded power.  Every other selection entry point (one cap, the
+        decision server's batches) resolves through this table.
         """
         caps = np.asarray(power_caps_w, dtype=np.float64)
         if caps.ndim != 1:
@@ -510,10 +442,29 @@ class Scheduler:
             # Counters update in bulk (one lock acquisition per sweep, not
             # per cap) so instrumentation stays off the per-decision path.
             log_debug = _log.isEnabledFor(logging.DEBUG)
-            decisions = [
-                self._build_decision(prediction, int(i), bool(f), log_debug)
-                for i, f in zip(index, feasible)
-            ]
+            decisions = []
+            for i, f in zip(index.tolist(), feasible.tolist()):
+                decision = SchedulerDecision(
+                    config=prediction.config_at(i),
+                    predicted_power_w=float(prediction.power_array[i]),
+                    predicted_performance=float(prediction.performance_array[i]),
+                    predicted_feasible=f,
+                )
+                decisions.append(decision)
+                if log_debug:
+                    log_event(
+                        _log,
+                        logging.DEBUG,
+                        "scheduler-decision",
+                        kernel=prediction.kernel_uid,
+                        goal=self.goal,
+                        config=decision.config.label(),
+                        predicted_power_w=round(decision.predicted_power_w, 3),
+                        predicted_performance=round(
+                            decision.predicted_performance, 4
+                        ),
+                        feasible=f,
+                    )
             _SELECTIONS.inc(int(caps.size))
             infeasible = int(np.count_nonzero(~feasible))
             if infeasible:

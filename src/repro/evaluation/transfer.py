@@ -352,11 +352,12 @@ def _score(
     )
     truth = {c: (float(p), float(f)) for c, p, f in zip(configs, true_pw, true_pf)}
     acc.margins.append(risk_margin)
-    for cap in caps:
-        decision = scheduler.select(prediction, cap, risk_margin=risk_margin)
-        o_cfg = oracle.decide(kernel, cap).config
+    decisions = scheduler.select_many(prediction, caps, risk_margin=risk_margin)
+    for cap, decision, pick in zip(
+        caps, decisions, oracle.decide_many(kernel, caps)
+    ):
         pw, pf = truth[decision.config]
-        o_pw, o_pf = truth[o_cfg]
+        o_pw, o_pf = truth[pick.config]
         acc.cases += 1
         acc.fallbacks += not decision.predicted_feasible
         acc.picks[decision.config] += 1

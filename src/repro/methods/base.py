@@ -9,6 +9,11 @@ configuration against the oracle's choice at the same cap.
 A method may carry per-kernel state (the model methods run their two
 sample iterations once per kernel, not once per cap), managed through
 :meth:`PowerLimitMethod.prepare`.
+
+:meth:`PowerLimitMethod.decide_many` is the one decision primitive: a
+method answers a kernel's whole cap sweep in one call (the model
+methods from one sweep table, the limiters in one pass on their noise
+stream), and :meth:`PowerLimitMethod.decide` is its one-cap case.
 """
 
 from __future__ import annotations
@@ -49,21 +54,20 @@ class PowerLimitMethod(abc.ABC):
         """
 
     @abc.abstractmethod
-    def decide(self, kernel, power_cap_w: float) -> MethodDecision:
-        """Commit to a configuration for ``kernel`` under ``power_cap_w``."""
-
     def decide_many(
         self, kernel, power_caps_w: Sequence[float]
     ) -> list[MethodDecision]:
         """Commit to a configuration per cap of a sweep, in cap order.
 
-        Semantically identical to calling :meth:`decide` per cap in the
-        given order (the default does exactly that).  The model methods
-        override this to answer the whole sweep from one pass over
-        their cached prediction arrays, and the frequency-limiting
-        methods to walk it in one limiter pass on their noise stream.
+        The primitive every method implements: a call with one cap is
+        the single decision (:meth:`decide`), and a sweep must equal
+        those calls made in cap order.
         """
-        return [self.decide(kernel, cap) for cap in power_caps_w]
+
+    def decide(self, kernel, power_cap_w: float) -> MethodDecision:
+        """Commit to a configuration for ``kernel`` under ``power_cap_w``:
+        the one-cap case of :meth:`decide_many`."""
+        return self.decide_many(kernel, (power_cap_w,))[0]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name!r}>"

@@ -44,9 +44,6 @@ class _FrequencyLimiting(PowerLimitMethod):
         self.limiter = FrequencyLimiter(apu)
         self._rng = np.random.default_rng(seed)
 
-    def decide(self, kernel, power_cap_w: float) -> MethodDecision:
-        return self.decide_many(kernel, (power_cap_w,))[0]
-
     def decide_many(self, kernel, power_caps_w) -> list[MethodDecision]:
         start = self.limiter.gpu_start if self.headroom else self.limiter.cpu_start
         sweep = self.limiter.limit_many(

@@ -67,14 +67,6 @@ class ModelMethod(PowerLimitMethod):
         self.prepare(kernel)
         return self._predictions[kernel.uid]
 
-    def decide(self, kernel, power_cap_w: float) -> MethodDecision:
-        """Scheduler selection from the cached prediction."""
-        prediction = self.prediction_for(kernel)
-        decision = self.scheduler.select(prediction, power_cap_w)
-        # Two sample iterations amortized across caps; model application
-        # itself costs no kernel runs.
-        return MethodDecision(config=decision.config, online_runs=2)
-
     def decide_many(self, kernel, power_caps_w) -> list[MethodDecision]:
         """Whole cap sweep answered through the shared batched decision
         kernel (:func:`repro.server.engine.decide_batch`) — the same
@@ -116,15 +108,6 @@ class ModelPlusFL(PowerLimitMethod):
     def prepare(self, kernel) -> None:
         """Run/caches the underlying model method's sample iterations."""
         self._model_method.prepare(kernel)
-
-    def decide(self, kernel, power_cap_w: float) -> MethodDecision:
-        """Model selection refined by the frequency limiter."""
-        start = self._model_method.decide(kernel, power_cap_w).config
-        result = self.limiter.limit(kernel, start, power_cap_w, rng=self._rng)
-        return MethodDecision(
-            config=result.final_config,
-            online_runs=2 + len(result.trace),
-        )
 
     def decide_many(self, kernel, power_caps_w) -> list[MethodDecision]:
         """Batched model selection, then one limiter pass over the whole

@@ -84,15 +84,6 @@ class Oracle(PowerLimitMethod):
         its oracle-frontier configurations (Section V-B)."""
         return [float(pw) for pw in self.true_frontier(kernel).powers]
 
-    def decide(self, kernel, power_cap_w: float) -> MethodDecision:
-        """Best true-performance configuration whose true power fits."""
-        best = self.true_frontier(kernel).best_under_cap(power_cap_w)
-        if best is None:
-            # Even an oracle must run the kernel somewhere: the
-            # lowest-power configuration is the least-bad violation.
-            best = self.true_frontier(kernel)[0]
-        return MethodDecision(config=best.config, online_runs=0)
-
     def decide_many(self, kernel, power_caps_w) -> list[MethodDecision]:
         """Whole cap sweep in one binary-search pass over the frontier
         (infeasible caps fall back to the lowest-power configuration)."""

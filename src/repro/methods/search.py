@@ -60,7 +60,10 @@ class ExhaustiveSearch(PowerLimitMethod):
             table[cfg] = (m.total_power_w, m.performance)
         self._tables[uid] = table
 
-    def decide(self, kernel, power_cap_w: float) -> MethodDecision:
+    def decide_many(self, kernel, power_caps_w) -> list[MethodDecision]:
+        return [self._decide_one(kernel, cap) for cap in power_caps_w]
+
+    def _decide_one(self, kernel, power_cap_w: float) -> MethodDecision:
         """Best measured-feasible configuration under the cap."""
         first_time = kernel.uid not in self._tables
         self.prepare(kernel)
@@ -149,7 +152,10 @@ class HillClimbing(PowerLimitMethod):
         cache[cfg] = (m.total_power_w, m.performance)
         return cache[cfg], True
 
-    def decide(self, kernel, power_cap_w: float) -> MethodDecision:
+    def decide_many(self, kernel, power_caps_w) -> list[MethodDecision]:
+        return [self._decide_one(kernel, cap) for cap in power_caps_w]
+
+    def _decide_one(self, kernel, power_cap_w: float) -> MethodDecision:
         """Greedy ascent on measured performance within the cap."""
         runs = 0
         start = self.apu.descriptor.sample_configs()[0]

@@ -284,38 +284,8 @@ class DecisionService:
             return False
 
     def decide(self, request: DecisionRequest) -> DecisionResult:
-        """Answer one request on the unbatched per-request path.
-
-        This is the baseline the batching front end is benchmarked
-        against: one span, one counter bump, one
-        :meth:`Scheduler.select` per request.
-        """
-        with trace_span("server/request"):
-            _REQUESTS.inc()
-            if self._cap_valid(request.power_cap_w):
-                error = self._ensure([request.kernel_uid]).get(
-                    request.kernel_uid
-                )
-            else:
-                error = ERROR_INVALID_CAP
-            if error is not None:
-                _ERRORS.inc()
-                return _error_result(request, error)
-            snap = self._snapshot
-            prediction = snap.predictions[request.kernel_uid]
-            try:
-                decision = snap.scheduler.select(prediction, request.power_cap_w)
-            except NoFeasibleConfigError:
-                _ERRORS.inc()
-                return _error_result(request, ERROR_NO_FEASIBLE_CONFIG)
-            return DecisionResult(
-                kernel_uid=request.kernel_uid,
-                power_cap_w=request.power_cap_w,
-                config=decision.config,
-                predicted_power_w=decision.predicted_power_w,
-                predicted_performance=decision.predicted_performance,
-                feasible=decision.predicted_feasible,
-            )
+        """Answer one request: a batch of one (:meth:`decide_batch`)."""
+        return self.decide_batch([request])[0]
 
     def decide_batch(
         self, requests: Sequence[DecisionRequest]

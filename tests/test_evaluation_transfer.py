@@ -275,11 +275,16 @@ class TestScoreCapRule:
             true_performance=lambda kernel, c: perf[c],
         )
         scheduler = SimpleNamespace(
-            select=lambda pred, cap, risk_margin: SimpleNamespace(
-                config=picked, predicted_feasible=True
-            )
+            select_many=lambda pred, caps, risk_margin: [
+                SimpleNamespace(config=picked, predicted_feasible=True)
+                for _ in caps
+            ]
         )
-        oracle = SimpleNamespace(decide=lambda kernel, cap: SimpleNamespace(config="edge"))
+        oracle = SimpleNamespace(
+            decide_many=lambda kernel, caps: [
+                SimpleNamespace(config="edge") for _ in caps
+            ]
+        )
         acc = _Accumulator()
         _score(acc, prediction, None, apu, oracle, scheduler, [cap])
         return acc

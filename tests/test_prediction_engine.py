@@ -5,24 +5,35 @@ the argsort/running-max :class:`~repro.core.frontier.ParetoFrontier`,
 and :meth:`Scheduler.select_many` — replaced per-``Configuration`` dict
 loops.  These tests pin the new code to the legacy scalar semantics:
 same frontier points in the same order under ties, same
-``best_under_cap`` answers, and decisions identical to
-per-cap :meth:`Scheduler.select` across the paper's fig5/fig6 cap
-sweep, including the risk-averse branch.  The reference implementations
-below are verbatim ports of the pre-vectorization code.
+``best_under_cap`` answers, and decisions identical to the legacy
+scalar selection loop across the paper's fig5/fig6 cap sweep and on
+random tie-heavy predictions, including the risk-averse branch.
+:meth:`Scheduler.select` is the one-cap case of ``select_many``, so the
+legacy loop is the independent single-cap oracle.  The reference
+implementations below are verbatim ports of the pre-vectorization code.
+NaN predictions follow one rule, :func:`_prefix_best_reference`, on
+every selection entry point.
 """
 
 import math
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Scheduler, train_model
+from repro.core import KernelPrediction, Scheduler, train_model
 from repro.core.frontier import ParetoFrontier
-from repro.core.scheduler import SchedulerDecision, _objective
-from repro.hardware import NoiseModel, TrinityAPU
+from repro.core.scheduler import (
+    SchedulerDecision,
+    _objective,
+    _prefix_best_reference,
+)
+from repro.hardware import Measurement, NoiseModel, TrinityAPU
 from repro.methods import Oracle
 from repro.profiling import ProfilingLibrary
+from repro.server import DecisionRequest, DecisionService, decide_batch
 from repro.workloads import build_suite
 from repro.hardware.backend import TRINITY_DESCRIPTOR
 
@@ -56,7 +67,9 @@ def _legacy_select(
     confidence_z=1.0,
 ):
     """The legacy scalar selection loop (dict iteration, first-wins
-    ties) replaced by the vectorized :meth:`Scheduler.select`."""
+    ties) replaced by the cap-sweep table.  It agrees with the table on
+    NaN-free predictions only: on NaN it follows Python's comparisons in
+    prediction order, not :func:`_prefix_best_reference`'s."""
     effective_cap = power_cap_w * (1.0 - scheduler.risk_margin)
     best = None
     fallback = None
@@ -225,3 +238,171 @@ class TestVectorizedSelectMatchesLegacyScalar:
                 assert got == scheduler.select(
                     prediction, cap, risk_averse=True, confidence_z=1.5
                 )
+
+
+# -- the single-cap oracle on random tie-heavy predictions ---------------------
+
+_DUMMY = Measurement(
+    config=_SPACE[0], time_s=1.0, cpu_plane_w=10.0, nbgpu_plane_w=5.0
+)
+
+
+def _synthetic(powers, perfs, stds=None, uid="k"):
+    n = len(powers)
+    return KernelPrediction(
+        kernel_uid=uid,
+        cluster=0,
+        predictions={_SPACE[i]: (powers[i], perfs[i]) for i in range(n)},
+        cpu_sample=_DUMMY,
+        gpu_sample=_DUMMY,
+        uncertainties=(
+            None if stds is None else {_SPACE[i]: stds[i] for i in range(n)}
+        ),
+    )
+
+
+@st.composite
+def tie_heavy_selections(draw):
+    """A NaN-free prediction with uncertainties, drawn from coarse grids
+    so equal powers, performances and scores are common, plus the
+    selection settings and caps on (and one ulp around) every power,
+    bounded power and margin-scaled threshold."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    grid = st.sampled_from((5.0, 10.0, 10.0, 20.0, 12.5))
+    powers = draw(st.lists(
+        st.one_of(grid, st.floats(min_value=1.0, max_value=50.0)),
+        min_size=n, max_size=n,
+    ))
+    perfs = draw(st.lists(
+        st.one_of(st.sampled_from((0.5, 1.0, 1.0, 2.0)),
+                  st.floats(min_value=0.01, max_value=10.0)),
+        min_size=n, max_size=n,
+    ))
+    std = st.sampled_from((0.0, 0.5, 1.0, math.nan))
+    stds = draw(st.lists(st.tuples(std, std), min_size=n, max_size=n))
+    goal = draw(st.sampled_from(("performance", "energy", "edp")))
+    margin = draw(st.one_of(
+        st.sampled_from((0.0, 0.1, 0.5)), st.floats(min_value=0.0, max_value=0.5)
+    ))
+    risk_averse = draw(st.booleans())
+    confidence_z = draw(st.sampled_from((0.0, 1.0, 2.0)))
+    prediction = _synthetic(powers, perfs, stds)
+    thresholds = list(powers)
+    thresholds += [p + confidence_z * s for p, (s, _) in zip(powers, stds)]
+    caps = [0.5, 100.0]
+    for t in thresholds:
+        if math.isfinite(t):
+            for v in (t, t / (1.0 - margin)):
+                caps += [v, math.nextafter(v, -math.inf), math.nextafter(v, math.inf)]
+    return prediction, goal, margin, risk_averse, confidence_z, caps
+
+
+class TestSelectMatchesLegacyOnRandomPredictions:
+    """``select`` and ``select_many`` against the legacy scalar loop."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tie_heavy_selections())
+    def test_every_goal_margin_and_bound(self, case):
+        prediction, goal, margin, risk_averse, confidence_z, caps = case
+        scheduler = Scheduler(goal, risk_margin=margin)
+        kwargs = {"risk_averse": risk_averse, "confidence_z": confidence_z}
+        want = [
+            _legacy_select(scheduler, prediction, cap, **kwargs)
+            for cap in caps
+        ]
+        assert scheduler.select_many(prediction, caps, **kwargs) == want
+        for cap, expected in zip(caps, want):
+            assert scheduler.select(prediction, cap, **kwargs) == expected
+
+
+# -- one NaN rule on every entry point -----------------------------------------
+
+
+class _FixedPredictor:
+    """Stands in for the online predictor: serves given predictions."""
+
+    def __init__(self, predictions):
+        self.predictions = predictions
+
+    def predict(self, kernel):
+        return self.predictions[kernel.uid]
+
+
+def _nan_rule_pick(prediction, cap):
+    """The NaN rule spelled out: the prefix scan over ascending power,
+    read at the last configuration the cap admits."""
+    pw = prediction.power_array
+    order = np.argsort(pw, kind="stable")
+    best_at = _prefix_best_reference(order, prediction.performance_array)
+    admitted = int(np.count_nonzero(pw <= cap))
+    return prediction.config_at(int(best_at[admitted - 1]))
+
+
+class TestOneNanRule:
+    """A NaN performance on a feasible configuration, and a NaN power,
+    resolve the same way through every selection entry point."""
+
+    PREDICTIONS = {
+        # The NaN-performance configuration (1) sits above the lowest
+        # power, so it never wins; the NaN-power one (3) is never
+        # feasible.
+        "above": ([5.0, 6.0, 7.0, math.nan], [1.0, math.nan, 2.0, 3.0]),
+        # The NaN-performance configuration is the lowest-power one, so
+        # it wins every cap.
+        "lowest": ([6.0, 5.0, 7.0, math.nan], [1.0, math.nan, 2.0, 3.0]),
+    }
+    CAPS = [5.0, 5.5, 6.0, 6.5, 7.0, 7.5, 10.0, 100.0]
+
+    @pytest.fixture(scope="class")
+    def service(self):
+        predictions = {
+            uid: _synthetic(powers, perfs, uid=uid)
+            for uid, (powers, perfs) in self.PREDICTIONS.items()
+        }
+        service = DecisionService(
+            None, None, kernels=[SimpleNamespace(uid=uid) for uid in predictions]
+        )
+        service._predictor = _FixedPredictor(predictions)
+        assert service.warm() == {}
+        return service
+
+    @pytest.mark.parametrize("uid", sorted(PREDICTIONS))
+    def test_every_entry_point_gives_the_rule(self, service, uid):
+        snap = service.snapshot
+        prediction = snap.predictions[uid]
+        scheduler = snap.scheduler
+        swept = scheduler.select_many(prediction, self.CAPS)
+        batch = decide_batch(
+            scheduler, snap.predictions, [uid] * len(self.CAPS), self.CAPS
+        )
+        served = service.decide_batch(
+            [DecisionRequest(uid, cap) for cap in self.CAPS]
+        )
+        for j, cap in enumerate(self.CAPS):
+            want = _nan_rule_pick(prediction, cap)
+            single = scheduler.select(prediction, cap)
+            assert single.config == want and single.predicted_feasible
+            # repr: a NaN predicted performance equals itself there.
+            assert repr(swept[j]) == repr(single)
+            assert repr(batch.decision(j)) == repr(single)
+            one = service.decide(DecisionRequest(uid, cap))
+            assert repr(served[j]) == repr(one)
+            assert repr(tuple(one)[2:6]) == repr((
+                want,
+                single.predicted_power_w,
+                single.predicted_performance,
+                True,
+            ))
+
+    def test_nan_performance_wins_only_as_the_lowest_power(self, service):
+        snap = service.snapshot
+        above = [
+            snap.scheduler.select(snap.predictions["above"], cap).config
+            for cap in (6.5, 7.5, 10.0)
+        ]
+        assert above == [_SPACE[0], _SPACE[2], _SPACE[2]]
+        lowest = {
+            snap.scheduler.select(snap.predictions["lowest"], cap).config
+            for cap in self.CAPS
+        }
+        assert lowest == {_SPACE[1]}

@@ -7,8 +7,8 @@ replaced (``tests/engine_reference.py``: group by kernel, one search
 per table) on tie-heavy inputs — duplicate thresholds, ±0.0,
 quarantined (+inf) and NaN predicted power, caps on a threshold and
 one ulp either side, per-segment risk margins — and end to end through
-the decision service, whose batch answers must equal its one-request
-answers field for field, and whose gathered configurations must be the
+the decision service, whose batch answers must equal its answers to
+batches of one field for field, and whose gathered configurations must be the
 predictions' own objects.
 """
 
@@ -340,7 +340,7 @@ class TestNanCapsRejected:
             )
 
 
-# -- the service's batch path against its single-request path ------------------
+# -- the service's mixed batches against batches of one ------------------------
 
 
 def _caps():
@@ -362,7 +362,8 @@ def _same_field(a, b) -> bool:
 
 
 class TestBatchMatchesSingle:
-    """``decide_batch`` answers every request exactly as ``decide``."""
+    """A mixed batch answers every request exactly as a batch of one
+    (``decide``) does: batch composition changes no answer."""
 
     @settings(max_examples=60, deadline=None)
     @given(
