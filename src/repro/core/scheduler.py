@@ -404,7 +404,8 @@ class Scheduler:
             sorted_power_w=pw_bound[order],
             best_at=_prefix_best(order, scores),
             offsets=np.array([0, order.size]),
-            fallback_index=np.array([np.argmin(pw_bound)]),
+            # The lowest non-NaN bounded power (one exists, see above).
+            fallback_index=np.array([np.nanargmin(pw_bound)]),
             cap_scale=np.array([1.0 - risk_margin]),
         )
 

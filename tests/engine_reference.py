@@ -7,27 +7,57 @@ with its own table's binary search, scatter the answers back into
 request order — as the oracle the engine must reproduce element for
 element.  :func:`reference_lookup` is the one-table search itself,
 written against the table's arrays so it shares no code with
-:meth:`repro.core.frontier.CapSweepTable.lookup`.
+:meth:`repro.core.frontier.CapSweepTable.lookup`, and
+:func:`reference_fallback` works out the infeasible-cap fallback from
+the prediction, scalar by scalar, instead of reading the table's own.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from repro.server.engine import BatchDecisions
 
 
-def reference_lookup(table, caps) -> tuple[np.ndarray, np.ndarray]:
+def reference_lookup(table, caps, fallback=None) -> tuple[np.ndarray, np.ndarray]:
     """``(config_index, feasible)`` for caps against a one-segment
-    table: one binary search over its sorted thresholds."""
+    table: one binary search over its sorted thresholds.  Infeasible
+    caps take ``fallback`` (default: the table's own)."""
     caps = np.asarray(caps, dtype=np.float64)
     cut = np.searchsorted(
         table.sorted_power_w, caps * table.cap_scale[0], side="right"
     )
     feasible = cut > 0
     index = table.best_at[np.maximum(cut, 1) - 1]
-    index = np.where(feasible, index, table.fallback_index[0])
+    if fallback is None:
+        fallback = table.fallback_index[0]
+    index = np.where(feasible, index, fallback)
     return index.astype(np.intp), feasible
+
+
+def reference_fallback(
+    prediction, *, quarantined=(), strict=False, risk_averse=False, confidence_z=1.0
+) -> int:
+    """The configuration an infeasible cap falls back to: the lowest
+    non-NaN bounded power, the first on ties.  Quarantined
+    configurations count as infinite power unless all of them are
+    quarantined and ``strict`` is off."""
+    power = prediction.power_array.tolist()
+    if risk_averse:
+        std = prediction.power_std_array.tolist()
+        power = [
+            p if math.isnan(s) else p + confidence_z * s for p, s in zip(power, std)
+        ]
+    held = [cfg in quarantined for cfg in prediction.config_tuple]
+    if any(held) and (strict or not all(held)):
+        power = [math.inf if h else p for p, h in zip(power, held)]
+    best = None
+    for i, p in enumerate(power):
+        if not math.isnan(p) and (best is None or p < power[best]):
+            best = i
+    return best
 
 
 def reference_decide_batch(
@@ -82,7 +112,14 @@ def reference_decide_batch(
                 risk_averse=risk_averse,
                 confidence_z=confidence_z,
             )
-        g_index, g_feasible = reference_lookup(table, caps[rows])
+        fallback = reference_fallback(
+            prediction,
+            quarantined=scheduler.quarantined,
+            strict=scheduler.strict_quarantine,
+            risk_averse=risk_averse,
+            confidence_z=confidence_z,
+        )
+        g_index, g_feasible = reference_lookup(table, caps[rows], fallback)
         index[rows] = g_index
         at[rows] = first_row[unique_codes[g]] + g_index
         feasible[rows] = g_feasible

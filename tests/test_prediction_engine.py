@@ -328,6 +328,19 @@ class _FixedPredictor:
         return self.predictions[kernel.uid]
 
 
+def _fixed_service(spec):
+    """A warm service over synthetic predictions, ``{uid: (powers, perfs)}``."""
+    predictions = {
+        uid: _synthetic(powers, perfs, uid=uid) for uid, (powers, perfs) in spec.items()
+    }
+    service = DecisionService(
+        None, None, kernels=[SimpleNamespace(uid=uid) for uid in predictions]
+    )
+    service._predictor = _FixedPredictor(predictions)
+    assert service.warm() == {}
+    return service
+
+
 def _nan_rule_pick(prediction, cap):
     """The NaN rule spelled out: the prefix scan over ascending power,
     read at the last configuration the cap admits."""
@@ -355,16 +368,7 @@ class TestOneNanRule:
 
     @pytest.fixture(scope="class")
     def service(self):
-        predictions = {
-            uid: _synthetic(powers, perfs, uid=uid)
-            for uid, (powers, perfs) in self.PREDICTIONS.items()
-        }
-        service = DecisionService(
-            None, None, kernels=[SimpleNamespace(uid=uid) for uid in predictions]
-        )
-        service._predictor = _FixedPredictor(predictions)
-        assert service.warm() == {}
-        return service
+        return _fixed_service(self.PREDICTIONS)
 
     @pytest.mark.parametrize("uid", sorted(PREDICTIONS))
     def test_every_entry_point_gives_the_rule(self, service, uid):
@@ -406,3 +410,32 @@ class TestOneNanRule:
             for cap in self.CAPS
         }
         assert lowest == {_SPACE[1]}
+
+
+class TestNanPowerFallback:
+    """A cap below every configuration falls back to the lowest non-NaN
+    power, wherever the NaN-power configurations sit."""
+
+    PREDICTIONS = {
+        "nan-last": ([5.0, 6.0, math.nan], [1.0, 2.0, 3.0]),
+        "nan-first": ([math.nan, 6.0, 5.0, math.nan], [3.0, 2.0, 1.0, 4.0]),
+    }
+    WANT = {"nan-last": 0, "nan-first": 2}
+
+    @pytest.fixture(scope="class")
+    def service(self):
+        return _fixed_service(self.PREDICTIONS)
+
+    @pytest.mark.parametrize("uid", sorted(PREDICTIONS))
+    def test_every_entry_point_falls_back_past_nan(self, service, uid):
+        snap = service.snapshot
+        prediction = snap.predictions[uid]
+        want = _SPACE[self.WANT[uid]]
+        single = snap.scheduler.select(prediction, 4.0)
+        assert single.config == want and not single.predicted_feasible
+        assert single.predicted_power_w == 5.0
+        swept = snap.scheduler.select_many(prediction, [4.0, 1.0])
+        assert [d.config for d in swept] == [want, want]
+        served = service.decide_batch([DecisionRequest(uid, 4.0)] * 2)
+        assert [r.config for r in served] == [want, want]
+        assert not any(r.feasible for r in served)

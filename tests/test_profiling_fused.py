@@ -19,6 +19,7 @@ more than 8192.  The stream derivation itself is pinned to numpy's
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from collections import Counter
@@ -37,6 +38,7 @@ from repro.hardware import BoostPolicy, NoiseModel, TrinityAPU
 from repro.hardware.backend import create_backend
 from repro.profiling import CharacterizationStore, PowerSampler, ProfilingLibrary
 from repro.profiling import library as library_module
+from repro.profiling import sampler as sampler_module
 from repro.profiling.library import _base_pool, _seed_words
 from repro.profiling.store import _STORE_STREAM_TAG
 from repro.workloads import Kernel, build_suite
@@ -209,6 +211,43 @@ class TestFusedProfilingMatchesReference:
         assert_replays_match(backend, noise, plan, boost, seed, ops, warmup=warmup)
 
 
+#: Sampler layouts: the defaults, and small ones that put every
+#: boundary the batch's time-major recursion has inside a test batch.
+_LAYOUTS = (
+    {"_STEP_ROWS": sampler_module._STEP_ROWS},  # the defaults
+    {"_GROUP_SAMPLES": 1, "_STEP_ROWS": 1, "_VECTOR_MIN": 1},
+    {"_GROUP_SAMPLES": 3000, "_STEP_ROWS": 7, "_VECTOR_MIN": 5},
+    {"_GROUP_SAMPLES": 20000, "_STEP_ROWS": 64, "_VECTOR_MIN": 3,
+     "_BUCKET_SPREAD": 2.0, "_BUCKET_ELEMENTS": 5000},
+    {"_VECTOR_MIN": 1000},
+)
+
+
+@st.composite
+def _sampled_batches(draw):
+    """``(means, durations, extras)``: many short runs, among them runs
+    of two samples, and up to three long ones, in any order."""
+    planes = draw(st.integers(min_value=1, max_value=2))
+    durations = draw(st.lists(
+        st.one_of(
+            st.floats(min_value=1e-6, max_value=5e-4),  # n = 2
+            st.floats(min_value=1e-6, max_value=0.4),
+        ),
+        min_size=1,
+        max_size=60,
+    ))
+    durations += draw(st.lists(st.floats(min_value=1.0, max_value=15.0), max_size=3))
+    durations = draw(st.permutations(durations))
+    runs = len(durations)
+    plane_means = st.lists(
+        st.floats(min_value=1e-3, max_value=500.0), min_size=planes, max_size=planes
+    )
+    means = draw(st.lists(plane_means, min_size=runs, max_size=runs))
+    extras = draw(st.lists(st.integers(min_value=0, max_value=12), min_size=runs,
+                           max_size=runs))
+    return means, durations, extras
+
+
 class TestFusedSampler:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -231,44 +270,62 @@ class TestFusedSampler:
         )
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(
-        runs=st.lists(
-            st.tuples(
-                st.floats(min_value=1e-3, max_value=500.0),
-                st.floats(min_value=1e-3, max_value=500.0),
-                st.one_of(
-                    st.floats(min_value=1e-6, max_value=5e-4),  # n = 2
-                    st.floats(min_value=1e-6, max_value=0.2),
-                    st.floats(min_value=8.2, max_value=15.0),  # n > 8192
-                ),
-                st.integers(min_value=0, max_value=12),
-            ),
-            min_size=1,
-            max_size=24,
-        ),
+        batch=_sampled_batches(),
+        layout=st.sampled_from(_LAYOUTS),
         noise=st.sampled_from(sorted(NOISE)),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
-    def test_batch_matches_run_by_run_sampling(self, runs, noise, seed):
+    def test_batch_matches_run_by_run_sampling(self, batch, layout, noise, seed):
+        # Many short runs (n = 2 among them) with a few long ones (n up
+        # to 15,001), on one or two planes, sampled under the default
+        # layout and under small ones that put group, slice, bucket and
+        # vector-to-float boundaries inside the batch.
+        means, durations, extras = batch
         sampler = NOISE[noise][1] or PowerSampler()
         reference = ReferencePowerSampler(**vars(sampler))
-        rngs = [np.random.default_rng([seed, i]) for i in range(len(runs))]
-        batch = sampler.sample(
-            np.array([(cpu, nbgpu) for cpu, nbgpu, _, _ in runs]),
-            np.array([duration for _, _, duration, _ in runs]),
-            rngs,
-            extra_draws=[extra for *_, extra in runs],
-        )
-        for i, (cpu, nbgpu, duration, extra) in enumerate(runs):
+        rngs = [np.random.default_rng([seed, i]) for i in range(len(durations))]
+        with mock.patch.multiple(sampler_module, **layout):
+            got = sampler.sample(
+                np.array(means), np.array(durations), rngs, extra_draws=extras
+            )
+        for i, (run_means, duration, extra) in enumerate(zip(means, durations, extras)):
             ref_rng = np.random.default_rng([seed, i])
-            ref = reference.sample((cpu, nbgpu), duration, ref_rng)
-            assert batch.mean_power_w[i].tolist() == [p.mean_power_w for p in ref]
-            assert batch.energy_j[i].tolist() == [p.energy_j for p in ref]
-            assert batch.n_samples[i] == ref[0].n_samples
-            assert batch.overhead_s[i] == ref[0].overhead_s
-            assert np.array_equal(batch.extra[i], ref_rng.standard_normal(extra))
+            ref = reference.sample(run_means, duration, ref_rng)
+            assert got.mean_power_w[i].tolist() == [p.mean_power_w for p in ref]
+            assert got.energy_j[i].tolist() == [p.energy_j for p in ref]
+            assert got.n_samples[i] == ref[0].n_samples
+            assert got.overhead_s[i] == ref[0].overhead_s
+            assert np.array_equal(got.extra[i], ref_rng.standard_normal(extra))
             assert rngs[i].bit_generator.state == ref_rng.bit_generator.state
+
+    def test_full_trinity_characterization_batch_matches_reference(self):
+        # The batch a Trinity bring-up samples (every suite kernel on
+        # every configuration: several groups, vector steps and a float
+        # tail under the default layout), replayed run by run.
+        calls = []
+        sample = PowerSampler.sample
+
+        def record(sampler, means, durations, rngs, *, extra_draws=0):
+            before = [copy.deepcopy(rng) for rng in rngs]
+            got = sample(sampler, means, durations, rngs, extra_draws=extra_draws)
+            calls.append((sampler, means, durations, before, extra_draws, got))
+            return got
+
+        with mock.patch.object(PowerSampler, "sample", record), mock.patch.dict(
+            library_module._PROFILE_CACHE, clear=True
+        ):
+            CharacterizationStore(TrinityAPU(seed=3), seed=3).characterize(build_suite())
+        (sampler, means, durations, rngs, extras, got), = calls
+        assert len(durations) == len(build_suite()) * len(TrinityAPU().config_space)
+        assert got.n_samples.max() > 8192 and got.n_samples.min() < 100
+        reference = ReferencePowerSampler(**vars(sampler))
+        for i, extra in enumerate(np.broadcast_to(extras, len(durations)).tolist()):
+            ref = reference.sample(tuple(means[i]), durations[i], rngs[i])
+            assert got.mean_power_w[i].tolist() == [p.mean_power_w for p in ref]
+            assert got.energy_j[i].tolist() == [p.energy_j for p in ref]
+            assert np.array_equal(got.extra[i], rngs[i].standard_normal(extra))
 
 
 class TestStoreBatch:
