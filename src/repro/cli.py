@@ -170,7 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="folds to evaluate concurrently (-1 = one per CPU; "
         "default: $REPRO_NJOBS or 1); results are identical for any value",
     )
-    p_eval.add_argument("--telemetry-out", default=None, help=telemetry_help)
     p_eval.add_argument(
         "--fault-plan",
         default=None,
@@ -191,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="folds to evaluate concurrently (-1 = one per CPU; "
         "default: $REPRO_NJOBS or 1)",
     )
-    p_acc.add_argument("--telemetry-out", default=None, help=telemetry_help)
 
     p_rt = sub.add_parser(
         "runtime", help="run one application under a power cap, print timeline"
@@ -201,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rt.add_argument(
         "--timesteps", type=int, default=6, help="timesteps to execute"
     )
-    p_rt.add_argument("--telemetry-out", default=None, help=telemetry_help)
     p_rt.add_argument(
         "--fault-plan",
         default=None,
@@ -223,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="cross-validation folds to run concurrently (-1 = one per "
         "CPU; default: $REPRO_NJOBS or 1)",
     )
-    p_report.add_argument("--telemetry-out", default=None, help=telemetry_help)
 
     p_cluster = sub.add_parser(
         "cluster",
@@ -263,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="split the budget through a node->rack->row->datacenter "
         "BudgetTree instead of one flat allocation",
     )
-    p_cluster.add_argument("--telemetry-out", default=None, help=telemetry_help)
 
     p_search = sub.add_parser(
         "search",
@@ -331,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the discovered frontier and run summary to "
         "this JSON path",
     )
-    p_search.add_argument("--telemetry-out", default=None, help=telemetry_help)
 
     p_serve = sub.add_parser(
         "serve",
@@ -373,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="inject faults into the serving machine's sample runs from "
         "this scenario JSON (training stays clean)",
     )
-    p_serve.add_argument("--telemetry-out", default=None, help=telemetry_help)
     p_serve.add_argument(
         "--monitor-port",
         type=int,
@@ -440,7 +433,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="also write the transfer report as JSON to this path",
     )
-    p_transfer.add_argument("--telemetry-out", default=None, help=telemetry_help)
+
+    for p in (p_eval, p_acc, p_rt, p_report, p_cluster, p_search, p_serve, p_transfer):
+        p.add_argument("--telemetry-out", default=None, help=telemetry_help)
 
     p_tel = sub.add_parser(
         "telemetry", help="pretty-print or compare saved telemetry reports"
@@ -610,7 +605,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         backend=args.backend,
         include_freq_limiting=not args.no_freq_limiting,
         n_jobs=args.n_jobs,
-        telemetry_out=args.telemetry_out,
         fault_plan=args.fault_plan,
     )
     print(render_table3(summarize(report.records), title="Methods vs oracle:"))
@@ -620,8 +614,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         f"evaluate {t.evaluate_s:.1f} s, wall {t.wall_s:.1f} s "
         f"(n_jobs={t.n_jobs})"
     )
-    if args.telemetry_out is not None:
-        log_event(_log, logging.INFO, "telemetry-written", path=args.telemetry_out)
     return 0
 
 
@@ -640,9 +632,6 @@ def _cmd_accuracy(args: argparse.Namespace) -> int:
         seed=args.seed, n_jobs=args.n_jobs, backend=args.backend
     )
     print(report.summary())
-    if args.telemetry_out is not None:
-        write_telemetry(args.telemetry_out)
-        log_event(_log, logging.INFO, "telemetry-written", path=args.telemetry_out)
     return 0
 
 
@@ -676,9 +665,6 @@ def _cmd_runtime(args: argparse.Namespace) -> int:
     trace = runtime.run(app, args.timesteps, args.cap)
     print(trace.render_timeline())
     print(trace.summary())
-    if args.telemetry_out is not None:
-        write_telemetry(args.telemetry_out)
-        log_event(_log, logging.INFO, "telemetry-written", path=args.telemetry_out)
     return 0
 
 
@@ -712,9 +698,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     print(f"Wrote {len(written)} artifacts to {out}/:")
     for name in written:
         print(f"  {name}")
-    if args.telemetry_out is not None:
-        write_telemetry(args.telemetry_out)
-        log_event(_log, logging.INFO, "telemetry-written", path=args.telemetry_out)
     return 0
 
 
@@ -783,9 +766,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         )
     if departed:
         print(f"{len(departed)} nodes departed over the run")
-    if args.telemetry_out is not None:
-        write_telemetry(args.telemetry_out)
-        log_event(_log, logging.INFO, "telemetry-written", path=args.telemetry_out)
     return 0
 
 
@@ -912,9 +892,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 path=args.monitor_dump,
             )
         monitor.close()
-    if args.telemetry_out is not None:
-        write_telemetry(args.telemetry_out)
-        log_event(_log, logging.INFO, "telemetry-written", path=args.telemetry_out)
     return 0
 
 
@@ -1160,9 +1137,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
         with open(args.json, "w") as fh:
             _json.dump(summary, fh, indent=2)
         log_event(_log, logging.INFO, "search-json-written", path=args.json)
-    if args.telemetry_out is not None:
-        write_telemetry(args.telemetry_out)
-        log_event(_log, logging.INFO, "telemetry-written", path=args.telemetry_out)
     return 0
 
 
@@ -1225,9 +1199,6 @@ def _cmd_transfer(args: argparse.Namespace) -> int:
         with open(args.json, "w", encoding="utf-8") as fh:
             _json.dump(report.to_dict(), fh, indent=2)
         log_event(_log, logging.INFO, "transfer-json-written", path=args.json)
-    if args.telemetry_out is not None:
-        write_telemetry(args.telemetry_out)
-        log_event(_log, logging.INFO, "telemetry-written", path=args.telemetry_out)
     return 0
 
 
@@ -1257,11 +1228,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         level=args.log_level, json_mode=args.log_json, quiet=args.quiet
     )
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
     except KeyError as e:
         # Unknown kernel uid and similar lookup failures.
         print(f"error: {e}", file=sys.stderr)
         return 2
+    out = getattr(args, "telemetry_out", None)
+    if code == 0 and out is not None:
+        write_telemetry(out)
+        log_event(_log, logging.INFO, "telemetry-written", path=out)
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -41,7 +41,19 @@ import numpy as np
 from repro.hardware.apu import Measurement
 from repro.hardware.config import Configuration
 
-__all__ = ["CapSweepTable", "FrontierPoint", "ParetoFrontier"]
+__all__ = ["CapSweepTable", "FrontierPoint", "ParetoFrontier", "pareto_staircase"]
+
+
+def pareto_staircase(costs: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Indices of the ``(cost, value)`` points on the Pareto staircase,
+    in ascending cost: a stable sort by (cost, -value), then a point is
+    kept iff its value strictly exceeds every cheaper point's (the
+    running-max sweep).  Of equal points the first is kept."""
+    order = np.lexsort((-values, costs))
+    v = values[order]
+    keep = np.ones(len(v), dtype=bool)
+    keep[1:] = v[1:] > np.maximum.accumulate(v)[:-1]
+    return order[keep]
 
 
 @dataclass(frozen=True)
@@ -94,22 +106,9 @@ class ParetoFrontier:
         if np.any(perfs <= 0):
             bad = float(perfs[perfs <= 0][0])
             raise ValueError(f"performance={bad} must be positive")
-        # Stable sort by (power, -performance): identical ordering to
-        # sorted(points, key=lambda p: (p.power_w, -p.performance)).
-        order = np.lexsort((-perfs, powers))
-        powers = powers[order]
-        perfs = perfs[order]
-        # Keep a point iff its performance strictly exceeds every
-        # lower-power point's — the classic running-max sweep.
-        keep = np.empty(n, dtype=bool)
-        keep[0] = True
-        if n > 1:
-            keep[1:] = perfs[1:] > np.maximum.accumulate(perfs)[:-1]
-        kept = np.flatnonzero(keep)
+        kept = pareto_staircase(powers, perfs)
         self = cls.__new__(cls)
-        self._cfgs: tuple[Configuration, ...] = tuple(
-            configs[order[i]] for i in kept
-        )
+        self._cfgs: tuple[Configuration, ...] = tuple(configs[i] for i in kept)
         self._powers: np.ndarray = powers[kept]
         self._perfs: np.ndarray = perfs[kept]
         self._points: tuple[FrontierPoint, ...] | None = None

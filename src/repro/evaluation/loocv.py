@@ -48,7 +48,6 @@ from repro.telemetry import (
     histogram,
     log_event,
     trace_span,
-    write_telemetry,
 )
 from repro.workloads.suite import Suite, build_suite
 
@@ -96,8 +95,8 @@ class LOOCVTimings:
 
     This is the legacy numeric view; the telemetry span tree
     (:func:`repro.telemetry.telemetry_snapshot`, written by
-    ``telemetry_out=``) subsumes it with the full per-phase hierarchy —
-    see ``docs/OBSERVABILITY.md``.
+    :func:`repro.telemetry.write_telemetry`) subsumes it with the full
+    per-phase hierarchy — see ``docs/OBSERVABILITY.md``.
     """
 
     profile_s: float = 0.0
@@ -140,7 +139,6 @@ def run_loocv(
     include_freq_limiting: bool = True,
     n_jobs: int | None = None,
     store: CharacterizationStore | None = None,
-    telemetry_out: str | Path | None = None,
     fault_plan: "FaultPlan | str | Path | None" = None,
     backend: str = "trinity",
 ) -> LOOCVReport:
@@ -176,10 +174,6 @@ def run_loocv(
         to the process-wide shared store for ``(suite, seed)``, which
         makes repeated calls (ablations, sweeps) profile the suite only
         once.
-    telemetry_out:
-        Optional path: write the process's ``telemetry.json`` snapshot
-        (span tree + metrics) after the run.  Telemetry only observes —
-        records are bit-identical with it enabled, disabled, or written.
     fault_plan:
         Optional :class:`repro.faults.FaultPlan` (or path to a scenario
         JSON) injected into the *online* measurement paths — sample
@@ -362,6 +356,4 @@ def run_loocv(
         wall_s=round(report.timings.wall_s, 3),
         n_jobs=report.timings.n_jobs,
     )
-    if telemetry_out is not None:
-        write_telemetry(telemetry_out)
     return report

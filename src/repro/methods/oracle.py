@@ -22,9 +22,9 @@ __all__ = ["Oracle"]
 
 #: Process-wide frontier memo: a kernel's ground-truth frontier is a
 #: pure function of its characteristics and the machine's power
-#: constants (boost off).  Fresh Oracles are built for every evaluation
-#: run; sharing the memo keeps repeated runs from re-deriving identical
-#: frontiers.
+#: constants and boost policy.  Fresh Oracles are built for every
+#: evaluation run; sharing the memo keeps repeated runs from re-deriving
+#: identical frontiers.
 _FRONTIER_CACHE: dict[tuple, ParetoFrontier] = {}
 
 # Hit/miss accounting for the frontier memo (see docs/OBSERVABILITY.md).
@@ -51,8 +51,8 @@ class Oracle(PowerLimitMethod):
     def true_frontier(self, kernel) -> ParetoFrontier:
         """The kernel's ground-truth Pareto frontier (cached)."""
         chars = getattr(kernel, "characteristics", None)
-        if self.apu.boost is None and chars is not None:
-            key = (self.apu.power_constants, chars)
+        if chars is not None:
+            key = (self.apu.power_constants, self.apu.boost, chars)
             frontier = _FRONTIER_CACHE.get(key)
             if frontier is None:
                 _FRONTIER_MISSES.inc()

@@ -22,9 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-import numpy as np
-
 from repro.constants import respects_cap
+from repro.core.frontier import pareto_staircase
 from repro.core.predictor import KernelPrediction
 from repro.hardware.config import Configuration
 
@@ -69,15 +68,11 @@ def _energy_time_options(
     by ascending energy with strictly decreasing time."""
     t = 1.0 / prediction.performance_array
     e = prediction.power_array * t
-    order = np.lexsort((t, e))  # stable (energy, time) sort
     configs = prediction.config_tuple
-    frontier: list[tuple[float, float, Configuration]] = []
-    best_t = float("inf")
-    for i in order:
-        if t[i] < best_t:
-            frontier.append((float(e[i]), float(t[i]), configs[i]))
-            best_t = t[i]
-    return frontier
+    # Negation is exact: the staircase of (energy, -time).
+    return [
+        (float(e[i]), float(t[i]), configs[i]) for i in pareto_staircase(e, -t).tolist()
+    ]
 
 
 def optimize_energy_budget(

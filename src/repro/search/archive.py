@@ -32,6 +32,8 @@ import math
 
 import numpy as np
 
+from repro.core.frontier import pareto_staircase
+
 __all__ = ["EpsilonArchive"]
 
 
@@ -103,18 +105,10 @@ class EpsilonArchive:
         first[1:] = (bp_s[1:] != bp_s[:-1]) | (br_s[1:] != br_s[:-1])
         reps = order[first]
 
-        # Stage 2 — box-level dominance sweep: sort boxes by (power box
-        # asc, rate box desc); a box survives iff its rate box strictly
-        # exceeds every cheaper box's (same-power-box lower-rate boxes
-        # fall to the leader of their column).
-        rp, rr = bp[reps], br[reps]
-        sweep = np.lexsort((-rr, rp))
-        rr_s = rr[sweep]
-        keep = np.empty(len(sweep), dtype=bool)
-        keep[0] = True
-        if len(sweep) > 1:
-            keep[1:] = rr_s[1:] > np.maximum.accumulate(rr_s)[:-1]
-        kept = reps[sweep[keep]]
+        # Stage 2 — box-level dominance sweep: a box survives iff its
+        # rate box strictly exceeds every cheaper box's (same-power-box
+        # lower-rate boxes fall to the leader of their column).
+        kept = reps[pareto_staircase(bp[reps], br[reps])]
 
         self._genomes = np.ascontiguousarray(g[kept])
         self._powers = np.ascontiguousarray(pw[kept])

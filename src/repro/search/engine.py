@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.frontier import pareto_staircase
 from repro.search.archive import EpsilonArchive
 from repro.search.space import GeneratedConfigSpace
 from repro.telemetry import counter, gauge, trace_span
@@ -138,13 +139,7 @@ def hypervolume(
     if not inside.any():
         return 0.0
     pw, rt = powers[inside], rates[inside]
-    order = np.lexsort((-rt, pw))
-    pw, rt = pw[order], rt[order]
-    frontier_rt = np.maximum.accumulate(rt)
-    keep = np.empty(len(pw), dtype=bool)
-    keep[0] = True
-    if len(pw) > 1:
-        keep[1:] = rt[1:] > frontier_rt[:-1]
+    keep = pareto_staircase(pw, rt)
     return _staircase_area(pw[keep], rt[keep], ref_power_w)
 
 

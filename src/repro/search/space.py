@@ -357,10 +357,10 @@ class GeneratedConfigSpace:
 class _BackendModel:
     """Vectorized truth for a registered :class:`HardwareBackend`.
 
-    Decoded rows are bit-identical to the machine's ``true_table``
-    (boost off): both read its one physics hook.  The genome carries
-    both blocks' knobs; canonicalization collapses the inactive block
-    exactly like the descriptor's enumeration does (primary configs
+    Decoded rows are bit-identical to the machine's ``true_table``:
+    both read its one physics hook.  The genome carries both blocks'
+    knobs; canonicalization collapses the inactive block exactly like
+    the descriptor's enumeration does (primary configs
     park the secondary at its minimum frequency with one unit;
     secondary configs pin the host at the descriptor's fixed host
     frequency unless the machine varies it, as Trinity does), so

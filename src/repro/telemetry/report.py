@@ -13,9 +13,9 @@ One artifact ties the whole observability layer together::
     }
 
 :func:`write_telemetry` dumps the current process state (``repro eval
---telemetry-out t.json`` and :func:`repro.evaluation.loocv.run_loocv`'s
-``telemetry_out=`` call it); ``repro telemetry t.json`` renders a saved
-report through :func:`render_telemetry`.
+--telemetry-out t.json`` and the other commands' ``--telemetry-out``
+call it after a successful run); ``repro telemetry t.json`` renders a
+saved report through :func:`render_telemetry`.
 """
 
 from __future__ import annotations

@@ -12,10 +12,17 @@ operating point (``hardware/hybrid.py``).  They evaluate one
 must reproduce them bit for bit: ``tests/test_physics_reference.py``
 compares time and both power planes with ``==``.
 
+The per-axis measurement noise (``NoiseModel._scale`` and
+``perturb_*``, ``hardware/noise.py``) is kept the same way: one
+``Generator.lognormal`` draw per reading of each nonzero axis, which
+every machine's fused measurement row must reproduce bit for bit.
+
 :func:`reference_truth` maps a live machine onto its reference model.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.hardware import pstates
 from repro.hardware.backend import TRINITY_DESCRIPTOR
@@ -44,6 +51,7 @@ from repro.hardware.mpsoc import (
     TPUT_DVFS,
     MPSoC,
 )
+from repro.hardware.noise import NoiseModel
 from repro.hardware.power import PowerBreakdown, PowerModelConstants
 from tests.conftest import cpu_config, gpu_config
 
@@ -55,6 +63,9 @@ __all__ = [
     "power_w",
     "hybrid_execution",
     "reference_truth",
+    "perturb_time",
+    "perturb_power",
+    "perturb_counters",
 ]
 
 
@@ -412,3 +423,42 @@ def hybrid_execution(
     total_power = pb_cpu.total_w + max(gpu_increment, 0.0)
 
     return time_s, total_power, cpu_share
+
+
+# -- per-axis measurement noise (hardware/noise.py) ---------------------------
+
+
+def _scale(value: float, rel: float, rng: np.random.Generator) -> float:
+    if rel == 0.0:
+        return value
+    # Log-normal with mean ~1: sigma of underlying normal = rel.
+    return float(value * rng.lognormal(mean=-0.5 * rel * rel, sigma=rel))
+
+
+def perturb_time(noise: NoiseModel, t: float, rng: np.random.Generator) -> float:
+    """Noisy observation of an execution time (seconds)."""
+    return _scale(t, noise.time_rel, rng)
+
+
+def perturb_power(noise: NoiseModel, p: float, rng: np.random.Generator) -> float:
+    """Noisy observation of an average power (watts)."""
+    return _scale(p, noise.power_rel, rng)
+
+
+def perturb_counters(
+    noise: NoiseModel, counters: dict[str, float], rng: np.random.Generator
+) -> dict[str, float]:
+    """Noisy observation of a counter-metric dict (order-stable).
+
+    One vectorized draw per dict; ``Generator`` produces the same
+    stream for ``lognormal(size=n)`` as for ``n`` scalar draws, so
+    this is bit-identical to perturbing each counter in turn.
+    """
+    rel = noise.counter_rel
+    if rel == 0.0:
+        return dict(counters)
+    factors = rng.lognormal(mean=-0.5 * rel * rel, sigma=rel, size=len(counters))
+    return {
+        name: float(v * f)
+        for (name, v), f in zip(counters.items(), factors)
+    }

@@ -11,8 +11,9 @@ they must reproduce bit for bit:
 * :func:`reference_run_rng` builds each run's generator from a fresh
   :class:`numpy.random.SeedSequence`;
 * :class:`ReferenceProfilingLibrary` uses both, profiles one run at a
-  time (synthesizing counters and drawing each noise axis through
-  ``NoiseModel``), and sweeps run by run.
+  time (synthesizing counters and drawing each noise axis through the
+  per-axis reference of :mod:`tests.physics_reference`), and sweeps
+  run by run.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from repro.profiling import library as library_module
 from repro.profiling.library import COUNTER_READ_OVERHEAD_S, ProfilingLibrary, _run_key
 from repro.profiling.records import KernelProfile
 from repro.profiling.sampler import PowerSampler, SampledPower
+from tests.physics_reference import perturb_counters, perturb_time
 
 
 class ReferencePowerSampler(PowerSampler):
@@ -107,9 +109,10 @@ class ReferenceProfilingLibrary(ProfilingLibrary):
         exec_config = config if fctx is None else fctx.config
 
         memo_key = None
-        if self.apu.boost is None and (fctx is None or fctx.clean):
+        if fctx is None or fctx.clean:
             memo_key = (
                 self.apu.power_constants,
+                self.apu.boost,
                 self.apu.noise,
                 self.sampler,
                 self._base_entropy,
@@ -136,11 +139,11 @@ class ReferenceProfilingLibrary(ProfilingLibrary):
         )
         sampling_overhead = cpu_sp.overhead_s + COUNTER_READ_OVERHEAD_S
 
-        noisy_t = self.apu.noise.perturb_time(true_t, rng)
+        noisy_t = perturb_time(self.apu.noise, true_t, rng)
         measured_t = noisy_t + sampling_overhead
 
-        counters = self.apu.noise.perturb_counters(
-            synthesize_counters(chars, exec_config), rng
+        counters = perturb_counters(
+            self.apu.noise, synthesize_counters(chars, exec_config), rng
         )
         measurement = Measurement(
             config=exec_config,

@@ -5,10 +5,12 @@ Every backend — Trinity included — is an
 template path, the frequency limiter's walks and the fault injector's
 P-state substitution are shared code.  These tests pin, per backend:
 
-* ``run`` and ``observe`` + ``measurement`` equal per-axis
-  :class:`~repro.hardware.NoiseModel` draws on a cloned generator, in
-  the vector, exact and scalar noise modes, with and without an empty
+* ``run`` and ``observe`` + ``measurement`` equal per-axis lognormal
+  draws (:mod:`tests.physics_reference`) on a cloned generator, under
+  full, exact and partial noise, with and without boost and an empty
   fault plan;
+* boost and partial noise take the memoized template path: a limiter
+  noise block, and profile and oracle-frontier memo hits;
 * the limiter's walks stay inside the machine's space, never raise a
   frequency on the way down, and end cap-compliant or at their floor;
 * every committed fault plan runs through ``run``, ``observe`` and
@@ -30,25 +32,32 @@ from repro import telemetry
 from repro.constants import respects_cap
 from repro.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.faults.errors import SampleRunError
-from repro.hardware import FrequencyLimiter, NoiseModel, TrinityAPU
+from repro.hardware import BoostPolicy, FrequencyLimiter, NoiseModel, TrinityAPU
 from repro.hardware.backend import (
     AnalyticalBackend,
     backend_names,
     create_backend,
 )
 from repro.hardware.counters import synthesize_counters
+from repro.methods import Oracle
 from repro.profiling import ProfilingLibrary
 from repro.workloads import build_suite
 from tests.conftest import make_kernel
+from tests.physics_reference import perturb_counters, perturb_power, perturb_time
 
 BACKENDS = ("trinity", "biglittle", "mpsoc")
+#: Every backend, and Trinity with opportunistic boost.
+MACHINES = BACKENDS + ("trinity-boost",)
 DESCRIPTOR_BACKENDS = ("biglittle", "mpsoc")
 PLAN_DIR = Path(__file__).parent / "fault_plans"
 PLANS = tuple(sorted(p.name for p in PLAN_DIR.glob("*.json")))
+#: Full, exact and partial noise ("scalar": the counter axis at zero).
 NOISE = {
     "vector": NoiseModel(),
     "exact": NoiseModel.exact(),
     "scalar": NoiseModel(counter_rel=0.0),
+    "no-time": NoiseModel(time_rel=0.0),
+    "no-power": NoiseModel(power_rel=0.0),
 }
 #: Runs enough to pass every committed plan's last event window.
 PLAN_RUNS = 450
@@ -58,15 +67,21 @@ def _same_float(a: float, b: float) -> bool:
     return type(a) is type(b) and (a == b or (math.isnan(a) and math.isnan(b)))
 
 
+def _machine(name: str, *, seed: int = 0, noise: NoiseModel | None = None):
+    if name == "trinity-boost":
+        return TrinityAPU(seed=seed, noise=noise, boost=BoostPolicy())
+    return create_backend(name, seed=seed, noise=noise)
+
+
 def _reference(apu, kernel, cfg, rng) -> tuple:
-    """A run's readings from per-axis ``NoiseModel.perturb_*`` draws."""
+    """A run's readings from per-axis lognormal draws."""
     noise = apu.noise
     pb = apu.true_power(kernel, cfg)
     return (
-        noise.perturb_time(apu.true_time_s(kernel, cfg), rng),
-        noise.perturb_power(pb.cpu_plane_w, rng),
-        noise.perturb_power(pb.nbgpu_plane_w, rng),
-        noise.perturb_counters(synthesize_counters(kernel, cfg), rng),
+        perturb_time(noise, apu.true_time_s(kernel, cfg), rng),
+        perturb_power(noise, pb.cpu_plane_w, rng),
+        perturb_power(noise, pb.nbgpu_plane_w, rng),
+        perturb_counters(noise, synthesize_counters(kernel, cfg), rng),
     )
 
 
@@ -91,11 +106,11 @@ def test_every_registered_backend_is_analytical():
 class TestSharedMeasurementPath:
     @pytest.mark.parametrize("plan", [None, "empty"])
     @pytest.mark.parametrize("noise", sorted(NOISE))
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", MACHINES)
     def test_run_and_observe_equal_per_axis_draws(self, backend, noise, plan):
         kernel = make_kernel(work_s=0.731)
         run_apu, observe_apu = (
-            create_backend(backend, seed=0, noise=NOISE[noise]) for _ in range(2)
+            _machine(backend, seed=0, noise=NOISE[noise]) for _ in range(2)
         )
         if plan is not None:
             for apu in (run_apu, observe_apu):
@@ -116,6 +131,46 @@ class TestSharedMeasurementPath:
             _assert_matches(m, ref, cfg)
             assert power == m.total_power_w
         assert observe_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("noise", sorted(NOISE))
+    @pytest.mark.parametrize("backend", MACHINES)
+    def test_noise_block_unless_fault_injected(self, backend, noise):
+        apu = _machine(backend, noise=NOISE[noise])
+        kernel = make_kernel()
+        assert apu.noise_block(kernel) is not None
+        apu.inject_faults(FaultPlan())
+        assert apu.noise_block(kernel) is None
+
+    def test_boost_keys_the_truth_memos(self):
+        kernel = make_kernel(work_s=0.6143)
+        plain, boosted = TrinityAPU(), TrinityAPU(boost=BoostPolicy())
+        assert boosted.true_table(kernel) is TrinityAPU(boost=BoostPolicy()).true_table(kernel)
+        assert boosted.true_table(kernel) != plain.true_table(kernel)
+        # Assigning a policy rebinds the memos.
+        plain.boost = BoostPolicy()
+        assert plain.true_table(kernel) is boosted.true_table(kernel)
+        plain.boost = None
+        assert plain.true_table(kernel) is TrinityAPU().true_table(kernel)
+
+    def test_boosted_profiles_hit_the_memo(self):
+        kernels = list(build_suite())[:2]
+        hits, misses = (telemetry.counter(f"cache.profile.{n}") for n in ("hits", "misses"))
+        first = ProfilingLibrary(TrinityAPU(boost=BoostPolicy()), seed=41)
+        profiles = first.profile_sweeps(kernels)
+        before = (hits.value, misses.value)
+        second = ProfilingLibrary(TrinityAPU(boost=BoostPolicy()), seed=41)
+        assert second.profile_sweeps(kernels) == profiles
+        runs = sum(len(sweep) for sweep in profiles)
+        assert (hits.value, misses.value) == (before[0] + runs, before[1])
+
+    def test_boosted_oracle_frontier_hits_the_memo(self):
+        kernel = next(iter(build_suite()))
+        hits = telemetry.counter("cache.oracle_frontier.hits")
+        frontier = Oracle(TrinityAPU(boost=BoostPolicy())).true_frontier(kernel)
+        before = hits.value
+        assert Oracle(TrinityAPU(boost=BoostPolicy())).true_frontier(kernel) is frontier
+        assert hits.value == before + 1
+        assert Oracle(TrinityAPU()).true_frontier(kernel) is not frontier
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_truth_table_is_memoized_per_constants(self, backend):

@@ -121,16 +121,22 @@ def test_noise_model_validation():
 
 
 def test_noise_model_exact_passthrough(kernel):
-    nm = NoiseModel.exact()
+    apu = TrinityAPU(noise=NoiseModel.exact())
     rng = np.random.default_rng(0)
-    assert nm.perturb_time(1.23, rng) == 1.23
-    assert nm.perturb_power(45.6, rng) == 45.6
-    assert nm.perturb_counters({"a": 1.0}, rng) == {"a": 1.0}
+    state = rng.bit_generator.state
+    for cfg in (cpu_config(3.7, 4), gpu_config(0.819, 3.7)):
+        m = apu.run(kernel, cfg, rng=rng)
+        assert m.time_s == apu.true_time_s(kernel, cfg)
+        pb = apu.true_power(kernel, cfg)
+        assert (m.cpu_plane_w, m.nbgpu_plane_w) == (pb.cpu_plane_w, pb.nbgpu_plane_w)
+        assert m.counters == apu.true_counters(kernel, cfg)
+    assert rng.bit_generator.state == state  # no draws
 
 
-def test_noise_model_unbiased():
-    nm = NoiseModel(time_rel=0.05)
-    rng = np.random.default_rng(1)
-    draws = [nm.perturb_time(10.0, rng) for _ in range(4000)]
+def test_noise_model_unbiased(kernel):
+    apu = TrinityAPU(noise=NoiseModel(time_rel=0.05), seed=1)
+    cfg = cpu_config(3.7, 4)
+    true_t = apu.true_time_s(kernel, cfg)
+    draws = [apu.run(kernel, cfg).time_s / true_t * 10.0 for _ in range(4000)]
     assert np.mean(draws) == pytest.approx(10.0, rel=0.01)
     assert np.std(draws) == pytest.approx(0.5, rel=0.15)

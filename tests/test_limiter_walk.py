@@ -1,14 +1,15 @@
 """The frequency limiter's ladder walk against the step-by-step loop.
 
 :class:`~repro.hardware.FrequencyLimiter` walks a memoized P-state
-ladder; on a clean machine a whole cap sweep reads its steps from one
-block of standard normals (:meth:`AnalyticalBackend.noise_block`), and
-fault-injected, boosted and scalar-noise machines step through
-:meth:`observe`.  The settled measurement is built only when asked.
-These tests pin that it is an optimisation and nothing more: against
-:class:`tests.limiter_reference.ReferenceLimiter` every result, every
-generator state and every counter agrees, on every backend, under every
-noise mode, boost, and each committed fault plan.
+ladder; on a machine without a fault injector a whole cap sweep reads
+its steps from one block of standard normals
+(:meth:`AnalyticalBackend.noise_block`), and fault-injected machines
+step through :meth:`observe`.  The settled measurement is built only
+when asked.  These tests pin that it is an optimisation and nothing
+more: against :class:`tests.limiter_reference.ReferenceLimiter` every
+result, every generator state and every counter agrees, on every
+backend, under full, exact and partial noise, boost, and each committed
+fault plan.
 """
 
 from __future__ import annotations
@@ -37,16 +38,20 @@ from repro.hardware.counters import synthesize_counters
 from repro.hardware.rapl import _ladder
 from tests.conftest import make_kernel
 from tests.limiter_reference import ReferenceLimiter
+from tests.physics_reference import perturb_counters, perturb_power, perturb_time
 
 PLAN_DIR = Path(__file__).parent / "fault_plans"
 PLANS = (None,) + tuple(sorted(p.name for p in PLAN_DIR.glob("*.json")))
 CONFIGS = tuple(TRINITY_DESCRIPTOR.config_space())
 BACKENDS = ("trinity", "biglittle", "mpsoc")
 SPACES = {name: tuple(create_backend(name).config_space) for name in BACKENDS}
+#: Full, exact and partial noise ("scalar": the counter axis at zero).
 NOISE = {
     "vector": NoiseModel(),
     "exact": NoiseModel.exact(),
     "scalar": NoiseModel(counter_rel=0.0),
+    "no-time": NoiseModel(time_rel=0.0),
+    "no-power": NoiseModel(power_rel=0.0),
 }
 POLICIES = ("limit", "limit_gpu_with_headroom", "limit_cpu_all_cores")
 COUNTERS = (
@@ -213,9 +218,9 @@ kernels = st.builds(
 
 class TestSweepMatchesReference:
     """``limit_many`` against one reference walk per cap, in order, on
-    each backend's own ladders.  Clean machines (vector or exact noise,
-    no fault plan, no boost) take the one-block sweep; fault-injected,
-    boosted and scalar-noise machines step through ``observe``."""
+    each backend's own ladders.  Machines without a fault plan take the
+    one-block sweep; fault-injected machines step through
+    ``observe``."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -348,9 +353,8 @@ class TestTelemetryParity:
             after = _counter_values()
             deltas.append({k: after[k] - before[k] for k in COUNTERS})
         assert deltas[0] == deltas[1]
-        if noise != "scalar":
-            assert deltas[1]["cache.measurement_template.hits"] > 0
-            assert deltas[1]["cache.measurement_template.misses"] > 0
+        assert deltas[1]["cache.measurement_template.hits"] > 0
+        assert deltas[1]["cache.measurement_template.misses"] > 0
         if faulty:
             assert deltas[1]["faults.limiter.worst_case_reads"] > 0
             assert deltas[1]["faults.limiter.failed_runs"] > 0
@@ -373,8 +377,8 @@ class TestDrawIdentity:
         assert ours.bit_generator.state == ref.bit_generator.state
 
     def test_run_matches_per_axis_lognormal_draws(self):
-        """The fused vector-mode draw equals the scalar noise path's
-        per-axis draws: time, two power planes, then the counters."""
+        """The fused draw equals the per-axis reference draws: time, two
+        power planes, then the counters."""
         kernel = make_kernel()
         apu = TrinityAPU(seed=0)
         noise = apu.noise
@@ -382,11 +386,11 @@ class TestDrawIdentity:
             fused, legacy = np.random.default_rng(9), np.random.default_rng(9)
             m = apu.run(kernel, cfg, rng=fused)
             pb = apu.true_power(kernel, cfg)
-            assert m.time_s == noise.perturb_time(apu.true_time_s(kernel, cfg), legacy)
-            assert m.cpu_plane_w == noise.perturb_power(pb.cpu_plane_w, legacy)
-            assert m.nbgpu_plane_w == noise.perturb_power(pb.nbgpu_plane_w, legacy)
-            assert dict(m.counters) == noise.perturb_counters(
-                synthesize_counters(kernel, cfg), legacy
+            assert m.time_s == perturb_time(noise, apu.true_time_s(kernel, cfg), legacy)
+            assert m.cpu_plane_w == perturb_power(noise, pb.cpu_plane_w, legacy)
+            assert m.nbgpu_plane_w == perturb_power(noise, pb.nbgpu_plane_w, legacy)
+            assert dict(m.counters) == perturb_counters(
+                noise, synthesize_counters(kernel, cfg), legacy
             )
             assert fused.bit_generator.state == legacy.bit_generator.state
 

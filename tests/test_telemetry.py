@@ -341,7 +341,8 @@ class TestPipelineTelemetry:
         from repro.evaluation.loocv import run_loocv
 
         out = tmp_path / "telemetry.json"
-        run_loocv(small_suite(), seed=20101, n_clusters=2, telemetry_out=out)
+        run_loocv(small_suite(), seed=20101, n_clusters=2)
+        write_telemetry(out)
         data = load_telemetry(out)
 
         spans = {n["name"]: n for n in data["spans"]}
