@@ -145,6 +145,8 @@ class AdaptiveRuntime:
         self.backoff_cap_s = backoff_cap_s
         self.quarantine_stuck = quarantine_stuck
         self._predictions: dict[str, KernelPrediction] = {}
+        # Per kernel uid: (quarantine set at build, its sweep table's index).
+        self._indexes: dict[str, tuple] = {}
         self._samples = library.apu.descriptor.sample_configs()
         self._limiter = (
             FrequencyLimiter(library.apu) if frequency_limiter else None
@@ -175,11 +177,7 @@ class AdaptiveRuntime:
         elif seen == 1:
             cfg, phase = self._samples[1], "sample-gpu"
         else:
-            prediction = self._prediction_for(kernel)
-            decision = self.scheduler.select(
-                prediction, cap, risk_averse=self.risk_averse
-            )
-            cfg, phase = decision.config, "scheduled"
+            cfg, phase = self._select(kernel, cap), "scheduled"
             if self._limiter is not None:
                 key = (kernel.uid, cap)
                 if key not in self._limited:
@@ -296,6 +294,27 @@ class AdaptiveRuntime:
                 requested=requested.label(),
                 executed=executed.label(),
             )
+
+    def _select(self, kernel: Kernel, cap: float) -> Configuration:
+        """``Scheduler.select``'s choice as one ``decide_batch`` lookup in
+        the kernel's sweep table, rebuilt when the quarantine set changes."""
+        # Imported here: importing repro.server loads its batching front end.
+        from repro.server.engine import DecisionIndex, decide_batch
+
+        quarantined = self.scheduler.quarantined
+        built = self._indexes.get(kernel.uid)
+        if built is None or built[0] != quarantined:
+            prediction = self._prediction_for(kernel)
+            table = self.scheduler.sweep_table(
+                prediction, risk_averse=self.risk_averse
+            )
+            built = self._indexes[kernel.uid] = (
+                quarantined,
+                DecisionIndex({kernel.uid: prediction}, {kernel.uid: table}),
+            )
+        return decide_batch(
+            self.scheduler, self._predictions, [kernel.uid], [cap], index=built[1]
+        ).config(0)
 
     def _prediction_for(self, kernel: Kernel) -> KernelPrediction:
         if kernel.uid not in self._predictions:

@@ -12,7 +12,8 @@ demultiplexes results into the per-request futures.
 :class:`AsyncDecisionServer` is an asyncio interface over a
 :class:`DecisionServer`: ``await server.decide(request)`` awaits the
 request's future, so batches run on the dispatcher thread, not on the
-event loop.
+event loop.  Only its ``stop`` and ``decide`` import :mod:`asyncio`, so a
+process that never awaits a decision never loads it.
 
 Admission control is a bounded queue: arrivals beyond ``max_queue``
 are shed immediately with :class:`ServerOverloadError` (counted under
@@ -27,7 +28,6 @@ cyclic collector, so full collections while serving do not rescan it.
 
 from __future__ import annotations
 
-import asyncio
 import functools
 import gc
 import threading
@@ -273,8 +273,12 @@ class AsyncDecisionServer:
 
     async def stop(self) -> None:
         """Drain the queue and join the dispatcher off the event loop."""
+        import asyncio
+
         await asyncio.to_thread(self._server.stop)
 
     async def decide(self, request: DecisionRequest) -> DecisionResult:
         """Submit a request and await its result."""
+        import asyncio
+
         return await asyncio.wrap_future(self._server.submit(request))

@@ -1,7 +1,7 @@
 """Observability for the offline -> online pipeline.
 
-Three cooperating pieces, all process-wide and all near-free when
-disabled via :func:`set_enabled`:
+Cooperating pieces, all process-wide and all near-free when disabled
+via :func:`set_enabled`:
 
 * :mod:`repro.telemetry.registry` — named counters, gauges, and
   streaming histograms with lock-safe updates and deterministic
@@ -18,7 +18,10 @@ disabled via :func:`set_enabled`:
   spans and metrics together;
 * :mod:`repro.telemetry.monitor` — the continuous layer: a ring buffer
   of registry snapshots, SLO burn-rate alerting, exemplar tracing,
-  Prometheus/JSONL exporters, and the ``repro top`` ops view.
+  Prometheus/JSONL exporters, and the ``repro top`` ops view.  This
+  package does not import it: import the monitor's names from
+  :mod:`repro.telemetry.monitor`, so a process that never monitors
+  never loads it.
 
 See ``docs/OBSERVABILITY.md`` for the metric and span catalogue.
 """
@@ -52,30 +55,15 @@ from repro.telemetry.spans import (
     get_tracer,
     trace_span,
 )
-from repro.telemetry.monitor import (
-    ExemplarStore,
-    Monitor,
-    SLOEngine,
-    SLOSpec,
-    TimeSeriesStore,
-    parse_slo,
-    render_prometheus,
-    render_top,
-)
 
 __all__ = [
     "Counter",
-    "ExemplarStore",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "Monitor",
     "PhaseTrace",
-    "SLOEngine",
-    "SLOSpec",
     "SpanNode",
     "TELEMETRY_VERSION",
-    "TimeSeriesStore",
     "Tracer",
     "configure_logging",
     "counter",
@@ -88,11 +76,8 @@ __all__ = [
     "is_enabled",
     "load_telemetry",
     "log_event",
-    "parse_slo",
-    "render_prometheus",
     "render_telemetry",
     "render_telemetry_diff",
-    "render_top",
     "set_enabled",
     "telemetry_snapshot",
     "trace_span",

@@ -14,19 +14,21 @@ Two wire formats over the same registry/ring state:
 :func:`serve_monitor_http` runs a stdlib :class:`ThreadingHTTPServer`
 on a daemon thread with three endpoints: ``/metrics`` (Prometheus
 scrape), ``/monitor.json`` (the full monitor dump: ring + alerts +
-exemplars, what ``repro top`` polls), and ``/healthz``.
+exemplars, what ``repro top`` polls), and ``/healthz``.  Their handler
+lives in :mod:`~repro.telemetry.monitor.endpoint`, which it imports on
+its first call, so importing this module loads no ``http.server``.
 """
 
 from __future__ import annotations
 
 import json
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import TYPE_CHECKING
 
 from repro.telemetry.registry import BUCKET_BOUNDS, BUCKET_INDEX
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
+    from repro.telemetry.monitor.endpoint import MonitorServer
     from repro.telemetry.monitor.service import Monitor
     from repro.telemetry.monitor.timeseries import MetricSample
 
@@ -95,61 +97,18 @@ def sample_to_jsonl(sample: "MetricSample") -> str:
     return json.dumps(sample.to_dict(), separators=(",", ":"))
 
 
-class _MonitorHandler(BaseHTTPRequestHandler):
-    """Read-only monitor endpoints; logging silenced (stderr is the
-    structured logger's channel, not the scrape log's)."""
-
-    server: "_MonitorServer"
-
-    def log_message(self, *args) -> None:  # pragma: no cover - silence
-        return
-
-    def _send(self, status: int, content_type: str, body: bytes) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def do_GET(self) -> None:  # noqa: N802 - stdlib API
-        monitor = self.server.monitor
-        path = self.path.split("?", 1)[0]
-        try:
-            if path == "/metrics":
-                body = render_prometheus(monitor.registry_snapshot())
-                self._send(
-                    200,
-                    "text/plain; version=0.0.4; charset=utf-8",
-                    body.encode("utf-8"),
-                )
-            elif path == "/monitor.json":
-                body = json.dumps(monitor.dump(), indent=2)
-                self._send(
-                    200, "application/json", body.encode("utf-8")
-                )
-            elif path == "/healthz":
-                self._send(200, "text/plain", b"ok\n")
-            else:
-                self._send(404, "text/plain", b"not found\n")
-        except BrokenPipeError:  # pragma: no cover - client went away
-            pass
-
-
-class _MonitorServer(ThreadingHTTPServer):
-    daemon_threads = True
-    monitor: "Monitor"
-
-
 def serve_monitor_http(
     monitor: "Monitor", port: int, *, host: str = "127.0.0.1"
-) -> _MonitorServer:
+) -> "MonitorServer":
     """Start the monitor's HTTP endpoints on a daemon thread.
 
     ``port=0`` binds an ephemeral port; read the chosen one from the
     returned server's ``server_port``.  Call ``shutdown()`` +
     ``server_close()`` (or :meth:`Monitor.close`) to stop.
     """
-    httpd = _MonitorServer((host, port), _MonitorHandler)
+    from repro.telemetry.monitor.endpoint import MonitorHandler, MonitorServer
+
+    httpd = MonitorServer((host, port), MonitorHandler)
     httpd.monitor = monitor
     thread = threading.Thread(
         target=httpd.serve_forever,

@@ -17,7 +17,6 @@ from_dump` reconstruction, so tests can pin frames byte-for-byte.
 from __future__ import annotations
 
 import json
-import urllib.request
 from typing import Mapping
 
 from repro.telemetry.monitor.timeseries import TimeSeriesStore
@@ -40,8 +39,11 @@ def fetch_monitor_dump(url: str, *, timeout_s: float = 5.0) -> dict:
     """GET a monitor dump from a running server's ``/monitor.json``.
 
     ``url`` may be a bare ``host:port``; the scheme and path are filled
-    in.  Only http(s) targets are accepted.
+    in.  Only http(s) targets are accepted.  ``urllib.request`` is
+    imported here, so rendering a dump never loads the URL client.
     """
+    import urllib.request
+
     if "://" not in url:
         url = f"http://{url}"
     if not url.startswith(("http://", "https://")):

@@ -282,6 +282,66 @@ class TestLOOCV:
         model_records = [r for r in report.records if r.method == "Model"]
         assert all(r.online_runs == 2 for r in model_records)
 
+    def test_lulesh_fold_lu_cluster_predicts_power_falling_with_threads(
+        self, report
+    ):
+        # Pins ROADMAP item 1's anomaly.  In the LULESH fold, one cluster
+        # holds exactly the three LU decompositions, whose CPU-sample
+        # powers lie within 0.21 W of each other, so its power model's
+        # sample-power anchor terms are not identified.  The fold's
+        # online predictor routes 10 of the 40 held-out LULESH kernels
+        # there, and each gets a CPU power prediction that falls on at
+        # least one thread step at fixed frequency, although true power
+        # never does.  The shrinkage fix must change this test on purpose.
+        from repro.core.predictor import OnlinePredictor
+        from repro.hardware.backend import create_backend
+        from repro.profiling import CharacterizationStore, ProfilingLibrary
+
+        suite = build_suite()
+        model = report.fold_models["LULESH"]
+        clustering = model.clustering
+        lu = sorted(k.uid for k in suite.for_benchmark("LU"))
+        assert all(uid.endswith("/LUDecomposition") for uid in lu)
+        (lu_cluster,) = [
+            c for c in range(clustering.n_clusters)
+            if sorted(clustering.members(c)) == lu
+        ]
+        store = CharacterizationStore.shared(suite, seed=0, backend="trinity")
+        sample_w = [
+            store.characterization(suite.get(uid)).cpu_sample.total_power_w
+            for uid in lu
+        ]
+        assert 26.40 <= min(sample_w) and max(sample_w) <= 26.61
+
+        # The fold's online stream, derived as run_loocv derives it.
+        benchmarks = list(suite.benchmarks())
+        fold_stream = np.random.SeedSequence(0).spawn(len(benchmarks))[
+            benchmarks.index("LULESH")
+        ]
+        online_ss = fold_stream.spawn(4)[0]
+        predictor = OnlinePredictor(
+            model, ProfilingLibrary(create_backend("trinity", seed=0), seed=online_ss)
+        )
+        held_out = suite.for_benchmark("LULESH")
+        assert len(held_out) == 40
+        routed = [
+            p for p in map(predictor.predict, held_out) if p.cluster == lu_cluster
+        ]
+        assert len(routed) == 10
+        for p in routed:
+            by_freq: dict[float, list[tuple[int, float]]] = {}
+            for cfg, power in zip(p.config_tuple, p.power_array.tolist()):
+                if not cfg.is_gpu:
+                    by_freq.setdefault(cfg.cpu_freq_ghz, []).append(
+                        (cfg.n_threads, power)
+                    )
+            falls = [
+                a[1] > b[1]
+                for steps in by_freq.values()
+                for a, b in zip(sorted(steps), sorted(steps)[1:])
+            ]
+            assert any(falls), p.kernel_uid
+
     def test_without_freq_limiting_baselines(self):
         report = run_loocv(seed=1, include_freq_limiting=False)
         assert {r.method for r in report.records} == {"Model", "Model+FL"}

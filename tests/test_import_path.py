@@ -1,4 +1,4 @@
-"""A fresh interpreter imports the package and samples without scipy.
+"""A fresh interpreter imports only what its process runs.
 
 Importing ``scipy.signal`` costs about 1.5 s, and the power sampler's
 AR(1) recursion is numpy and plain floats, so nothing in the package
@@ -8,6 +8,13 @@ that no ``scipy`` module is loaded, samples one run and a two-run batch,
 checks again that no ``scipy`` module is loaded, and then compares both
 results with the per-plane reference sampler (which uses
 ``scipy.signal.lfilter``) bit for bit.
+
+The HTTP server, the URL client and asyncio are imported only by the
+calls that use them (``serve_monitor_http``, ``fetch_monitor_dump``,
+``AsyncDecisionServer.stop``/``decide``), and the monitor package only
+by what monitors or serves.  A second interpreter imports what an
+offline bring-up imports and checks that neither is loaded, then the
+entry points above and checks that no network or async module is.
 """
 
 from __future__ import annotations
@@ -60,13 +67,45 @@ for i, seed in enumerate((2, 3)):
 """
 
 
-def test_fresh_interpreter_imports_repro_without_scipy():
+NETWORK_AND_ASYNC_SCRIPT = """
+import sys
+
+NETWORK_AND_ASYNC = ("http.server", "urllib.request", "asyncio")
+
+def loaded(*prefixes):
+    return sorted(m for m in sys.modules if m in NETWORK_AND_ASYNC or m.startswith(prefixes))
+
+import repro.core.model
+import repro.hardware.backend
+import repro.profiling.store
+import repro.workloads
+
+assert not loaded("repro.telemetry.monitor"), f"an offline bring-up loaded {loaded('repro.telemetry.monitor')}"
+
+import repro.cli
+import repro.cluster.tree
+import repro.search.engine
+import repro.server.service
+
+assert not loaded(), f"importing the entry points loaded {loaded()}"
+"""
+
+
+def _run_fresh(script: str) -> None:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), str(ROOT), env.get("PYTHONPATH", "")]
     )
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT],
+        [sys.executable, "-c", script],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_fresh_interpreter_imports_repro_without_scipy():
+    _run_fresh(SCRIPT)
+
+
+def test_fresh_interpreter_loads_no_network_async_or_monitor_module():
+    _run_fresh(NETWORK_AND_ASYNC_SCRIPT)

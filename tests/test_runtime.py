@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core import train_model
-from repro.hardware import TrinityAPU
+from repro.faults import FaultEvent, FaultPlan
+from repro.hardware import NoiseModel, TrinityAPU
 from repro.profiling import ProfilingLibrary
 from repro.runtime import (
     AdaptiveRuntime,
@@ -266,6 +267,76 @@ class TestAdaptiveRuntime:
             runtime.run(app, n_timesteps=0, power_cap_w=20.0)
         with pytest.raises(ValueError):
             runtime.run(app, n_timesteps=2, power_cap_w=-5.0)
+
+
+class TestScheduledSelection:
+    """Each scheduled invocation answers from the kernel's one cached
+    sweep table; the answers must equal ``Scheduler.select`` on the
+    live scheduler, quarantine included."""
+
+    @staticmethod
+    def _checked(runtime):
+        """Wrap ``runtime._select`` to compare every answer with
+        ``Scheduler.select`` made at the same moment."""
+        select = runtime._select
+        answers = []
+
+        def checked(kernel, cap):
+            expected = runtime.scheduler.select(
+                runtime._prediction_for(kernel), cap,
+                risk_averse=runtime.risk_averse,
+            ).config
+            got = select(kernel, cap)
+            answers.append((kernel.uid, cap, got, expected))
+            return got
+
+        runtime._select = checked
+        return answers
+
+    @staticmethod
+    def _caps(t):
+        return 28.0 if t < 5 else 16.0
+
+    @pytest.mark.parametrize("risk_averse", [False, True])
+    def test_ten_timesteps_of_comd_equal_select(
+        self, trained, comd_app, risk_averse
+    ):
+        apu, model = trained
+        runtime = AdaptiveRuntime(
+            model, ProfilingLibrary(apu, seed=12), risk_averse=risk_averse
+        )
+        answers = self._checked(runtime)
+        trace = runtime.run(comd_app, 10, self._caps)
+        assert len(answers) == 8 * len(comd_app)
+        assert all(got == expected for _, _, got, expected in answers)
+        scheduled = [e.config for e in trace.executions if e.phase == "scheduled"]
+        assert scheduled == [got for _, _, got, _ in answers]
+        assert len(runtime._indexes) == len(comd_app)
+
+    def test_quarantine_rebuilds_the_table(self, trained, comd_app):
+        _, model = trained
+        apu = TrinityAPU(noise=NoiseModel.exact(), seed=0)
+        # The first scheduled timestep (runs 14-20: two sample timesteps
+        # of seven kernels come first) executes at the CPU ladder floor.
+        apu.inject_faults(FaultPlan(events=(FaultEvent(
+            kind="pstate_stuck", start=14, duration=7,
+            device="cpu", pstate_index=0,
+        ),)))
+        runtime = AdaptiveRuntime(model, ProfilingLibrary(apu, seed=13))
+        answers = self._checked(runtime)
+        runtime.run(comd_app, 10, 20.0)
+        stuck = runtime.scheduler.quarantined
+        assert stuck
+        assert all(got == expected for _, _, got, expected in answers)
+        assert not {got for _, _, got, _ in answers[len(comd_app):]} & stuck
+
+        # A quarantine made from outside the runtime is honoured too.
+        outside = answers[-1][2]
+        runtime.scheduler.quarantine(outside)
+        del answers[:]
+        runtime.run(comd_app, 2, 20.0)
+        assert all(got == expected for _, _, got, expected in answers)
+        assert outside not in {got for _, _, got, _ in answers}
 
 
 class TestBaselines:
