@@ -23,12 +23,12 @@ acceptance gate: monitored sustained throughput >= 0.95x bare.
 import json
 from pathlib import Path
 
-from repro.server import (
+from repro.server.loadgen import (
     admission_benchmark,
-    build_default_service,
     render_reports,
     request_pool,
 )
+from repro.server.service import build_default_service
 from repro.telemetry.monitor import (
     Monitor,
     default_server_slos,

@@ -24,13 +24,13 @@ import json
 import time
 from pathlib import Path
 
-from repro.server import (
+from repro.server.engine import decide_batch
+from repro.server.loadgen import (
     admission_benchmark,
-    build_default_service,
-    decide_batch,
     render_reports,
     request_pool,
 )
+from repro.server.service import build_default_service
 from repro.telemetry import counter
 
 from conftest import write_artifact

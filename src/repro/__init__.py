@@ -53,7 +53,7 @@ from repro.core import (
     ParetoFrontier,
     Scheduler,
     SchedulerDecision,
-    characterize_kernel,
+    characterize_kernels,
     train_model,
 )
 from repro.hardware import (
@@ -90,7 +90,7 @@ __all__ = [
     "Suite",
     "TrinityAPU",
     "build_suite",
-    "characterize_kernel",
+    "characterize_kernels",
     "train_model",
     "__version__",
 ]

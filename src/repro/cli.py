@@ -770,13 +770,10 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.server import (
-        DecisionServer,
-        ServerConfig,
-        build_default_service,
-        request_pool,
-        run_open_loop,
-    )
+    from repro.server.batching import DecisionServer
+    from repro.server.config import ServerConfig
+    from repro.server.loadgen import request_pool, run_open_loop
+    from repro.server.service import build_default_service
     from repro.telemetry import counter
 
     if args.requests < 1:

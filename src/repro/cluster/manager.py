@@ -55,11 +55,6 @@ class EpochResult:
     traces: Mapping[str, ApplicationTrace]
 
     @property
-    def total_timesteps(self) -> int:
-        """Timesteps executed across all nodes this epoch."""
-        return sum(t.timesteps() for t in self.traces.values())
-
-    @property
     def cluster_power_w(self) -> float:
         """Sum of the nodes' time-averaged powers during the epoch."""
         return sum(t.mean_power_w for t in self.traces.values())

@@ -454,19 +454,9 @@ class FrontierPool:
     # -- introspection ------------------------------------------------------
 
     @property
-    def n_nodes(self) -> int:
-        """Total nodes ever added (active or not)."""
-        return len(self._names)
-
-    @property
     def n_active(self) -> int:
         """Nodes currently participating in allocation."""
         return int(self._active.sum())
-
-    @property
-    def n_points(self) -> int:
-        """Total packed frontier points (active or not)."""
-        return self._caps.size
 
     @property
     def version(self) -> int:
@@ -476,9 +466,6 @@ class FrontierPool:
     def active_names(self) -> list[str]:
         """Names of active nodes, in pool (insertion) order."""
         return [n for n, a in zip(self._names, self._active) if a]
-
-    def is_active(self, name: str) -> bool:
-        return bool(self._active[self._index[name]])
 
     def __contains__(self, name: str) -> bool:
         return name in self._index

@@ -13,8 +13,7 @@ cite the relevant paper sections.
 
 from repro.core.characterization import (
     KernelCharacterization,
-    characterization_from_database,
-    characterize_kernel,
+    characterize_kernels,
 )
 from repro.core.classifier import (
     SAMPLE_FEATURE_NAMES,
@@ -36,7 +35,6 @@ from repro.core.dissimilarity import (
 from repro.core.features import (
     CPU_FEATURE_NAMES,
     GPU_FEATURE_NAMES,
-    design_matrix,
     design_row,
 )
 from repro.core.frontier import CapSweepTable, FrontierPoint, ParetoFrontier
@@ -79,10 +77,8 @@ __all__ = [
     "Scheduler",
     "SchedulerDecision",
     "SchedulingGoal",
-    "characterization_from_database",
-    "characterize_kernel",
+    "characterize_kernels",
     "cluster_kernels",
-    "design_matrix",
     "design_row",
     "dissimilarity_matrix",
     "fit_cluster_models",

@@ -16,14 +16,8 @@ from repro.core.frontier import ParetoFrontier
 from repro.hardware.apu import Measurement
 from repro.hardware.config import Configuration
 from repro.profiling.library import ProfilingLibrary
-from repro.profiling.records import ProfileDatabase
 
-__all__ = [
-    "KernelCharacterization",
-    "characterize_kernel",
-    "characterize_kernels",
-    "characterization_from_database",
-]
+__all__ = ["KernelCharacterization", "characterize_kernels"]
 
 
 @dataclass(frozen=True)
@@ -67,10 +61,6 @@ class KernelCharacterization:
         (Table II)."""
         return self.measurements[self._samples[1]]
 
-    def sample_for(self, cfg: Configuration) -> Measurement:
-        """The same-device sample measurement for a configuration."""
-        return self.gpu_sample if cfg.is_gpu else self.cpu_sample
-
     def frontier(self) -> ParetoFrontier:
         """The kernel's measured power-performance Pareto frontier."""
         return ParetoFrontier.from_measurements(list(self.measurements.values()))
@@ -89,21 +79,3 @@ def characterize_kernels(
         )
         for profiles in library.profile_sweeps(kernels)
     ]
-
-
-def characterize_kernel(
-    library: ProfilingLibrary, kernel
-) -> KernelCharacterization:
-    """One kernel's :func:`characterize_kernels`."""
-    return characterize_kernels(library, [kernel])[0]
-
-
-def characterization_from_database(
-    database: ProfileDatabase, kernel_uid: str
-) -> KernelCharacterization:
-    """Rebuild a characterization from saved profiles (most recent
-    profile wins if a configuration was measured repeatedly)."""
-    measurements: dict[Configuration, Measurement] = {}
-    for p in database.for_kernel(kernel_uid):
-        measurements[p.config] = p.measurement
-    return KernelCharacterization(kernel_uid=kernel_uid, measurements=measurements)

@@ -26,7 +26,6 @@ __all__ = [
     "GPU_FEATURE_NAMES",
     "GPU_POWER_FEATURE_NAMES",
     "design_row",
-    "design_matrix",
     "power_design_row",
 ]
 
@@ -77,14 +76,3 @@ def power_design_row(cfg) -> np.ndarray:
     the variables are simply expressed in the units power is linear in.
     """
     return cfg.descriptor.power_row(cfg)
-
-
-def design_matrix(configs: list) -> np.ndarray:
-    """Stack :func:`design_row` over configurations (all must share a
-    device, since CPU and GPU features differ)."""
-    if not configs:
-        raise ValueError("need at least one configuration")
-    devices = {c.device for c in configs}
-    if len(devices) != 1:
-        raise ValueError("design_matrix requires configurations of one device")
-    return np.vstack([design_row(c) for c in configs])

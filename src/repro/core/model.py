@@ -88,11 +88,6 @@ class AdaptiveModel:
         object.__setattr__(self, "_table", ConfigTable.for_space(self.config_space))
 
     @property
-    def table(self) -> ConfigTable:
-        """The shared structure-of-arrays view of the model's space."""
-        return self._table
-
-    @property
     def default_cluster(self) -> int:
         """The conservative fallback cluster used when classification
         inputs are corrupt (graceful degradation, docs/ROBUSTNESS.md):

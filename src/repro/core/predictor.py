@@ -45,7 +45,7 @@ import logging
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.model import AdaptiveModel
 
-__all__ = ["KernelPrediction", "OnlinePredictor"]
+__all__ = ["KernelPrediction", "OnlinePredictor", "classifiable_anchors"]
 
 _log = get_logger(__name__)
 
@@ -61,6 +61,46 @@ _CORRUPT_SAMPLES = counter("faults.corrupt_samples")
 #: :class:`repro.runtime.AdaptiveRuntime`; the predictor models no wall
 #: clock, so only the count matters here).
 DEFAULT_SAMPLE_RETRY_LIMIT: int = 3
+
+
+def classifiable_anchors(
+    model: "AdaptiveModel",
+    cpu_m: Measurement,
+    gpu_m: Measurement,
+    *,
+    kernel_uid: str,
+    event: str,
+) -> tuple[Measurement, Measurement, int | None]:
+    """The online stage's corrupt-sample rule, shared by
+    :class:`OnlinePredictor` and :class:`repro.runtime.AdaptiveRuntime`.
+
+    Returns the anchors to predict from and the cluster override for
+    :meth:`~repro.core.model.AdaptiveModel.predict_kernel`.  A pair
+    whose fields are all finite and which both carry counters passes
+    through with ``None`` (the tree classifies).  Otherwise — a
+    dropout/NaN reading, or the counter-less conservative stand-in for
+    a sample run that exhausted its retries — both anchors are
+    sanitized and the kernel takes the model's default cluster, logged
+    as ``event``.
+    """
+    if (
+        cpu_m.counters
+        and gpu_m.counters
+        and measurement_is_finite(cpu_m)
+        and measurement_is_finite(gpu_m)
+    ):
+        return cpu_m, gpu_m, None
+    with trace_span("online/degraded"):
+        _CORRUPT_SAMPLES.inc()
+        cluster = model.default_cluster
+        log_event(
+            _log,
+            logging.WARNING,
+            event,
+            kernel=kernel_uid,
+            fallback_cluster=cluster,
+        )
+        return sanitize_measurement(cpu_m), sanitize_measurement(gpu_m), cluster
 
 
 class _ArrayPairView(Mapping):
@@ -279,14 +319,6 @@ class KernelPrediction:
             )
         return self._frontier  # type: ignore[attr-defined]
 
-    def predicted_power_w(self, cfg: Configuration) -> float:
-        """Predicted power of one configuration (watts)."""
-        return float(self._power[self._index[cfg]])  # type: ignore[attr-defined]
-
-    def predicted_performance(self, cfg: Configuration) -> float:
-        """Predicted performance of one configuration."""
-        return float(self._perf[self._index[cfg]])  # type: ignore[attr-defined]
-
 
 class OnlinePredictor:
     """Runtime driver of the online stage.
@@ -321,11 +353,6 @@ class OnlinePredictor:
         self.library = library
         self.retry_limit = retry_limit
 
-    @property
-    def table(self):
-        """The model's shared configuration table."""
-        return self.model.table
-
     def predict(self, kernel, *, with_uncertainty: bool = False) -> KernelPrediction:
         """Run the two sample iterations of ``kernel`` and predict power
         and performance for every configuration.
@@ -333,33 +360,27 @@ class OnlinePredictor:
         Degrades gracefully under injected faults: failed sample runs
         are retried up to ``retry_limit`` times and then replaced by a
         conservative synthetic anchor; corrupt readings (dropout/NaN)
-        are sanitized and classification falls back to the model's
-        default cluster.  Without faults this path is byte-identical to
-        the clean protocol.
+        and synthetic anchors are sanitized and classification falls
+        back to the model's default cluster (:func:`classifiable_anchors`).
+        Without faults this path is byte-identical to the clean protocol.
         """
         cpu_sample, gpu_sample = self.model.config_space.descriptor.sample_configs()
         with trace_span("online/sample"):
             cpu_m = self._sample(kernel, cpu_sample)
             gpu_m = self._sample(kernel, gpu_sample)
-        cluster = None
-        if not (measurement_is_finite(cpu_m) and measurement_is_finite(gpu_m)):
-            with trace_span("online/degraded"):
-                _CORRUPT_SAMPLES.inc()
-                cpu_m = sanitize_measurement(cpu_m)
-                gpu_m = sanitize_measurement(gpu_m)
-                cluster = self.model.default_cluster
-                log_event(
-                    _log,
-                    logging.WARNING,
-                    "predictor-corrupt-samples",
-                    kernel=getattr(kernel, "uid", "unknown"),
-                    fallback_cluster=cluster,
-                )
+        uid = getattr(kernel, "uid", "unknown")
+        cpu_m, gpu_m, cluster = classifiable_anchors(
+            self.model,
+            cpu_m,
+            gpu_m,
+            kernel_uid=uid,
+            event="predictor-corrupt-samples",
+        )
         with trace_span("online/predict"):
             return self.model.predict_kernel(
                 cpu_m,
                 gpu_m,
-                kernel_uid=getattr(kernel, "uid", "unknown"),
+                kernel_uid=uid,
                 with_uncertainty=with_uncertainty,
                 cluster=cluster,
             )

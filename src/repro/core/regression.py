@@ -453,15 +453,6 @@ class RegressionGramPool:
                 self._sums.popitem(last=False)
             return result
 
-    def stats(self) -> dict:
-        """Cache sizes (for benchmarks and diagnostics)."""
-        with self._lock:
-            return {
-                "blocks": len(self._blocks),
-                "sums": len(self._sums),
-                "seeded": len(self._seeded),
-            }
-
 
 def _fit_device(
     chars: Sequence[KernelCharacterization],

@@ -122,11 +122,6 @@ class Measurement:
         """Throughput: kernel invocations per second."""
         return 1.0 / self.time_s
 
-    @property
-    def energy_j(self) -> float:
-        """Energy of one invocation (joules)."""
-        return self.total_power_w * self.time_s
-
 
 def characteristics_of(kernel: object) -> KernelCharacteristics:
     """Accept either raw characteristics or any object exposing them via
@@ -427,17 +422,9 @@ class BlockConfigSpace:
         except KeyError:
             raise ValueError(f"{cfg} is not in the configuration space") from None
 
-    def cpu_configs(self) -> list[Configuration]:
-        """All primary-block configurations."""
-        return [c for c in self._configs if not c.is_gpu]
-
     def gpu_configs(self) -> list[Configuration]:
         """All secondary-block configurations."""
         return [c for c in self._configs if c.is_gpu]
-
-    def for_device(self, device: Device) -> list[Configuration]:
-        """All configurations executing on ``device``'s block."""
-        return [c for c in self._configs if c.device is device]
 
 
 # -- the machine interface ---------------------------------------------------

@@ -128,28 +128,3 @@ class Configuration:
             "gpu_freq_ghz": self.gpu_freq_ghz,
         }
         return self.descriptor.config(**{**fields, **changes})
-
-    # -- serialization -------------------------------------------------------
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-serializable form (inverse of :meth:`from_dict`)."""
-        return {
-            "arch": self.arch,
-            "device": self.device.value,
-            "cpu_freq_ghz": self.cpu_freq_ghz,
-            "n_threads": self.n_threads,
-            "gpu_freq_ghz": self.gpu_freq_ghz,
-        }
-
-    @staticmethod
-    def from_dict(d: dict[str, Any]) -> "Configuration":
-        """Rebuild a configuration from :meth:`to_dict` output through
-        its machine's descriptor (which validates it)."""
-        from repro.hardware.backend import descriptor_for
-
-        return descriptor_for(d["arch"]).config(
-            Device(d["device"]),
-            float(d["cpu_freq_ghz"]),
-            int(d["n_threads"]),
-            float(d["gpu_freq_ghz"]),
-        )

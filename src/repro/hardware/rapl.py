@@ -83,11 +83,6 @@ class LimiterResult:
     trace: tuple[tuple[Configuration, float], ...] = ()
     final_measurement: Measurement | None = field(default=None, repr=False, compare=False)
 
-    @property
-    def steps(self) -> int:
-        """Number of control steps taken (measurements minus one)."""
-        return max(0, len(self.trace) - 1)
-
 
 def _failed(cfg: Configuration) -> Measurement:
     """Placeholder for a final run that produced no measurement."""

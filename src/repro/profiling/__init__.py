@@ -6,16 +6,9 @@ Reproduces the paper's integrated profiling library (Section III-D):
 runtime-accessible measurement history (:mod:`~repro.profiling.records`),
 the instrumentation layer itself (:mod:`~repro.profiling.library`), the
 profile-once shared characterization store
-(:mod:`~repro.profiling.store`), and on-disk persistence
-(:mod:`~repro.profiling.io`).
+(:mod:`~repro.profiling.store`).
 """
 
-from repro.profiling.io import (
-    database_from_json,
-    database_to_json,
-    load_database,
-    save_database,
-)
 from repro.profiling.library import COUNTER_READ_OVERHEAD_S, ProfilingLibrary
 from repro.profiling.records import KernelProfile, ProfileDatabase
 from repro.profiling.sampler import PowerSampler, SampledPower
@@ -30,8 +23,4 @@ __all__ = [
     "ProfilingLibrary",
     "SampledPower",
     "suite_fingerprint",
-    "database_from_json",
-    "database_to_json",
-    "load_database",
-    "save_database",
 ]

@@ -247,14 +247,11 @@ class ProfilingLibrary:
         """
         return self._profile([(self._uid(kernel, kernel_uid), kernel, config)])[0]
 
-    def profile_all_configs(self, kernel) -> list[KernelProfile]:
-        """Profile a kernel on every machine configuration — the offline
-        exhaustive characterization applied to training kernels."""
-        return self.profile_sweeps([kernel])[0]
-
     def profile_sweeps(self, kernels: Sequence) -> list[list[KernelProfile]]:
-        """:meth:`profile_all_configs` of each kernel, as one batch
-        (recorded kernel after kernel, in configuration order)."""
+        """Profile each kernel on every machine configuration — the
+        offline exhaustive characterization applied to training kernels
+        — as one batch (recorded kernel after kernel, in configuration
+        order)."""
         configs = list(self.apu.config_space)
         profiles = self._profile(
             [(self._uid(k, None), k, cfg) for k in kernels for cfg in configs]

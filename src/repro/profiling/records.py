@@ -57,11 +57,6 @@ class KernelProfile:
         """The configuration the profiled execution ran on."""
         return self.measurement.config
 
-    @property
-    def overhead_fraction(self) -> float:
-        """Sampling overhead relative to the measured execution time."""
-        return self.sampling_overhead_s / self.measurement.time_s
-
 
 class ProfileDatabase:
     """In-memory history of kernel profiles, queryable by kernel and
@@ -101,27 +96,9 @@ class ProfileDatabase:
         self._iteration_count[kernel_uid] = it + 1
         return profile
 
-    def kernels(self) -> list[str]:
-        """Distinct kernel uids in first-recorded order."""
-        seen: list[str] = []
-        for p in self._profiles:
-            if p.kernel_uid not in seen:
-                seen.append(p.kernel_uid)
-        return seen
-
     def for_kernel(self, kernel_uid: str) -> list[KernelProfile]:
         """All profiles of one kernel, in recording order."""
         return [p for p in self._profiles if p.kernel_uid == kernel_uid]
-
-    def lookup(
-        self, kernel_uid: str, config: Configuration
-    ) -> KernelProfile | None:
-        """Most recent profile of a kernel on a specific configuration,
-        or ``None`` — the runtime's history query (Section III-D)."""
-        for p in reversed(self._profiles):
-            if p.kernel_uid == kernel_uid and p.config == config:
-                return p
-        return None
 
     def iterations(self, kernel_uid: str) -> int:
         """How many times a kernel has been profiled."""

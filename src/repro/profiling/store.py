@@ -222,16 +222,6 @@ class CharacterizationStore:
                 self._gram_pools[key] = pool
             return pool
 
-    def stats(self) -> dict:
-        """Cache statistics (for benchmarks and diagnostics)."""
-        with self._lock:
-            return {
-                "kernels": len(self._chars),
-                "profiles": len(self.library.database),
-                "hits": self.hits,
-                "misses": self.misses,
-            }
-
     # -- process-wide registry ---------------------------------------------
 
     _shared_lock = threading.Lock()

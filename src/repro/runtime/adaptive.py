@@ -34,9 +34,9 @@ from typing import Callable
 
 from repro.constants import respects_cap
 from repro.core.model import AdaptiveModel
-from repro.core.predictor import KernelPrediction
+from repro.core.predictor import KernelPrediction, classifiable_anchors
 from repro.core.scheduler import Scheduler
-from repro.faults import SampleRunError, measurement_is_finite, sanitize_measurement
+from repro.faults import SampleRunError
 from repro.hardware.config import Configuration
 from repro.hardware.rapl import FrequencyLimiter
 from repro.methods.oracle import Oracle
@@ -58,13 +58,12 @@ _INVOCATIONS = counter("runtime.invocations")
 _CAP_VIOLATIONS = counter("runtime.cap_violations")
 
 # Degradation accounting (docs/ROBUSTNESS.md): retries after failed
-# invocations, invocations abandoned after the retry budget, executions
-# whose reported P-state differed from the requested one, and sample
-# measurements sanitized before classification.
+# invocations, invocations abandoned after the retry budget, and
+# executions whose reported P-state differed from the requested one.
+# Sanitized sample pairs are counted by ``classifiable_anchors``.
 _RETRIES = counter("faults.retries")
 _FAILED_INVOCATIONS = counter("faults.failed_invocations")
 _STUCK_EXECUTIONS = counter("faults.stuck_executions")
-_CORRUPT_SAMPLES = counter("faults.corrupt_samples")
 
 #: Default retry budget and capped-exponential-backoff shape for failed
 #: kernel invocations (simulated wall-clock seconds, charged to the
@@ -151,7 +150,10 @@ class AdaptiveRuntime:
         self._limiter = (
             FrequencyLimiter(library.apu) if frequency_limiter else None
         )
-        self._limited: dict[tuple[str, float], Configuration] = {}
+        # (kernel uid, cap) -> (the scheduler's pick, its refinement).
+        self._limited: dict[
+            tuple[str, float], tuple[Configuration, Configuration]
+        ] = {}
 
     def run(
         self,
@@ -179,11 +181,15 @@ class AdaptiveRuntime:
         else:
             cfg, phase = self._select(kernel, cap), "scheduled"
             if self._limiter is not None:
+                # A refinement is reused while the scheduler still picks
+                # the configuration it started from and its result is
+                # not quarantined; otherwise the limiter walks again.
                 key = (kernel.uid, cap)
-                if key not in self._limited:
-                    result = self._limiter.limit(kernel, cfg, cap)
-                    self._limited[key] = result.final_config
-                cfg = self._limited[key]
+                start, final = self._limited.get(key, (None, None))
+                if start != cfg or final in self.scheduler.quarantined:
+                    final = self._limiter.limit(kernel, cfg, cap).final_config
+                    self._limited[key] = (cfg, final)
+                cfg = final
         profile, wait_s = self._profile_with_retry(kernel, cfg)
         if profile is None:
             # Retry budget exhausted: record the lost invocation (zero
@@ -278,14 +284,6 @@ class AdaptiveRuntime:
             return
         with trace_span("online/degraded"):
             self.scheduler.quarantine(requested)
-            # Limiter refinements pinned to the quarantined configuration
-            # are stale: drop them so the limiter re-walks from the
-            # scheduler's next choice.
-            self._limited = {
-                key: value
-                for key, value in self._limited.items()
-                if value != requested
-            }
             log_event(
                 _log,
                 logging.WARNING,
@@ -298,7 +296,6 @@ class AdaptiveRuntime:
     def _select(self, kernel: Kernel, cap: float) -> Configuration:
         """``Scheduler.select``'s choice as one ``decide_batch`` lookup in
         the kernel's sweep table, rebuilt when the quarantine set changes."""
-        # Imported here: importing repro.server loads its batching front end.
         from repro.server.engine import DecisionIndex, decide_batch
 
         quarantined = self.scheduler.quarantined
@@ -332,25 +329,13 @@ class AdaptiveRuntime:
                 (p.measurement for p in history if p.config == gpu_sample),
                 history[1].measurement,
             )
-            cluster = None
-            if not (
-                measurement_is_finite(cpu_m) and measurement_is_finite(gpu_m)
-            ):
-                # Corrupt classification inputs (dropout/NaN during the
-                # sample runs): sanitize the anchors and skip the tree in
-                # favour of the conservative default cluster.
-                with trace_span("online/degraded"):
-                    _CORRUPT_SAMPLES.inc()
-                    cpu_m = sanitize_measurement(cpu_m)
-                    gpu_m = sanitize_measurement(gpu_m)
-                    cluster = self.model.default_cluster
-                    log_event(
-                        _log,
-                        logging.WARNING,
-                        "runtime-corrupt-samples",
-                        kernel=kernel.uid,
-                        fallback_cluster=cluster,
-                    )
+            cpu_m, gpu_m, cluster = classifiable_anchors(
+                self.model,
+                cpu_m,
+                gpu_m,
+                kernel_uid=kernel.uid,
+                event="runtime-corrupt-samples",
+            )
             self._predictions[kernel.uid] = self.model.predict_kernel(
                 cpu_m,
                 gpu_m,

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from repro.constants import respects_cap
 from repro.core.frontier import pareto_staircase
 from repro.core.predictor import KernelPrediction
 from repro.hardware.config import Configuration
@@ -44,21 +43,12 @@ class EnergySchedule:
         Total predicted timestep energy.
     budget_j:
         The budget optimized against.
-    feasible:
-        Whether the budget could be met at all (the all-minimum-energy
-        assignment defines the floor).
     """
 
     assignments: Mapping[str, Configuration]
     predicted_time_s: float
     predicted_energy_j: float
     budget_j: float
-
-    @property
-    def feasible(self) -> bool:
-        """Whether the predicted energy respects the budget (shared
-        :data:`repro.constants.CAP_EPSILON` tolerance)."""
-        return respects_cap(self.predicted_energy_j, self.budget_j)
 
 
 def _energy_time_options(
@@ -84,8 +74,8 @@ def optimize_energy_budget(
 
     Greedy on marginal time-saved-per-joule over each kernel's
     energy-time Pareto set.  If even the minimum-energy assignment
-    exceeds the budget, that assignment is returned with
-    ``feasible == False`` (the work must still run).
+    exceeds the budget, that assignment is returned, its predicted
+    energy over ``budget_j`` (the work must still run).
     """
     if not predictions:
         raise ValueError("need at least one kernel prediction")

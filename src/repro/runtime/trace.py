@@ -9,20 +9,12 @@ energy, cap-violation rate) used by the application-level experiments.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import TextIO
 
 from repro.constants import respects_cap
 from repro.hardware.config import Configuration
 
 __all__ = ["KernelExecution", "ApplicationTrace"]
-
-#: Version 2 writes each configuration's machine (``"arch"``); the
-#: header of a version-1 file, which did not, carries no version.
-_VERSION = 2
-
 
 @dataclass(frozen=True)
 class KernelExecution:
@@ -52,33 +44,6 @@ class KernelExecution:
         :data:`repro.constants.CAP_EPSILON` tolerance)."""
         return respects_cap(self.power_w, self.power_cap_w)
 
-    # -- serialization -----------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        """JSON-serializable form (inverse of :meth:`from_dict`)."""
-        return {
-            "timestep": self.timestep,
-            "kernel_uid": self.kernel_uid,
-            "config": self.config.to_dict(),
-            "time_s": self.time_s,
-            "power_w": self.power_w,
-            "power_cap_w": self.power_cap_w,
-            "phase": self.phase,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "KernelExecution":
-        """Rebuild an execution from :meth:`to_dict` output."""
-        return cls(
-            timestep=d["timestep"],
-            kernel_uid=d["kernel_uid"],
-            config=Configuration.from_dict(d["config"]),
-            time_s=d["time_s"],
-            power_w=d["power_w"],
-            power_cap_w=d["power_cap_w"],
-            phase=d["phase"],
-        )
-
 
 @dataclass
 class ApplicationTrace:
@@ -93,43 +58,6 @@ class ApplicationTrace:
 
     def __len__(self) -> int:
         return len(self.executions)
-
-    # -- serialization -----------------------------------------------------------
-
-    def to_jsonl(self, path: str | Path | TextIO) -> None:
-        """Write the trace as JSON lines: a header line
-        ``{"application": ..., "version": 2}`` followed by one line per
-        execution, in execution order (inverse of :meth:`from_jsonl`)."""
-        header = {"application": self.application, "version": _VERSION}
-        lines = [json.dumps(header, sort_keys=True)]
-        lines.extend(
-            json.dumps(e.to_dict(), sort_keys=True) for e in self.executions
-        )
-        payload = "\n".join(lines) + "\n"
-        if hasattr(path, "write"):
-            path.write(payload)
-        else:
-            Path(path).write_text(payload)
-
-    @classmethod
-    def from_jsonl(cls, path: str | Path | TextIO) -> "ApplicationTrace":
-        """Load a trace written by :meth:`to_jsonl`."""
-        if hasattr(path, "read"):
-            text = path.read()
-        else:
-            text = Path(path).read_text()
-        lines = [line for line in text.splitlines() if line.strip()]
-        if not lines:
-            raise ValueError("empty trace file")
-        header = json.loads(lines[0])
-        if "application" not in header:
-            raise ValueError("trace file missing application header line")
-        if header.get("version") != _VERSION:
-            raise ValueError(f"unsupported trace version: {header.get('version')!r}")
-        trace = cls(application=header["application"])
-        for line in lines[1:]:
-            trace.record(KernelExecution.from_dict(json.loads(line)))
-        return trace
 
     # -- aggregates ------------------------------------------------------------
 
@@ -157,22 +85,6 @@ class ApplicationTrace:
         over = sum(not e.under_cap for e in self.executions)
         return over / len(self.executions)
 
-    def violation_time_fraction(self) -> float:
-        """Fraction of wall time spent over the cap (a stricter view:
-        long over-cap kernels matter more than short ones)."""
-        t = self.total_time_s
-        if t == 0:
-            return float("nan")
-        over = sum(e.time_s for e in self.executions if not e.under_cap)
-        return over / t
-
-    def per_kernel_time(self) -> dict[str, float]:
-        """Total execution time per kernel uid."""
-        out: dict[str, float] = {}
-        for e in self.executions:
-            out[e.kernel_uid] = out.get(e.kernel_uid, 0.0) + e.time_s
-        return out
-
     def timesteps(self) -> int:
         """Number of timesteps executed."""
         if not self.executions:
@@ -182,10 +94,6 @@ class ApplicationTrace:
     def for_timestep(self, timestep: int) -> list[KernelExecution]:
         """All invocations of one timestep, in execution order."""
         return [e for e in self.executions if e.timestep == timestep]
-
-    def speedup_vs(self, other: "ApplicationTrace") -> float:
-        """Wall-time speedup of this run relative to ``other``."""
-        return other.total_time_s / self.total_time_s
 
     def summary(self) -> str:
         """One-paragraph human-readable account of the run."""

@@ -104,10 +104,6 @@ class GeneratedConfig:
     names: tuple[str, ...]
     values: tuple[float, ...]
 
-    def factors(self) -> dict[str, float]:
-        """The point as a ``{axis name: level value}`` mapping."""
-        return dict(zip(self.names, self.values))
-
     def label(self) -> str:
         """Compact human-readable identity, stable across runs."""
         inner = ",".join(

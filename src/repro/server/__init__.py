@@ -15,8 +15,7 @@ concurrent stream.  This package turns the array engine's batched
 * :mod:`repro.server.batching` — :class:`DecisionServer`, whose one
   dispatcher thread coalesces concurrent arrivals within a bounded
   ``max_batch``/``max_delay_us`` window into one grouped sweep, with
-  bounded-queue admission and explicit shed, and
-  :class:`AsyncDecisionServer`, an asyncio interface over it;
+  bounded-queue admission and explicit shed;
 * :mod:`repro.server.config` — :class:`ServerConfig`, the batching
   knobs;
 * :mod:`repro.server.loadgen` — open-loop Poisson load generation
@@ -25,46 +24,11 @@ concurrent stream.  This package turns the array engine's batched
 
 See ``docs/SERVER.md`` for the architecture, batching semantics, and
 the ``server.*`` telemetry catalogue.
+
+Import from the submodules: this package module re-exports nothing, so
+importing :mod:`repro.server.engine` (as the LOOCV harness and the
+adaptive runtime do) loads neither the batching front end nor the
+monitor.
 """
 
-from repro.server.batching import (
-    AsyncDecisionServer,
-    DecisionServer,
-    ServerClosedError,
-    ServerOverloadError,
-)
-from repro.server.config import ServerConfig
-from repro.server.engine import BatchDecisions, DecisionRequest, decide_batch
-from repro.server.loadgen import (
-    LoadReport,
-    admission_benchmark,
-    render_reports,
-    request_pool,
-    run_open_loop,
-)
-from repro.server.service import (
-    DecisionResult,
-    DecisionService,
-    EngineSnapshot,
-    build_default_service,
-)
-
-__all__ = [
-    "AsyncDecisionServer",
-    "BatchDecisions",
-    "DecisionRequest",
-    "DecisionResult",
-    "DecisionServer",
-    "DecisionService",
-    "EngineSnapshot",
-    "LoadReport",
-    "ServerClosedError",
-    "ServerConfig",
-    "ServerOverloadError",
-    "admission_benchmark",
-    "build_default_service",
-    "decide_batch",
-    "render_reports",
-    "request_pool",
-    "run_open_loop",
-]
+__all__: list[str] = []

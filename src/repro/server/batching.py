@@ -9,12 +9,6 @@ the moment the batch is full — the window adapts to queue depth),
 answers the whole batch with one grouped ``decide_batch`` sweep, and
 demultiplexes results into the per-request futures.
 
-:class:`AsyncDecisionServer` is an asyncio interface over a
-:class:`DecisionServer`: ``await server.decide(request)`` awaits the
-request's future, so batches run on the dispatcher thread, not on the
-event loop.  Only its ``stop`` and ``decide`` import :mod:`asyncio`, so a
-process that never awaits a decision never loads it.
-
 Admission control is a bounded queue: arrivals beyond ``max_queue``
 are shed immediately with :class:`ServerOverloadError` (counted under
 ``server.shed``) rather than queued into unbounded latency.  Each
@@ -47,7 +41,6 @@ from repro.telemetry.monitor.exemplars import (
 )
 
 __all__ = [
-    "AsyncDecisionServer",
     "DecisionServer",
     "ServerClosedError",
     "ServerOverloadError",
@@ -242,43 +235,3 @@ class DecisionServer:
             future.set_result(result)
         if active_store() is not None:
             _record_batch_exemplars(live, results, t_decide, now)
-
-
-class AsyncDecisionServer:
-    """Asyncio interface over a :class:`DecisionServer`.
-
-    Use as an async context manager or call ``await start()`` /
-    ``await stop()``.  ``decide`` awaits the request's future; its
-    batch is answered on the dispatcher thread.  Cancelling the
-    awaiting task cancels the future, and the dispatcher drops the
-    request.
-    """
-
-    def __init__(
-        self, service: DecisionService, config: ServerConfig | None = None
-    ) -> None:
-        self._server = DecisionServer(service, config)
-        self.config = self._server.config
-
-    async def __aenter__(self) -> "AsyncDecisionServer":
-        await self.start()
-        return self
-
-    async def __aexit__(self, *exc_info) -> None:
-        await self.stop()
-
-    async def start(self) -> None:
-        """Start the dispatcher thread."""
-        self._server.start()
-
-    async def stop(self) -> None:
-        """Drain the queue and join the dispatcher off the event loop."""
-        import asyncio
-
-        await asyncio.to_thread(self._server.stop)
-
-    async def decide(self, request: DecisionRequest) -> DecisionResult:
-        """Submit a request and await its result."""
-        import asyncio
-
-        return await asyncio.wrap_future(self._server.submit(request))

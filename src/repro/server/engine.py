@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.core.frontier import CapSweepTable
 from repro.core.predictor import KernelPrediction
-from repro.core.scheduler import Scheduler, SchedulerDecision
+from repro.core.scheduler import Scheduler
 from repro.core.scheduler import require_positive_caps
 from repro.hardware.config import Configuration
 from repro.telemetry import counter, trace_span
@@ -62,8 +62,7 @@ class BatchDecisions:
     ``at[i]`` its global row in the stacked index, from which the
     predicted power/performance were gathered and ``stacked_configs``
     gathers the :class:`Configuration` on demand: :meth:`configs` for
-    every request in one gather, :meth:`config` / :meth:`decision` for
-    one.
+    every request in one gather, :meth:`config` for one.
     """
 
     kernel_uids: Sequence[str]
@@ -85,15 +84,6 @@ class BatchDecisions:
     def configs(self) -> list[Configuration]:
         """All selected configurations, in request order (one gather)."""
         return list(map(self.stacked_configs.__getitem__, self.at.tolist()))
-
-    def decision(self, i: int) -> SchedulerDecision:
-        """Request ``i`` as a full :class:`SchedulerDecision`."""
-        return SchedulerDecision(
-            config=self.config(i),
-            predicted_power_w=float(self.predicted_power_w[i]),
-            predicted_performance=float(self.predicted_performance[i]),
-            predicted_feasible=bool(self.feasible[i]),
-        )
 
 
 class DecisionIndex:

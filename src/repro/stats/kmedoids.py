@@ -62,11 +62,6 @@ class KMedoidsResult:
     cost: float
     n_iter: int
 
-    @property
-    def n_clusters(self) -> int:
-        """Number of clusters (== number of medoids)."""
-        return int(self.medoids.shape[0])
-
 
 def _check_dissimilarity(D: np.ndarray) -> np.ndarray:
     D = np.asarray(D, dtype=float)

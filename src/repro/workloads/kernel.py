@@ -61,28 +61,6 @@ class Kernel:
         """Globally unique id, e.g. ``LULESH/Small/CalcFBHourglassForce``."""
         return f"{self.benchmark}/{self.input_size}/{self.name}"
 
-    def with_context(self, context: str) -> "Kernel":
-        """A copy of this kernel distinguished by an invocation context.
-
-        Paper Section VI: "for identifying use in distinct contexts, the
-        runtime could use call stacks to differentiate between
-        invocations of the same kernel from distinct points in the
-        application."  A contextualized kernel has its own uid, so the
-        runtime samples, classifies, and schedules it independently —
-        exactly what call-stack keying buys on a real system.
-        """
-        if not context:
-            raise ValueError("context must be non-empty")
-        if "@" in self.name:
-            raise ValueError("kernel already carries a context")
-        return Kernel(
-            name=f"{self.name}@{context}",
-            benchmark=self.benchmark,
-            input_size=self.input_size,
-            characteristics=self.characteristics,
-            time_weight=self.time_weight,
-        )
-
     @property
     def group(self) -> str:
         """Reporting group — the benchmark/input combination label used by

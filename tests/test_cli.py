@@ -323,7 +323,7 @@ class TestServeCommand:
             raise AssertionError("bad flags must fail before training")
 
         monkeypatch.setattr(
-            "repro.server.build_default_service", must_not_build
+            "repro.server.service.build_default_service", must_not_build
         )
         assert main(["-q", "serve", "--requests", "0"]) == 2
         assert "error" in capsys.readouterr().err

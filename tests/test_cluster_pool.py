@@ -68,9 +68,7 @@ class TestFrontierPool:
 
     def test_counts(self):
         pool = FrontierPool.from_frontiers(_two_frontiers())
-        assert pool.n_nodes == 2
         assert pool.n_active == 2
-        assert pool.n_points == 5
         assert len(pool) == 2
         assert "a" in pool and "missing" not in pool
 

@@ -93,7 +93,8 @@ def _churn(rng, pool: FrontierPool, tree: BudgetTree, op: str) -> None:
         if len(victims) < len(active):
             pool.deactivate(victims)
     elif op == "activate":
-        idle = [n for n in tree._rack_of if n in pool and not pool.is_active(n)]
+        live = set(active)
+        idle = [n for n in tree._rack_of if n in pool and n not in live]
         if idle:
             pool.activate(list(rng.choice(idle, min(len(idle), int(rng.integers(1, 4))))))
 

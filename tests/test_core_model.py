@@ -8,7 +8,7 @@ from repro.core import (
     ClusterClassifier,
     OnlinePredictor,
     Scheduler,
-    characterize_kernel,
+    characterize_kernels,
     sample_features,
     train_model,
 )
@@ -54,7 +54,7 @@ class TestClassifier:
     def test_fit_validation(self, setup):
         apu, library, suite, model = setup
         lib = ProfilingLibrary(TrinityAPU(noise=NoiseModel.exact()), seed=0)
-        c = characterize_kernel(lib, suite.get("LU/Small/LUDecomposition"))
+        [c] = characterize_kernels(lib, [suite.get("LU/Small/LUDecomposition")])
         clf = ClusterClassifier()
         with pytest.raises(ValueError):
             clf.fit([c], [0, 1])
@@ -67,7 +67,7 @@ class TestClassifier:
         apu, library, suite, model = setup
         lib = ProfilingLibrary(TrinityAPU(noise=NoiseModel.exact(), seed=3), seed=3)
         train = [k for k in suite if k.benchmark != "LU"]
-        chars = [characterize_kernel(lib, k) for k in train]
+        chars = characterize_kernels(lib, train)
         labels = [model.clustering.labels[c.kernel_uid] for c in chars]
         clf = ClusterClassifier().fit(chars, labels)
         correct = sum(
@@ -98,7 +98,7 @@ class TestAdaptiveModel:
         with pytest.raises(ValueError):
             AdaptiveModel.train([])
         lib = ProfilingLibrary(TrinityAPU(noise=NoiseModel.exact()), seed=0)
-        c = characterize_kernel(lib, suite.get("LU/Small/LUDecomposition"))
+        [c] = characterize_kernels(lib, [suite.get("LU/Small/LUDecomposition")])
         with pytest.raises(ValueError):
             AdaptiveModel.train([c, c], n_clusters=1)
 

@@ -5,9 +5,7 @@ import pytest
 
 from repro.core import (
     KernelCharacterization,
-    characterization_from_database,
-    characterize_kernel,
-    design_matrix,
+    characterize_kernels,
     design_row,
     fit_cluster_models,
 )
@@ -30,7 +28,7 @@ def library():
 def characterizations(library):
     suite = build_suite()
     kernels = suite.for_benchmark("CoMD")[:6]
-    return [characterize_kernel(library, k) for k in kernels]
+    return characterize_kernels(library, kernels)
 
 
 class TestFeatures:
@@ -58,14 +56,6 @@ class TestFeatures:
         row = power_design_row(gpu_config(0.819, 3.7))
         np.testing.assert_allclose(row, np.ones(6))
 
-    def test_design_matrix_single_device_only(self):
-        with pytest.raises(ValueError):
-            design_matrix([cpu_config(1.4, 1), gpu_config(0.819, 1.4)])
-        with pytest.raises(ValueError):
-            design_matrix([])
-        M = design_matrix([cpu_config(1.4, 1), cpu_config(3.7, 4)])
-        assert M.shape == (2, 3)
-
 
 class TestCharacterization:
     def test_covers_all_configs(self, characterizations):
@@ -76,8 +66,6 @@ class TestCharacterization:
         c = characterizations[0]
         assert c.cpu_sample.config == CPU_SAMPLE
         assert c.gpu_sample.config == GPU_SAMPLE
-        assert c.sample_for(cpu_config(1.4, 1)) is c.cpu_sample
-        assert c.sample_for(gpu_config(0.311, 1.4)) is c.gpu_sample
 
     def test_frontier_derivable(self, characterizations):
         f = characterizations[0].frontier()
@@ -92,14 +80,6 @@ class TestCharacterization:
             KernelCharacterization(kernel_uid="x", measurements=partial)
         with pytest.raises(ValueError):
             KernelCharacterization(kernel_uid="x", measurements={})
-
-    def test_roundtrip_from_database(self, library, characterizations):
-        uid = characterizations[0].kernel_uid
-        rebuilt = characterization_from_database(library.database, uid)
-        assert len(rebuilt.measurements) == 42
-        assert rebuilt.cpu_sample.time_s == pytest.approx(
-            characterizations[0].cpu_sample.time_s
-        )
 
 
 class TestClusterModels:
@@ -126,7 +106,7 @@ class TestClusterModels:
         """Trained-on kernels: power predictions within a few percent."""
         for c in characterizations:
             for cfg, m in c.measurements.items():
-                s = c.sample_for(cfg).total_power_w
+                s = (c.gpu_sample if cfg.is_gpu else c.cpu_sample).total_power_w
                 pred = models.for_device(cfg.device).predict_power(cfg, s)
                 assert pred == pytest.approx(m.total_power_w, rel=0.15)
 

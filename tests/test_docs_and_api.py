@@ -70,7 +70,6 @@ MODULES = [
     "repro.methods.model_method",
     "repro.methods.oracle",
     "repro.methods.search",
-    "repro.profiling.io",
     "repro.profiling.library",
     "repro.profiling.records",
     "repro.profiling.sampler",

@@ -30,7 +30,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.telemetry as telemetry
-from repro.core import Scheduler, train_model
+from repro.core import OnlinePredictor, Scheduler, train_model
 from repro.evaluation import records_digest, run_loocv
 from repro.faults import (
     FALLBACK_CPU_PLANE_W,
@@ -481,6 +481,26 @@ class TestRuntimeDegradation:
         prediction = runtime._predictions[kernel_uid]
         assert prediction.cluster == trained.default_cluster
 
+    def test_exhausted_sample_retries_take_the_default_cluster(
+        self, trained, suite
+    ):
+        # Runs 0-3 fail: the CPU sample run and all three retries, so
+        # its anchor is the counter-less conservative stand-in, which
+        # the tree cannot classify.
+        apu = TrinityAPU(noise=NoiseModel.exact(), seed=0)
+        apu.inject_faults(
+            FaultPlan(
+                events=(FaultEvent(kind="run_failure", start=0, duration=4),)
+            )
+        )
+        predictor = OnlinePredictor(trained, ProfilingLibrary(apu, seed=0))
+        fallbacks_before = counter_value("faults.sample_fallbacks")
+        corrupt_before = counter_value("faults.corrupt_samples")
+        prediction = predictor.predict(suite.get("LU/Small/LUDecomposition"))
+        assert counter_value("faults.sample_fallbacks") - fallbacks_before == 1
+        assert counter_value("faults.corrupt_samples") - corrupt_before == 1
+        assert prediction.cluster == trained.default_cluster
+
     def test_stuck_pstate_quarantines_scheduled_config(self, trained, lu_app):
         # Every scheduled run executes at the CPU ladder floor regardless
         # of what the scheduler asked for.
@@ -616,7 +636,7 @@ class TestLimiterDegradation:
         assert result.met_cap
         assert result.trace[0][1] == math.inf
         assert math.isfinite(result.trace[-1][1])
-        assert result.steps == 1
+        assert len(result.trace) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ def test_measurement_derived_quantities():
     )
     assert m.total_power_w == pytest.approx(15.0)
     assert m.performance == pytest.approx(2.0)
-    assert m.energy_j == pytest.approx(7.5)
 
 
 def test_exact_apu_measurements_equal_ground_truth(exact_apu, kernel):

@@ -18,7 +18,7 @@ def test_no_action_when_already_under_cap(exact_apu, kernel):
     res = fl.limit(kernel, start, power_cap_w=50.0)
     assert res.final_config == start
     assert res.met_cap
-    assert res.steps == 0
+    assert len(res.trace) == 1  # one reading, no step
 
 
 def test_steps_down_cpu_until_under_cap(exact_apu, kernel):
@@ -32,7 +32,7 @@ def test_steps_down_cpu_until_under_cap(exact_apu, kernel):
     assert res.final_config.n_threads == 4  # never touches thread count
     assert res.final_config.device is Device.CPU
     # Minimality: one step back up would violate the cap.
-    assert res.steps >= 1
+    assert len(res.trace) >= 2
     prev_cfg, prev_power = res.trace[-2]
     assert prev_power > cap
 
@@ -94,7 +94,6 @@ def test_cpu_all_cores_policy(exact_apu, kernel):
 def test_trace_records_every_visit(exact_apu, kernel):
     fl = FrequencyLimiter(exact_apu)
     res = fl.limit(kernel, cpu_config(3.7, 4), power_cap_w=15.0)
-    assert len(res.trace) == res.steps + 1
     assert res.trace[0][0] == cpu_config(3.7, 4)
     # Power decreases monotonically as frequency steps down (no noise).
     powers = [p for _, p in res.trace]

@@ -9,12 +9,16 @@ checks again that no ``scipy`` module is loaded, and then compares both
 results with the per-plane reference sampler (which uses
 ``scipy.signal.lfilter``) bit for bit.
 
-The HTTP server, the URL client and asyncio are imported only by the
-calls that use them (``serve_monitor_http``, ``fetch_monitor_dump``,
-``AsyncDecisionServer.stop``/``decide``), and the monitor package only
-by what monitors or serves.  A second interpreter imports what an
-offline bring-up imports and checks that neither is loaded, then the
-entry points above and checks that no network or async module is.
+The HTTP server and the URL client are imported only by the calls that
+use them (``serve_monitor_http``, ``fetch_monitor_dump``), and the
+monitor package only by what monitors or serves.  ``repro.server``
+re-exports nothing, so the batched decision engine that the LOOCV
+harness and the adaptive runtime import (``repro.server.engine``) comes
+without the batching front end and its monitor hooks.  A second
+interpreter imports what an offline bring-up imports and checks that
+no monitor module is loaded, then the decision engine and checks that
+no batching or monitor module is, then the entry points above and
+checks that no network or async module is.
 """
 
 from __future__ import annotations
@@ -81,6 +85,11 @@ import repro.profiling.store
 import repro.workloads
 
 assert not loaded("repro.telemetry.monitor"), f"an offline bring-up loaded {loaded('repro.telemetry.monitor')}"
+
+import repro.server.engine
+
+lean = ("repro.server.batching", "repro.telemetry.monitor")
+assert not loaded(*lean), f"importing the decision engine loaded {loaded(*lean)}"
 
 import repro.cli
 import repro.cluster.tree

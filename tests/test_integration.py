@@ -105,7 +105,8 @@ class TestEndToEnd:
         caps = mgr.allocate(45.0)
         assert sum(caps.values()) <= 45.0 + 1e-9
         report = mgr.run([45.0], n_epochs=1, timesteps_per_epoch=2)
-        assert report.epochs[0].total_timesteps == 4
+        traces = report.epochs[0].traces.values()
+        assert sum(t.timesteps() for t in traces) == 4
 
     def test_act6_oracle_never_loses_to_the_model(self, story):
         """Global sanity: for any kernel and cap, the oracle's true

@@ -1,9 +1,9 @@
 """The pipeline's machine-facing callers run on every backend.
 
 Configurations of every machine share one type, built and enumerated by
-the machine's descriptor, so hill climbing, the adaptive runtime, model
-files, profile databases and execution traces read samples and ladders
-from the descriptor instead of assuming Trinity's.  Each test here runs
+the machine's descriptor, so hill climbing, the adaptive runtime and
+model files read samples and ladders from the descriptor instead of
+assuming Trinity's.  Each test here runs
 on trinity, biglittle and mpsoc.
 """
 
@@ -19,8 +19,7 @@ from repro.hardware.backend import TRINITY_DESCRIPTOR, create_backend
 from repro.methods import HillClimbing, ModelMethod, Oracle
 from repro.methods.search import _neighbours
 from repro.profiling import ProfilingLibrary
-from repro.profiling.io import database_from_json, database_to_json
-from repro.runtime import AdaptiveRuntime, Application, ApplicationTrace
+from repro.runtime import AdaptiveRuntime, Application
 from repro.workloads import build_suite
 
 BACKENDS = ("trinity", "biglittle", "mpsoc")
@@ -113,25 +112,6 @@ class TestAdaptiveRuntime:
         assert trace.executions[1].config == gpu_sample
         assert all(e.config in apu.config_space for e in trace.executions)
 
-    def test_trace_jsonl_round_trip(self, trained, suite, tmp_path):
-        apu, model = trained
-        app = Application.from_suite(suite, "LU Small")
-        runtime = AdaptiveRuntime(model, ProfilingLibrary(apu, seed=5))
-        trace = runtime.run(app, n_timesteps=4, power_cap_w=15.0)
-        path = tmp_path / "trace.jsonl"
-        trace.to_jsonl(path)
-        loaded = ApplicationTrace.from_jsonl(path)
-        assert loaded.executions == trace.executions
-        for a, b in zip(loaded.executions, trace.executions):
-            assert a.config is b.config  # rebuilt as the space's instance
-
-    def test_version_one_trace_files_are_rejected(self):
-        import io
-
-        old = '{"application": "a"}\n{"timestep": 0}\n'
-        with pytest.raises(ValueError, match="unsupported trace version: None"):
-            ApplicationTrace.from_jsonl(io.StringIO(old))
-
 
 class TestPersistence:
     def test_model_round_trip_keeps_space_and_predictions(
@@ -154,18 +134,6 @@ class TestPersistence:
         text = model_to_json(model).replace('"version": 2', '"version": 1')
         with pytest.raises(ValueError, match="unsupported model version: 1"):
             model_from_json(text)
-
-    def test_profile_database_round_trip(self, trained, suite):
-        apu, _ = trained
-        library = ProfilingLibrary(apu, seed=4)
-        for kernel in list(suite)[:3]:
-            for cfg in (*apu.descriptor.sample_configs(), apu.config_space[0]):
-                library.profile(kernel, cfg)
-        loaded = database_from_json(database_to_json(library.database))
-        assert [p.measurement for p in loaded] == [
-            p.measurement for p in library.database
-        ]
-        assert all(p.config in apu.config_space for p in loaded)
 
 
 def test_scheduler_select_coerces_its_cap_with_float(suite):

@@ -15,13 +15,10 @@ import repro.telemetry as telemetry
 from repro.core import AdaptiveModel
 from repro.profiling import CharacterizationStore, ProfilingLibrary
 from repro.hardware import TrinityAPU
-from repro.server import (
-    DecisionRequest,
-    DecisionServer,
-    DecisionService,
-    ServerConfig,
-    ServerOverloadError,
-)
+from repro.server.batching import DecisionServer, ServerOverloadError
+from repro.server.config import ServerConfig
+from repro.server.engine import DecisionRequest
+from repro.server.service import DecisionService
 from repro.telemetry import set_enabled
 from repro.telemetry.monitor import Monitor, parse_slo
 from repro.telemetry.monitor.exemplars import deactivate

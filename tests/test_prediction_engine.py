@@ -33,7 +33,8 @@ from repro.core.scheduler import (
 from repro.hardware import Measurement, NoiseModel, TrinityAPU
 from repro.methods import Oracle
 from repro.profiling import ProfilingLibrary
-from repro.server import DecisionRequest, DecisionService, decide_batch
+from repro.server.engine import DecisionRequest, decide_batch
+from repro.server.service import DecisionService
 from repro.workloads import build_suite
 from repro.hardware.backend import TRINITY_DESCRIPTOR
 
@@ -382,13 +383,24 @@ class TestOneNanRule:
         served = service.decide_batch(
             [DecisionRequest(uid, cap) for cap in self.CAPS]
         )
+        configs = batch.configs()
         for j, cap in enumerate(self.CAPS):
             want = _nan_rule_pick(prediction, cap)
             single = scheduler.select(prediction, cap)
             assert single.config == want and single.predicted_feasible
             # repr: a NaN predicted performance equals itself there.
             assert repr(swept[j]) == repr(single)
-            assert repr(batch.decision(j)) == repr(single)
+            assert repr((
+                configs[j],
+                float(batch.predicted_power_w[j]),
+                float(batch.predicted_performance[j]),
+                bool(batch.feasible[j]),
+            )) == repr((
+                single.config,
+                single.predicted_power_w,
+                single.predicted_performance,
+                single.predicted_feasible,
+            ))
             one = service.decide(DecisionRequest(uid, cap))
             assert repr(served[j]) == repr(one)
             assert repr(tuple(one)[2:6]) == repr((

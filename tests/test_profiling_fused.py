@@ -127,7 +127,7 @@ def _replay(library_cls, backend, noise, plan, boost, seed, ops, warmup=0):
         for op, kernel, index in ops:
             try:
                 if op == "sweep":
-                    outcomes.append(library.profile_all_configs(KERNELS[kernel]))
+                    outcomes.append(library.profile_sweeps([KERNELS[kernel]])[0])
                 elif op == "sweeps":
                     sweeps = library.profile_sweeps(_sweep_kernels(kernel, index))
                     outcomes.append([p for sweep in sweeps for p in sweep])
@@ -363,7 +363,7 @@ class TestStoreBatch:
         with pytest.raises(ValueError, match="conflicts"):
             store.characterize([KERNELS[0], KERNELS[3], imposter])
         assert len(store.library.database) == 0
-        assert store.stats()["kernels"] == 0
+        assert (store.hits, store.misses) == (0, 0)
 
 
 def test_round_synthesizes_counters_once_per_pair():

@@ -13,7 +13,7 @@ determinism regression on :func:`run_loocv`.
 import numpy as np
 import pytest
 
-from repro.core.characterization import characterize_kernel
+from repro.core.characterization import characterize_kernels
 from repro.core.dissimilarity import dissimilarity_matrix
 from repro.evaluation import run_loocv
 from repro.hardware import TrinityAPU
@@ -83,7 +83,7 @@ class TestCharacterizationStore:
         )
         for k in kernels:
             served = store.characterization(k)
-            scratch = characterize_kernel(fresh_lib, k)
+            [scratch] = characterize_kernels(fresh_lib, [k])
             assert served.measurements == scratch.measurements
 
     def test_characterization_cached(self):
@@ -92,8 +92,7 @@ class TestCharacterizationStore:
         first = store.characterization(kernel)
         again = store.characterization(kernel)
         assert first is again
-        assert store.stats()["hits"] == 1
-        assert store.stats()["misses"] == 1
+        assert (store.hits, store.misses) == (1, 1)
 
     def test_uid_conflict_raises(self):
         k0, k1 = list(build_suite())[:2]

@@ -15,7 +15,7 @@ from repro.core import (
     AdaptiveModel,
     ParetoFrontier,
     Scheduler,
-    characterize_kernel,
+    characterize_kernels,
     frontier_dissimilarity,
     train_model,
 )
@@ -98,7 +98,7 @@ class TestTinyTrainingSet:
         library = ProfilingLibrary(apu, seed=0)
         suite = build_suite()
         kernels = suite.for_benchmark("LU")[:2]
-        chars = [characterize_kernel(library, k) for k in kernels]
+        chars = characterize_kernels(library, kernels)
         model = AdaptiveModel.train(chars, n_clusters=1)
         assert model.clustering.n_clusters == 1
 

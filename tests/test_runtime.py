@@ -1,5 +1,7 @@
 """Tests for the application runtime (repro.runtime)."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import train_model
@@ -16,7 +18,7 @@ from repro.runtime import (
 )
 from repro.workloads import build_suite
 from repro.hardware.backend import TRINITY_DESCRIPTOR
-from tests.conftest import cpu_config, gpu_config
+from tests.conftest import cpu_config
 
 CPU_SAMPLE, GPU_SAMPLE = TRINITY_DESCRIPTOR.sample_configs()
 
@@ -81,28 +83,23 @@ class TestTrace:
         assert trace.total_energy_j == pytest.approx(50.0)
         assert trace.mean_power_w == pytest.approx(50.0 / 3.0)
         assert trace.violation_rate == pytest.approx(0.5)
-        assert trace.violation_time_fraction() == pytest.approx(1.0 / 3.0)
         assert trace.timesteps() == 2
 
-    def test_per_kernel_time_and_lookup(self):
+    def test_for_timestep_lookup(self):
         trace = ApplicationTrace(application="a")
         trace.record(self._exec(uid="x", time=1.0))
         trace.record(self._exec(uid="x", time=2.0, t=1))
         trace.record(self._exec(uid="y", time=4.0, t=1))
-        assert trace.per_kernel_time() == {"x": 3.0, "y": 4.0}
-        assert len(trace.for_timestep(1)) == 2
+        assert [e.kernel_uid for e in trace.for_timestep(1)] == ["x", "y"]
 
     def test_empty_trace(self):
         trace = ApplicationTrace(application="a")
         assert trace.timesteps() == 0
         assert trace.violation_rate != trace.violation_rate  # NaN
 
-    def test_speedup_and_summary(self):
+    def test_summary(self):
         a = ApplicationTrace(application="a")
         a.record(self._exec(time=1.0))
-        b = ApplicationTrace(application="b")
-        b.record(self._exec(time=2.0))
-        assert a.speedup_vs(b) == pytest.approx(2.0)
         assert "timesteps" in a.summary()
 
     def test_render_timeline(self):
@@ -118,50 +115,6 @@ class TestTrace:
     def test_render_timeline_empty(self):
         trace = ApplicationTrace(application="empty")
         assert "(empty trace)" in trace.render_timeline()
-
-    def test_jsonl_round_trip(self, tmp_path):
-        trace = ApplicationTrace(application="rt")
-        trace.record(self._exec(t=0, power=10.0, time=1.0, uid="x"))
-        trace.record(self._exec(t=1, power=30.0, time=0.5, uid="y"))
-        gpu_exec = KernelExecution(
-            timestep=1,
-            kernel_uid="z",
-            config=gpu_config(0.649, 1.4),
-            time_s=0.25,
-            power_w=18.0,
-            power_cap_w=20.0,
-            phase="sample-gpu",
-        )
-        trace.record(gpu_exec)
-
-        path = tmp_path / "trace.jsonl"
-        trace.to_jsonl(path)
-        loaded = ApplicationTrace.from_jsonl(path)
-        assert loaded.application == trace.application
-        assert loaded.executions == trace.executions
-        # Frozen dataclass equality covers configs; re-check aggregates.
-        assert loaded.total_energy_j == pytest.approx(trace.total_energy_j)
-
-    def test_jsonl_round_trip_via_file_object(self):
-        import io
-
-        trace = ApplicationTrace(application="rt")
-        trace.record(self._exec())
-        buf = io.StringIO()
-        trace.to_jsonl(buf)
-        buf.seek(0)
-        loaded = ApplicationTrace.from_jsonl(buf)
-        assert loaded.executions == trace.executions
-
-    def test_from_jsonl_rejects_empty_and_headerless(self, tmp_path):
-        empty = tmp_path / "empty.jsonl"
-        empty.write_text("")
-        with pytest.raises(ValueError, match="empty"):
-            ApplicationTrace.from_jsonl(empty)
-        headerless = tmp_path / "bad.jsonl"
-        headerless.write_text('{"not_application": 1}\n')
-        with pytest.raises(ValueError, match="header"):
-            ApplicationTrace.from_jsonl(headerless)
 
 
 class TestAdaptiveRuntime:
@@ -207,7 +160,9 @@ class TestAdaptiveRuntime:
         runtime = AdaptiveRuntime(model, ProfilingLibrary(apu, seed=9))
         trace = runtime.run(comd_app, n_timesteps=3, power_cap_w=25.0)
         assert len(trace) == 3 * len(comd_app)
-        assert set(trace.per_kernel_time()) == {k.uid for k in comd_app.kernels}
+        assert {e.kernel_uid for e in trace.executions} == {
+            k.uid for k in comd_app.kernels
+        }
 
     def test_context_differentiation(self, trained, suite):
         """Paper §VI: the same kernel invoked from two contexts is
@@ -216,7 +171,10 @@ class TestAdaptiveRuntime:
         base = suite.get("LU/Small/LUDecomposition")
         app = Application(
             name="two-contexts",
-            kernels=(base.with_context("solve"), base.with_context("refine")),
+            kernels=tuple(
+                dataclasses.replace(base, name=f"{base.name}@{context}")
+                for context in ("solve", "refine")
+            ),
         )
         runtime = AdaptiveRuntime(model, ProfilingLibrary(apu, seed=21))
         runtime.run(app, n_timesteps=3, power_cap_w=22.0)
@@ -259,6 +217,28 @@ class TestAdaptiveRuntime:
         runtime.run(app, n_timesteps=6, power_cap_w=18.0)
         # One limited entry per (kernel, cap).
         assert len(runtime._limited) == len(app)
+
+    def test_frequency_limiter_honours_an_outside_quarantine(
+        self, trained, comd_app
+    ):
+        """A refinement is not reused once its configuration is
+        quarantined, whoever quarantined it."""
+        apu, model = trained
+        runtime = AdaptiveRuntime(
+            model, ProfilingLibrary(apu, seed=5), frequency_limiter=True
+        )
+        first = runtime.run(comd_app, n_timesteps=4, power_cap_w=20.0)
+        uid = comd_app.kernels[0].uid
+        stale = [
+            e.config
+            for e in first.executions
+            if e.kernel_uid == uid and e.phase == "scheduled"
+        ][-1]
+        runtime.scheduler.quarantine(stale)
+        after = runtime.run(comd_app, n_timesteps=2, power_cap_w=20.0)
+        scheduled = [e for e in after.executions if e.phase == "scheduled"]
+        assert len(scheduled) == 2 * len(comd_app)
+        assert stale not in {e.config for e in scheduled}
 
     def test_invalid_arguments(self, trained, app):
         apu, model = trained
@@ -370,4 +350,4 @@ class TestBaselines:
         static = StaticRuntime(
             ProfilingLibrary(apu, seed=16), cpu_config(1.4, 4)
         ).run(app, 12, cap)
-        assert adaptive.speedup_vs(static) > 1.2
+        assert static.total_time_s / adaptive.total_time_s > 1.2

@@ -52,12 +52,11 @@ class TestFactorAxis:
 
 
 class TestGeneratedConfig:
-    def test_label_and_factors(self):
+    def test_label_and_identity(self):
         cfg = GeneratedConfig(
             space="s", names=("a", "b"), values=(1.5, 2.0)
         )
         assert cfg.label() == "s[a=1.5,b=2]"
-        assert cfg.factors() == {"a": 1.5, "b": 2.0}
         assert hash(cfg) == hash(
             GeneratedConfig(space="s", names=("a", "b"), values=(1.5, 2.0))
         )
@@ -216,4 +215,4 @@ class TestDemoSpace:
         payloads = dm.payloads(g)
         assert all(isinstance(p, GeneratedConfig) for p in payloads)
         assert payloads[0].space == dm.name
-        assert set(payloads[0].factors()) == {a.name for a in dm.axes}
+        assert payloads[0].names == tuple(a.name for a in dm.axes)

@@ -31,22 +31,19 @@ from repro.evaluation import run_loocv
 from repro.methods import Oracle
 from repro.profiling import CharacterizationStore, ProfilingLibrary
 from repro.hardware import TrinityAPU
-from repro.server import (
-    DecisionRequest,
-    DecisionService,
-    ServerConfig,
-    build_default_service,
-    decide_batch,
-)
 from repro.server.config import (
     DEFAULT_MAX_BATCH,
     DEFAULT_MAX_DELAY_US,
     DEFAULT_QUEUE_FACTOR,
+    ServerConfig,
 )
+from repro.server.engine import DecisionRequest, decide_batch
 from repro.server.service import (
     ERROR_INVALID_CAP,
     ERROR_NO_FEASIBLE_CONFIG,
     ERROR_UNKNOWN_KERNEL,
+    DecisionService,
+    build_default_service,
 )
 from repro.workloads import build_suite
 
@@ -136,9 +133,13 @@ class TestDecideBatch:
         cap_arr = np.array(caps * len(warm_service.kernel_uids))
         batch = decide_batch(scheduler, snap.predictions, uids, cap_arr)
         assert len(batch) == len(uids)
+        configs = batch.configs()
         for i, (uid, cap) in enumerate(zip(uids, cap_arr)):
             expected = scheduler.select(snap.predictions[uid], cap)
-            assert batch.decision(i) == expected
+            assert configs[i] == expected.config
+            assert batch.predicted_power_w[i] == expected.predicted_power_w
+            assert batch.predicted_performance[i] == expected.predicted_performance
+            assert batch.feasible[i] == expected.predicted_feasible
 
     def test_interleaved_kernels_keep_request_order(self, warm_service):
         snap = warm_service.snapshot
@@ -150,11 +151,14 @@ class TestDecideBatch:
         caps = rng.uniform(9.0, 50.0, size=64)
         batch = decide_batch(snap.scheduler, snap.predictions, uids, caps)
         assert list(batch.kernel_uids) == uids
+        configs = batch.configs()
         for i in (0, 17, 40, 63):
             expected = snap.scheduler.select(
                 snap.predictions[uids[i]], caps[i]
             )
-            assert batch.decision(i) == expected
+            assert configs[i] == expected.config
+            assert batch.predicted_power_w[i] == expected.predicted_power_w
+            assert batch.feasible[i] == expected.predicted_feasible
 
     def test_memoized_tables_change_nothing(self, warm_service):
         snap = warm_service.snapshot

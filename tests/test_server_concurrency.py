@@ -11,7 +11,6 @@ tears a reader's view.
 
 from __future__ import annotations
 
-import asyncio
 import threading
 import time
 
@@ -21,17 +20,15 @@ import repro.telemetry as telemetry
 from repro.core import AdaptiveModel
 from repro.profiling import CharacterizationStore, ProfilingLibrary
 from repro.hardware import TrinityAPU
-from repro.server import (
-    AsyncDecisionServer,
-    DecisionRequest,
+from repro.server.batching import (
     DecisionServer,
-    DecisionService,
     ServerClosedError,
-    ServerConfig,
     ServerOverloadError,
-    decide_batch,
-    request_pool,
 )
+from repro.server.config import ServerConfig
+from repro.server.engine import DecisionRequest, decide_batch
+from repro.server.loadgen import request_pool
+from repro.server.service import DecisionService
 from repro.workloads import build_suite
 
 from .engine_reference import assert_same_decisions, reference_decide_batch
@@ -206,6 +203,24 @@ class TestLifecycle:
             with pytest.raises(RuntimeError, match="already started"):
                 server.start()
 
+    def test_stop_is_idempotent(self, service):
+        server = DecisionServer(service)
+        server.start()
+        server.stop()
+        server.stop()
+
+    def test_cancelled_request_never_reaches_the_service(self, service, pool):
+        slow = SlowService(service, delay_s=0.1)
+        config = ServerConfig(max_batch=1, max_delay_us=0.0)
+        with DecisionServer(slow, config) as server:
+            first = server.submit(pool[0])
+            time.sleep(0.01)  # the dispatcher holds `first`
+            second = server.submit(pool[1])  # queued behind it
+            assert second.cancel()
+            assert first.result(timeout=10.0).ok
+        assert second.cancelled()
+        assert slow.batches == 1
+
     def test_latency_histogram_observes_completions(self, service, pool):
         hist = telemetry.histogram("server.latency_s")
         before = hist.count
@@ -275,92 +290,3 @@ class TestSnapshotSwapHammer:
         # Leave the module-scope service fully servable for later tests.
         service.clear_quarantine()
         assert set(service.snapshot.tables) == set(service.kernel_uids)
-
-
-class TestAsyncServer:
-    def test_gathered_requests_coalesce(self, service, pool):
-        async def scenario():
-            req_before = counter_value("server.requests")
-            batch_before = counter_value("server.batches")
-            async with AsyncDecisionServer(
-                service, ServerConfig(max_batch=128, max_delay_us=2000.0)
-            ) as server:
-                results = await asyncio.gather(
-                    *(server.decide(r) for r in pool[:100])
-                )
-            requests = counter_value("server.requests") - req_before
-            batches = counter_value("server.batches") - batch_before
-            return results, requests, batches
-
-        results, requests, batches = asyncio.run(scenario())
-        assert all(r.ok for r in results)
-        assert requests == 100
-        assert 0 < batches < requests
-
-    def test_decide_without_start_rejected(self, service, pool):
-        async def scenario():
-            server = AsyncDecisionServer(service)
-            with pytest.raises(ServerClosedError):
-                await server.decide(pool[0])
-
-        asyncio.run(scenario())
-
-    def test_overload_sheds(self, service, pool):
-        async def scenario():
-            config = ServerConfig(max_batch=2, max_delay_us=0.0, max_queue=2)
-            server = AsyncDecisionServer(service, config)
-            await server.start()
-            # Eight submissions against a queue of two: whichever the
-            # dispatcher thread has not drained yet are shed.
-            pending = []
-            shed = 0
-            for request in pool[:8]:
-                try:
-                    pending.append(
-                        asyncio.get_running_loop().create_task(
-                            server.decide(request)
-                        )
-                    )
-                except ServerOverloadError:
-                    shed += 1
-            results = await asyncio.gather(*pending, return_exceptions=True)
-            await server.stop()
-            oks = [
-                r for r in results if not isinstance(r, BaseException) and r.ok
-            ]
-            sheds = [
-                r for r in results if isinstance(r, ServerOverloadError)
-            ]
-            assert len(oks) + len(sheds) == len(results)
-            return len(sheds) + shed, len(oks)
-
-        shed, oks = asyncio.run(scenario())
-        assert oks > 0  # admitted requests were all answered
-
-    def test_cancelled_decide_is_dropped(self, service, pool):
-        slow = SlowService(service, delay_s=0.1)
-
-        async def scenario():
-            config = ServerConfig(max_batch=1, max_delay_us=0.0)
-            async with AsyncDecisionServer(slow, config) as server:
-                first = asyncio.create_task(server.decide(pool[0]))
-                await asyncio.sleep(0.01)  # the dispatcher holds `first`
-                second = asyncio.create_task(server.decide(pool[1]))
-                await asyncio.sleep(0)  # `second` is queued behind it
-                second.cancel()
-                await asyncio.gather(second, return_exceptions=True)
-                return await first, second
-
-        result, second = asyncio.run(scenario())
-        assert result.ok and second.cancelled()
-        # The cancelled request never reached the service.
-        assert slow.batches == 1
-
-    def test_stop_is_idempotent(self, service):
-        async def scenario():
-            server = AsyncDecisionServer(service)
-            await server.start()
-            await server.stop()
-            await server.stop()
-
-        asyncio.run(scenario())

@@ -34,7 +34,8 @@ from repro.core import (
     Scheduler,
 )
 from repro.hardware import Measurement
-from repro.server import DecisionRequest, build_default_service, decide_batch
+from repro.server.engine import DecisionRequest, decide_batch
+from repro.server.service import build_default_service
 from repro.server.engine import DecisionIndex
 from repro.server.service import (
     ERROR_INVALID_CAP,
@@ -305,15 +306,15 @@ class TestSuiteBatches:
         assert [results[i].error for i in (3, 10, 11)] == [
             ERROR_UNKNOWN_KERNEL, ERROR_INVALID_CAP, ERROR_INVALID_CAP
         ]
+        configs = ref.configs()
         for j, i in enumerate(live):
-            want = ref.decision(j)
             assert results[i] == DecisionResult(
                 kernel_uid=requests[i].kernel_uid,
                 power_cap_w=requests[i].power_cap_w,
-                config=want.config,
-                predicted_power_w=want.predicted_power_w,
-                predicted_performance=want.predicted_performance,
-                feasible=want.predicted_feasible,
+                config=configs[j],
+                predicted_power_w=float(ref.predicted_power_w[j]),
+                predicted_performance=float(ref.predicted_performance[j]),
+                feasible=bool(ref.feasible[j]),
             )
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import characterize_kernel, fit_cluster_models, AdaptiveModel
+from repro.core import characterize_kernels, fit_cluster_models, AdaptiveModel
 from repro.hardware import NoiseModel, TrinityAPU
 from repro.profiling import ProfilingLibrary
 from repro.stats import fit_ols
@@ -75,10 +75,7 @@ class TestRidgePlumbing:
         apu = TrinityAPU(noise=NoiseModel.exact(), seed=0)
         library = ProfilingLibrary(apu, seed=0)
         suite = build_suite()
-        return [
-            characterize_kernel(library, k)
-            for k in suite.for_benchmark("LU")
-        ]
+        return characterize_kernels(library, suite.for_benchmark("LU"))
 
     def test_cluster_models_accept_ridge(self, chars):
         plain = fit_cluster_models(chars)

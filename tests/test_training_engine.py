@@ -17,11 +17,12 @@ Covers the pieces that cooperate across modules (see
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.core import (
     AdaptiveModel,
     ClusteringResult,
     RegressionGramPool,
-    characterize_kernel,
+    characterize_kernels,
     cluster_kernels,
     fit_cluster_models,
     resolve_warm_medoids,
@@ -42,7 +43,7 @@ def characterizations():
     )
     suite = build_suite()
     kernels = suite.for_benchmark("CoMD")[:6]
-    return [characterize_kernel(library, k) for k in kernels]
+    return characterize_kernels(library, kernels)
 
 
 def _assert_cluster_models_close(a, b):
@@ -76,12 +77,14 @@ class TestRegressionGramPool:
         _assert_cluster_models_close(via_pool, direct)
 
     def test_pool_blocks_are_cached_across_fits(self, characterizations):
+        misses = telemetry.counter("train.gram.misses")
         pool = RegressionGramPool()
+        start = misses.value
         fit_cluster_models(characterizations, gram_pool=pool)
-        before = dict(pool.stats())
+        built = misses.value
         fit_cluster_models(characterizations, gram_pool=pool)
-        after = pool.stats()
-        assert after["blocks"] == before["blocks"]  # nothing rebuilt
+        assert built > start
+        assert misses.value == built  # nothing rebuilt
 
     def test_downdate_path_matches_direct_fit(self, characterizations):
         pool = RegressionGramPool()

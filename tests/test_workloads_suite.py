@@ -122,19 +122,6 @@ class TestKernelType:
         assert k.uid == "B/S/k"
         assert k.group == "B S"
 
-    def test_with_context(self):
-        k = Kernel(
-            name="k", benchmark="B", input_size="S",
-            characteristics=make_kernel(),
-        )
-        ctx = k.with_context("solver")
-        assert ctx.uid == "B/S/k@solver"
-        assert ctx.characteristics == k.characteristics
-        with pytest.raises(ValueError):
-            k.with_context("")
-        with pytest.raises(ValueError):
-            ctx.with_context("again")  # no nested contexts
-
 
 class TestBuildHelpers:
     def test_build_benchmark_validation(self):

@@ -14,6 +14,52 @@ directory collects every entry point.  Keep ``DIR`` outside the checkout.
 ``report`` parses every ``*.py`` under ``--src`` and lists, per file, the
 defs that no recorded process entered, with their line counts.  A def
 nested in an unreached def is not listed again.  Exit status is 0.
+
+The entry points a full pass records, each as one ``run`` into the same
+``DIR``, from the root of a copy of the checkout (benchmarks rewrite
+``BENCH_*.json``) with ``PYTHONPATH=src``; ``P`` is
+``python -m repro.cli`` and ``W`` a scratch directory:
+
+* ``P suite``; ``P frontier LU/Small/LUDecomposition``;
+  ``P train -o W/m.json``;
+  ``P train -o W/m2.json --exclude-benchmark LU --transform log
+  --n-clusters 4``; ``P predict -m W/m.json LU/Small/LUDecomposition
+  --cap 20``; ``P predict -m W/m.json CoMD/Small/EAMForce --goal
+  energy``;
+* ``P evaluate --telemetry-out W/t1.json``;
+  ``P evaluate --backend biglittle --no-freq-limiting --n-jobs 2``;
+  ``P evaluate --telemetry-out W/t2.json --n-jobs 2``;
+* for each ``F`` in ``tests/fault_plans/*.json``:
+  ``P -q evaluate --backend mpsoc --fault-plan F``,
+  ``P runtime "LULESH Large" --cap 18 --fault-plan F`` and
+  ``P serve --requests 2000 --rate 5000 --fault-plan F``;
+* ``P accuracy``; ``P accuracy --backend mpsoc --n-jobs 2``;
+  ``P runtime "CoMD Small" --cap 22``; ``P report -o W/report.md``;
+* ``P cluster --n-nodes 256 --epochs 2 --churn 8 --tree``;
+  ``P cluster --n-nodes 2000 --tree``;
+  ``P cluster --policy maxmin --n-nodes 300``;
+  ``P cluster --policy uniform --n-nodes 300 --budget 4000``;
+* ``P search --space demo --population 48 --generations 10
+  --baseline-budget 1000``; ``P search --space paper --json W/s.json``;
+  ``P search --backend biglittle --generations 10``;
+* ``P serve --requests 4000 --rate 20000``;
+  ``P serve --requests 3000 --rate 2000 --fault-plan
+  tests/fault_plans/sensor_dropout.json --monitor-dump W/dump.json
+  --monitor-jsonl W/ring.jsonl``;
+* ``P transfer --eval-backend mpsoc --ks 0,1 --json W/tr.json``;
+  ``P telemetry W/t1.json``; ``P telemetry --diff W/t1.json W/t2.json
+  --all``; ``P top --dump W/dump.json``; ``P top --cluster --epochs 4``;
+* a live monitor: ``P --log-json serve --requests 20000 --rate 2000
+  --monitor-port 9377 --slo-file W/slo.json`` in the background (the
+  file holds ``[{"name": "lat", "expr": "server.latency_s p99 <
+  0.005"}]``), scraped by ``P top 127.0.0.1:9377 --frames 2 --interval
+  0.5`` and one GET of ``/metrics``;
+* ``python examples/X.py`` for every example;
+* ``python perfbench/run.py --workload X --seed 0 --seconds 3 --trace 1``
+  for ``X`` in loocv, offline, serve and fleet;
+* ``python -m pytest benchmarks/ --benchmark-only -q`` (every file; the
+  hook's slowdown fails the 0.25 s gate of
+  ``test_bench_selection_runtime.py``, which passes unhooked).
 """
 
 from __future__ import annotations
